@@ -3,9 +3,13 @@
 Domains are ideals generated by central idempotents (so every action here
 satisfies the globalizability criterion by construction) and the maps are
 wreath maps: class-preserving position bijections with automorphism twists.
-The envelope of a partial action on a power of one block is assembled from
-the envelope of its restriction to the idempotent positions, with twists
-transported along witness paths.
+
+Two pipelines build envelopes.  ``globalize_extension_by_zero`` handles one
+indecomposable block: the action is an extension by zero from a subgroup H
+and the envelope is [G:H] copies of the block.  ``globalize_block_power``
+handles every block algebra, mixed classes included: the envelope is
+assembled from the envelope of the restriction to the idempotent positions,
+with twists transported along witness paths.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .errors import (
     InternalInconsistency,
     MalformedInput,
     NotAHomomorphism,
-    NotKBlocks,
     TwistTransportConflict,
 )
 from .groups import FiniteGroup, Subgroup
@@ -192,34 +195,6 @@ def verify_algebra_partial_action(pa: AlgebraPartialAction) -> VerificationRepor
     return report
 
 
-class GlobalizabilityReport:
-    """Outcome of the central-idempotent criterion.
-
-    In the block model every domain is generated by central idempotents, so
-    ``globalizable`` is always True; for a single-block algebra the report
-    also records the zero-or-full dichotomy of each domain.
-    """
-
-    def __init__(self, globalizable: bool, dichotomy: Optional[dict[int, str]]):
-        self.globalizable = globalizable
-        self.dichotomy = dichotomy
-
-    def __bool__(self) -> bool:
-        return self.globalizable
-
-
-def globalizable_check(pa: AlgebraPartialAction) -> GlobalizabilityReport:
-    """Every block-model action is globalizable (the domains are supports of
-    central idempotents by construction); on one block, also classify each
-    domain as zero or full."""
-    dichotomy = None
-    if pa.algebra.n_blocks == 1:
-        dichotomy = {
-            g: ("full" if pa.support(g) else "zero") for g in pa.group.elements()
-        }
-    return GlobalizabilityReport(True, dichotomy)
-
-
 def classify_indecomposable(pa: AlgebraPartialAction) -> tuple[Subgroup, dict[int, int]]:
     """For an action on a single block: the subgroup H on which the action is
     global, and the homomorphism H -> Aut(block) given by the twists.
@@ -323,10 +298,7 @@ class GlobalizationResult:
 def _embedding_parts(embedding) -> tuple[dict, dict]:
     if isinstance(embedding, WreathMap):
         return dict(embedding.position_map), dict(embedding.twists)
-    if isinstance(embedding, Mapping):
-        return dict(embedding["position_map"]), dict(embedding.get("twists", {}))
-    pm, tw = embedding
-    return dict(pm), dict(tw)
+    return dict(embedding["position_map"]), dict(embedding.get("twists", {}))
 
 
 def verify_enveloping(pa: AlgebraPartialAction, candidate) -> EnvelopingReport:
@@ -338,7 +310,8 @@ def verify_enveloping(pa: AlgebraPartialAction, candidate) -> EnvelopingReport:
 
     ``candidate`` needs ``envelope`` (BlockAlgebra), ``action`` (one full-
     support wreath map per group element, forming a global action) and
-    ``embedding`` (a wreath map, or raw position_map/twists data).
+    ``embedding`` (a wreath map, or a mapping with ``position_map`` and
+    ``twists``).
 
     Raises:
         MalformedInput: the candidate's action data is not a global action.
@@ -436,13 +409,6 @@ def verify_enveloping(pa: AlgebraPartialAction, candidate) -> EnvelopingReport:
     return report
 
 
-class _Candidate:
-    def __init__(self, envelope, action, embedding):
-        self.envelope = envelope
-        self.action = action
-        self.embedding = embedding
-
-
 def globalize_extension_by_zero(
     block: Union[Block, BlockAlgebra],
     subgroup: Subgroup,
@@ -474,7 +440,8 @@ def globalize_extension_by_zero(
         {0: 0},
         {0: blk.aut_group.identity},
     )
-    checks = verify_enveloping(pa, _Candidate(envelope, action, embedding))
+    candidate = {"envelope": envelope, "action": action, "embedding": embedding}
+    checks = verify_enveloping(pa, candidate)
     if not checks.ok:
         raise InternalInconsistency("constructed envelope failed its own checks")
     provenance = tuple(G.name(r) for r in transversal.reps)
@@ -616,7 +583,6 @@ def _transport_twists(
             violates the composition axiom.
     """
     G = pa.group
-    aut = pa.algebra.blocks[0].aut_group
     e = G.identity
     n = pa.algebra.n_blocks
     seeds: dict[int, tuple[int, int]] = {}
@@ -625,6 +591,9 @@ def _transport_twists(
     transport: dict[tuple[int, int], int] = {}
     for c, witness in enumerate(sg.orbit_witness):
         seed = seeds.get(c, witness)
+        # wreath maps preserve class, so every pair of this class sits on a
+        # block of the seed's class and shares its automorphism group
+        aut = pa.algebra.blocks[seed[1]].aut_group
         transport[seed] = aut.identity
         queue = [seed]
         while queue:
@@ -649,26 +618,23 @@ def _transport_twists(
 
 
 def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
-    """Envelope of a partial action on a power of one block: one envelope
-    block per point of the envelope of the idempotent restriction, with
-    twists transported from the original wreath maps along orbit witnesses.
+    """Envelope of a partial action on any block algebra, mixed classes
+    included: one envelope block per point of the envelope of the idempotent
+    restriction, a copy of the block at its orbit witness (g, x), with twists
+    transported from the original wreath maps along orbit witnesses.
 
-    The result always has at most n·|G| blocks and passes all four
-    enveloping checks; twist-transport conflicts (possible only for inputs
-    violating the axioms) raise rather than being resolved silently.
+    On scalar-line blocks every twist is the identity and the position maps
+    are those of the set envelope.  The result always has at most n·|G|
+    blocks and passes all four enveloping checks; twist-transport conflicts
+    (possible only for inputs violating the axioms) raise rather than being
+    resolved silently.
     """
-    classes = {b.iso_class for b in pa.algebra.blocks}
-    if len(classes) != 1:
-        raise MalformedInput("the algebra must be a power of a single block")
-    blk = pa.algebra.blocks[0]
     G = pa.group
-    gamma = restrict_to_idempotents(pa)
-    sg = globalize_set(gamma)
+    sg = globalize_set(restrict_to_idempotents(pa))
     transport = _transport_twists(pa, sg)
-    m = sg.size
-    envelope = block_power(blk, m)
+    envelope = BlockAlgebra(tuple(pa.algebra.blocks[x] for (_, x) in sg.orbit_witness))
     full = envelope.full_ideal()
-    aut = blk.aut_group
+    auts = [b.aut_group for b in envelope.blocks]
     action = {}
     for g in G.elements():
         pm = {}
@@ -676,42 +642,8 @@ def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
         for c, (t, x) in enumerate(sg.orbit_witness):
             moved = (G.mul(g, t), x)
             pm[c] = sg.pair_class[moved]
+            aut = auts[c]
             tw[c] = aut.mul(transport[moved], aut.inv(transport[(t, x)]))
-        action[g] = WreathMap(full, full, pm, tw)
-    e = G.identity
-    embed_pm = {x: sg.pair_class[(e, x)] for x in range(pa.algebra.n_blocks)}
-    embedding = WreathMap(
-        pa.algebra.full_ideal(),
-        envelope.ideal(embed_pm.values()),
-        embed_pm,
-        {x: aut.identity for x in embed_pm},
-    )
-    checks = verify_enveloping(pa, _Candidate(envelope, action, embedding))
-    if not checks.ok:
-        raise InternalInconsistency("constructed envelope failed its own checks")
-    provenance = tuple((G.name(t), x) for (t, x) in sg.orbit_witness)
-    return GlobalizationResult(pa, envelope, provenance, action, embedding, checks)
-
-
-def globalize_k_blocks(pa: AlgebraPartialAction) -> GlobalizationResult:
-    """Envelope of an action on scalar-line blocks: one line block per point
-    of the envelope set, permuted exactly as the envelope set action.
-
-    Raises:
-        NotKBlocks: some block has nontrivial automorphisms.
-    """
-    if not pa.algebra.all_line_blocks():
-        raise NotKBlocks("all blocks must be scalar lines")
-    G = pa.group
-    gamma = restrict_to_idempotents(pa)
-    sg = globalize_set(gamma)
-    blocks = tuple(pa.algebra.blocks[x] for (_, x) in sg.orbit_witness)
-    envelope = BlockAlgebra(blocks)
-    full = envelope.full_ideal()
-    action = {}
-    for g in G.elements():
-        pm = dict(sg.envelope.maps[g])
-        tw = {c: envelope.blocks[c].aut_group.identity for c in envelope.positions()}
         action[g] = WreathMap(full, full, pm, tw)
     e = G.identity
     embed_pm = {x: sg.pair_class[(e, x)] for x in range(pa.algebra.n_blocks)}
@@ -721,7 +653,8 @@ def globalize_k_blocks(pa: AlgebraPartialAction) -> GlobalizationResult:
         embed_pm,
         {x: pa.algebra.blocks[x].aut_group.identity for x in embed_pm},
     )
-    checks = verify_enveloping(pa, _Candidate(envelope, action, embedding))
+    candidate = {"envelope": envelope, "action": action, "embedding": embedding}
+    checks = verify_enveloping(pa, candidate)
     if not checks.ok:
         raise InternalInconsistency("constructed envelope failed its own checks")
     provenance = tuple((G.name(t), x) for (t, x) in sg.orbit_witness)

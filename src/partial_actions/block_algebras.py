@@ -37,9 +37,6 @@ class Block:
     iso_class: str
     aut_group: FiniteGroup
 
-    def is_line(self) -> bool:
-        return self.aut_group.order == 1
-
 
 def k_line_block(label: str = "K") -> Block:
     return Block(label, trivial_group())
@@ -71,9 +68,6 @@ class BlockAlgebra:
     def positions(self) -> range:
         return range(len(self.blocks))
 
-    def block_at(self, position: int) -> Block:
-        return self.blocks[position]
-
     def full_ideal(self) -> "BlockIdeal":
         return BlockIdeal(self, frozenset(self.positions()))
 
@@ -82,9 +76,6 @@ class BlockAlgebra:
 
     def ideal(self, support) -> "BlockIdeal":
         return BlockIdeal(self, frozenset(support))
-
-    def all_line_blocks(self) -> bool:
-        return all(b.is_line() for b in self.blocks)
 
 
 def block_power(block: Block, n: int) -> BlockAlgebra:
@@ -106,21 +97,11 @@ class BlockIdeal:
             if not (isinstance(p, int) and 0 <= p < self.algebra.n_blocks):
                 raise MalformedInput(f"position {p!r} outside the algebra")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.support
-
     def class_multiset(self) -> tuple[str, ...]:
         return tuple(sorted(self.algebra.blocks[p].iso_class for p in self.support))
 
     def __contains__(self, position: int) -> bool:
         return position in self.support
-
-
-def ideal_psi(ideal: BlockIdeal) -> frozenset:
-    """Support of an ideal: the positions whose idempotents do not kill it.
-    The zero ideal maps to the empty set."""
-    return ideal.support
 
 
 def ideals_isomorphic(a: BlockIdeal, b: BlockIdeal) -> bool:

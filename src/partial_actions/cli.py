@@ -16,7 +16,6 @@ from .algebra_actions import (
     AlgebraPartialAction,
     globalize_block_power,
     globalize_extension_by_zero,
-    globalize_k_blocks,
     classify_indecomposable,
     verify_algebra_partial_action,
 )
@@ -131,8 +130,17 @@ def cmd_factorize(args) -> int:
     report = None
     if args.compare:
         with open(args.compare, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        rows = [((r[0], r[1]), r[2], r[3]) for r in doc["rows"]]
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DocumentError(f"invalid JSON in {args.compare}: {exc}", "$") from exc
+        claims = doc.get("rows") if isinstance(doc, dict) else None
+        if not isinstance(claims, list) or not all(
+            isinstance(r, list) and len(r) == 4 and all(isinstance(x, (str, int)) for x in r)
+            for r in claims
+        ):
+            raise DocumentError("rows must be a list of [g, g_i, j, h] element labels", "$.rows")
+        rows = [((r[0], r[1]), r[2], r[3]) for r in claims]
         report = cross_validate_table(cf, rows)
     if args.format == "json":
         payload = {
@@ -153,19 +161,16 @@ def cmd_factorize(args) -> int:
 
 
 def _globalize_one(action):
-    """Route an action to its pipeline; returns (kind, result-ish, checks)."""
+    """Route an action to its pipeline; returns (kind, result-ish, checks).
+
+    One block is an extension by zero from a subgroup; any other block
+    algebra goes through the envelope of its idempotent restriction."""
     if isinstance(action, AlgebraPartialAction):
         if action.algebra.n_blocks == 1:
             H, hom = classify_indecomposable(action)
             result = globalize_extension_by_zero(action.algebra.blocks[0], H, hom)
-        elif action.algebra.all_line_blocks():
-            result = globalize_k_blocks(action)
-        elif len({b.iso_class for b in action.algebra.blocks}) == 1:
-            result = globalize_block_power(action)
         else:
-            raise DocumentError(
-                "mixed-class algebras are globalized per class component; split first"
-            )
+            result = globalize_block_power(action)
         return "algebra", result, result.checks
     sg = globalize_set(action)
     checks = verify_set_globalization(action, sg)

@@ -35,6 +35,14 @@ def _require(cond: bool, message: str, path: str) -> None:
         raise DocumentError(message, path)
 
 
+def _section(doc: Mapping, key: str, path: str) -> Mapping:
+    """The object at ``doc[key]`` (empty when absent); anything else is an
+    error located at ``path.key``."""
+    value = doc.get(key, {})
+    _require(isinstance(value, Mapping), f"{key} must be an object", f"{path}.{key}")
+    return value
+
+
 def group_to_doc(G: FiniteGroup) -> dict:
     if G.doc_kind is not None:
         kind, n = G.doc_kind
@@ -154,9 +162,15 @@ def parse_set_action(
     names = _name_index(G, f"{path}.group")
     _require(isinstance(doc.get("carrier"), list), "action needs a carrier list", path)
     carrier = tuple(doc["carrier"])
+    for i, x in enumerate(carrier):
+        _require(
+            isinstance(x, (str, int)) and not isinstance(x, bool),
+            "carrier points must be strings or integers",
+            f"{path}.carrier[{i}]",
+        )
     lookup = _carrier_lookup(carrier, f"{path}.carrier")
     domains = {}
-    for key, points in dict(doc.get("domains", {})).items():
+    for key, points in _section(doc, "domains", path).items():
         g = _resolve_element(G, names, key, f"{path}.domains")
         _require(isinstance(points, list), "domain must be a list", f"{path}.domains.{key}")
         resolved = []
@@ -165,7 +179,7 @@ def parse_set_action(
             resolved.append(lookup[str(x)])
         domains[g] = resolved
     maps = {}
-    for key, pairs in dict(doc.get("maps", {})).items():
+    for key, pairs in _section(doc, "maps", path).items():
         g = _resolve_element(G, names, key, f"{path}.maps")
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
         m = {}
@@ -238,7 +252,7 @@ def parse_algebra_action(
         return p
 
     domains: dict[int, list[int]] = {}
-    for key, positions in dict(doc.get("domains", {})).items():
+    for key, positions in _section(doc, "domains", path).items():
         g = _resolve_element(G, names, key, f"{path}.domains")
         if isinstance(positions, Mapping):  # ideal form {"support": [...]}
             positions = positions.get("support")
@@ -248,17 +262,16 @@ def parse_algebra_action(
             f"{path}.domains.{key}",
         )
         domains[g] = [position(p, f"{path}.domains.{key}") for p in positions]
-    maps_doc = dict(doc.get("maps", {}))
-    twists_doc = dict(doc.get("twists", {}))
+    twists_doc = _section(doc, "twists", path)
     maps = {}
-    for key, pairs in maps_doc.items():
+    for key, pairs in _section(doc, "maps", path).items():
         g = _resolve_element(G, names, key, f"{path}.maps")
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
         pm = {
             position(k, f"{path}.maps.{key}"): position(v, f"{path}.maps.{key}")
             for k, v in pairs.items()
         }
-        tw_pairs = twists_doc.get(key, {})
+        tw_pairs = _section(twists_doc, key, f"{path}.twists")
         tw = {}
         for p in pm:
             ref = tw_pairs.get(str(p), None)
@@ -306,11 +319,11 @@ def parse_workbench(doc) -> Workbench:
     version = str(doc.get("version", FORMAT_VERSION))
     _require(version == FORMAT_VERSION, f"unsupported format version {version!r}", "$.version")
     wb = Workbench(version=version)
-    for name, gdoc in dict(doc.get("groups", {})).items():
+    for name, gdoc in _section(doc, "groups", "$").items():
         wb.groups[name] = parse_group(gdoc, f"$.groups.{name}")
-    for name, adoc in dict(doc.get("algebras", {})).items():
+    for name, adoc in _section(doc, "algebras", "$").items():
         wb.algebras[name] = parse_algebra(adoc, wb.groups, f"$.algebras.{name}")
-    for name, action_doc in dict(doc.get("actions", {})).items():
+    for name, action_doc in _section(doc, "actions", "$").items():
         path = f"$.actions.{name}"
         _require(isinstance(action_doc, Mapping), "action must be an object", path)
         kind = action_doc.get("kind", "set")

@@ -55,11 +55,6 @@ class GroupMismatch(PartialActionError):
     """Operands are defined over different groups."""
 
 
-class NotKBlocks(PartialActionError):
-    """An operation restricted to algebras of scalar-line blocks received
-    blocks with nontrivial automorphisms."""
-
-
 class TwistTransportConflict(PartialActionError):
     """Two witness paths assign different twists to the same envelope block.
     This is proof that the input action violates the composition axiom; it is

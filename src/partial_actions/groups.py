@@ -260,15 +260,6 @@ class Subgroup:
     def __contains__(self, element: int) -> bool:
         return element in self._member_set  # type: ignore[attr-defined]
 
-    def index_in_parent(self) -> int:
-        return self.parent.order // self.order
-
-    def member_position(self, element: int) -> int:
-        """Position of a parent element inside the sorted member tuple."""
-        if element not in self:
-            raise UnknownElement(f"{self.parent.name(element)} is not a member")
-        return self.members.index(element)
-
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group; element k is ``members[k]``."""
         pos = {m: i for i, m in enumerate(self.members)}
@@ -413,9 +404,6 @@ class CosetFactorization:
         """The transversal element j(g, g_i)."""
         i = self.transversal.rep_position(g_i)
         return self.transversal.reps[self.j_table[g][i]]
-
-    def j_position(self, g: int, g_i: int) -> int:
-        return self.j_table[g][self.transversal.rep_position(g_i)]
 
     def h(self, g: int, g_i: int) -> int:
         """The subgroup element h(g, g_i)."""

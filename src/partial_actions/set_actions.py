@@ -90,15 +90,6 @@ class SetPartialAction:
         self.maps = mps
         self._pos = {x: i for i, x in enumerate(self.carrier)}
 
-    def domain(self, g: int) -> frozenset:
-        return self.domains[g]
-
-    def apply(self, g: int, x: Point) -> Point:
-        return self.maps[g][x]
-
-    def point_position(self, x: Point) -> int:
-        return self._pos[x]
-
     def is_global(self) -> bool:
         full = frozenset(self.carrier)
         return all(self.domains[g] == full for g in self.group.elements())
@@ -585,9 +576,12 @@ def enumerate_partial_actions(
     actions of G on the carrier (an integer n means carrier 0..n-1).
 
     Raises:
+        MalformedInput: an integer carrier size is negative.
         SizeLimit: beyond |G| <= 6 or carriers larger than 4 points.
     """
     if isinstance(carrier, int):
+        if carrier < 0:
+            raise MalformedInput(f"carrier size {carrier} is negative")
         carrier = tuple(range(carrier))
     else:
         carrier = tuple(carrier)
@@ -681,13 +675,3 @@ def enumerate_partial_actions(
         actions.append(SetPartialAction(G, carrier, domains, maps))
     actions.sort(key=lambda a: a.canonical_key())
     return actions
-
-
-def canonical_form(spa: SetPartialAction) -> SetPartialAction:
-    """Normalized copy (idempotent; equal to the input under ==)."""
-    return SetPartialAction(
-        spa.group,
-        spa.carrier,
-        {g: spa.domains[g] for g in spa.group.elements()},
-        {g: dict(spa.maps[g]) for g in spa.group.elements()},
-    )

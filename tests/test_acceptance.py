@@ -18,7 +18,6 @@ from partial_actions.algebra_actions import (
     globalizations_equivalent,
     globalize_block_power,
     globalize_extension_by_zero,
-    globalize_k_blocks,
     lift_set_action,
     restrict_to_idempotents,
     verify_enveloping,
@@ -117,7 +116,7 @@ def test_criterion_3_enveloping_soundness(enumerated_universe):
         for (name, n), (G, actions) in enumerated_universe.items():
             for spa in actions:
                 pa = lift_set_action(spa)
-                result = globalize_k_blocks(pa)
+                result = globalize_block_power(pa)
                 report = verify_enveloping(
                     pa,
                     {

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -8,11 +9,9 @@ from partial_actions.algebra_actions import (
     enumerate_algebra_partial_actions,
     envelope_block_count,
     extend_by_zero_algebra,
-    globalizable_check,
     globalizations_equivalent,
     globalize_block_power,
     globalize_extension_by_zero,
-    globalize_k_blocks,
     lift_set_action,
     product_partial_action,
     restrict_to_idempotents,
@@ -32,16 +31,22 @@ from partial_actions.errors import (
     GroupMismatch,
     MalformedInput,
     NotAHomomorphism,
-    NotKBlocks,
     TwistTransportConflict,
 )
 from partial_actions.groups import (
     all_subgroups,
     cyclic_group,
     subgroup_closure,
+    symmetric_group,
     whole_group,
 )
-from partial_actions.set_actions import SetPartialAction, enumerate_partial_actions
+from partial_actions.cli import main
+from partial_actions.documents import algebra_action_to_doc
+from partial_actions.set_actions import (
+    SetPartialAction,
+    enumerate_partial_actions,
+    globalize_set,
+)
 
 
 @pytest.fixture
@@ -116,21 +121,25 @@ class TestVerify:
 
 
 class TestGlobalizable:
+    """Domains are central-idempotent ideals, so every action globalizes; on
+    one block each domain is zero or full."""
+
     def test_always_globalizable(self, z2):
         pa = lift_set_action(SetPartialAction(z2, (0, 1), domains={1: [0]}, maps={1: {0: 0}}))
-        assert globalizable_check(pa).globalizable
+        assert globalize_block_power(pa).checks.ok
 
     def test_single_block_dichotomy(self, quiver_setup, s3):
         block, H, hom = quiver_setup
         pa = extend_by_zero_algebra(block, H, hom)
-        check = globalizable_check(pa)
-        assert check.dichotomy == {
-            g: ("full" if g in (0, 1) else "zero") for g in s3.elements()
-        }
+        full_on, _ = classify_indecomposable(pa)
+        assert full_on.members == (0, 1)
+        for g in s3.elements():
+            assert pa.support(g) == (frozenset({0}) if g in full_on.members else frozenset())
 
     def test_no_dichotomy_for_products(self, z2):
         pa = lift_set_action(SetPartialAction(z2, (0, 1), domains={1: [0]}, maps={1: {0: 0}}))
-        assert globalizable_check(pa).dichotomy is None
+        with pytest.raises(MalformedInput):
+            classify_indecomposable(pa)
 
 
 class TestClassifyIndecomposable:
@@ -234,7 +243,7 @@ class TestVerifyEnveloping:
 
     def test_collapsing_embedding_fails_ideal(self, z2):
         pa = lift_set_action(SetPartialAction(z2, (0, 1), domains={1: [0]}, maps={1: {0: 0}}))
-        res = globalize_k_blocks(pa)
+        res = globalize_block_power(pa)
         bad_embedding = {"position_map": {0: 0, 1: 0}, "twists": {0: 0, 1: 0}}
         report = verify_enveloping(
             pa, {"envelope": res.envelope, "action": res.action, "embedding": bad_embedding}
@@ -247,7 +256,7 @@ class TestVerifyEnveloping:
         algebra = block_power(k_line_block(), 1)
         full = algebra.full_ideal()
         empty = AlgebraPartialAction(z2, algebra)
-        res = globalize_k_blocks(empty)
+        res = globalize_block_power(empty)
         swap_action = AlgebraPartialAction(
             z2, algebra, {0: full, 1: full}, {1: wreath_identity(full)}
         )
@@ -376,12 +385,22 @@ class TestGlobalizeBlockPower:
         res = globalize_block_power(pa)
         assert res.block_count == 3
 
-    def test_mixed_classes_rejected(self, z2):
-        pa = AlgebraPartialAction(
-            z2, BlockAlgebra((k_line_block(), Block("L", cyclic_group(2))))
-        )
-        with pytest.raises(MalformedInput):
-            globalize_block_power(pa)
+    def test_mixed_classes_globalize(self, z2, tmp_path, capsys):
+        twisted = enumerate_algebra_partial_actions(z2, 2, Block("L", cyclic_group(2)))
+        lines = [lift_set_action(spa) for spa in enumerate_partial_actions(z2, 2)]
+        for a, b in itertools.product(twisted, lines):
+            res = globalize_block_power(product_partial_action([a, b]))
+            assert res.checks.ok
+            parts = globalize_block_power(a).block_count + globalize_block_power(b).block_count
+            assert res.block_count == parts
+        doc = {
+            "version": "1",
+            "actions": {"mixed": algebra_action_to_doc(product_partial_action([a, b]))},
+        }
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["globalize", str(path), "--format", "json"]) == 0
+        assert all(json.loads(capsys.readouterr().out)["checks"].values())
 
     def test_twist_transport_conflict_surfaces(self, z2):
         # an order-two element acting with an order-four twist is invalid;
@@ -402,37 +421,49 @@ class TestGlobalizeBlockPower:
 
 
 class TestGlobalizeKBlocks:
+    """globalize_block_power on scalar-line (K) blocks, whose envelope is the
+    set envelope of the idempotent restriction with identity twists."""
+
     def test_global_input_unchanged(self, z2):
         spa = SetPartialAction(z2, (0, 1), domains={1: [0, 1]}, maps={1: {0: 1, 1: 0}})
         pa = lift_set_action(spa)
-        res = globalize_k_blocks(pa)
+        res = globalize_block_power(pa)
         assert res.block_count == 2
 
     def test_single_point_zero_domain(self, z2):
         pa = lift_set_action(SetPartialAction(z2, (0,)))
-        res = globalize_k_blocks(pa)
+        res = globalize_block_power(pa)
         assert res.block_count == 2
         assert res.action[1].position_map == {0: 1, 1: 0}
 
-    def test_all_enumerated_actions(self, z2):
-        for spa in enumerate_partial_actions(z2, 2):
-            res = globalize_k_blocks(lift_set_action(spa))
+    GROUPS = (cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3))
+
+    def enumerated(self):
+        for G, n in itertools.product(self.GROUPS, (1, 2, 3)):
+            for spa in enumerate_partial_actions(G, n):
+                yield G, n, spa
+
+    def test_all_enumerated_actions(self):
+        checked = 0
+        for G, n, spa in self.enumerated():
+            res = globalize_block_power(lift_set_action(spa))
             assert res.checks.ok
-            assert res.block_count <= 2 * z2.order
+            assert res.block_count <= n * G.order
+            checked += 1
+        assert checked == 648
 
-    def test_agrees_with_block_power(self, z2):
-        for spa in enumerate_partial_actions(z2, 2):
-            pa = lift_set_action(spa)
-            a = globalize_k_blocks(pa)
-            b = globalize_block_power(pa)
-            assert a.block_count == b.block_count
-            assert all(a.action[g] == b.action[g] for g in z2.elements())
-            assert a.embedding == b.embedding
-
-    def test_rejects_twisted_blocks(self, z2):
-        pa = AlgebraPartialAction(z2, block_power(Block("L", cyclic_group(2)), 1))
-        with pytest.raises(NotKBlocks):
-            globalize_k_blocks(pa)
+    def test_agrees_with_block_power(self):
+        # the set envelope of the idempotent restriction, with identity
+        # twists, is what globalize_block_power builds on K blocks
+        for G, _, spa in self.enumerated():
+            res = globalize_block_power(lift_set_action(spa))
+            sg = globalize_set(spa)
+            assert res.block_count == sg.size
+            assert res.provenance == tuple((G.name(t), x) for t, x in sg.orbit_witness)
+            assert res.embedding.position_map == sg.embedding
+            for g in G.elements():
+                assert res.action[g].position_map == sg.envelope.maps[g]
+                assert set(res.action[g].twists.values()) <= {0}
 
 
 class TestEquivalenceSearch:

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from partial_actions.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def write(tmp_path, name, doc):
@@ -118,6 +121,25 @@ class TestFactorizeCommand:
         out = capsys.readouterr().out
         assert "MISMATCH" in out and "MATCH" in out and "MISSING" in out
 
+    @pytest.mark.parametrize(
+        "claims,where",
+        [
+            ("{}", "$.rows"),
+            ("[]", "$.rows"),
+            ('{"rows": "none"}', "$.rows"),
+            ('{"rows": [["(23)", "1", "(23)"]]}', "$.rows"),
+            ('{"rows": [7]}', "$.rows"),
+            ('{"rows": [["(23)", "1", ["(23)"], "1"]]}', "$.rows"),
+            ("{not json", "$"),
+        ],
+    )
+    def test_malformed_compare_file_exits_two(self, claims, where, tmp_path, capsys):
+        compare = tmp_path / "claims.json"
+        compare.write_text(claims, encoding="utf-8")
+        argv = ["factorize", "--group", "S3", "--subgroup", "(12)", "--compare", str(compare)]
+        assert main(argv) == 2
+        assert f"(at {where})" in capsys.readouterr().err
+
     def test_bad_group_spec_exits_two(self, capsys):
         assert main(["factorize", "--group", "Q8", "--subgroup", ""]) == 2
 
@@ -187,6 +209,14 @@ class TestGlobalizeCommand:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["envelope_blocks"]) == 2
 
+    @pytest.mark.parametrize("fmt,suffix", [("json", "out.json"), ("text", "out.txt")])
+    def test_golden_output(self, fmt, suffix, capsys):
+        """Line-block, twisted, mixed-label line and single-block actions
+        globalize to exactly the recorded output."""
+        assert main(["globalize", str(DATA / "golden_globalize.json"), "--format", fmt]) == 0
+        expected = (DATA / f"golden_globalize.{suffix}").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
     def test_invalid_action_exits_one(self, tmp_path, capsys):
         path = write(
             tmp_path,
@@ -228,7 +258,8 @@ class TestEnumerateCommand:
         assert "envelope size" in out
 
     def test_size_limit_exits_two(self, capsys):
-        assert main(["enumerate", "--group", "Z2", "--size", "9"]) == 2
+        for size in ("9", "-1"):
+            assert main(["enumerate", "--group", "Z2", "--size", size]) == 2
 
 
 class TestExampleCommand:

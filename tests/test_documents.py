@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from partial_actions.cli import main
 from partial_actions.documents import (
     DocumentError,
     algebra_action_to_doc,
@@ -199,6 +202,31 @@ class TestWorkbench:
         doc["version"] = "99"
         with pytest.raises(DocumentError):
             parse_workbench(doc)
+
+    @pytest.mark.parametrize(
+        "section,value,path",
+        [
+            ("groups", [["G"]], "$.groups"),
+            ("actions", [1], "$.actions"),
+            ("alpha.domains", [["p"]], "$.actions.alpha.domains"),
+            ("alpha.maps", ["p"], "$.actions.alpha.maps"),
+            ("alpha.carrier", [["p"]], "$.actions.alpha.carrier[0]"),
+            ("beta.domains", [0], "$.actions.beta.domains"),
+            ("beta.maps", [{"0": 0}], "$.actions.beta.maps"),
+            ("beta.twists", [{"0": "1"}], "$.actions.beta.twists"),
+            ("beta.twists", {"(12)": ["1"]}, "$.actions.beta.twists.(12)"),
+        ],
+    )
+    def test_wrong_json_type_exits_two(self, section, value, path, tmp_path, capsys):
+        doc = self.doc()
+        doc["actions"]["beta"].update(domains={"(12)": [0]}, maps={"(12)": {"0": 0}})
+        *parents, key = section.split(".")
+        target = doc["actions"][parents[0]] if parents else doc
+        target[key] = value
+        file = tmp_path / "wrong.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(file)]) == 2
+        assert f"(at {path})" in capsys.readouterr().err
 
     def test_workbench_to_doc_uses_references(self):
         wb = parse_workbench(self.doc())
