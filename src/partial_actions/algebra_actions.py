@@ -39,6 +39,8 @@ from .reporting import EnvelopingReport, VerificationReport
 from .set_actions import (
     SetPartialAction,
     SetGlobalization,
+    _backtrack,
+    _inverse_slots,
     enumerate_partial_actions,
     globalize_set,
 )
@@ -795,70 +797,62 @@ def enumerate_algebra_partial_actions(
     set actions on the idempotent positions decorated with every valid twist
     assignment.  Carriers are 0..n-1, so ``restrict_to_idempotents`` and
     ``lift_set_action`` round-trip exactly on the output.
+
+    Twists are searched with the set enumerator's backtracking core: each
+    {g, g^-1} slot ranges over its twist choices (inverse twists on
+    alpha_{g^-1}, involutive ones on fixed points of an involution), the row
+    rule f_g(alpha_h(p)) f_h(p) = f_gh(p) for every p with alpha_h(p) in
+    D_{g^-1} is checked as soon as g, h and gh are placed, and a partial
+    choice is dropped at its first failing row.  The surviving choices come
+    back in ``itertools.product`` order over the slots, so the output order
+    is set action first, then twist choice in product order.
     """
     aut = block.aut_group
-    e = G.identity
     inv = [G.inv(g) for g in G.elements()]
+    slots = _inverse_slots(G)
+    set_actions = enumerate_partial_actions(G, n)
+    algebra = block_power(block, n)
+    identity_twists = {p: aut.identity for p in range(n)}
     out: list[AlgebraPartialAction] = []
-    for spa in enumerate_partial_actions(G, n):
+    for spa in set_actions:
         pos = {x: i for i, x in enumerate(spa.carrier)}
-        slots: list[tuple[tuple[int, ...], list]] = []
-        seen = set()
-        for g in G.elements():
-            if g == e or g in seen:
+        options: list[list] = []
+        for slot in slots:
+            g = slot[0]
+            if len(slot) == 1:
+                options.append([(tw,) for tw in _twist_options_involution(spa, g, aut)])
                 continue
-            seen.add(g)
-            gi = inv[g]
-            src = sorted(pos[x] for x in spa.domains[gi])
-            if gi == g:
-                slots.append(((g,), [(tw,) for tw in _twist_options_involution(spa, g, aut)]))
-            else:
-                seen.add(gi)
-                opts = []
-                for choice in itertools.product(aut.elements(), repeat=len(src)):
-                    tw_g = dict(zip(src, choice))
-                    tw_gi = {
-                        pos[spa.maps[g][spa.carrier[p]]]: aut.inv(f)
-                        for p, f in tw_g.items()
-                    }
-                    opts.append((tw_g, tw_gi))
-                slots.append(((g, gi), opts))
+            src = sorted(pos[x] for x in spa.domains[inv[g]])
+            opts = []
+            for choice in itertools.product(aut.elements(), repeat=len(src)):
+                tw_g = dict(zip(src, choice))
+                tw_gi = {
+                    pos[spa.maps[g][spa.carrier[p]]]: aut.inv(f)
+                    for p, f in tw_g.items()
+                }
+                opts.append((tw_g, tw_gi))
+            options.append(opts)
         maps_pos = {
             g: {pos[x]: pos[y] for x, y in spa.maps[g].items()} for g in G.elements()
         }
         dom_pos = {g: frozenset(pos[x] for x in spa.domains[g]) for g in G.elements()}
+        ideals = {g: algebra.ideal(dom_pos[g]) for g in G.elements()}
 
-        def twists_consistent(tw: dict[int, dict[int, int]]) -> bool:
-            for g in G.elements():
-                Dg_inv = dom_pos[inv[g]]
-                for h in G.elements():
-                    gh = G.mul(g, h)
-                    tw_gh = tw[gh]
-                    for p, y in maps_pos[h].items():
-                        if y in Dg_inv:
-                            if aut.mul(tw[g][y], tw[h][p]) != tw_gh[p]:
-                                return False
+        def twists_ok(tw: list, g: int, h: int, gh: int) -> bool:
+            tw_g, tw_h, tw_gh = tw[g], tw[h], tw[gh]
+            Dg_inv = dom_pos[inv[g]]
+            for p, y in maps_pos[h].items():
+                if y in Dg_inv and aut.mul(tw_g[y], tw_h[p]) != tw_gh[p]:
+                    return False
             return True
 
-        elems_order = [s[0] for s in slots]
-        if slots:
-            pools = [s[1] for s in slots]
-            combos = itertools.product(*pools)
-        else:
-            combos = [()]
-        for combo in combos:
-            tw: dict[int, dict[int, int]] = {e: {p: aut.identity for p in range(n)}}
-            for elems, choice in zip(elems_order, combo):
-                for g, t in zip(elems, choice):
-                    tw[g] = t
-            if not twists_consistent(tw):
-                continue
-            domains = {g: dom_pos[g] for g in G.elements()}
-            maps = {}
-            algebra = block_power(block, n)
-            for g in G.elements():
-                source = algebra.ideal(dom_pos[inv[g]])
-                target = algebra.ideal(dom_pos[g])
-                maps[g] = WreathMap(source, target, dict(maps_pos[g]), dict(tw[g]))
-            out.append(AlgebraPartialAction(G, algebra, domains, maps))
+        for leaf in _backtrack(G, slots, options, identity_twists, twists_ok):
+            tw = {G.identity: identity_twists}
+            for slot, opts, i in zip(slots, options, leaf):
+                tw.update(zip(slot, opts[i]))
+            maps = {
+                g: WreathMap(ideals[inv[g]], ideals[g], dict(maps_pos[g]), dict(tw[g]))
+                for g in G.elements()
+            }
+            out.append(AlgebraPartialAction(G, algebra, dict(dom_pos), maps))
     return out

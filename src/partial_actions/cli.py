@@ -25,7 +25,7 @@ from .documents import (
     load_workbench,
     parse_group,
 )
-from .errors import PartialActionError
+from .errors import InternalInconsistency, PartialActionError
 from .groups import (
     FiniteGroup,
     coset_factorize,
@@ -177,6 +177,22 @@ def _globalize_one(action):
     return "set", sg, checks
 
 
+# JSON key of each ``verify_set_globalization`` item, looked up by item name
+_SET_CHECK_KEYS = {
+    "embedding is injective on the carrier": "ideal",
+    "orbit of the embedded carrier covers the envelope": "covers",
+    "embedded D_g = image ∩ beta_g(image)": "intersection",
+    "beta_g extends alpha_g on embedded domains": "equivariance",
+}
+
+
+def _set_check_key(name: str) -> str:
+    try:
+        return _SET_CHECK_KEYS[name]
+    except KeyError:
+        raise InternalInconsistency(f"no JSON key for set-globalization check {name!r}") from None
+
+
 def _globalization_doc(kind: str, result, checks) -> dict:
     if kind == "algebra":
         G = result.source.group
@@ -208,12 +224,7 @@ def _globalization_doc(kind: str, result, checks) -> dict:
             for g in G.elements()
         },
         "embedding": {str(x): c for x, c in sorted(result.embedding.items(), key=lambda kv: str(kv[0]))},
-        "checks": {
-            name: item.passed
-            for name, item in zip(
-                ("ideal", "covers", "intersection", "equivariance"), checks.items
-            )
-        },
+        "checks": {_set_check_key(item.name): item.passed for item in checks.items},
     }
 
 

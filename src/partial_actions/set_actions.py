@@ -16,7 +16,7 @@ alongside them.
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     GroupMismatch,
@@ -523,7 +523,91 @@ def envelopes_equivalent(a: SetGlobalization, b: SetGlobalization) -> Optional[d
     return full
 
 
-# --- exhaustive enumeration -------------------------------------------------
+# --- enumeration by backtracking --------------------------------------------
+
+def _inverse_slots(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """One slot per {g, g^-1} pair with g != e, in element order: (g,) when g
+    is an involution, (g, g^-1) otherwise."""
+    slots = []
+    seen = {G.identity}
+    for g in G.elements():
+        if g not in seen:
+            slots.append((g,) if G.inv(g) == g else (g, G.inv(g)))
+            seen.update(slots[-1])
+    return slots
+
+
+def _backtrack(
+    G: FiniteGroup,
+    slots: Sequence[tuple[int, ...]],
+    options: Sequence[Sequence[tuple]],
+    identity_value,
+    row_ok: Callable[[list, int, int, int], bool],
+) -> list[tuple[int, ...]]:
+    """Every choice of one option per slot whose rows all pass ``row_ok``.
+
+    ``options[s][i]`` holds one value per element of ``slots[s]``; the values
+    of the placed elements are kept in a list indexed by group element, with
+    ``identity_value`` at e.  ``row_ok(assignment, g, h, gh)`` checks the row
+    (g, h) for g, h != e (gh = e included).  Slots are placed greedily: next
+    comes the slot that closes the most rows, ties to the lower index.  Each
+    row is checked once, at the depth where the last of g, h and gh is
+    placed, and a prefix is dropped at its first failing row.
+
+    Returns the surviving choices as option-index tuples in slot order,
+    sorted, which is ``itertools.product`` order with the failures removed.
+    """
+    if not slots:
+        return [()]
+    e = G.identity
+    open_rows = [
+        (g, h, G.mul(g, h)) for g in G.elements() if g != e for h in G.elements() if h != e
+    ]
+    placed = {e}
+    order: list[int] = []
+    buckets: list[list[tuple[int, int, int]]] = []
+    pending = list(range(len(slots)))
+    while pending:
+        best, best_rows = -1, None
+        for s in pending:
+            now = placed.union(slots[s])
+            rows = [row for row in open_rows if now.issuperset(row)]
+            if best_rows is None or len(rows) > len(best_rows):
+                best, best_rows = s, rows
+        pending.remove(best)
+        placed.update(slots[best])
+        order.append(best)
+        buckets.append(best_rows)
+        open_rows = [row for row in open_rows if not placed.issuperset(row)]
+
+    depth_of = sorted(range(len(slots)), key=order.__getitem__)
+    last = len(slots) - 1
+    assignment = [None] * G.order
+    assignment[e] = identity_value
+    chosen = [-1] * len(slots)  # the stack: option index per depth
+    leaves = []
+    depth = 0
+    while depth >= 0:
+        s = order[depth]
+        i = chosen[depth] + 1
+        if i == len(options[s]):
+            chosen[depth] = -1
+            depth -= 1
+            continue
+        chosen[depth] = i
+        for g, value in zip(slots[s], options[s][i]):
+            assignment[g] = value
+        for g, h, gh in buckets[depth]:
+            if not row_ok(assignment, g, h, gh):
+                break
+        else:
+            if depth == last:
+                leaves.append(tuple(chosen[d] for d in depth_of))
+            else:
+                depth += 1
+    leaves.sort()
+    return leaves
+
 
 def _involution_options(points: tuple[int, ...]) -> list[tuple[frozenset, dict]]:
     """All (domain, involutive bijection on it) pairs over the given points."""
@@ -575,8 +659,19 @@ def enumerate_partial_actions(
     """The complete, duplicate-free, canonically ordered list of partial
     actions of G on the carrier (an integer n means carrier 0..n-1).
 
+    Each {g, g^-1} slot ranges over every (domain, bijection) choice.  The
+    axioms reduce to one row rule per (g, h) with g, h != e: every
+    y = alpha_h(p) in D_{g^-1} needs p in D_{(gh)^-1} and
+    alpha_g(y) = alpha_gh(p).  A depth-first search places the slots in a
+    greedy order fixed by the group table (next the slot that closes the
+    most rows) and drops a partial choice at its first failing row, so it
+    accepts exactly the choices a full product-and-filter would.  The
+    output is sorted by ``canonical_key``, so its order does not depend on
+    the search order.
+
     Raises:
-        MalformedInput: an integer carrier size is negative.
+        MalformedInput: an integer carrier size is negative, or the carrier
+            repeats a point.
         SizeLimit: beyond |G| <= 6 or carriers larger than 4 points.
     """
     if isinstance(carrier, int):
@@ -585,93 +680,62 @@ def enumerate_partial_actions(
         carrier = tuple(range(carrier))
     else:
         carrier = tuple(carrier)
+        if len(set(carrier)) != len(carrier):
+            raise MalformedInput("carrier contains duplicate points")
     if G.order > ENUM_MAX_GROUP:
         raise SizeLimit(f"enumeration caps the group order at {ENUM_MAX_GROUP}")
     if len(carrier) > ENUM_MAX_CARRIER:
         raise SizeLimit(f"enumeration caps the carrier size at {ENUM_MAX_CARRIER}")
-    n = len(carrier)
-    points = tuple(range(n))
-    e = G.identity
-    inv = [G.inv(g) for g in G.elements()]
-    mul = G.table
+    points = tuple(range(len(carrier)))
 
-    slots = []  # one slot per {g, g^-1} pair, g != e
-    seen = set()
-    for g in G.elements():
-        if g == e or g in seen:
-            continue
-        seen.add(g)
-        gi = inv[g]
-        if gi == g:
-            options = [
-                ((g,), (dom,), (m,), (tuple(m.items()),))
-                for dom, m in _involution_options(points)
-            ]
+    # one value per element: (D_g, D_{g^-1}, alpha_g, alpha_g's (p, y) pairs)
+    slots = _inverse_slots(G)
+    options = []
+    for slot in slots:
+        if len(slot) == 1:
+            options.append(
+                [((dom, dom, m, tuple(m.items())),) for dom, m in _involution_options(points)]
+            )
         else:
-            seen.add(gi)
-            options = []
+            pair_options = []
             for tgt, src, m in _bijection_options(points):
                 m_inv = {v: k for k, v in m.items()}
-                options.append(
-                    (
-                        (g, gi),
-                        (tgt, src),
-                        (m, m_inv),
-                        (tuple(m.items()), tuple(m_inv.items())),
-                    )
+                pair_options.append(
+                    ((tgt, src, m, tuple(m.items())), (src, tgt, m_inv, tuple(m_inv.items())))
                 )
-        slots.append(options)
-
+            options.append(pair_options)
     full = frozenset(points)
     id_map = {x: x for x in points}
-    non_identity = [g for g in G.elements() if g != e]
 
-    results_raw = []
-
-    def consistent(dom: list, mp: list, items: list) -> bool:
-        # identity rows of (ii)/(iii) hold trivially and are skipped
-        for g in non_identity:
-            mg = mp[g]
-            Dg_inv = dom[inv[g]]
-            row = mul[g]
-            for h in non_identity:
-                gh = row[h]
-                m_gh = mp[gh]
-                D_ghinv = dom[inv[gh]]
-                for p, y in items[h]:
-                    if y in Dg_inv:
-                        if p not in D_ghinv:
-                            return False
-                        if mg[y] != m_gh[p]:
-                            return False
+    def consistent(a: list, g: int, h: int, gh: int) -> bool:
+        Dg_inv, mg = a[g][1], a[g][2]
+        D_ghinv, m_gh = a[gh][1], a[gh][2]
+        for p, y in a[h][3]:
+            if y in Dg_inv:
+                if p not in D_ghinv:
+                    return False
+                if mg[y] != m_gh[p]:
+                    return False
         return True
 
-    def assemble(choice):
-        dom = [frozenset()] * G.order
-        mp = [id_map] * G.order
-        items: list = [()] * G.order
-        dom[e] = full
-        items[e] = tuple(id_map.items())
-        for elems, doms, ms, its in choice:
-            for g, D, m, it in zip(elems, doms, ms, its):
-                dom[g] = D
-                mp[g] = m
-                items[g] = it
-        return dom, mp, items
+    def labelled(value: tuple) -> tuple[frozenset, dict]:
+        return (
+            frozenset(carrier[i] for i in value[0]),
+            {carrier[k]: carrier[v] for k, v in value[2].items()},
+        )
 
-    if not slots:
-        combos = [()]
-    else:
-        combos = itertools.product(*slots)
-    for choice in combos:
-        dom, mp, items = assemble(choice)
-        if consistent(dom, mp, items):
-            results_raw.append((dom, mp))
-
+    identity_value = (full, full, id_map, tuple(id_map.items()))
+    # each option is relabelled once, so actions that share it share its domains
+    named = [[tuple(map(labelled, opt)) for opt in opts] for opts in options]
+    e = G.identity
+    named_identity = labelled(identity_value)
     actions = []
-    for dom, mp in results_raw:
-        domains = {g: frozenset(carrier[i] for i in dom[g]) for g in G.elements()}
-        maps = {g: {carrier[k]: carrier[v] for k, v in mp[g].items()} for g in G.elements()}
+    for leaf in _backtrack(G, slots, options, identity_value, consistent):
+        domains, maps = {}, {}
+        domains[e], maps[e] = named_identity
+        for slot, opts, i in zip(slots, named, leaf):
+            for g, (D, m) in zip(slot, opts[i]):
+                domains[g], maps[g] = D, m
         actions.append(SetPartialAction(G, carrier, domains, maps))
     actions.sort(key=lambda a: a.canonical_key())
     return actions

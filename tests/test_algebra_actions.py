@@ -2,6 +2,7 @@ import itertools
 import json
 
 import pytest
+from oracle_enumeration import brute_force_algebra_partial_actions
 
 from partial_actions.algebra_actions import (
     AlgebraPartialAction,
@@ -525,3 +526,13 @@ class TestEnumerateAlgebraActions:
     def test_line_block_reduces_to_set_enumeration(self, z2):
         actions = enumerate_algebra_partial_actions(z2, 2, k_line_block())
         assert len(actions) == len(enumerate_partial_actions(z2, 2))
+
+    @pytest.mark.parametrize("aut_order", [2, 3])
+    def test_matches_brute_force_oracle(self, aut_order):
+        """Same list in the same order as the product-and-filter oracle."""
+        block = Block("L", cyclic_group(aut_order))
+        cases = [(cyclic_group(k), n) for k in (2, 3, 4) for n in (1, 2, 3)]
+        cases += [(symmetric_group(3), n) for n in (1, 2)]
+        for G, n in cases:
+            expected = brute_force_algebra_partial_actions(G, n, block)
+            assert enumerate_algebra_partial_actions(G, n, block) == expected

@@ -3,7 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from partial_actions.cli import main
+from partial_actions.cli import _set_check_key, main
+from partial_actions.errors import InternalInconsistency
+from partial_actions.set_actions import (
+    enumerate_partial_actions,
+    globalize_set,
+    verify_set_globalization,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -216,6 +222,15 @@ class TestGlobalizeCommand:
         assert main(["globalize", str(DATA / "golden_globalize.json"), "--format", fmt]) == 0
         expected = (DATA / f"golden_globalize.{suffix}").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+    def test_every_set_check_has_a_json_key(self, z2):
+        """The set `checks` block is keyed by report item name, not position."""
+        spa = enumerate_partial_actions(z2, 2)[-1]
+        report = verify_set_globalization(spa, globalize_set(spa))
+        keys = [_set_check_key(item.name) for item in report.items]
+        assert keys == ["ideal", "covers", "intersection", "equivariance"]
+        with pytest.raises(InternalInconsistency):
+            _set_check_key("an unnamed check")
 
     def test_invalid_action_exits_one(self, tmp_path, capsys):
         path = write(

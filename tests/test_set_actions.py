@@ -1,6 +1,12 @@
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle_enumeration import brute_force_partial_actions
 
+from partial_actions import set_actions
 from partial_actions.errors import (
     MalformedInput,
     NotASubgroup,
@@ -8,6 +14,7 @@ from partial_actions.errors import (
 )
 from partial_actions.groups import (
     cyclic_group,
+    make_group,
     subgroup_closure,
     symmetric_group,
     whole_group,
@@ -24,6 +31,14 @@ from partial_actions.set_actions import (
     verify_partial_action,
     verify_set_globalization,
 )
+
+PINNED_Z6X4 = Path(__file__).parent.parent / "perfbench" / "enumerate_z6x4.json"
+
+ENUM_GROUPS = {
+    **{f"Z{k}": (lambda k=k: cyclic_group(k)) for k in range(1, 7)},
+    "K4": lambda: make_group([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]),
+    "S3": lambda: symmetric_group(3),
+}
 
 
 def left_translation(G):
@@ -311,6 +326,45 @@ class TestEnumerate:
             enumerate_partial_actions(z2, 5)
         with pytest.raises(SizeLimit):
             enumerate_partial_actions(cyclic_group(7), 1)
+
+    def test_duplicate_carrier_rejected_before_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched a carrier with duplicate points")
+
+        monkeypatch.setattr(set_actions, "_backtrack", no_search)
+        with pytest.raises(MalformedInput, match="duplicate"):
+            enumerate_partial_actions(cyclic_group(6), ["a", "a", "b", "c"])
+
+    @pytest.mark.parametrize(
+        "name,sizes",
+        [(f"Z{k}", (0, 1, 2, 3)) for k in range(1, 7)]
+        + [("K4", (0, 1, 2, 3, 4)), ("S3", (0, 1, 2, 3))]
+        + [(f"Z{k}", (4,)) for k in (2, 3, 4, 5)],
+        ids=lambda v: v if isinstance(v, str) else "on-" + "-".join(map(str, v)),
+    )
+    def test_matches_brute_force_oracle(self, name, sizes):
+        """Same list in the same order as the product-and-filter oracle."""
+        G = ENUM_GROUPS[name]()
+        for n in sizes:
+            assert enumerate_partial_actions(G, n) == brute_force_partial_actions(G, n)
+
+    def test_labelled_carrier_matches_oracle(self, s3):
+        carrier = ("q", 7)
+        assert enumerate_partial_actions(s3, carrier) == brute_force_partial_actions(s3, carrier)
+
+    @pytest.mark.parametrize("name,count", [("Z5", 280), ("K4", 1759), ("S3", 5004), ("Z6", 1628)])
+    def test_cap_counts(self, name, count):
+        actions = enumerate_partial_actions(ENUM_GROUPS[name](), 4)
+        assert len(actions) == count
+        keys = [a.canonical_key() for a in actions]
+        assert keys == sorted(keys) and len(set(keys)) == count
+        if name == "Z6":
+            pinned = json.loads(PINNED_Z6X4.read_text(encoding="utf-8"))
+            histogram = Counter(globalize_set(a).size for a in actions)
+            assert {str(k): histogram[k] for k in sorted(histogram)} == pinned[
+                "envelope_size_histogram"
+            ]
+            assert pinned["count"] == count
 
 
 def _global_action_pool():
