@@ -315,6 +315,12 @@ def verify_enveloping(pa: AlgebraPartialAction, candidate) -> EnvelopingReport:
     ``embedding`` (a wreath map, or a mapping with ``position_map`` and
     ``twists``).
 
+    That beta is a global action is checked as beta_g∘beta_t = beta_gt for
+    every g and for t in ``G.generators``, which is exact given beta_e = id:
+    every t is t's with s a generator and t' shorter, and by induction on
+    the length of t, since wreath composition is associative,
+    beta_g∘beta_t = (beta_g∘beta_t')∘beta_s = beta_gt'∘beta_s = beta_gt.
+
     Raises:
         MalformedInput: the candidate's action data is not a global action.
     """
@@ -337,7 +343,7 @@ def verify_enveloping(pa: AlgebraPartialAction, candidate) -> EnvelopingReport:
     if not action[G.identity].is_identity():
         raise MalformedInput("beta_e is not the identity")
     for g in G.elements():
-        for t in G.elements():
+        for t in G.generators:
             if wreath_compose(action[g], action[t]) != action[G.mul(g, t)]:
                 raise MalformedInput(
                     f"beta is not a global action at {G.name(g)}*{G.name(t)}"

@@ -67,7 +67,7 @@ def parse_group(doc, path: str = "group") -> FiniteGroup:
             return cyclic_group(int(doc["n"]))
     except PartialActionError as exc:
         raise DocumentError(str(exc), path) from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"bad group document: {exc}", path) from exc
     raise DocumentError(f"unknown group kind {kind!r}", path)
 
@@ -246,7 +246,7 @@ def parse_algebra_action(
     def position(x, where: str) -> int:
         try:
             p = int(x)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DocumentError(f"block position {x!r} is not an integer", where) from None
         _require(0 <= p < algebra.n_blocks, f"block position {p} out of range", where)
         return p

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -20,8 +21,9 @@ from .errors import (
     UnknownElement,
 )
 
-MAX_TABLE_ORDER = 64  # exhaustive associativity scan stays affordable up to here
+MAX_TABLE_ORDER = 64  # largest explicit Cayley table; validating a group table costs O(n^2 log n)
 MAX_SYMMETRIC_N = 6
+MAX_CYCLIC_ORDER = 720  # 6!, the order of S6, the largest group accepted elsewhere
 
 ElementRef = Union[int, str]
 
@@ -70,6 +72,13 @@ class FiniteGroup:
             raise UnknownElement(f"element index {ref} out of range")
         return ref
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set S, |S| <= log2 |G|: every element is a
+        left-bracketed product ((s1*s2)*...)*sk of members of S (the identity
+        is the empty product).  See :func:`_right_generators`."""
+        return _right_generators(self.table, self.identity)
+
     def element_order(self, a: int) -> int:
         x, n = a, 1
         while x != self.identity:
@@ -79,6 +88,36 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, names={list(self.names)})"
+
+
+def _right_generators(table: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
+    """Greedy generating set of a table with a two-sided identity.
+
+    Scans elements in index order, skips the identity, and adds an element
+    whenever it is not yet reached, where an element is reached when it is a
+    left-bracketed product ((s1*s2)*...)*sk of the chosen set.  Every element
+    ends up reached.  The table need not be associative (Light's test in
+    :func:`make_group` runs on it before associativity is known).  In a group
+    the reached set is the subgroup the chosen set generates, and each new
+    element lies outside it, so each addition at least doubles it and the
+    result has at most log2 |G| members.
+    """
+    gens: list[int] = []
+    reached = {identity}
+    for s in range(len(table)):
+        if s in reached:
+            continue
+        gens.append(s)
+        stack = list(reached)
+        while stack:
+            x = stack.pop()
+            row = table[x]
+            for g in gens:
+                y = row[g]
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+    return tuple(gens)
 
 
 def _check_latin(table: Sequence[Sequence[int]]) -> None:
@@ -120,8 +159,17 @@ def make_group(
     """Validate a Cayley table and return the group it defines.
 
     Checks that the table is a Latin square, has a two-sided identity and
-    unique inverses, and is associative (scanned exhaustively; tables larger
-    than ``MAX_TABLE_ORDER`` are rejected so the scan stays total).
+    unique inverses, and is associative.  Associativity uses Light's test
+    (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961): it
+    checks (a*b)*c = a*(b*c) for every a, c and every b in a set S that
+    generates the table by left-bracketed products, O(n^2 |S|) instead of
+    O(n^3).  This is exact in any table with a two-sided identity e, so it
+    stays sound on a non-associative input: the set B of b that associate
+    with every a and c contains e, and is closed under the product, since
+    for b1, b2 in B, (a*(b1*b2))*c = ((a*b1)*b2)*c = (a*b1)*(b2*c)
+    = a*(b1*(b2*c)) = a*((b1*b2)*c).  B contains S, hence every
+    left-bracketed product of S, which is the whole table.  Tables larger
+    than ``MAX_TABLE_ORDER`` are rejected.
 
     Raises:
         NotAGroup: some group axiom fails.
@@ -140,8 +188,8 @@ def make_group(
     _check_latin(rows)
     identity = _find_identity(rows)
     inverses = _compute_inverses(rows, identity)
-    for a in range(n):
-        for b in range(n):
+    for b in _right_generators(rows, identity):
+        for a in range(n):
             ab = rows[a][b]
             for c in range(n):
                 if rows[ab][c] != rows[a][rows[b][c]]:
@@ -159,9 +207,16 @@ def make_group(
 
 
 def cyclic_group(n: int, names: Optional[Sequence[str]] = None) -> FiniteGroup:
-    """The cyclic group Z_n with elements 0..n-1 under addition mod n."""
+    """The cyclic group Z_n with elements 0..n-1 under addition mod n.
+
+    Raises:
+        SizeLimit: n exceeds ``MAX_CYCLIC_ORDER`` (checked before the n^2
+            table is built).
+    """
     if n < 1:
         raise NotAGroup("order must be positive")
+    if n > MAX_CYCLIC_ORDER:
+        raise SizeLimit(f"cyclic group cap is n <= {MAX_CYCLIC_ORDER}")
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     name_tuple = tuple(str(s) for s in names) if names is not None else tuple(str(i) for i in range(n))
     if len(name_tuple) != n:
@@ -427,8 +482,18 @@ def coset_factorize(
 
     Verified before returning: the defining equality g*g_i = j*h, the
     identity rows j(e,g_i)=g_i and h(e,g_i)=e, that g_i -> j(g,g_i) permutes
-    the transversal for each g, and (exhaustively, for |G| <= 24) the cocycle
-    identities j(gt,g_i)=j(g,j(t,g_i)) and h(gt,g_i)=h(g,j(t,g_i))*h(t,g_i).
+    the transversal for each g, and the cocycle identities
+    j(gt,g_i)=j(g,j(t,g_i)) and h(gt,g_i)=h(g,j(t,g_i))*h(t,g_i) for all g, t.
+
+    The cocycle identities are checked for t in ``G.generators`` only, which
+    is exact.  Every t is a product t's with s a generator and t' shorter
+    (or t = e, where the identity rows give both identities).  By induction
+    on the length of t, with the identities for (gt', s), (g, t') and
+    (t', s):
+    j(gt,g_i) = j(gt', j(s,g_i)) = j(g, j(t', j(s,g_i))) = j(g, j(t,g_i)), and
+    h(gt,g_i) = h(gt', j(s,g_i))*h(s,g_i)
+    = h(g, j(t', j(s,g_i)))*h(t', j(s,g_i))*h(s,g_i) = h(g, j(t,g_i))*h(t,g_i),
+    the last step by associativity in G.
 
     Raises:
         InternalInconsistency: if any of those laws fails (unreachable for a
@@ -465,16 +530,16 @@ def coset_factorize(
     for i, g_i in enumerate(reps):
         if cf.j_table[e][i] != i or cf.h_table[e][i] != e:
             raise InternalInconsistency("identity rows of j/h are wrong")
-    if G.order <= 24:
+    mul = G.table
+    for s in G.generators:
+        j_s, h_s = cf.j_table[s], cf.h_table[s]
         for g in G.elements():
-            for tt in G.elements():
-                gt = G.mul(g, tt)
-                for i in range(t):
-                    mid = cf.j_table[tt][i]
-                    if cf.j_table[gt][i] != cf.j_table[g][mid]:
-                        raise InternalInconsistency("cocycle identity for j fails")
-                    if cf.h_table[gt][i] != G.mul(cf.h_table[g][mid], cf.h_table[tt][i]):
-                        raise InternalInconsistency("cocycle identity for h fails")
+            j_g, h_g = cf.j_table[g], cf.h_table[g]
+            gs = mul[g][s]
+            if cf.j_table[gs] != tuple([j_g[mid] for mid in j_s]):
+                raise InternalInconsistency("cocycle identity for j fails")
+            if cf.h_table[gs] != tuple([mul[h_g[mid]][h] for mid, h in zip(j_s, h_s)]):
+                raise InternalInconsistency("cocycle identity for h fails")
     return cf
 
 

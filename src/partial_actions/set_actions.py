@@ -124,8 +124,14 @@ class SetPartialAction:
 class GlobalSetAction(SetPartialAction):
     """An ordinary group action: every domain is the full carrier.
 
-    The constructor checks the action law exhaustively and raises
-    MalformedInput when it fails.
+    The constructor checks that every map is a bijection of the carrier, that
+    the identity acts trivially and that the action law
+    alpha_g(alpha_t(x)) = alpha_gt(x) holds, and raises MalformedInput when
+    one fails.  The law is checked for every g and x and for t in
+    ``group.generators``, which is exact: every t is t's with s a generator
+    and t' shorter (or t = e, covered by the identity check), and by
+    induction on the length of t, since composition of maps is associative,
+    alpha_g∘alpha_t = (alpha_g∘alpha_t')∘alpha_s = alpha_gt'∘alpha_s = alpha_gt.
     """
 
     def __init__(self, group, carrier, maps):
@@ -144,7 +150,7 @@ class GlobalSetAction(SetPartialAction):
         if any(self.maps[e][x] != x for x in self.carrier):
             raise MalformedInput("identity element does not act as the identity map")
         for g in group.elements():
-            for t in group.elements():
+            for t in group.generators:
                 gt = group.mul(g, t)
                 for x in self.carrier:
                     if self.maps[g][self.maps[t][x]] != self.maps[gt][x]:

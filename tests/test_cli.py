@@ -1,7 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partial_actions.cli import _set_check_key, main
 from partial_actions.errors import InternalInconsistency
@@ -12,6 +20,7 @@ from partial_actions.set_actions import (
 )
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def write(tmp_path, name, doc):
@@ -148,6 +157,30 @@ class TestFactorizeCommand:
 
     def test_bad_group_spec_exits_two(self, capsys):
         assert main(["factorize", "--group", "Q8", "--subgroup", ""]) == 2
+
+    def test_cyclic_cap_exits_two(self, capsys):
+        assert main(["factorize", "--group", "Z721"]) == 2
+        assert "SizeLimit" in capsys.readouterr().err
+        assert main(["enumerate", "--group", "Z3000", "--size", "1"]) == 2
+
+    def test_huge_cyclic_document_exits_two(self, tmp_path):
+        # Z100000 would be a 10^10-entry table, so the CLI runs in a child
+        # with a 1 GiB address-space limit and a timeout: code that builds
+        # the table dies there instead of exhausting the machine's memory
+        doc = json.loads((DATA / "golden_globalize.json").read_text(encoding="utf-8"))
+        doc["groups"]["Z4"]["n"] = 100000
+        path = write(tmp_path, "huge.json", doc)
+        limit = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "partial_actions", "verify", path],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "input error:" in proc.stderr and "(at $.groups.Z4)" in proc.stderr
 
     def test_rendering_is_stable_across_runs(self, capsys):
         assert main(["factorize", "--group", "S3", "--subgroup", "(12)"]) == 0
@@ -293,3 +326,78 @@ class TestExampleCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["table"]["summary"] == {"match": 15, "mismatch": 2, "missing": 1}
         assert all(row["pass"] for row in payload["beta"])
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _json_paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _json_paths(child, prefix + (i,))
+
+
+GOLDEN_DOC = json.loads((DATA / "golden_globalize.json").read_text(encoding="utf-8"))
+GOLDEN_PATHS = list(_json_paths(GOLDEN_DOC))
+# wrong types, then out-of-range values: negative, above every size cap
+# (cyclic n 720, symmetric n 6, table order 64), unknown names, non-finite
+# numbers (Python's json reads Infinity and NaN).  Far larger orders are
+# tested in a memory-capped child (test_huge_cyclic_document_exits_two): code
+# without the cyclic cap would build their tables in this process.
+FUZZ_VALUES = (
+    None, True, 1.5, "x", [], {}, [[0]], {"x": 0},
+    -1, 0, 721, "no-such-name", float("inf"), float("nan"),
+)
+
+
+def _mutate(doc, path, op, value):
+    if not path:
+        return value if op == "replace" else {}
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    last = path[-1]
+    if op == "replace":
+        parent[last] = value
+    elif op == "delete":
+        del parent[last]
+    elif isinstance(parent, dict):  # rename: the same value under an unknown key
+        parent[str(value)] = parent.pop(last)
+    else:
+        parent.append(parent[last])
+    return doc
+
+
+def _has_false_check(payload):
+    if payload is False:
+        return True
+    if isinstance(payload, dict):
+        return any(_has_false_check(v) for v in payload.values())
+    if isinstance(payload, list):
+        return any(_has_false_check(v) for v in payload)
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["verify", "globalize"]),
+    path=st.sampled_from(GOLDEN_PATHS),
+    op=st.sampled_from(["replace", "delete", "rename"]),
+    value=st.sampled_from(FUZZ_VALUES),
+)
+def test_mutated_golden_document(tmp_path_factory, command, path, op, value):
+    """Wrong types, missing keys and out-of-range values at every JSON path
+    of the golden workbench: nothing raises past main, bad input exits 2 with
+    an ``input error:`` line, and exit 1 comes only with a failed check."""
+    doc = _mutate(copy.deepcopy(GOLDEN_DOC), path, op, value)
+    file = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(file), "--format", "json"])
+    if code == 2:
+        assert err.getvalue().startswith("input error: ")
+    else:
+        assert code in (0, 1)
+        assert code == int(_has_false_check(json.loads(out.getvalue())))

@@ -1,0 +1,272 @@
+"""The homomorphism checks that run over a generating set agree with the
+exhaustive oracles in ``oracle_checks``: same inputs accepted, same rejected.
+
+Inputs are valid tables and actions, and perturbations of them: intercalate
+switches of group tables (a 2x2 subsquare a b / b a swapped to b a / a b,
+which keeps the table a Latin square), two images swapped in one map of a
+global set or wreath action, or one twist of a wreath action changed.
+"""
+
+import functools
+import math
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from oracle_checks import (
+    associativity_failure,
+    cocycle_failure,
+    factor_tables,
+    set_action_law_failure,
+    wreath_action_law_failure,
+)
+
+from partial_actions.algebra_actions import (
+    enumerate_algebra_partial_actions,
+    globalize_block_power,
+    verify_enveloping,
+)
+from partial_actions.block_algebras import Block, WreathMap
+from partial_actions.documents import load_workbench
+from partial_actions.errors import InternalInconsistency, MalformedInput, NotAGroup
+from partial_actions.groups import (
+    FiniteGroup,
+    coset_factorize,
+    cyclic_group,
+    left_transversal,
+    make_group,
+    subgroup_closure,
+    symmetric_group,
+    trivial_subgroup,
+)
+from partial_actions.set_actions import GlobalSetAction
+
+GOLDEN = Path(__file__).parent / "data" / "golden_globalize.json"
+
+
+def direct_product(A, B):
+    """A x B with (a, b) at index a*|B| + b; identity at index 0 when both
+    factors have identity 0."""
+    m = B.order
+    n = A.order * m
+    return make_group(
+        [
+            [A.mul(x // m, y // m) * m + B.mul(x % m, y % m) for y in range(n)]
+            for x in range(n)
+        ]
+    )
+
+
+@functools.cache
+def base_groups():
+    """Groups with elements of order 2 (so their tables have intercalates),
+    each with identity 0."""
+    z2 = cyclic_group(2)
+    return (
+        symmetric_group(3),
+        cyclic_group(8),
+        direct_product(z2, cyclic_group(4)),
+        direct_product(z2, symmetric_group(3)),
+        symmetric_group(4),
+        direct_product(z2, z2),
+    )
+
+
+def intercalates(table):
+    """Every 2x2 subsquare (r1, r2, c1, c2) with r1 < r2, c1 < c2, outside
+    row and column 0, whose entries read a b / b a."""
+    n = len(table)
+    column_of = [{x: c for c, x in enumerate(row)} for row in table]
+    out = []
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                c2 = column_of[r2][table[r1][c1]]
+                if c2 > c1 and table[r1][c2] == table[r2][c1]:
+                    out.append((r1, r2, c1, c2))
+    return out
+
+
+def switch(table, square):
+    r1, r2, c1, c2 = square
+    rows = [list(row) for row in table]
+    a, b = rows[r1][c1], rows[r1][c2]
+    rows[r1][c1] = rows[r2][c2] = b
+    rows[r1][c2] = rows[r2][c1] = a
+    return rows
+
+
+@st.composite
+def perturbed_tables(draw, max_switches=3):
+    table = draw(st.sampled_from(base_groups())).table
+    for _ in range(draw(st.integers(0, max_switches))):
+        squares = intercalates(table)
+        if not squares:
+            break
+        table = switch(table, draw(st.sampled_from(squares)))
+    return table
+
+
+def two_sided_inverses(table):
+    """Inverses with respect to identity 0, or None if some element has no
+    unique two-sided inverse."""
+    n = len(table)
+    inverses = []
+    for a in range(n):
+        found = [b for b in range(n) if table[a][b] == 0 and table[b][a] == 0]
+        if len(found) != 1:
+            return None
+        inverses.append(found[0])
+    return tuple(inverses)
+
+
+class TestGenerators:
+    @pytest.mark.parametrize(
+        "G",
+        [cyclic_group(n) for n in (1, 2, 6, 12, 720)]
+        + [symmetric_group(n) for n in (1, 2, 3, 4, 5, 6)]
+        + list(base_groups()),
+        ids=repr,
+    )
+    def test_generate_by_left_bracketed_products(self, G):
+        S = G.generators
+        assert G.identity not in S
+        assert list(S) == sorted(set(S))
+        assert len(S) <= math.log2(G.order)
+        reached = {G.identity}
+        frontier = [G.identity]
+        while frontier:
+            x = frontier.pop()
+            for s in S:
+                y = G.mul(x, s)
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        assert reached == set(G.elements())
+
+    def test_known_sets(self):
+        S5 = symmetric_group(5)
+        assert [S5.name(s) for s in S5.generators] == ["(12)", "(13)", "(14)", "(15)"]
+        assert cyclic_group(9).generators == (1,)
+        assert cyclic_group(1).generators == ()
+
+    def test_outside_equality_and_hash(self):
+        a, b = symmetric_group(3), symmetric_group(3)
+        assert a.generators
+        assert a == b and hash(a) == hash(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=perturbed_tables())
+def test_lights_test_matches_exhaustive_associativity(table):
+    expected_ok = two_sided_inverses(table) is not None and associativity_failure(table) is None
+    try:
+        make_group(table)
+    except NotAGroup as exc:
+        assert not expected_ok
+        m = re.match(r"associativity fails at \((\d+),(\d+),(\d+)\)", str(exc))
+        if m:
+            a, b, c = map(int, m.groups())
+            assert table[table[a][b]][c] != table[a][table[b][c]]
+    else:
+        assert expected_ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=perturbed_tables(), data=st.data())
+def test_cocycle_identities_match_oracle(table, data):
+    inverses = two_sided_inverses(table)
+    if inverses is None:
+        return
+    # built directly: a perturbed table may be a non-associative loop
+    G = FiniteGroup(tuple(map(tuple, table)), 0, tuple(map(str, range(len(table)))), inverses)
+    if associativity_failure(table) is None:
+        gens = data.draw(st.sets(st.integers(0, G.order - 1), max_size=2))
+        H = subgroup_closure(G, gens)
+    else:
+        H = trivial_subgroup(G)
+    failure = cocycle_failure(G, *factor_tables(G, left_transversal(G, H)))
+    try:
+        coset_factorize(G, H)
+    except InternalInconsistency as exc:
+        assert "cocycle identity" in str(exc)
+        assert failure is not None
+    else:
+        assert failure is None
+
+
+@functools.cache
+def global_set_actions():
+    """Regular actions and actions on left cosets, as (G, carrier, maps)."""
+    out = []
+    for G in base_groups()[:4] + (cyclic_group(5),):
+        regular = {g: {x: G.mul(g, x) for x in G.elements()} for g in G.elements()}
+        out.append((G, tuple(G.elements()), regular))
+        T = left_transversal(G, subgroup_closure(G, G.generators[-1:]))
+        on_cosets = {
+            g: {x: T.reps[T.coset_position(G.mul(g, x))] for x in T.reps} for g in G.elements()
+        }
+        out.append((G, T.reps, on_cosets))
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_set_action_law_matches_oracle(data):
+    G, carrier, maps = data.draw(st.sampled_from(global_set_actions()))
+    maps = {g: dict(m) for g, m in maps.items()}
+    if len(carrier) > 1 and data.draw(st.booleans()):
+        g = data.draw(st.sampled_from(list(G.elements())))
+        x, y = data.draw(st.lists(st.sampled_from(carrier), min_size=2, max_size=2, unique=True))
+        maps[g][x], maps[g][y] = maps[g][y], maps[g][x]
+    failure = set_action_law_failure(G, carrier, maps)
+    try:
+        GlobalSetAction(G, carrier, maps)
+    except MalformedInput as exc:
+        assert failure is not None, str(exc)
+    else:
+        assert failure is None
+
+
+@functools.cache
+def global_wreath_actions():
+    """Envelopes of the golden document's algebra actions and of enumerated
+    Z2-twisted actions, as GlobalizationResults."""
+    wb = load_workbench(str(GOLDEN))
+    sources = [a for a in wb.actions.values() if hasattr(a, "algebra")]
+    twisted = Block("B", cyclic_group(2))
+    for G, n in ((cyclic_group(3), 2), (symmetric_group(3), 1), (cyclic_group(4), 2)):
+        sources += enumerate_algebra_partial_actions(G, n, twisted)[::7]
+    return tuple(globalize_block_power(pa) for pa in sources)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_wreath_action_law_matches_oracle(data):
+    result = data.draw(st.sampled_from(global_wreath_actions()))
+    G = result.source.group
+    action = dict(result.action)
+    if data.draw(st.booleans()):
+        g = data.draw(st.sampled_from(list(G.elements())))
+        w = action[g]
+        pm, tw = dict(w.position_map), dict(w.twists)
+        blocks = result.envelope.blocks
+        swappable = [(p, q) for p in pm for q in pm if p < q and blocks[p] == blocks[q]]
+        twistable = [p for p in tw if blocks[p].aut_group.order > 1]
+        if swappable and (not twistable or data.draw(st.booleans())):
+            p, q = data.draw(st.sampled_from(swappable))
+            pm[p], pm[q] = pm[q], pm[p]
+        elif twistable:
+            p = data.draw(st.sampled_from(twistable))
+            aut = blocks[p].aut_group
+            tw[p] = data.draw(st.sampled_from([f for f in aut.elements() if f != tw[p]]))
+        action[g] = WreathMap(w.source, w.target, pm, tw)
+    failure = wreath_action_law_failure(G, action)
+    candidate = {"envelope": result.envelope, "action": action, "embedding": result.embedding}
+    try:
+        verify_enveloping(result.source, candidate)
+    except MalformedInput as exc:
+        assert failure is not None, str(exc)
+    else:
+        assert failure is None

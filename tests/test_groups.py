@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partial_actions.errors import (
+    InternalInconsistency,
     NotAGroup,
     NotASubgroup,
     SizeLimit,
     UnknownElement,
 )
 from partial_actions.groups import (
+    FiniteGroup,
     Subgroup,
     all_subgroups,
     coset_factorize,
@@ -17,6 +19,7 @@ from partial_actions.groups import (
     make_group,
     subgroup_closure,
     symmetric_group,
+    trivial_subgroup,
     whole_group,
 )
 
@@ -63,6 +66,11 @@ class TestMakeGroup:
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
         with pytest.raises(SizeLimit):
             make_group(table)
+
+    def test_cyclic_size_cap(self):
+        assert cyclic_group(720).order == 720
+        with pytest.raises(SizeLimit):
+            cyclic_group(721)
 
 
 class TestSymmetricGroup:
@@ -188,6 +196,7 @@ class TestCosetFactorization:
             (lambda: cyclic_group(6), [3]),
             (lambda: cyclic_group(4), [2]),
             (lambda: symmetric_group(3), ["(123)"]),
+            (lambda: symmetric_group(5), ["(12)", "(34)"]),
         ],
     )
     def test_cocycle_identities_exhaustive(self, make, gens):
@@ -201,6 +210,20 @@ class TestCosetFactorization:
                 for gi in reps:
                     assert cf.j(gt, gi) == cf.j(g, cf.j(t, gi))
                     assert cf.h(gt, gi) == G.mul(cf.h(g, cf.j(t, gi)), cf.h(t, gi))
+
+    def test_cocycle_identities_checked_above_order_24(self):
+        # NONASSOC_LOOP_6 x Z5 (order 30), built directly so no associativity
+        # scan runs; with the trivial subgroup j(g, g_i) is g*g_i, so the j
+        # identity is associativity itself
+        n = 30
+        table = tuple(
+            tuple(NONASSOC_LOOP_6[a // 5][c // 5] * 5 + (a + c) % 5 for c in range(n))
+            for a in range(n)
+        )
+        inverses = tuple(next(b for b in range(n) if table[a][b] == 0) for a in range(n))
+        G = FiniteGroup(table, 0, tuple(map(str, range(n))), inverses)
+        with pytest.raises(InternalInconsistency, match="cocycle identity for j fails"):
+            coset_factorize(G, trivial_subgroup(G))
 
     def test_j_row_is_permutation(self, s3, s3_swap_subgroup):
         cf = coset_factorize(s3, s3_swap_subgroup)
