@@ -25,13 +25,13 @@ from .block_algebras import (
     block_power,
     wreath_compose,
     wreath_identity,
-    wreath_inverse,
 )
 from .errors import (
     GroupMismatch,
     InternalInconsistency,
     MalformedInput,
     NotAHomomorphism,
+    PartialActionError,
     TwistTransportConflict,
 )
 from .groups import FiniteGroup, Subgroup
@@ -39,7 +39,13 @@ from .reporting import EnvelopingReport, VerificationReport
 from .set_actions import (
     SetPartialAction,
     SetGlobalization,
+    _add_items,
+    _axiom_items,
+    _axiom_witnesses,
     _backtrack,
+    _envelope_witnesses,
+    _equivariant_bijection,
+    _first,
     _inverse_slots,
     enumerate_partial_actions,
     globalize_set,
@@ -112,87 +118,51 @@ class AlgebraPartialAction:
         )
 
 
+def _position_data(pa: AlgebraPartialAction) -> tuple[list, list, list, list]:
+    """Supports, position maps and twists of pa indexed by element, and the
+    automorphism group of each position: the shared checks' inputs."""
+    elements = pa.group.elements()
+    return (
+        [pa.domains[g].support for g in elements],
+        [pa.maps[g].position_map for g in elements],
+        [pa.maps[g].twists for g in elements],
+        [b.aut_group for b in pa.algebra.blocks],
+    )
+
+
 def verify_algebra_partial_action(pa: AlgebraPartialAction) -> VerificationReport:
     """Itemized axiom check for a partial action on a block algebra.
 
     The wreath maps themselves are validated at construction; this check
     covers their fit with the stated domains, the three axioms (twists
-    included), and the derived identities.
+    included) and the derived identities, by the set layer's code on
+    positions, and class preservation.
 
     Raises:
         MalformedInput: a map's source or target is not the stated ideal.
     """
     G = pa.group
-    e = G.identity
     for g in G.elements():
         w = pa.maps[g]
         if w.source != pa.domains[G.inv(g)] or w.target != pa.domains[g]:
             raise MalformedInput(
                 f"map of {G.name(g)} does not run from S_{{{G.name(G.inv(g))}}} to S_{{{G.name(g)}}}"
             )
+    witnesses = _axiom_witnesses(G, pa.algebra.positions(), *_position_data(pa))
+    n = G.name
     report = VerificationReport("algebra partial action")
-
-    witness = None
-    if pa.support(e) != frozenset(pa.algebra.positions()):
-        witness = "S_e is a proper ideal"
-    elif not pa.maps[e].is_identity():
-        witness = "alpha_e is not the identity map"
-    report.add("axiom (i): identity domain and map", witness is None, witness)
-
-    witness_ii = None
-    witness_iii = None
-    for g in G.elements():
-        supp_g_inv = pa.support(G.inv(g))
-        w_g = pa.maps[g]
-        for h in G.elements():
-            gh = G.mul(g, h)
-            w_h = pa.maps[h]
-            w_gh = pa.maps[gh]
-            supp_ghinv = pa.support(G.inv(gh))
-            for p, y in w_h.position_map.items():
-                if y not in supp_g_inv:
-                    continue
-                if p not in supp_ghinv:
-                    if witness_ii is None:
-                        witness_ii = f"g={G.name(g)}, h={G.name(h)}, block {p}"
-                    continue
-                aut = pa.algebra.blocks[p].aut_group
-                if w_g.position_map[y] != w_gh.position_map[p] or aut.mul(
-                    w_g.twists[y], w_h.twists[p]
-                ) != w_gh.twists[p]:
-                    if witness_iii is None:
-                        witness_iii = f"g={G.name(g)}, h={G.name(h)}, block {p}"
-    report.add("axiom (ii): domain compatibility", witness_ii is None, witness_ii)
-    report.add("axiom (iii): composition on overlaps", witness_iii is None, witness_iii)
-
-    witness = None
-    for g in G.elements():
-        for h in G.elements():
-            overlap = pa.support(G.inv(g)) & pa.support(h)
-            lhs = {pa.maps[g].position_map[p] for p in overlap}
-            rhs = pa.support(g) & pa.support(G.mul(g, h))
-            if lhs != rhs:
-                witness = f"g={G.name(g)}, h={G.name(h)}"
-                break
-        if witness:
-            break
-    report.add("derived: alpha_g(S_g^-1 ∩ S_h) = S_g ∩ S_gh", witness is None, witness)
-
-    witness = None
-    for g in G.elements():
-        if pa.maps[G.inv(g)] != wreath_inverse(pa.maps[g]):
-            witness = f"alpha of {G.name(G.inv(g))}"
-            break
-    report.add("derived: alpha_g^-1 = alpha_{g^-1}", witness is None, witness)
-
-    witness = None
-    for g in G.elements():
-        for p, q in pa.maps[g].position_map.items():
-            if pa.algebra.blocks[p].iso_class != pa.algebra.blocks[q].iso_class:
-                witness = f"g={G.name(g)}, block {p}"
-                break
-        if witness:
-            break
+    _add_items(report, _axiom_items("S"), witnesses, (
+        lambda kind, _: "alpha_e is not the identity map" if kind == "moves" else "S_e is a proper ideal",
+        lambda g, h, p: f"g={n(g)}, h={n(h)}, block {p}",
+        lambda g, h, p: f"g={n(g)}, h={n(h)}, block {p}",
+        lambda g, h: f"g={n(g)}, h={n(h)}",
+        lambda g: f"alpha of {n(G.inv(g))}",
+    ))
+    blocks = pa.algebra.blocks
+    witness = _first(
+        f"g={n(g)}, block {p}" for g in G.elements()
+        for p, q in pa.maps[g].position_map.items() if blocks[p].iso_class != blocks[q].iso_class
+    )
     report.add("blockwise class preservation", witness is None, witness)
     return report
 
@@ -351,10 +321,9 @@ def verify_enveloping(pa: AlgebraPartialAction, candidate) -> EnvelopingReport:
 
     report = EnvelopingReport()
     pm, tw = _embedding_parts(embedding)
-    src_positions = set(pa.algebra.positions())
 
     witness = None
-    if set(pm) != src_positions:
+    if set(pm) != set(pa.algebra.positions()):
         witness = "embedding is not defined on every block"
     elif len(set(pm.values())) != len(pm):
         witness = "embedding collapses blocks"
@@ -371,50 +340,17 @@ def verify_enveloping(pa: AlgebraPartialAction, candidate) -> EnvelopingReport:
                 break
     report.add("ideal", witness is None, witness)
 
-    image = set(pm.values())
-    covered = set()
-    for g in G.elements():
-        covered |= {action[g].position_map[q] for q in image if q in action[g].position_map}
-    ok = covered == set(env_positions)
-    report.add(
-        "covers",
-        ok,
-        None if ok else f"orbit misses blocks {sorted(env_positions - covered)}",
+    supports, maps, twists, auts = _position_data(pa)
+    witnesses = _envelope_witnesses(
+        G, supports, maps, [action[g].position_map for g in G.elements()], env_positions, pm,
+        twists, auts, [action[g].twists for g in G.elements()], tw,
     )
-
-    witness = None
-    for g in G.elements():
-        lhs = {pm[p] for p in pa.support(g) if p in pm}
-        rhs = image & {action[g].position_map[q] for q in image}
-        if lhs != rhs:
-            witness = f"g={G.name(g)}"
-            break
-    report.add("intersection", witness is None, witness)
-
-    witness = None
-    for g in G.elements():
-        w_g = pa.maps[g]
-        beta = action[g]
-        for p in pa.support(G.inv(g)):
-            if p not in pm or w_g.position_map[p] not in pm:
-                witness = f"g={G.name(g)}, block {p}: embedding undefined"
-                break
-            aut = pa.algebra.blocks[p].aut_group
-            pieces = (tw[w_g.position_map[p]], w_g.twists[p], beta.twists[pm[p]], tw[p])
-            if any(not (0 <= f < aut.order) for f in pieces):
-                witness = f"g={G.name(g)}, block {p}: twists live in different groups"
-                break
-            left_pos = pm[w_g.position_map[p]]
-            right_pos = beta.position_map[pm[p]]
-            left_tw = aut.mul(pieces[0], pieces[1])
-            right_tw = aut.mul(pieces[2], pieces[3])
-            if left_pos != right_pos or left_tw != right_tw:
-                witness = f"g={G.name(g)}, block {p}"
-                break
-        if witness:
-            break
-    report.add("equivariance", witness is None, witness)
-    return report
+    tails = {"undefined": ": embedding undefined", "groups": ": twists live in different groups"}
+    return _add_items(report, ("covers", "intersection", "equivariance"), witnesses, (
+        lambda blocks: f"orbit misses blocks {blocks}",
+        lambda g: f"g={G.name(g)}",
+        lambda g, p, kind: f"g={G.name(g)}, block {p}" + tails.get(kind, ""),
+    ))
 
 
 def globalize_extension_by_zero(
@@ -674,10 +610,11 @@ def globalizations_equivalent(
 ) -> Optional[WreathMap]:
     """An equivariant wreath isomorphism between two envelopes of the same
     partial action, commuting with both embeddings; None if there is none.
+    The search is the set layer's, with twists, pairing equal blocks only.
 
-    Forced assignments (from the embeddings, closed under both actions) are
-    propagated first; blocks outside the orbit of the embedding, which do not
-    arise from the pipelines here, are matched by backtracking.
+    Raises:
+        InternalInconsistency: the search returned data that is not a
+            wreath isomorphism, which would be a bug.
     """
     if a.source.group != b.source.group:
         raise GroupMismatch("envelopes are over different groups")
@@ -686,85 +623,27 @@ def globalizations_equivalent(
     if a.envelope.n_blocks != b.envelope.n_blocks:
         return None
     G = a.source.group
-    n_env = a.envelope.n_blocks
-
-    def propagate(fwd: dict[int, int], tws: dict[int, int]) -> Optional[tuple[dict, dict]]:
-        fwd = dict(fwd)
-        tws = dict(tws)
-        if len(set(fwd.values())) != len(fwd):
-            return None
-        queue = list(fwd)
-        while queue:
-            q = queue.pop()
-            aut = a.envelope.blocks[q].aut_group
-            for g in G.elements():
-                wa, wb = a.action[g], b.action[g]
-                nq = wa.position_map[q]
-                target = wb.position_map[fwd[q]]
-                twist = aut.mul(
-                    aut.mul(wb.twists[fwd[q]], tws[q]), aut.inv(wa.twists[q])
-                )
-                if nq in fwd:
-                    if fwd[nq] != target or tws[nq] != twist:
-                        return None
-                else:
-                    if target in set(fwd.values()):
-                        return None
-                    fwd[nq] = target
-                    tws[nq] = twist
-                    queue.append(nq)
-        return fwd, tws
-
-    pa_emb, pa_tw = dict(a.embedding.position_map), dict(a.embedding.twists)
-    pb_emb, pb_tw = dict(b.embedding.position_map), dict(b.embedding.twists)
-    seed_f = {}
-    seed_t = {}
-    for p in pa_emb:
-        q = pa_emb[p]
+    seeds = []
+    for p, q in a.embedding.position_map.items():
         aut = a.source.algebra.blocks[p].aut_group
-        seed_f[q] = pb_emb[p]
-        seed_t[q] = aut.mul(pb_tw[p], aut.inv(pa_tw[p]))
-    state = propagate(seed_f, seed_t)
-    if state is None:
+        f = aut.mul(b.embedding.twists[p], aut.inv(a.embedding.twists[p]))
+        seeds.append((q, b.embedding.position_map[p], f))
+    twists = (
+        [a.action[g].twists for g in G.elements()], [b.action[g].twists for g in G.elements()],
+        [blk.aut_group for blk in a.envelope.blocks],
+        lambda p, q: a.envelope.blocks[p] == b.envelope.blocks[q],
+    )
+    found = _equivariant_bijection(
+        G, [a.action[g].position_map for g in G.elements()],
+        [b.action[g].position_map for g in G.elements()],
+        a.envelope.positions(), b.envelope.positions(), seeds, twists,
+    )
+    if found is None:
         return None
-
-    def extend(fwd: dict[int, int], tws: dict[int, int]) -> Optional[tuple[dict, dict]]:
-        remaining = [q for q in range(n_env) if q not in fwd]
-        if not remaining:
-            return fwd, tws
-        q = remaining[0]
-        used = set(fwd.values())
-        for r in range(n_env):
-            if r in used:
-                continue
-            if a.envelope.blocks[q] != b.envelope.blocks[r]:
-                continue
-            for c in a.envelope.blocks[q].aut_group.elements():
-                nxt = propagate({**fwd, q: r}, {**tws, q: c})
-                if nxt is not None:
-                    res = extend(*nxt)
-                    if res is not None:
-                        return res
-        return None
-
-    final = extend(*state)
-    if final is None:
-        return None
-    fwd, tws = final
     try:
-        iso = WreathMap(a.envelope.full_ideal(), b.envelope.full_ideal(), fwd, tws)
-    except Exception:
-        return None
-    for g in G.elements():
-        if wreath_compose(iso, a.action[g]) != wreath_compose(b.action[g], iso):
-            return None
-    for p in pa_emb:
-        aut = a.source.algebra.blocks[p].aut_group
-        if iso.position_map[pa_emb[p]] != pb_emb[p]:
-            return None
-        if aut.mul(iso.twists[pa_emb[p]], pa_tw[p]) != pb_tw[p]:
-            return None
-    return iso
+        return WreathMap(a.envelope.full_ideal(), b.envelope.full_ideal(), *found)
+    except PartialActionError as exc:
+        raise InternalInconsistency(f"equivalence search built no isomorphism: {exc}") from exc
 
 
 def _involution_elements(aut: FiniteGroup) -> list[int]:

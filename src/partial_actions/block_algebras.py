@@ -117,8 +117,9 @@ class WreathMap:
     per-source-position automorphism twist.
 
     ``position_map[p] = q`` moves block p of the source onto block q of the
-    target; ``twists[p]`` is the automorphism (an element index of the
-    block's automorphism group) applied to the payload in transit.
+    target, keyed in position order; ``twists[p]`` is the automorphism (an
+    element index of the block's automorphism group) applied to the payload
+    in transit.
     """
 
     source: BlockIdeal
@@ -129,8 +130,6 @@ class WreathMap:
     def __post_init__(self):
         pm = dict(self.position_map)
         tw = dict(self.twists)
-        object.__setattr__(self, "position_map", pm)
-        object.__setattr__(self, "twists", tw)
         if set(pm) != set(self.source.support):
             raise MalformedInput("position map keys must be exactly the source support")
         if set(pm.values()) != set(self.target.support) or len(set(pm.values())) != len(pm):
@@ -152,6 +151,10 @@ class WreathMap:
         for p, f in tw.items():
             if not (0 <= f < self.source.algebra.blocks[p].aut_group.order):
                 raise MalformedInput(f"twist at {p} is not an automorphism index")
+        if list(pm) != sorted(pm):
+            pm = {p: pm[p] for p in sorted(pm)}
+        object.__setattr__(self, "position_map", pm)
+        object.__setattr__(self, "twists", tw)
 
     def is_identity(self) -> bool:
         return (

@@ -79,11 +79,20 @@ def _action_verification(action):
     return verify_partial_action(action)
 
 
+def _located(name: str, step, action):
+    """step(action), with a package error re-raised as bad input at the
+    action's path in the document."""
+    try:
+        return step(action)
+    except PartialActionError as exc:
+        raise DocumentError(f"{type(exc).__name__}: {exc}", f"$.actions.{name}") from exc
+
+
 def cmd_verify(args) -> int:
     wb = load_workbench(args.file)
     if not wb.actions:
         raise DocumentError("document contains no actions", "$.actions")
-    reports = {name: _action_verification(action) for name, action in wb.actions.items()}
+    reports = {n: _located(n, _action_verification, a) for n, a in wb.actions.items()}
     if args.format == "json":
         _emit(json.dumps({n: r.to_dict() for n, r in reports.items()}, indent=2), args.output)
     else:
@@ -253,13 +262,13 @@ def cmd_globalize(args) -> int:
     texts = []
     for name in names:
         action = wb.actions[name]
-        pre = _action_verification(action)
+        pre = _located(name, _action_verification, action)
         if not pre.ok:
             all_ok = False
             texts.append(f"[{name}] input is not a partial action\n{pre.render_text()}")
             docs[name] = {"input_verification": pre.to_dict()}
             continue
-        kind, result, checks = _globalize_one(action)
+        kind, result, checks = _located(name, _globalize_one, action)
         all_ok = all_ok and checks.ok
         docs[name] = _globalization_doc(kind, result, checks)
         texts.append(_globalization_text(name, kind, result, checks))

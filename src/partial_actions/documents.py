@@ -345,7 +345,7 @@ def workbench_to_doc(wb: Workbench) -> dict:
     for name, A in wb.algebras.items():
         doc["algebras"][name] = algebra_to_doc(A)
     for name, action in wb.actions.items():
-        if isinstance(action, SetPartialAction) and not isinstance(action, AlgebraPartialAction):
+        if isinstance(action, SetPartialAction):
             doc["actions"][name] = set_action_to_doc(action, group_names.get(id(action.group)))
         else:
             doc["actions"][name] = algebra_action_to_doc(

@@ -159,97 +159,110 @@ class GlobalSetAction(SetPartialAction):
                         )
 
 
-def _alpha_inverse_image(spa: SetPartialAction, h: int, points: Iterable[Point]) -> set:
-    """alpha_h^-1 of the given points, by inverting the map of h directly."""
-    inv_items = {v: k for k, v in spa.maps[h].items()}
-    return {inv_items[y] for y in points if y in inv_items}
+def _first(items):
+    return next(iter(items), None)
+
+
+def _axiom_witnesses(G, order, domains, maps, twists=None, auts=None) -> tuple:
+    """First failures of the axioms and derived identities, over position
+    data shared by set actions and block-algebra actions.
+
+    ``order`` lists every position; ``domains[g]`` is the set D_g and
+    ``maps[g]`` a dict from D_{g^-1} onto D_g.  ``twists[g][p]`` (None for
+    sets) is the automorphism alpha_g applies at p, in ``auts[p]``; twisted
+    maps compose positions and multiply twists.  Elements are scanned in
+    group order and positions in ``order`` or in the map's own order, so
+    each witness is the first failure in that order.
+
+    Returns (identity, (ii), (iii), intersection, inverse): ("omits", p) or
+    ("moves", p); (g, h, p) twice; (g, h); (g,).  None marks a pass.
+    """
+    e, inv = G.identity, G.inverses
+    identity = _first(("omits", p) for p in order if p not in domains[e]) or _first(
+        ("moves", p) for p in order
+        if maps[e][p] != p or twists and twists[e][p] != auts[p].identity
+    )
+    compatibility = composition = None
+    for g in G.elements():
+        if compatibility and composition:
+            break
+        src_g, m_g = domains[inv[g]], maps[g]
+        for h in G.elements():
+            gh = G.mul(g, h)
+            src_gh, m_gh = domains[inv[gh]], maps[gh]
+            for p, y in maps[h].items():
+                if y not in src_g:
+                    continue
+                if p not in src_gh:
+                    compatibility = compatibility or (g, h, p)
+                elif composition is None and (
+                    m_g[y] != m_gh[p]
+                    or twists and auts[p].mul(twists[g][y], twists[h][p]) != twists[gh][p]
+                ):
+                    composition = (g, h, p)
+    intersection = _first(
+        (g, h) for g in G.elements() for h in G.elements()
+        if {maps[g][p] for p in domains[inv[g]] & domains[h]} != domains[g] & domains[G.mul(g, h)]
+    )
+    inverse = _first(
+        (g,) for g in G.elements() for p, y in maps[g].items()
+        if maps[inv[g]][y] != p or twists and twists[inv[g]][y] != auts[p].inv(twists[g][p])
+    )
+    return identity, compatibility, composition, intersection, inverse
+
+
+def _axiom_items(letter: str) -> tuple[str, ...]:
+    """The item names of an axiom report whose domains are called letter_g."""
+    return (
+        "axiom (i): identity domain and map",
+        "axiom (ii): domain compatibility",
+        "axiom (iii): composition on overlaps",
+        f"derived: alpha_g({letter}_g^-1 ∩ {letter}_h) = {letter}_g ∩ {letter}_gh",
+        "derived: alpha_g^-1 = alpha_{g^-1}",
+    )
+
+
+def _add_items(report, names, witnesses, wording):
+    """One report item per name: passed when its witness is None, otherwise
+    failed with the witness rendered by the matching function of wording."""
+    for name, witness, say in zip(names, witnesses, wording):
+        report.add(name, witness is None, witness and say(*witness))
+    return report
+
+
+def _in_carrier_order(spa: SetPartialAction) -> list[dict]:
+    """The maps of spa indexed by element, each keyed in carrier order."""
+    maps = [spa.maps[g] for g in spa.group.elements()]
+    return [{x: m[x] for x in spa.carrier if x in m} for m in maps]
 
 
 def verify_partial_action(candidate: SetPartialAction) -> VerificationReport:
-    """Check the partial-action axioms and derived identities, itemized.
+    """Check the partial-action axioms and derived identities, itemized;
+    each witness names the first failing point in carrier order.
 
     Raises:
         MalformedInput: a map is not a bijection from D_{g^-1} onto D_g.
     """
     G = candidate.group
-    X = frozenset(candidate.carrier)
-    e = G.identity
+    n = G.name
     for g in G.elements():
         m = candidate.maps[g]
-        src = candidate.domains[G.inv(g)]
-        tgt = candidate.domains[g]
-        if set(m) != src:
+        if set(m) != candidate.domains[G.inv(g)]:
             raise MalformedInput(
-                f"map of {G.name(g)} is defined on {sorted(map(repr, m))}, "
-                f"not on its stated source D_{{{G.name(G.inv(g))}}}"
+                f"map of {n(g)} is defined on {sorted(map(repr, m))}, "
+                f"not on its stated source D_{{{n(G.inv(g))}}}"
             )
-        if set(m.values()) != tgt or len(set(m.values())) != len(m):
-            raise MalformedInput(
-                f"map of {G.name(g)} is not a bijection onto its stated codomain"
-            )
-    report = VerificationReport("set partial action")
-
-    witness = None
-    if candidate.domains[e] != X:
-        missing = next(iter(X - candidate.domains[e]))
-        witness = f"D_e omits {missing!r}"
-    elif any(candidate.maps[e][x] != x for x in X):
-        x = next(x for x in X if candidate.maps[e][x] != x)
-        witness = f"alpha_e moves {x!r}"
-    report.add("axiom (i): identity domain and map", witness is None, witness)
-
-    witness_ii = None
-    witness_iii = None
-    for g in G.elements():
-        if witness_ii and witness_iii:
-            break
-        Dg_inv = candidate.domains[G.inv(g)]
-        for h in G.elements():
-            gh = G.mul(g, h)
-            overlap = candidate.domains[h] & Dg_inv
-            pre = _alpha_inverse_image(candidate, h, overlap)
-            for x in pre:
-                if x not in candidate.domains[G.inv(gh)]:
-                    if witness_ii is None:
-                        witness_ii = (
-                            f"g={G.name(g)}, h={G.name(h)}: {x!r} outside "
-                            f"D_{{({G.name(g)}{G.name(h)})^-1}}"
-                        )
-                    continue
-                if candidate.maps[g][candidate.maps[h][x]] != candidate.maps[gh][x]:
-                    if witness_iii is None:
-                        witness_iii = (
-                            f"g={G.name(g)}, h={G.name(h)}, x={x!r}: "
-                            f"alpha_g(alpha_h(x)) != alpha_gh(x)"
-                        )
-    report.add("axiom (ii): domain compatibility", witness_ii is None, witness_ii)
-    report.add("axiom (iii): composition on overlaps", witness_iii is None, witness_iii)
-
-    witness_int = None
-    for g in G.elements():
-        for h in G.elements():
-            lhs = {
-                candidate.maps[g][x]
-                for x in candidate.domains[G.inv(g)] & candidate.domains[h]
-            }
-            rhs = candidate.domains[g] & candidate.domains[G.mul(g, h)]
-            if lhs != rhs:
-                witness_int = (
-                    f"g={G.name(g)}, h={G.name(h)}: alpha_g(D_g^-1 ∩ D_h) != D_g ∩ D_gh"
-                )
-                break
-        if witness_int:
-            break
-    report.add("derived: alpha_g(D_g^-1 ∩ D_h) = D_g ∩ D_gh", witness_int is None, witness_int)
-
-    witness_inv = None
-    for g in G.elements():
-        inverse_of_map = {v: k for k, v in candidate.maps[g].items()}
-        if candidate.maps[G.inv(g)] != inverse_of_map:
-            witness_inv = f"alpha_{{{G.name(G.inv(g))}}} is not the inverse of alpha_{{{G.name(g)}}}"
-            break
-    report.add("derived: alpha_g^-1 = alpha_{g^-1}", witness_inv is None, witness_inv)
-    return report
+        if set(m.values()) != candidate.domains[g] or len(set(m.values())) != len(m):
+            raise MalformedInput(f"map of {n(g)} is not a bijection onto its stated codomain")
+    maps = _in_carrier_order(candidate)
+    witnesses = _axiom_witnesses(G, candidate.carrier, candidate.domains, maps)
+    return _add_items(VerificationReport("set partial action"), _axiom_items("D"), witnesses, (
+        lambda kind, x: f"D_e omits {x!r}" if kind == "omits" else f"alpha_e moves {x!r}",
+        lambda g, h, x: f"g={n(g)}, h={n(h)}: {x!r} outside D_{{({n(g)}{n(h)})^-1}}",
+        lambda g, h, x: f"g={n(g)}, h={n(h)}, x={x!r}: alpha_g(alpha_h(x)) != alpha_gh(x)",
+        lambda g, h: f"g={n(g)}, h={n(h)}: alpha_g(D_g^-1 ∩ D_h) != D_g ∩ D_gh",
+        lambda g: f"alpha_{{{n(G.inv(g))}}} is not the inverse of alpha_{{{n(g)}}}",
+    ))
 
 
 def restrict_global(global_action: GlobalSetAction, subset: Iterable[Point]) -> SetPartialAction:
@@ -414,119 +427,154 @@ def globalize_set(spa: SetPartialAction) -> SetGlobalization:
     return SetGlobalization(spa, envelope, embedding, tuple(witnesses), pair_class)
 
 
+def _envelope_witnesses(G, domains, maps, beta, points, embedding,
+                        twists=None, auts=None, beta_twists=None, embedding_twists=None) -> tuple:
+    """First failures of the covers, intersection and equivariance checks of
+    an envelope, over position data shared by sets and block algebras.
+
+    ``domains`` and ``maps`` are as in :func:`_axiom_witnesses`; ``beta[g]``
+    maps the envelope's ``points`` and ``embedding`` sends positions to
+    them.  Twisted data (None for sets) adds the twists of alpha, of beta
+    and of the embedding, with ``auts[p]`` the automorphism group at p.
+
+    Returns (unreached, intersection, equivariance): (points,) with the
+    sorted envelope points outside the orbit of the image; (g,) where D_g
+    is not image ∩ beta_g(image); (g, p, kind) where beta_g fails to extend
+    alpha_g at p, kind "undefined" when the embedding or beta misses the
+    path, "groups" when a twist lies outside auts[p], else "mismatch".
+    None marks a pass.
+    """
+    image = set(embedding.values())
+    covered, intersection = set(), None
+    for g in G.elements():
+        reached = {beta[g][q] for q in image if q in beta[g]}
+        covered |= reached
+        embedded = {embedding[p] for p in domains[g] if p in embedding}
+        if intersection is None and embedded != image & reached:
+            intersection = (g,)
+    unreached = sorted(set(points) - covered)
+    unreached = (unreached,) if unreached else None
+    for g in G.elements():
+        b = beta[g]
+        for p, y in maps[g].items():
+            q = embedding.get(p)
+            if q not in b or y not in embedding:
+                return unreached, intersection, (g, p, "undefined")
+            if twists:
+                aut = auts[p]
+                pieces = (
+                    embedding_twists.get(y), twists[g][p], beta_twists[g][q], embedding_twists.get(p)
+                )
+                if any(f is None or not 0 <= f < aut.order for f in pieces):
+                    return unreached, intersection, (g, p, "groups")
+                if aut.mul(pieces[0], pieces[1]) != aut.mul(pieces[2], pieces[3]):
+                    return unreached, intersection, (g, p, "mismatch")
+            if embedding[y] != b[q]:
+                return unreached, intersection, (g, p, "mismatch")
+    return unreached, intersection, None
+
+
 def verify_set_globalization(spa: SetPartialAction, sg: SetGlobalization) -> VerificationReport:
     """Check the enveloping-action conditions transported to sets: injective
-    embedding, orbit coverage, D_g = image ∩ beta_g(image), equivariance."""
+    embedding, orbit coverage, D_g = image ∩ beta_g(image), equivariance.
+    The witnesses name the first failing element, then point in carrier
+    order."""
     G = spa.group
     report = VerificationReport("set globalization")
     image = set(sg.embedding.values())
     inj = len(image) == len(spa.carrier) and set(sg.embedding) == set(spa.carrier)
     report.add("embedding is injective on the carrier", inj, None if inj else "image collapses")
-
-    covered = set()
-    for g in G.elements():
-        covered |= {sg.envelope.maps[g][p] for p in image}
-    covers = covered == set(sg.envelope.carrier)
-    report.add(
-        "orbit of the embedded carrier covers the envelope",
-        covers,
-        None if covers else f"unreached points {sorted(set(sg.envelope.carrier) - covered)}",
+    witnesses = _envelope_witnesses(
+        G, spa.domains, _in_carrier_order(spa), sg.envelope.maps, sg.envelope.carrier, sg.embedding
     )
+    names = (
+        "orbit of the embedded carrier covers the envelope",
+        "embedded D_g = image ∩ beta_g(image)",
+        "beta_g extends alpha_g on embedded domains",
+    )
+    return _add_items(report, names, witnesses, (
+        lambda points: f"unreached points {points}",
+        lambda g: f"g={G.name(g)}",
+        lambda g, x, _: f"g={G.name(g)}, x={x!r}",
+    ))
 
-    witness = None
-    for g in G.elements():
-        lhs = {sg.embedding[x] for x in spa.domains[g]}
-        rhs = image & {sg.envelope.maps[g][p] for p in image}
-        if lhs != rhs:
-            witness = f"g={G.name(g)}"
-            break
-    report.add("embedded D_g = image ∩ beta_g(image)", witness is None, witness)
 
-    witness = None
-    for g in G.elements():
-        for x in spa.domains[G.inv(g)]:
-            if sg.embedding[spa.maps[g][x]] != sg.envelope.maps[g][sg.embedding[x]]:
-                witness = f"g={G.name(g)}, x={x!r}"
-                break
-        if witness:
-            break
-    report.add("beta_g extends alpha_g on embedded domains", witness is None, witness)
-    return report
+def _equivariant_bijection(G, beta_a, beta_b, points_a, points_b, seeds, twists=None):
+    """A bijection from ``points_a`` onto ``points_b`` that intertwines the
+    actions ``beta_a`` and ``beta_b`` and extends ``seeds``, forced triples
+    (p, q, f); None when there is none.
+
+    Twisted envelopes pass ``twists = (tw_a, tw_b, auts, fits)``: the twists
+    of both actions, the automorphism group of each point of a, and whether
+    p may be sent to q.  Each p then carries a twist f_p, and
+    f_{beta_g p} = tw_b[g][q] * f_p * tw_a[g][p]^-1; untwisted, f is None.
+
+    Every assignment is closed under the group at once, which checks each
+    of its edges, so the result is equivariant and injective by
+    construction.  Points outside the orbit of the seeds are matched by
+    backtracking, in the order of ``points_a``, then ``points_b``, then
+    automorphisms.  Returns (fwd, tws) or None.
+    """
+    if twists is not None:
+        tw_a, tw_b, auts, fits = twists
+
+    def assign(state, p, q, f) -> bool:
+        fwd, tws, used, queue = state
+        if p in fwd:
+            return fwd[p] == q and tws[p] == f
+        if q in used or twists is not None and not fits(p, q):
+            return False
+        fwd[p], tws[p] = q, f
+        used.add(q)
+        queue.append(p)
+        return True
+
+    def close(state) -> bool:
+        fwd, tws, _, queue = state
+        while queue:
+            p = queue.pop()
+            q, f, aut = fwd[p], tws[p], twists and auts[p]
+            for g in G.elements():
+                f_next = aut and aut.mul(aut.mul(tw_b[g][q], f), aut.inv(tw_a[g][p]))
+                if not assign(state, beta_a[g][p], beta_b[g][q], f_next):
+                    return False
+        return True
+
+    def extend(state):
+        fwd, tws, used, _ = state
+        p = _first(p for p in points_a if p not in fwd)
+        if p is None:
+            return fwd, tws
+        for q in points_b:
+            for f in auts[p].elements() if twists is not None else (None,):
+                trial = (dict(fwd), dict(tws), set(used), [])
+                if assign(trial, p, q, f) and close(trial):
+                    found = extend(trial)
+                    if found is not None:
+                        return found
+        return None
+
+    state = ({}, {}, set(), [])
+    if not all(assign(state, p, q, f) for p, q, f in seeds) or not close(state):
+        return None
+    return extend(state)
 
 
 def envelopes_equivalent(a: SetGlobalization, b: SetGlobalization) -> Optional[dict[int, int]]:
     """An equivariant bijection between two envelopes commuting with the
-    embeddings, or None when no such bijection exists.
-
-    Assignments forced by the embeddings are propagated through the group
-    action first; any points left over (possible only when an envelope is not
-    covered by the orbit of its embedding) are matched by backtracking.
-    """
+    embeddings, or None when no such bijection exists."""
     if a.envelope.group != b.envelope.group:
         raise GroupMismatch("envelopes are over different groups")
     if set(a.embedding) != set(b.embedding):
         raise MalformedInput("envelopes embed different carriers")
-    G = a.envelope.group
-    pa, pb = list(a.envelope.carrier), list(b.envelope.carrier)
-    if len(pa) != len(pb):
+    if len(a.envelope.carrier) != len(b.envelope.carrier):
         return None
-
-    def propagate(fwd: dict[int, int]) -> Optional[dict[int, int]]:
-        fwd = dict(fwd)
-        used = set(fwd.values())
-        if len(used) != len(fwd):
-            return None
-        queue = list(fwd)
-        while queue:
-            p = queue.pop()
-            for g in G.elements():
-                q = a.envelope.maps[g][p]
-                target = b.envelope.maps[g][fwd[p]]
-                if q in fwd:
-                    if fwd[q] != target:
-                        return None
-                else:
-                    if target in used:
-                        return None
-                    fwd[q] = target
-                    used.add(target)
-                    queue.append(q)
-        return fwd
-
-    seed = {a.embedding[x]: b.embedding[x] for x in a.embedding}
-    if len(set(seed.values())) != len(set(seed.keys())):
-        return None
-    base = propagate(seed)
-    if base is None:
-        return None
-
-    def extend(fwd: dict[int, int]) -> Optional[dict[int, int]]:
-        remaining = [p for p in pa if p not in fwd]
-        if not remaining:
-            return fwd
-        p = remaining[0]
-        used = set(fwd.values())
-        for q in pb:
-            if q in used:
-                continue
-            nxt = propagate({**fwd, p: q})
-            if nxt is not None:
-                result = extend(nxt)
-                if result is not None:
-                    return result
-        return None
-
-    full = extend(base)
-    if full is None:
-        return None
-    # final sanity: bijective and equivariant
-    if sorted(full.values()) != sorted(pb):
-        return None
-    for g in G.elements():
-        for p in pa:
-            if full[a.envelope.maps[g][p]] != b.envelope.maps[g][full[p]]:
-                return None
-    return full
+    seeds = [(a.embedding[x], b.embedding[x], None) for x in a.embedding]
+    found = _equivariant_bijection(
+        a.envelope.group, a.envelope.maps, b.envelope.maps,
+        a.envelope.carrier, b.envelope.carrier, seeds,
+    )
+    return None if found is None else found[0]
 
 
 # --- enumeration by backtracking --------------------------------------------

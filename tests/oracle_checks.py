@@ -1,15 +1,24 @@
-"""Exhaustive homomorphism checks kept as test oracles.
+"""Checks kept as test oracles, in the form the package replaced.
 
 The package checks associativity, the set and wreath action laws and the
 cocycle identities of a coset factorization with the middle or right factor
 restricted to a generating set.  These are the exhaustive scans they replace:
 every triple, or every pair (g, t).  Each returns the first failure it finds,
 or None.
+
+The set-layer axiom verifier and envelope equivalence search below are the
+separate set versions that the package now runs through the code it shares
+with block algebras.  They take witnesses in set iteration order, so only
+their pass/fail flags and None-or-not results are compared.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from partial_actions.block_algebras import wreath_compose
+from partial_actions.errors import GroupMismatch, MalformedInput
+from partial_actions.reporting import VerificationReport
 
 
 def associativity_failure(table):
@@ -84,3 +93,162 @@ def cocycle_failure(G, j_table, h_table):
                 if h_table[gt][i] != G.mul(h_table[g][mid], h_table[t][i]):
                     return (g, t, i)
     return None
+
+
+def _alpha_inverse_image(spa, h, points) -> set:
+    """alpha_h^-1 of the given points, by inverting the map of h directly."""
+    inv_items = {v: k for k, v in spa.maps[h].items()}
+    return {inv_items[y] for y in points if y in inv_items}
+
+
+def verify_partial_action(candidate) -> VerificationReport:
+    """The set axioms and derived identities, itemized, as a separate scan."""
+    G = candidate.group
+    X = frozenset(candidate.carrier)
+    e = G.identity
+    for g in G.elements():
+        m = candidate.maps[g]
+        src = candidate.domains[G.inv(g)]
+        tgt = candidate.domains[g]
+        if set(m) != src:
+            raise MalformedInput(
+                f"map of {G.name(g)} is defined on {sorted(map(repr, m))}, "
+                f"not on its stated source D_{{{G.name(G.inv(g))}}}"
+            )
+        if set(m.values()) != tgt or len(set(m.values())) != len(m):
+            raise MalformedInput(
+                f"map of {G.name(g)} is not a bijection onto its stated codomain"
+            )
+    report = VerificationReport("set partial action")
+
+    witness = None
+    if candidate.domains[e] != X:
+        missing = next(iter(X - candidate.domains[e]))
+        witness = f"D_e omits {missing!r}"
+    elif any(candidate.maps[e][x] != x for x in X):
+        x = next(x for x in X if candidate.maps[e][x] != x)
+        witness = f"alpha_e moves {x!r}"
+    report.add("axiom (i): identity domain and map", witness is None, witness)
+
+    witness_ii = None
+    witness_iii = None
+    for g in G.elements():
+        if witness_ii and witness_iii:
+            break
+        Dg_inv = candidate.domains[G.inv(g)]
+        for h in G.elements():
+            gh = G.mul(g, h)
+            overlap = candidate.domains[h] & Dg_inv
+            pre = _alpha_inverse_image(candidate, h, overlap)
+            for x in pre:
+                if x not in candidate.domains[G.inv(gh)]:
+                    if witness_ii is None:
+                        witness_ii = (
+                            f"g={G.name(g)}, h={G.name(h)}: {x!r} outside "
+                            f"D_{{({G.name(g)}{G.name(h)})^-1}}"
+                        )
+                    continue
+                if candidate.maps[g][candidate.maps[h][x]] != candidate.maps[gh][x]:
+                    if witness_iii is None:
+                        witness_iii = (
+                            f"g={G.name(g)}, h={G.name(h)}, x={x!r}: "
+                            f"alpha_g(alpha_h(x)) != alpha_gh(x)"
+                        )
+    report.add("axiom (ii): domain compatibility", witness_ii is None, witness_ii)
+    report.add("axiom (iii): composition on overlaps", witness_iii is None, witness_iii)
+
+    witness_int = None
+    for g in G.elements():
+        for h in G.elements():
+            lhs = {
+                candidate.maps[g][x]
+                for x in candidate.domains[G.inv(g)] & candidate.domains[h]
+            }
+            rhs = candidate.domains[g] & candidate.domains[G.mul(g, h)]
+            if lhs != rhs:
+                witness_int = (
+                    f"g={G.name(g)}, h={G.name(h)}: alpha_g(D_g^-1 ∩ D_h) != D_g ∩ D_gh"
+                )
+                break
+        if witness_int:
+            break
+    report.add("derived: alpha_g(D_g^-1 ∩ D_h) = D_g ∩ D_gh", witness_int is None, witness_int)
+
+    witness_inv = None
+    for g in G.elements():
+        inverse_of_map = {v: k for k, v in candidate.maps[g].items()}
+        if candidate.maps[G.inv(g)] != inverse_of_map:
+            witness_inv = f"alpha_{{{G.name(G.inv(g))}}} is not the inverse of alpha_{{{G.name(g)}}}"
+            break
+    report.add("derived: alpha_g^-1 = alpha_{g^-1}", witness_inv is None, witness_inv)
+    return report
+
+
+def envelopes_equivalent(a, b) -> Optional[dict[int, int]]:
+    """An equivariant bijection between two set envelopes commuting with the
+    embeddings, or None: propagation from the embeddings, then backtracking."""
+    if a.envelope.group != b.envelope.group:
+        raise GroupMismatch("envelopes are over different groups")
+    if set(a.embedding) != set(b.embedding):
+        raise MalformedInput("envelopes embed different carriers")
+    G = a.envelope.group
+    pa, pb = list(a.envelope.carrier), list(b.envelope.carrier)
+    if len(pa) != len(pb):
+        return None
+
+    def propagate(fwd: dict[int, int]) -> Optional[dict[int, int]]:
+        fwd = dict(fwd)
+        used = set(fwd.values())
+        if len(used) != len(fwd):
+            return None
+        queue = list(fwd)
+        while queue:
+            p = queue.pop()
+            for g in G.elements():
+                q = a.envelope.maps[g][p]
+                target = b.envelope.maps[g][fwd[p]]
+                if q in fwd:
+                    if fwd[q] != target:
+                        return None
+                else:
+                    if target in used:
+                        return None
+                    fwd[q] = target
+                    used.add(target)
+                    queue.append(q)
+        return fwd
+
+    seed = {a.embedding[x]: b.embedding[x] for x in a.embedding}
+    if len(set(seed.values())) != len(set(seed.keys())):
+        return None
+    base = propagate(seed)
+    if base is None:
+        return None
+
+    def extend(fwd: dict[int, int]) -> Optional[dict[int, int]]:
+        remaining = [p for p in pa if p not in fwd]
+        if not remaining:
+            return fwd
+        p = remaining[0]
+        used = set(fwd.values())
+        for q in pb:
+            if q in used:
+                continue
+            nxt = propagate({**fwd, p: q})
+            if nxt is not None:
+                result = extend(nxt)
+                if result is not None:
+                    return result
+        return None
+
+    full = extend(base)
+    if full is None:
+        return None
+    # final sanity: bijective and equivariant
+    if sorted(full.values()) != sorted(pb):
+        return None
+    for g in G.elements():
+        for p in pa:
+            if full[a.envelope.maps[g][p]] != b.envelope.maps[g][full[p]]:
+                return None
+    return full

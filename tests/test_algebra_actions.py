@@ -4,6 +4,7 @@ import json
 import pytest
 from oracle_enumeration import brute_force_algebra_partial_actions
 
+from partial_actions import algebra_actions
 from partial_actions.algebra_actions import (
     AlgebraPartialAction,
     classify_indecomposable,
@@ -30,6 +31,7 @@ from partial_actions.block_algebras import (
 )
 from partial_actions.errors import (
     GroupMismatch,
+    InternalInconsistency,
     MalformedInput,
     NotAHomomorphism,
     TwistTransportConflict,
@@ -112,6 +114,24 @@ class TestVerify:
         pa = AlgebraPartialAction(z2, algebra, {0: full, 1: full}, {1: quarter_turn})
         report = verify_algebra_partial_action(pa)
         assert any("(iii)" in i.name and not i.passed for i in report.items)
+
+    def test_witness_names_the_first_block_in_position_order(self, z2):
+        # alpha_1 is a 4-cycle listed backwards: every block fails row (1, 1)
+        algebra = block_power(k_line_block(), 4)
+        full = algebra.full_ideal()
+        cycle = WreathMap(full, full, {3: 0, 2: 3, 1: 2, 0: 1}, {p: 0 for p in range(4)})
+        pa = AlgebraPartialAction(z2, algebra, {1: full}, {1: cycle})
+        assert verify_algebra_partial_action(pa).items[2].witness == "g=1, h=1, block 0"
+
+    def test_inverse_twist_checked(self, z3):
+        # alpha_2 must undo the twist of alpha_1, so both turning by 1 fails
+        algebra = block_power(Block("L", cyclic_group(3)), 1)
+        full = algebra.full_ideal()
+        turn = WreathMap(full, full, {0: 0}, {0: 1})
+        pa = AlgebraPartialAction(z3, algebra, {g: full for g in z3.elements()}, {1: turn, 2: turn})
+        item = verify_algebra_partial_action(pa).items[4]
+        assert item.name == "derived: alpha_g^-1 = alpha_{g^-1}"
+        assert not item.passed and item.witness == "alpha of 2"
 
     def test_source_mismatch_raises(self, z2):
         algebra = block_power(k_line_block(), 2)
@@ -250,6 +270,16 @@ class TestVerifyEnveloping:
             pa, {"envelope": res.envelope, "action": res.action, "embedding": bad_embedding}
         )
         assert not report.items["ideal"].passed
+
+    def test_embedding_outside_the_envelope_is_reported(self, z2):
+        pa = lift_set_action(SetPartialAction(z2, (0, 1), domains={1: [0]}, maps={1: {0: 0}}))
+        res = globalize_block_power(pa)
+        stray = {"position_map": {0: 0, 1: 7}, "twists": {0: 0, 1: 0}}
+        report = verify_enveloping(
+            pa, {"envelope": res.envelope, "action": res.action, "embedding": stray}
+        )
+        assert report.items["ideal"].witness == "embedding leaves the envelope"
+        assert not any(item.passed for item in report.items.values())
 
     def test_wrong_restriction_fails_intersection(self, z2):
         # envelope of the empty-domain action used as a candidate for the
@@ -504,6 +534,14 @@ class TestEquivalenceSearch:
         iso = globalizations_equivalent(original, relabeled)
         assert iso is not None
         assert not iso.is_identity()
+
+    def test_invalid_search_result_raises(self, quiver_setup, monkeypatch):
+        # a twist outside Aut(block) is a bug in the search, not a verdict
+        result = globalize_extension_by_zero(*quiver_setup)
+        bogus = ({0: 0, 1: 1, 2: 2}, {0: 0, 1: 0, 2: 5})
+        monkeypatch.setattr(algebra_actions, "_equivariant_bijection", lambda *args: bogus)
+        with pytest.raises(InternalInconsistency):
+            globalizations_equivalent(result, result)
 
 
 class TestEnumerateAlgebraActions:

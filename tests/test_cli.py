@@ -113,6 +113,48 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["alpha"]["ok"] is True
 
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """Witnesses name the first failing point in carrier order, so a
+        report on string points is the same under every hash seed."""
+        points = [f"p{i}" for i in range(8)]
+        cycle = {x: points[(i + 1) % 8] for i, x in enumerate(points)}
+        actions = {
+            # every point fails axiom (iii) in row (1, 1)
+            "cycle": {"domains": {"1": points}, "maps": {"1": cycle}},
+            # D_e omits five points
+            "short": {"domains": {"0": points[5:]}, "maps": {"0": {x: x for x in points[5:]}}},
+        }
+        for doc in actions.values():
+            doc.update({"kind": "set", "group": "Z2", "carrier": points})
+        path = write(
+            tmp_path,
+            "cycle.json",
+            {"version": "1", "groups": {"Z2": {"kind": "cyclic", "n": 2}}, "actions": actions},
+        )
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "partial_actions", "verify", path, "--format", "json"],
+                env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 1
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert "x='p0'" in outputs[0] and "D_e omits 'p0'" in outputs[0]
+
+    @pytest.mark.parametrize("command", ["verify", "globalize"])
+    def test_structural_rejection_names_the_action(self, command, tmp_path, capsys):
+        doc = json.loads((DATA / "golden_globalize.json").read_text(encoding="utf-8"))
+        doc["actions"]["line_z3"]["domains"] = {}
+        path = write(tmp_path, "doc.json", doc)
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: MalformedInput: map of 1 does not run")
+        assert err.rstrip().endswith("(at $.actions.line_z3)")
+
 
 class TestFactorizeCommand:
     @staticmethod
@@ -389,7 +431,9 @@ def _has_false_check(payload):
 def test_mutated_golden_document(tmp_path_factory, command, path, op, value):
     """Wrong types, missing keys and out-of-range values at every JSON path
     of the golden workbench: nothing raises past main, bad input exits 2 with
-    an ``input error:`` line, and exit 1 comes only with a failed check."""
+    an ``input error:`` line that locates it (a ``$.`` path, or ``$`` when
+    the document itself is not an object), and exit 1 comes only with a
+    failed check."""
     doc = _mutate(copy.deepcopy(GOLDEN_DOC), path, op, value)
     file = tmp_path_factory.mktemp("fuzz") / "doc.json"
     file.write_text(json.dumps(doc), encoding="utf-8")
@@ -398,6 +442,7 @@ def test_mutated_golden_document(tmp_path_factory, command, path, op, value):
         code = main([command, str(file), "--format", "json"])
     if code == 2:
         assert err.getvalue().startswith("input error: ")
+        assert "(at $." in err.getvalue() or err.getvalue().rstrip().endswith("(at $)")
     else:
         assert code in (0, 1)
         assert code == int(_has_false_check(json.loads(out.getvalue())))

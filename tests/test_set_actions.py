@@ -2,11 +2,13 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import oracle_checks
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracle_enumeration import brute_force_partial_actions
 
 from partial_actions import set_actions
+from partial_actions.algebra_actions import lift_set_action, verify_algebra_partial_action
 from partial_actions.errors import (
     MalformedInput,
     NotASubgroup,
@@ -21,6 +23,7 @@ from partial_actions.groups import (
 )
 from partial_actions.set_actions import (
     GlobalSetAction,
+    SetGlobalization,
     SetPartialAction,
     enumerate_partial_actions,
     envelopes_equivalent,
@@ -45,6 +48,17 @@ def left_translation(G):
     """G acting on itself: beta_g(x) = g*x."""
     maps = {g: {x: G.mul(g, x) for x in G.elements()} for g in G.elements()}
     return GlobalSetAction(G, tuple(G.elements()), maps)
+
+
+def equivalent(a, b):
+    """envelopes_equivalent, checked against the oracle's verdict."""
+    found = envelopes_equivalent(a, b)
+    assert (found is None) == (oracle_checks.envelopes_equivalent(a, b) is None)
+    return found
+
+
+POINTS = tuple(f"p{i}" for i in range(8))
+CYCLE = {x: POINTS[(i + 1) % 8] for i, x in enumerate(POINTS)}
 
 
 class TestVerify:
@@ -100,6 +114,16 @@ class TestVerify:
         spa = SetPartialAction(z2, ("a", "b"), domains={1: ["a"]}, maps={1: {"b": "a"}})
         with pytest.raises(MalformedInput):
             verify_partial_action(spa)
+
+    def test_witnesses_name_the_first_point_in_carrier_order(self, z2):
+        # every point fails row (1, 1): alpha_1 is an 8-cycle, not an involution
+        spa = SetPartialAction(z2, POINTS, domains={1: POINTS}, maps={1: dict(reversed(CYCLE.items()))})
+        witness = {item.name: item.witness for item in verify_partial_action(spa).items}
+        assert witness["axiom (iii): composition on overlaps"].startswith("g=1, h=1, x='p0'")
+        partial = SetPartialAction(z2, POINTS, domains={0: POINTS[3:]}, maps={0: {x: x for x in POINTS[3:]}})
+        assert verify_partial_action(partial).items[0].witness == "D_e omits 'p0'"
+        moved = SetPartialAction(z2, POINTS, maps={0: {x: POINTS[-1 - i] for i, x in enumerate(POINTS)}})
+        assert verify_partial_action(moved).items[0].witness == "alpha_e moves 'p0'"
 
 
 class TestRestrictGlobal:
@@ -227,13 +251,27 @@ class TestGlobalize:
         for spa in enumerate_partial_actions(z4, 2):
             assert globalize_set(spa).size <= 2 * z4.order
 
+    def test_equivariance_witness_names_the_first_point_in_carrier_order(self, z2):
+        # an envelope whose beta_1 fixes everything fails equivariance at
+        # every point of the swap action
+        swap = {x: POINTS[i ^ 1] for i, x in reversed(list(enumerate(POINTS)))}
+        spa = GlobalSetAction(z2, POINTS, {0: {x: x for x in POINTS}, 1: swap})
+        sg = globalize_set(spa)
+        fixed = {g: {c: c for c in sg.envelope.carrier} for g in z2.elements()}
+        bad = SetGlobalization(
+            spa, GlobalSetAction(z2, sg.envelope.carrier, fixed), sg.embedding,
+            sg.orbit_witness, sg.pair_class,
+        )
+        item = verify_set_globalization(spa, bad).items[-1]
+        assert not item.passed and item.witness == "g=1, x='p0'"
+
 
 class TestEquivalence:
     def test_identity_equivalence(self, z2):
         spa = SetPartialAction(z2, ("p",), domains={1: []})
         a = globalize_set(spa)
         b = globalize_set(spa)
-        assert envelopes_equivalent(a, b) == {0: 0, 1: 1}
+        assert equivalent(a, b) == {0: 0, 1: 1}
 
     def test_reordered_construction(self, s3, s3_swap_subgroup):
         K = s3_swap_subgroup.as_group()
@@ -245,7 +283,7 @@ class TestEquivalence:
             {g: spa.domains[g] for g in s3.elements()},
             {g: dict(spa.maps[g]) for g in s3.elements()},
         )
-        fwd = envelopes_equivalent(globalize_set(spa), globalize_set(other))
+        fwd = equivalent(globalize_set(spa), globalize_set(other))
         assert fwd is not None
 
     def test_cardinality_obstruction(self, z2):
@@ -253,13 +291,11 @@ class TestEquivalence:
         full = GlobalSetAction(z2, ("p",), {0: {"p": "p"}, 1: {"p": "p"}})
         b = globalize_set(full)
         assert a.size == 2 and b.size == 1
-        assert envelopes_equivalent(a, b) is None
+        assert equivalent(a, b) is None
 
     def test_points_outside_the_orbit_are_matched_by_backtracking(self, z2):
         # hand-built envelopes with one extra fixed point each; the orbit of
         # the embedding never reaches it, so propagation alone cannot finish
-        from partial_actions.set_actions import SetGlobalization
-
         source = SetPartialAction(
             z2, ("p",), domains={1: ["p"]}, maps={1: {"p": "p"}}
         )
@@ -276,8 +312,55 @@ class TestEquivalence:
                 pair_class={(0, "p"): 0, (1, "p"): 0},
             )
 
-        fwd = envelopes_equivalent(padded("x"), padded("y"))
+        fwd = equivalent(padded("x"), padded("y"))
         assert fwd == {0: 0, 1: 1}
+
+
+def _swapped_copies(spa):
+    """One copy of spa per map with two or more points, with the images of
+    its first two points (in carrier order) swapped."""
+    out = []
+    for g in spa.group.elements():
+        first, second, *_ = [x for x in spa.carrier if x in spa.maps[g]] + [None, None]
+        if second is not None:
+            maps = {h: dict(m) for h, m in spa.maps.items()}
+            maps[g][first], maps[g][second] = maps[g][second], maps[g][first]
+            out.append(SetPartialAction(spa.group, spa.carrier, spa.domains, maps))
+    return out
+
+
+class TestSharedChecks:
+    """The set verifier and equivalence search run the code shared with
+    block algebras; they must agree with the separate set versions kept in
+    ``oracle_checks`` and with the algebra verifier on the lift."""
+
+    @staticmethod
+    def flags(report):
+        return [item.passed for item in report.items]
+
+    def test_verifier_agrees_with_oracle_and_lift(self):
+        enumerated = [
+            spa
+            for G in (cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3))
+            for n in (1, 2, 3)
+            for spa in enumerate_partial_actions(G, n)
+        ]
+        assert len(enumerated) == 648
+        pool = enumerated + [copy for spa in enumerated for copy in _swapped_copies(spa)]
+        failing = Counter()
+        for spa in pool:
+            expected = self.flags(oracle_checks.verify_partial_action(spa))
+            assert self.flags(verify_partial_action(spa)) == expected
+            assert self.flags(verify_algebra_partial_action(lift_set_action(spa))) == expected + [True]
+            failing.update(i for i, passed in enumerate(expected) if not passed)
+        # every item fails on some swapped copy, so failing flags are compared too
+        assert set(failing) == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("name,n", [("Z2", 2), ("Z3", 2), ("S3", 1), ("S3", 2), ("Z4", 1)])
+    def test_equivalence_agrees_with_oracle(self, name, n):
+        envelopes = [globalize_set(spa) for spa in enumerate_partial_actions(ENUM_GROUPS[name](), n)]
+        verdicts = Counter(equivalent(a, b) is not None for a in envelopes for b in envelopes)
+        assert verdicts[True] >= len(envelopes) and verdicts[False] > 0
 
 
 class TestEnumerate:
