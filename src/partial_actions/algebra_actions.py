@@ -9,7 +9,9 @@ indecomposable block: the action is an extension by zero from a subgroup H
 and the envelope is [G:H] copies of the block.  ``globalize_block_power``
 handles every block algebra, mixed classes included: the envelope is
 assembled from the envelope of the restriction to the idempotent positions,
-with twists transported along witness paths.
+with twists read off the orbit data of that restriction (the stabilizer H
+of each orbit's base block, the homomorphism phi: H -> Aut(B) of its
+twists, and the twist along the path k_y to each block y).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .errors import (
     MalformedInput,
     NotAHomomorphism,
     PartialActionError,
-    TwistTransportConflict,
 )
 from .groups import FiniteGroup, Subgroup
 from .reporting import EnvelopingReport, VerificationReport
@@ -47,6 +48,7 @@ from .set_actions import (
     _equivariant_bijection,
     _first,
     _inverse_slots,
+    _orbit_data,
     enumerate_partial_actions,
     globalize_set,
 )
@@ -516,62 +518,68 @@ def _transport_twists(
     sg: SetGlobalization,
 ) -> dict[tuple[int, int], int]:
     """Assign to every (g, position) pair the accumulated automorphism with
-    which a payload placed at that pair's envelope block arrives.
+    which a payload placed at that pair's envelope block arrives; ``sg`` is
+    ``globalize_set`` of the idempotent restriction of pa.
 
-    Pairs embedded at the identity are seeded with the identity twist; the
-    rest of each class is reached along the identification edges, and every
-    edge is re-checked, so an inconsistent assignment cannot survive.
+    Each class has one seed pair with the identity twist: its embedded pair
+    (e, x) if it has one, else its witness.  A pair (t, x) and its
+    neighbour (tu^-1, alpha_u(x)) across an identification edge satisfy
+    transport(tu^-1, alpha_u(x)) = transport(t, x) tau_u(x)^-1, where
+    tau_u(x) is the twist of alpha_u at x.  In the orbit data of
+    :func:`_orbit_data` (x0, H, phi, k_y, tau_y) write T(b) for the
+    transport of (b, x0).  The edge at x0 with u = h ∈ H gives
+    T(bh) = T(b) phi(h); the edge at x0 with u = k_y gives
+    transport(g, y) = T(g k_y) tau_y^-1; a seed (t, x) gives
+    T(t k_x) = tau_x.  Every pair of a class is joined to its seed through
+    such edges, so these rules fix the transport, and any consistent
+    derivation, such as a breadth-first walk of the edges, finds the same
+    values.  They are consistent exactly when phi is a homomorphism and
+    every twist is the one the orbit data induces, which the orbit data
+    checks; then T(b) = tau_x phi(b_c^-1 b) on the coset of b_c = t k_x.
 
     Raises:
-        TwistTransportConflict: two witness paths disagree — the input
-            violates the composition axiom.
+        TwistTransportConflict: the twists are not induced by the orbit
+            data, so two paths would disagree — the input violates the
+            composition axiom.
+        MalformedInput: the positions do not form a partial action.
     """
     G = pa.group
-    e = G.identity
-    n = pa.algebra.n_blocks
-    seeds: dict[int, tuple[int, int]] = {}
-    for x in range(n):
-        seeds.setdefault(sg.pair_class[(e, x)], (e, x))
-    transport: dict[tuple[int, int], int] = {}
-    for c, witness in enumerate(sg.orbit_witness):
-        seed = seeds.get(c, witness)
-        # wreath maps preserve class, so every pair of this class sits on a
-        # block of the seed's class and shares its automorphism group
-        aut = pa.algebra.blocks[seed[1]].aut_group
-        transport[seed] = aut.identity
-        queue = [seed]
-        while queue:
-            t, x = queue.pop()
-            base = transport[(t, x)]
-            for s in G.elements():
-                if x not in pa.support(s):
-                    continue
-                back = pa.maps[G.inv(s)]  # alpha_{s^-1}: S_s -> S_{s^-1}
-                nb = (G.mul(t, s), back.position_map[x])
-                value = aut.mul(base, aut.inv(back.twists[x]))
-                known = transport.get(nb)
-                if known is None:
-                    transport[nb] = value
-                    queue.append(nb)
-                elif known != value:
-                    raise TwistTransportConflict(
-                        f"pair (g={G.name(nb[0])}, block {nb[1]}) receives twists "
-                        f"{aut.name(known)} and {aut.name(value)}"
-                    )
+    table, inv, e = G.table, G.inverses, G.identity
+    positions = pa.algebra.positions()
+    supports, maps, twists, auts = _position_data(pa)
+    orbits, paths = _orbit_data(G, positions, supports, maps, twists, auts)
+    seeds = list(sg.orbit_witness)
+    for x in positions:
+        seeds[sg.pair_class[(e, x)]] = (e, x)
+    # per class: phi of its orbit, b_c^-1 = (t k_x)^-1 and T(b_c) = tau_x
+    anchors = []
+    for t, x in seeds:
+        o, k_x, tau_x = paths[x]
+        anchors.append((orbits[o].phi, inv[table[t][k_x]], tau_x))
+    transport = {}
+    for (g, y), c in sg.pair_class.items():
+        phi, b_inv, tau_x = anchors[c]
+        _, k_y, tau_y = paths[y]
+        aut = auts[y]
+        at_x0 = aut.mul(tau_x, phi[table[b_inv][table[g][k_y]]])  # T(g k_y)
+        transport[(g, y)] = aut.mul(at_x0, aut.inv(tau_y))
     return transport
 
 
 def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
     """Envelope of a partial action on any block algebra, mixed classes
     included: one envelope block per point of the envelope of the idempotent
-    restriction, a copy of the block at its orbit witness (g, x), with twists
-    transported from the original wreath maps along orbit witnesses.
+    restriction, a copy of the block at its orbit witness (g, x).  The
+    twist of beta_g at the class of (t, x) is
+    transport(gt, x) transport(t, x)^-1, with the transport of
+    :func:`_transport_twists`: T(g k_y) tau_y^-1, where T(b h) = T(b) phi(h)
+    on each coset.
 
     On scalar-line blocks every twist is the identity and the position maps
     are those of the set envelope.  The result always has at most n·|G|
-    blocks and passes all four enveloping checks; twist-transport conflicts
-    (possible only for inputs violating the axioms) raise rather than being
-    resolved silently.
+    blocks and passes all four enveloping checks; input that is not a
+    partial action raises (``TwistTransportConflict`` when only its twists
+    are at fault) rather than being resolved silently.
     """
     G = pa.group
     sg = globalize_set(restrict_to_idempotents(pa))
@@ -652,10 +660,12 @@ def _involution_elements(aut: FiniteGroup) -> list[int]:
 
 def _twist_options_involution(spa: SetPartialAction, g: int, aut: FiniteGroup) -> list[dict]:
     """All twist assignments for alpha_g with g self-inverse, honoring
-    f(alpha_g(p)) = f(p)^-1."""
+    f(alpha_g(p)) = f(p)^-1, in ``itertools.product`` order over the fixed
+    points and then the 2-cycles, each in position order; so equal actions
+    give equal lists, however their maps are keyed."""
     m = spa.maps[g]
     pos = {x: i for i, x in enumerate(spa.carrier)}
-    fixed = [pos[p] for p in m if m[p] == p]
+    fixed = sorted(pos[p] for p in m if m[p] == p)
     two_cycles = sorted(
         {(min(pos[p], pos[m[p]]), max(pos[p], pos[m[p]])) for p in m if m[p] != p}
     )

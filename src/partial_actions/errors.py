@@ -56,9 +56,12 @@ class GroupMismatch(PartialActionError):
 
 
 class TwistTransportConflict(PartialActionError):
-    """Two witness paths assign different twists to the same envelope block.
-    This is proof that the input action violates the composition axiom; it is
-    surfaced rather than resolved silently."""
+    """The twists of an action are not induced by its orbit data: they are
+    not a homomorphism on a stabilizer, or a twist differs from the one that
+    homomorphism and the path twists give, so two witness paths would assign
+    different twists to one envelope block.  This is proof that the input
+    action violates the composition axiom; it is surfaced rather than
+    resolved silently."""
 
 
 class DocumentError(PartialActionError):

@@ -16,7 +16,7 @@ alongside them.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     GroupMismatch,
@@ -24,6 +24,7 @@ from .errors import (
     MalformedInput,
     NotASubgroup,
     SizeLimit,
+    TwistTransportConflict,
 )
 from .groups import FiniteGroup, Subgroup
 from .reporting import VerificationReport
@@ -326,24 +327,131 @@ def global_part(spa: SetPartialAction) -> tuple[Subgroup, GlobalSetAction]:
     return H, action
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+class _Orbit(NamedTuple):
+    """Global data of one orbit of positions, from :func:`_orbit_data`."""
 
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
+    base: Point  # x0, the orbit's first position
+    stabilizer: tuple[int, ...]  # H = {h : alpha_h(x0) = x0}, in element order
+    phi: Optional[dict[int, int]]  # h -> the twist of alpha_h at x0; None for sets
+    coset: list[int]  # coset[g]: index of gH, cosets numbered by least element
+    point_at: dict[int, Point]  # coset index -> the point y with k_y H there
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:  # keep the smallest pair id as root: canonical reps for free
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+
+def _orbit_data(G, order, domains, maps, twists=None, auts=None) -> tuple[list, dict]:
+    """The global data of a partial action, one orbit at a time, over the
+    position data of :func:`_axiom_witnesses`.
+
+    For each orbit of positions, with x0 its first position in ``order``:
+    the stabilizer H, phi(h) = twists[h][x0], and for each y of the orbit an
+    element k_y with alpha_{k_y}(x0) = y (k_{x0} = e, else the first in
+    element order) and the twist tau_y = twists[k_y][x0] along that path.
+    Returns (orbits, paths): a list of :class:`_Orbit` and
+    ``paths[y] = (orbit index, k_y, tau_y)``, tau_y None for sets.
+
+    The envelope of a partial action is the union over orbits of G/H, with
+    y at the coset k_y H (Abadie, JFA 197 (2003)).  In it the class [g, y]
+    of the quotient of G x X is beta_g(beta_{k_y}(x0)), the coset g k_y H:
+    h fixes x0 in the envelope exactly when x0 ∈ D_{h^-1} and
+    alpha_h(x0) = x0, so the stabilizer of x0 there is H.  The same holds
+    for the quotient itself: the relation (g, x) ~ (gs, alpha_{s^-1}(x))
+    keeps g k_x H, as alpha_{s^-1}(x) is reached from x0 by s^-1 k_x, and it
+    joins (g, y) to (g k_y, x0) and (b, x0) to (bh, x0) for h ∈ H.
+
+    The data is checked against the input in O(|G|·n) plus |H|^2 per orbit.
+    H must be closed, the points of an orbit must lie on distinct cosets,
+    and for every g and x, x ∈ D_{g^-1} must hold exactly when g k_x H is
+    the coset of a point y, with alpha_g(x) = y.  With twists, phi must be a
+    homomorphism and each twist must be the induced one,
+    twists[g][x] = tau_y phi(k_y^-1 g k_x) tau_x^-1.  Input that passes is
+    the restriction of the envelope (with x embedded at k_x H under the
+    twist tau_x^-1), and a restriction of a global action is a partial
+    action; a partial action passes, since it is the restriction of its
+    envelope.  So the checks hold exactly on partial actions.
+
+    Raises:
+        MalformedInput: a map is not defined on its stated source, a
+            stabilizer is not closed, two points of an orbit land on one
+            coset, or a map differs from the one the orbit data induces.
+        TwistTransportConflict: phi is not a homomorphism on H, or a twist
+            differs from the one the orbit data induces.
+    """
+    e, inv, table, n = G.identity, G.inverses, G.table, G.name
+    orbits: list[_Orbit] = []
+    paths: dict = {}
+    for x0 in order:
+        if x0 in paths:
+            continue
+        reach = {x0: e}  # y -> k_y
+        stabilizer = []
+        for g in G.elements():
+            if x0 in domains[inv[g]]:
+                if x0 not in maps[g]:
+                    raise MalformedInput(f"map of {n(g)} is not defined on its stated source")
+                y = maps[g][x0]
+                reach.setdefault(y, g)
+                if y == x0:
+                    stabilizer.append(g)
+        members = frozenset(stabilizer)
+        unclosed = _first(
+            (a, b) for a in stabilizer for b in stabilizer if table[a][b] not in members
+        )
+        if e not in members or unclosed:
+            where = f" at {n(unclosed[0])}*{n(unclosed[1])}" if unclosed else ""
+            raise MalformedInput(f"the stabilizer of {x0!r} is not a subgroup{where}")
+        coset, count = [-1] * G.order, 0
+        for b in G.elements():
+            if coset[b] < 0:
+                for h in stabilizer:
+                    coset[table[b][h]] = count
+                count += 1
+        point_at = {}
+        for y, k in reach.items():
+            if y in paths:
+                raise MalformedInput(f"{y!r} lies in the orbits of {x0!r} and of an earlier point")
+            other = point_at.setdefault(coset[k], y)
+            if other != y:
+                raise MalformedInput(
+                    f"{other!r} and {y!r} land on one coset of the stabilizer of {x0!r}"
+                )
+            paths[y] = (len(orbits), k, None if twists is None else twists[k][x0])
+        phi = None
+        if twists is not None:
+            aut = auts[x0]
+            phi = {h: twists[h][x0] for h in stabilizer}
+            bad = _first(
+                (a, b) for a in stabilizer for b in stabilizer
+                if phi[table[a][b]] != aut.mul(phi[a], phi[b])
+            )
+            if bad:
+                raise TwistTransportConflict(
+                    f"the twists at {x0!r} are not a homomorphism on its stabilizer: "
+                    f"phi({n(bad[0])}*{n(bad[1])}) != phi({n(bad[0])})*phi({n(bad[1])})"
+                )
+        orbits.append(_Orbit(x0, tuple(stabilizer), phi, coset, point_at))
+    for g in G.elements():
+        src, m, row = domains[inv[g]], maps[g], table[g]
+        if len(m) != len(src):
+            raise MalformedInput(f"map of {n(g)} is not defined on its stated source")
+        for x in order:
+            o, k, tau = paths[x]
+            orbit = orbits[o]
+            y = orbit.point_at.get(orbit.coset[row[k]])
+            if (x in src) != (y is not None) or y is not None and m.get(x) != y:
+                said = repr(m[x]) if x in m else "undefined"
+                raise MalformedInput(
+                    f"alpha_{{{n(g)}}}({x!r}) is {said}, but the orbit of {orbit.base!r} "
+                    f"gives {'undefined' if y is None else repr(y)}"
+                )
+            if y is not None and twists is not None:
+                _, k_y, tau_y = paths[y]
+                aut = auts[x]
+                want = aut.mul(aut.mul(tau_y, orbit.phi[table[inv[k_y]][row[k]]]), aut.inv(tau))
+                if twists[g][x] != want:
+                    raise TwistTransportConflict(
+                        f"the twist of alpha_{{{n(g)}}} at {x!r} is {aut.name(twists[g][x])}, "
+                        f"but the orbit of {orbit.base!r} gives {aut.name(want)}"
+                    )
+    return orbits, paths
 
 
 class SetGlobalization:
@@ -378,50 +486,42 @@ class SetGlobalization:
 
 
 def globalize_set(spa: SetPartialAction) -> SetGlobalization:
-    """Envelope of a set partial action via the quotient of G x X.
+    """Envelope of a set partial action: the quotient of G x X, built from
+    the orbit data of :func:`_orbit_data`.
 
     Pairs (g, x) and (t, y) are identified when x ∈ D_{g^-1 t} and
     alpha_{t^-1 g}(x) = y; the envelope action is t·[g, x] = [tg, x] and the
-    embedding sends x to [e, x].  The restriction of the envelope to the
-    embedded carrier reproduces the input exactly, and the envelope has at
-    most |G|·|X| points.
+    embedding sends x to [e, x].  The class of (g, y) is the coset g k_y H
+    of its orbit, so there is one stabilizer and one coset space per orbit,
+    and classes are numbered by their lexicographically least (g, x) pair.
+    The restriction of the envelope to the embedded carrier reproduces the
+    input exactly, and the envelope has at most |G|·|X| points.
+
+    Raises:
+        MalformedInput: the input is not a partial action.
     """
     G = spa.group
     X = spa.carrier
-    n = len(X)
-    order = G.order
-    pos = {x: i for i, x in enumerate(X)}
-    uf = _UnionFind(order * n)
-    # (g, x) ~ (g*s, alpha_{s^-1}(x)) for every x in D_s
-    for s in G.elements():
-        s_inv = G.inv(s)
-        m = spa.maps[s_inv]  # alpha_{s^-1}: D_s -> D_{s^-1}
-        for x in spa.domains[s]:
-            y = m.get(x)
-            if y is None:
-                continue  # malformed candidate; surfaced via the action-law check
-            yi = pos[y]
-            xi = pos[x]
-            for g in G.elements():
-                uf.union(g * n + xi, G.mul(g, s) * n + yi)
-    roots = sorted({uf.find(i) for i in range(order * n)})
-    class_of_root = {root: c for c, root in enumerate(roots)}
+    orbits, paths = _orbit_data(G, X, spa.domains, spa.maps)
+    class_of: dict[tuple[int, int], int] = {}  # (orbit, coset) -> class
     pair_class = {}
+    witnesses = []
     for g in G.elements():
-        for i, x in enumerate(X):
-            pair_class[(g, x)] = class_of_root[uf.find(g * n + i)]
-    witnesses: list[Optional[tuple[int, Point]]] = [None] * len(roots)
-    for g in G.elements():
+        row = G.table[g]
         for x in X:
-            c = pair_class[(g, x)]
-            if witnesses[c] is None:
-                witnesses[c] = (g, x)  # scan order is (g, position): lex least
+            o, k, _ = paths[x]
+            key = (o, orbits[o].coset[row[k]])
+            c = class_of.get(key)
+            if c is None:
+                c = class_of[key] = len(witnesses)
+                witnesses.append((g, x))  # scan order is (g, position): lex least
+            pair_class[(g, x)] = c
     maps = {}
     for t in G.elements():
         maps[t] = {
             c: pair_class[(G.mul(t, g), x)] for c, (g, x) in enumerate(witnesses)
         }
-    envelope = GlobalSetAction(G, tuple(range(len(roots))), maps)
+    envelope = GlobalSetAction(G, tuple(range(len(witnesses))), maps)
     e = G.identity
     embedding = {x: pair_class[(e, x)] for x in X}
     return SetGlobalization(spa, envelope, embedding, tuple(witnesses), pair_class)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from partial_actions.algebra_actions import AlgebraPartialAction, _twist_options_involution
+from partial_actions.algebra_actions import AlgebraPartialAction
 from partial_actions.block_algebras import WreathMap, block_power
 from partial_actions.set_actions import (
     SetPartialAction,
@@ -91,6 +91,25 @@ def brute_force_partial_actions(G, carrier) -> list[SetPartialAction]:
     return actions
 
 
+def _involution_twists(spa, g, aut) -> list[dict]:
+    """Every twist assignment of alpha_g, g self-inverse, with
+    f(alpha_g(p)) = f(p)^-1: involutive twists on the fixed points, then one
+    free twist per 2-cycle, positions ascending, in product order."""
+    pos = {x: i for i, x in enumerate(spa.carrier)}
+    moved = {pos[p]: pos[q] for p, q in spa.maps[g].items()}
+    fixed = [p for p in sorted(moved) if moved[p] == p]
+    pairs = [(p, moved[p]) for p in sorted(moved) if p < moved[p]]
+    involutions = [f for f in aut.elements() if aut.mul(f, f) == aut.identity]
+    out = []
+    for on_fixed in itertools.product(involutions, repeat=len(fixed)):
+        for on_pairs in itertools.product(aut.elements(), repeat=len(pairs)):
+            tw = dict(zip(fixed, on_fixed))
+            for (p, q), f in zip(pairs, on_pairs):
+                tw[p], tw[q] = f, aut.inv(f)
+            out.append(tw)
+    return out
+
+
 def brute_force_algebra_partial_actions(G, n, block) -> list[AlgebraPartialAction]:
     """Every partial action of G on the n-th power of a block: each set
     action from the oracle above, decorated with every twist assignment that
@@ -110,7 +129,7 @@ def brute_force_algebra_partial_actions(G, n, block) -> list[AlgebraPartialActio
             gi = inv[g]
             src = sorted(pos[x] for x in spa.domains[gi])
             if gi == g:
-                slots.append(((g,), [(tw,) for tw in _twist_options_involution(spa, g, aut)]))
+                slots.append(((g,), [(tw,) for tw in _involution_twists(spa, g, aut)]))
             else:
                 seen.add(gi)
                 opts = []

@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import oracle_globalization
 import pytest
 from oracle_enumeration import brute_force_algebra_partial_actions
 
@@ -39,6 +40,7 @@ from partial_actions.errors import (
 from partial_actions.groups import (
     all_subgroups,
     cyclic_group,
+    make_group,
     subgroup_closure,
     symmetric_group,
     whole_group,
@@ -497,6 +499,94 @@ class TestGlobalizeKBlocks:
                 assert set(res.action[g].twists.values()) <= {0}
 
 
+
+TWISTED_CASES = [(cyclic_group(k), n) for k in (2, 3, 4) for n in (1, 2, 3)] + [
+    (symmetric_group(3), n) for n in (1, 2)
+]
+
+
+def relabelled(G):
+    """G with element a renamed |G|-1-a, so that e is not element 0."""
+    last = G.order - 1
+    return make_group([[last - G.table[last - a][last - b] for b in G.elements()] for a in G.elements()])
+
+
+def retwisted_copies(pa):
+    """One copy of pa per nonempty map, with the twist at its first position
+    multiplied by a generator of the automorphism group."""
+    out = []
+    for g in pa.group.elements():
+        w = pa.maps[g]
+        if w.twists:
+            p = min(w.twists)
+            aut = pa.algebra.blocks[p].aut_group
+            twists = dict(w.twists)
+            twists[p] = aut.mul(twists[p], aut.generators[0])
+            maps = dict(pa.maps)
+            maps[g] = WreathMap(w.source, w.target, w.position_map, twists)
+            out.append(AlgebraPartialAction(pa.group, pa.algebra, pa.domains, maps))
+    return out
+
+
+class TestTwistTransport:
+    """The transport read off the orbit data (T(b h) = T(b) phi(h),
+    transport(g, y) = T(g k_y) tau_y^-1) against the breadth-first walk kept
+    in ``oracle_globalization``."""
+
+    @pytest.mark.parametrize("aut_order", [2, 3])
+    def test_matches_breadth_first_oracle(self, aut_order):
+        block = Block("L", cyclic_group(aut_order))
+        checked = 0
+        for G, n in TWISTED_CASES:
+            for pa in enumerate_algebra_partial_actions(G, n, block):
+                sg = globalize_set(restrict_to_idempotents(pa))
+                expected = oracle_globalization.transport_twists(pa, sg)
+                assert algebra_actions._transport_twists(pa, sg) == expected
+                checked += 1
+        assert checked == {2: 594, 3: 542}[aut_order]
+
+    def test_matches_oracle_when_the_identity_is_not_element_0(self):
+        # each embedded class is seeded at its pair (e, x), which is then
+        # not its lexicographically least pair
+        block = Block("L", cyclic_group(2))
+        for G in (relabelled(cyclic_group(4)), relabelled(symmetric_group(3))):
+            assert G.identity != 0
+            for pa in enumerate_algebra_partial_actions(G, 2, block):
+                spa = restrict_to_idempotents(pa)
+                sg = globalize_set(spa)
+                expected = oracle_globalization.globalize_set(spa)
+                assert oracle_globalization.same_globalization(sg, expected)
+                expected = oracle_globalization.transport_twists(pa, sg)
+                assert algebra_actions._transport_twists(pa, sg) == expected
+
+    def test_raises_exactly_on_non_actions(self):
+        block = Block("L", cyclic_group(3))
+        raised = 0
+        for G, n in TWISTED_CASES:
+            if n == 3:
+                continue
+            for pa in enumerate_algebra_partial_actions(G, n, block):
+                for copy in retwisted_copies(pa):
+                    try:
+                        res = globalize_block_power(copy)
+                    except TwistTransportConflict:
+                        assert not verify_algebra_partial_action(copy).ok
+                        raised += 1
+                    else:
+                        assert verify_algebra_partial_action(copy).ok and res.checks.ok
+        assert raised > 0
+
+    def test_path_twist_disagreeing_with_phi_raises(self, z2):
+        # alpha_1 swaps two blocks with twist 1 one way and the identity
+        # back: phi is trivial on H = {e}, so tau_1(1) must be tau_1(0)^-1
+        algebra = block_power(Block("L", cyclic_group(3)), 2)
+        full = algebra.full_ideal()
+        swap = WreathMap(full, full, {0: 1, 1: 0}, {0: 1, 1: 0})
+        pa = AlgebraPartialAction(z2, algebra, {0: full, 1: full}, {1: swap})
+        with pytest.raises(TwistTransportConflict, match="twist of alpha_"):
+            globalize_block_power(pa)
+
+
 class TestEquivalenceSearch:
     def test_conjugated_envelope_is_equivalent(self, quiver_setup, s3):
         from partial_actions.algebra_actions import GlobalizationResult
@@ -574,3 +664,12 @@ class TestEnumerateAlgebraActions:
         for G, n in cases:
             expected = brute_force_algebra_partial_actions(G, n, block)
             assert enumerate_algebra_partial_actions(G, n, block) == expected
+
+    def test_twist_options_follow_positions_not_map_key_order(self, z2):
+        aut = cyclic_group(2)
+        forward = SetPartialAction(z2, (0, 1), {1: [0, 1]}, {1: {0: 0, 1: 1}})
+        backward = SetPartialAction(z2, (0, 1), {1: [1, 0]}, {1: {1: 1, 0: 0}})
+        assert forward == backward
+        options = algebra_actions._twist_options_involution(forward, 1, aut)
+        assert options == algebra_actions._twist_options_involution(backward, 1, aut)
+        assert [tuple(tw[p] for p in (0, 1)) for tw in options] == [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -3,6 +3,7 @@ from collections import Counter
 from pathlib import Path
 
 import oracle_checks
+import oracle_globalization
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracle_enumeration import brute_force_partial_actions
@@ -266,6 +267,88 @@ class TestGlobalize:
         assert not item.passed and item.witness == "g=1, x='p0'"
 
 
+
+class TestOrbitEngine:
+    """globalize_set builds envelopes from one stabilizer and one coset
+    space per orbit; it must agree with the union-find quotient kept in
+    ``oracle_globalization`` and raise on anything that is not a partial
+    action."""
+
+    def test_matches_union_find_oracle(self):
+        checked = 0
+        for name in ("Z2", "Z3", "Z4", "K4", "S3", "Z6"):
+            for n in (0, 1, 2, 3):
+                for spa in enumerate_partial_actions(ENUM_GROUPS[name](), n):
+                    expected = oracle_globalization.globalize_set(spa)
+                    assert oracle_globalization.same_globalization(globalize_set(spa), expected)
+                    checked += 1
+        assert checked == 1121
+
+    def test_orbit_data(self, s3, s3_swap_subgroup):
+        # a point with stabilizer {e, (12)}, and a point moved by nothing
+        e, swap = s3_swap_subgroup.members
+        spa = SetPartialAction(s3, ("p", "q"), {swap: ["p"]}, {swap: {"p": "p"}})
+        orbits, paths = set_actions._orbit_data(s3, spa.carrier, spa.domains, spa.maps)
+        assert [(o.base, o.stabilizer) for o in orbits] == [("p", (e, swap)), ("q", (e,))]
+        assert paths == {"p": (0, e, None), "q": (1, e, None)}
+        assert len(set(orbits[0].coset)) == 3 and len(set(orbits[1].coset)) == 6
+        assert globalize_set(spa).size == 9
+
+    def test_non_action_raises(self, z3):
+        # alpha_1 and alpha_2 both swap 0 and 1: the union-find quotient
+        # returns a 4-point envelope that fails its own check
+        spa = SetPartialAction(z3, (0, 1, 2), {1: [1, 0], 2: [0, 1]}, {1: {0: 1, 1: 0}, 2: {1: 0, 0: 1}})
+        assert not verify_set_globalization(spa, oracle_globalization.globalize_set(spa)).ok
+        with pytest.raises(MalformedInput, match="but the orbit of 0 gives"):
+            globalize_set(spa)
+
+    def test_map_off_its_source_raises(self, z2):
+        spa = SetPartialAction(z2, (0, 1), {1: [0, 1]}, {1: {0: 1}})
+        with pytest.raises(MalformedInput, match="not defined on its stated source"):
+            globalize_set(spa)
+
+    def test_unclosed_stabilizer_raises(self, z4):
+        # 1 and 3 fix the point, 2 = 1*1 does not act on it
+        spa = SetPartialAction(z4, ("p",), {1: ["p"], 3: ["p"]}, {1: {"p": "p"}, 3: {"p": "p"}})
+        with pytest.raises(MalformedInput, match="not a subgroup at 1\\*1"):
+            globalize_set(spa)
+
+    def test_two_points_on_one_coset_raise(self, z4):
+        # H = {0, 2} fixes 0, and 1 sends 0 to 1 while 3 = 1*2 sends it to 2
+        spa = SetPartialAction(
+            z4, (0, 1, 2), {1: [1, 0], 2: [0], 3: [0, 2]},
+            {1: {0: 1, 2: 0}, 2: {0: 0}, 3: {1: 0, 0: 2}},
+        )
+        with pytest.raises(MalformedInput, match="1 and 2 land on one coset"):
+            globalize_set(spa)
+
+    def test_point_in_two_orbits_raises(self, z3):
+        # 1 reaches 0 -> 1 -> 2, but 1*1 = 2 does not act on 0: the orbit of
+        # 0 stops at 1, and 2 reaches 1 again
+        spa = SetPartialAction(z3, (0, 1, 2), {1: [1, 2], 2: [0, 1]}, {1: {0: 1, 1: 2}, 2: {2: 1, 1: 0}})
+        with pytest.raises(MalformedInput, match="1 lies in the orbits of 2 and of an earlier point"):
+            globalize_set(spa)
+
+    def test_raises_exactly_on_non_actions(self):
+        enumerated = [
+            spa
+            for G in (cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3))
+            for n in (1, 2, 3)
+            for spa in enumerate_partial_actions(G, n)
+        ]
+        raised = 0
+        for spa in enumerated + [copy for spa in enumerated for copy in _swapped_copies(spa)]:
+            try:
+                envelope = globalize_set(spa)
+            except MalformedInput:
+                assert not verify_partial_action(spa).ok
+                raised += 1
+            else:
+                assert verify_partial_action(spa).ok
+                assert verify_set_globalization(spa, envelope).ok
+        assert raised > 0
+
+
 class TestEquivalence:
     def test_identity_equivalence(self, z2):
         spa = SetPartialAction(z2, ("p",), domains={1: []})
@@ -478,6 +561,7 @@ def test_restriction_always_yields_partial_action(data):
     sg = globalize_set(spa)
     assert sg.size <= len(spa.carrier) * spa.group.order
     assert verify_set_globalization(spa, sg).ok
+    assert oracle_globalization.same_globalization(sg, oracle_globalization.globalize_set(spa))
 
 
 @settings(max_examples=30, deadline=None)
