@@ -352,10 +352,12 @@ def _orbit_data(G, order, domains, maps, twists=None, auts=None) -> tuple[list, 
     y at the coset k_y H (Abadie, JFA 197 (2003)).  In it the class [g, y]
     of the quotient of G x X is beta_g(beta_{k_y}(x0)), the coset g k_y H:
     h fixes x0 in the envelope exactly when x0 ∈ D_{h^-1} and
-    alpha_h(x0) = x0, so the stabilizer of x0 there is H.  The same holds
-    for the quotient itself: the relation (g, x) ~ (gs, alpha_{s^-1}(x))
-    keeps g k_x H, as alpha_{s^-1}(x) is reached from x0 by s^-1 k_x, and it
-    joins (g, y) to (g k_y, x0) and (b, x0) to (bh, x0) for h ∈ H.
+    alpha_h(x0) = x0, so the stabilizer of x0 there is H.  The quotient
+    agrees: each identification (g, x) ~ (gs, alpha_{s^-1}(x)) keeps the
+    coset, since alpha_{s^-1}(x) is reached from x0 by s^-1 k_x, so its
+    coset is gs s^-1 k_x H = g k_x H; and the identifications with s = k_y
+    and with s = h ∈ H join (g, y) to (g k_y, x0) and (b, x0) to (bh, x0),
+    so each coset is one class.
 
     The data is checked against the input in O(|G|·n) plus |H|^2 per orbit.
     H must be closed, the points of an orbit must lie on distinct cosets,

@@ -499,7 +499,6 @@ class TestGlobalizeKBlocks:
                 assert set(res.action[g].twists.values()) <= {0}
 
 
-
 TWISTED_CASES = [(cyclic_group(k), n) for k in (2, 3, 4) for n in (1, 2, 3)] + [
     (symmetric_group(3), n) for n in (1, 2)
 ]

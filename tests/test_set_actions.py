@@ -267,7 +267,6 @@ class TestGlobalize:
         assert not item.passed and item.witness == "g=1, x='p0'"
 
 
-
 class TestOrbitEngine:
     """globalize_set builds envelopes from one stabilizer and one coset
     space per orbit; it must agree with the union-find quotient kept in
@@ -323,8 +322,8 @@ class TestOrbitEngine:
             globalize_set(spa)
 
     def test_point_in_two_orbits_raises(self, z3):
-        # 1 reaches 0 -> 1 -> 2, but 1*1 = 2 does not act on 0: the orbit of
-        # 0 stops at 1, and 2 reaches 1 again
+        # alpha_1 takes 0 to 1 and 1 to 2, but 2 = 1*1 does not act on 0:
+        # the orbit of 0 stops at 1, and alpha_2 takes 2 to 1
         spa = SetPartialAction(z3, (0, 1, 2), {1: [1, 2], 2: [0, 1]}, {1: {0: 1, 1: 2}, 2: {2: 1, 1: 0}})
         with pytest.raises(MalformedInput, match="1 lies in the orbits of 2 and of an earlier point"):
             globalize_set(spa)
