@@ -43,11 +43,9 @@ from .set_actions import (
     _add_items,
     _axiom_items,
     _axiom_witnesses,
-    _backtrack,
     _envelope_witnesses,
     _equivariant_bijection,
     _first,
-    _inverse_slots,
     _orbit_data,
     enumerate_partial_actions,
     globalize_set,
@@ -654,33 +652,89 @@ def globalizations_equivalent(
         raise InternalInconsistency(f"equivalence search built no isomorphism: {exc}") from exc
 
 
-def _involution_elements(aut: FiniteGroup) -> list[int]:
-    return [f for f in aut.elements() if aut.mul(f, f) == aut.identity]
+def _homomorphisms(G: FiniteGroup, stabilizer: tuple[int, ...], aut: FiniteGroup) -> list[dict]:
+    """Every homomorphism phi from the subgroup ``stabilizer`` of G to aut:
+    for each choice of images of the subgroup's ``generators``, phi is
+    spread over the members by phi(h s) = phi(h) phi(s), and kept when that
+    rule then holds for every member h and generator s; by induction on t
+    as a product of generators, phi(h t) = phi(h) phi(t) for every t."""
+    H = Subgroup(G, stabilizer)
+    gens = [H.members[s] for s in H.as_group().generators]
+    out = []
+    for images in itertools.product(aut.elements(), repeat=len(gens)):
+        steps = list(zip(gens, images))
+        phi, reached = {G.identity: aut.identity}, [G.identity]
+        for h in reached:  # grows as members are reached
+            for s, f in steps:
+                hs = G.mul(h, s)
+                if hs not in phi:
+                    phi[hs] = aut.mul(phi[h], f)
+                    reached.append(hs)
+        if all(phi[G.mul(h, s)] == aut.mul(phi[h], f) for h in reached for s, f in steps):
+            out.append(phi)
+    return out
 
 
-def _twist_options_involution(spa: SetPartialAction, g: int, aut: FiniteGroup) -> list[dict]:
-    """All twist assignments for alpha_g with g self-inverse, honoring
-    f(alpha_g(p)) = f(p)^-1, in ``itertools.product`` order over the fixed
-    points and then the 2-cycles, each in position order; so equal actions
-    give equal lists, however their maps are keyed."""
-    m = spa.maps[g]
-    pos = {x: i for i, x in enumerate(spa.carrier)}
-    fixed = sorted(pos[p] for p in m if m[p] == p)
-    two_cycles = sorted(
-        {(min(pos[p], pos[m[p]]), max(pos[p], pos[m[p]])) for p in m if m[p] != p}
-    )
-    invs = _involution_elements(aut)
-    options: list[dict] = []
-    for fixed_choice in itertools.product(invs, repeat=len(fixed)):
-        for pair_choice in itertools.product(aut.elements(), repeat=len(two_cycles)):
-            tw = {}
-            for p, f in zip(fixed, fixed_choice):
-                tw[p] = f
-            for (p, q), f in zip(two_cycles, pair_choice):
-                tw[p] = f
-                tw[q] = aut.inv(f)
-            options.append(tw)
-    return options
+def _twisted_lifts(
+    spa: SetPartialAction, algebra: BlockAlgebra, homs: dict
+) -> list[AlgebraPartialAction]:
+    """Every partial action on ``algebra``, a power of one block, whose
+    positions carry the set action spa (carrier 0..n-1); ``homs`` caches
+    Hom(H, Aut B) per stabilizer H.
+
+    With (x0, H, k_y) the orbit data of spa (:func:`_orbit_data`), each
+    orbit takes a homomorphism phi: H -> Aut(B) and a twist tau_y per
+    y != x0 (tau_{x0} = e), and alpha_g twists x by
+    tau_y phi(k_y^-1 g k_x) tau_x^-1, where y = alpha_g(x).  Such data
+    passes the orbit-data checks, so it gives a partial action; every
+    twisted action over spa passes them, so it is given by its own
+    phi(h) = twists[h][x0] and tau_y = twists[k_y][x0]; and these read the
+    choice back, so no action comes twice.
+
+    The order is ``itertools.product`` order over the {g, g^-1} pairs in
+    element order: an involution's twists at its fixed points, then at the
+    lesser point of each 2-cycle; any other g's twists on D_{g^-1};
+    positions ascending, whatever the key order of spa's maps.
+    """
+    G, positions, maps = spa.group, spa.carrier, spa.maps
+    aut = algebra.blocks[0].aut_group
+    table, inv, e = G.table, G.inverses, G.identity
+    orbits, paths = _orbit_data(G, positions, spa.domains, maps)
+    for orbit in orbits:
+        if orbit.stabilizer not in homs:
+            homs[orbit.stabilizer] = _homomorphisms(G, orbit.stabilizer, aut)
+    bases = {orbit.base for orbit in orbits}
+    free = [y for y in positions if y not in bases]
+    keyed = []  # the (g, p) whose twists name a choice, in product order
+    for g in G.elements():
+        m = maps[g]
+        if g == inv[g] != e:
+            keyed += [(g, p) for p in sorted(m) if m[p] == p]
+            keyed += [(g, p) for p in sorted(m) if p < m[p]]
+        elif e != g < inv[g]:
+            keyed += [(g, p) for p in sorted(m)]
+    batch = []
+    for phis in itertools.product(*(homs[orbit.stabilizer] for orbit in orbits)):
+        for choice in itertools.product(aut.elements(), repeat=len(free)):
+            tau = dict.fromkeys(bases, aut.identity) | dict(zip(free, choice))
+            twists = []
+            for g in G.elements():
+                tw = {}
+                for x, y in maps[g].items():
+                    o, k_x, _ = paths[x]
+                    f = phis[o][table[inv[paths[y][1]]][table[g][k_x]]]
+                    tw[x] = aut.mul(aut.mul(tau[y], f), aut.inv(tau[x]))
+                twists.append(tw)
+            batch.append(twists)
+    batch.sort(key=lambda tw: [tw[g][p] for g, p in keyed])
+    ideals = [algebra.ideal(spa.domains[g]) for g in G.elements()]
+    return [
+        AlgebraPartialAction(G, algebra, dict(enumerate(ideals)), {
+            g: WreathMap(ideals[inv[g]], ideals[g], dict(maps[g]), twists[g])
+            for g in G.elements()
+        })
+        for twists in batch
+    ]
 
 
 def enumerate_algebra_partial_actions(
@@ -688,66 +742,15 @@ def enumerate_algebra_partial_actions(
     n: int,
     block: Block,
 ) -> list[AlgebraPartialAction]:
-    """All partial actions of G on the n-th power of a block, enumerated as
-    set actions on the idempotent positions decorated with every valid twist
-    assignment.  Carriers are 0..n-1, so ``restrict_to_idempotents`` and
-    ``lift_set_action`` round-trip exactly on the output.
-
-    Twists are searched with the set enumerator's backtracking core: each
-    {g, g^-1} slot ranges over its twist choices (inverse twists on
-    alpha_{g^-1}, involutive ones on fixed points of an involution), the row
-    rule f_g(alpha_h(p)) f_h(p) = f_gh(p) for every p with alpha_h(p) in
-    D_{g^-1} is checked as soon as g, h and gh are placed, and a partial
-    choice is dropped at its first failing row.  The surviving choices come
-    back in ``itertools.product`` order over the slots, so the output order
-    is set action first, then twist choice in product order.
+    """All partial actions of G on the n-th power of a block: each set action
+    on the idempotent positions, in the order of
+    :func:`enumerate_partial_actions`, with its twisted lifts from
+    :func:`_twisted_lifts`.  Carriers are 0..n-1, so
+    ``restrict_to_idempotents`` and ``lift_set_action`` round-trip exactly
+    on the output.
     """
-    aut = block.aut_group
-    inv = [G.inv(g) for g in G.elements()]
-    slots = _inverse_slots(G)
-    set_actions = enumerate_partial_actions(G, n)
     algebra = block_power(block, n)
-    identity_twists = {p: aut.identity for p in range(n)}
-    out: list[AlgebraPartialAction] = []
-    for spa in set_actions:
-        pos = {x: i for i, x in enumerate(spa.carrier)}
-        options: list[list] = []
-        for slot in slots:
-            g = slot[0]
-            if len(slot) == 1:
-                options.append([(tw,) for tw in _twist_options_involution(spa, g, aut)])
-                continue
-            src = sorted(pos[x] for x in spa.domains[inv[g]])
-            opts = []
-            for choice in itertools.product(aut.elements(), repeat=len(src)):
-                tw_g = dict(zip(src, choice))
-                tw_gi = {
-                    pos[spa.maps[g][spa.carrier[p]]]: aut.inv(f)
-                    for p, f in tw_g.items()
-                }
-                opts.append((tw_g, tw_gi))
-            options.append(opts)
-        maps_pos = {
-            g: {pos[x]: pos[y] for x, y in spa.maps[g].items()} for g in G.elements()
-        }
-        dom_pos = {g: frozenset(pos[x] for x in spa.domains[g]) for g in G.elements()}
-        ideals = {g: algebra.ideal(dom_pos[g]) for g in G.elements()}
-
-        def twists_ok(tw: list, g: int, h: int, gh: int) -> bool:
-            tw_g, tw_h, tw_gh = tw[g], tw[h], tw[gh]
-            Dg_inv = dom_pos[inv[g]]
-            for p, y in maps_pos[h].items():
-                if y in Dg_inv and aut.mul(tw_g[y], tw_h[p]) != tw_gh[p]:
-                    return False
-            return True
-
-        for leaf in _backtrack(G, slots, options, identity_twists, twists_ok):
-            tw = {G.identity: identity_twists}
-            for slot, opts, i in zip(slots, options, leaf):
-                tw.update(zip(slot, opts[i]))
-            maps = {
-                g: WreathMap(ideals[inv[g]], ideals[g], dict(maps_pos[g]), dict(tw[g]))
-                for g in G.elements()
-            }
-            out.append(AlgebraPartialAction(G, algebra, dict(dom_pos), maps))
-    return out
+    homs: dict[tuple, list] = {}  # stabilizer -> Hom(H, Aut B)
+    return [
+        pa for spa in enumerate_partial_actions(G, n) for pa in _twisted_lifts(spa, algebra, homs)
+    ]

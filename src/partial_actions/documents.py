@@ -35,6 +35,12 @@ def _require(cond: bool, message: str, path: str) -> None:
         raise DocumentError(message, path)
 
 
+def _integer(value, what: str, path: str) -> int:
+    """``value`` itself; a bool, float or string is an error, never coerced."""
+    _require(type(value) is int, f"{what} {value!r} is not an integer", path)
+    return value
+
+
 def _section(doc: Mapping, key: str, path: str) -> Mapping:
     """The object at ``doc[key]`` (empty when absent); anything else is an
     error located at ``path.key``."""
@@ -57,19 +63,25 @@ def group_to_doc(G: FiniteGroup) -> dict:
 def parse_group(doc, path: str = "group") -> FiniteGroup:
     _require(isinstance(doc, Mapping), "group document must be an object", path)
     kind = doc.get("kind")
+    _require(kind in ("cayley", "symmetric", "cyclic"), f"unknown group kind {kind!r}", path)
+    if kind == "cayley":
+        table = doc.get("table")
+        _require(isinstance(table, list), "cayley group needs a table", path)
+        for i, row in enumerate(table):
+            _require(isinstance(row, list), "table row must be a list", f"{path}.table[{i}]")
+            for j, x in enumerate(row):
+                if type(x) is not int:
+                    _integer(x, "table entry", f"{path}.table[{i}][{j}]")
+    else:
+        n = _integer(doc.get("n"), "group size", f"{path}.n")
     try:
         if kind == "cayley":
-            _require("table" in doc, "cayley group needs a table", path)
-            return make_group(doc["table"], doc.get("names"))
-        if kind == "symmetric":
-            return symmetric_group(int(doc["n"]))
-        if kind == "cyclic":
-            return cyclic_group(int(doc["n"]))
+            return make_group(table, doc.get("names"))
+        return symmetric_group(n) if kind == "symmetric" else cyclic_group(n)
     except PartialActionError as exc:
         raise DocumentError(str(exc), path) from exc
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"bad group document: {exc}", path) from exc
-    raise DocumentError(f"unknown group kind {kind!r}", path)
 
 
 def _name_index(G: FiniteGroup, path: str) -> dict[str, int]:
@@ -244,12 +256,14 @@ def parse_algebra_action(
         algebra = parse_algebra(aref, groups, f"{path}.algebra")
 
     def position(x, where: str) -> int:
-        try:
-            p = int(x)
-        except (TypeError, ValueError, OverflowError):
-            raise DocumentError(f"block position {x!r} is not an integer", where) from None
-        _require(0 <= p < algebra.n_blocks, f"block position {p} out of range", where)
-        return p
+        if type(x) is not int or not 0 <= x < algebra.n_blocks:
+            _integer(x, "block position", where)
+            raise DocumentError(f"block position {x} out of range", where)
+        return x
+
+    def key_position(k, where: str) -> int:  # JSON object keys are strings such as "0"
+        digits = isinstance(k, str) and k.isascii() and k.isdigit()
+        return position(int(k) if digits else k, where)
 
     domains: dict[int, list[int]] = {}
     for key, positions in _section(doc, "domains", path).items():
@@ -268,7 +282,7 @@ def parse_algebra_action(
         g = _resolve_element(G, names, key, f"{path}.maps")
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
         pm = {
-            position(k, f"{path}.maps.{key}"): position(v, f"{path}.maps.{key}")
+            key_position(k, f"{path}.maps.{key}"): position(v, f"{path}.maps.{key}")
             for k, v in pairs.items()
         }
         tw_pairs = _section(twists_doc, key, f"{path}.twists")
@@ -283,12 +297,9 @@ def parse_algebra_action(
                 _require(ref in aut_names, f"unknown automorphism {ref!r}", f"{path}.twists.{key}")
                 tw[p] = aut_names[ref]
             else:
-                _require(
-                    isinstance(ref, int) and 0 <= ref < aut.order,
-                    f"bad automorphism index {ref!r}",
-                    f"{path}.twists.{key}",
-                )
-                tw[p] = ref
+                where = f"{path}.twists.{key}"
+                tw[p] = _integer(ref, "automorphism index", where)
+                _require(0 <= ref < aut.order, f"bad automorphism index {ref}", where)
         source = algebra.ideal(pm.keys())
         target = algebra.ideal(domains.get(g, pm.values()))
         try:

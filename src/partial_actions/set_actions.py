@@ -16,7 +16,7 @@ alongside them.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     GroupMismatch,
@@ -26,7 +26,7 @@ from .errors import (
     SizeLimit,
     TwistTransportConflict,
 )
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, all_subgroups, left_transversal
 from .reporting import VerificationReport
 
 Point = Hashable
@@ -679,133 +679,35 @@ def envelopes_equivalent(a: SetGlobalization, b: SetGlobalization) -> Optional[d
     return None if found is None else found[0]
 
 
-# --- enumeration by backtracking --------------------------------------------
+# --- enumeration from orbit data --------------------------------------------
 
-def _inverse_slots(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """One slot per {g, g^-1} pair with g != e, in element order: (g,) when g
-    is an involution, (g, g^-1) otherwise."""
-    slots = []
-    seen = {G.identity}
-    for g in G.elements():
-        if g not in seen:
-            slots.append((g,) if G.inv(g) == g else (g, G.inv(g)))
-            seen.update(slots[-1])
-    return slots
-
-
-def _backtrack(
-    G: FiniteGroup,
-    slots: Sequence[tuple[int, ...]],
-    options: Sequence[Sequence[tuple]],
-    identity_value,
-    row_ok: Callable[[list, int, int, int], bool],
-) -> list[tuple[int, ...]]:
-    """Every choice of one option per slot whose rows all pass ``row_ok``.
-
-    ``options[s][i]`` holds one value per element of ``slots[s]``; the values
-    of the placed elements are kept in a list indexed by group element, with
-    ``identity_value`` at e.  ``row_ok(assignment, g, h, gh)`` checks the row
-    (g, h) for g, h != e (gh = e included).  Slots are placed greedily: next
-    comes the slot that closes the most rows, ties to the lower index.  Each
-    row is checked once, at the depth where the last of g, h and gh is
-    placed, and a prefix is dropped at its first failing row.
-
-    Returns the surviving choices as option-index tuples in slot order,
-    sorted, which is ``itertools.product`` order with the failures removed.
-    """
-    if not slots:
-        return [()]
-    e = G.identity
-    open_rows = [
-        (g, h, G.mul(g, h)) for g in G.elements() if g != e for h in G.elements() if h != e
-    ]
-    placed = {e}
-    order: list[int] = []
-    buckets: list[list[tuple[int, int, int]]] = []
-    pending = list(range(len(slots)))
-    while pending:
-        best, best_rows = -1, None
-        for s in pending:
-            now = placed.union(slots[s])
-            rows = [row for row in open_rows if now.issuperset(row)]
-            if best_rows is None or len(rows) > len(best_rows):
-                best, best_rows = s, rows
-        pending.remove(best)
-        placed.update(slots[best])
-        order.append(best)
-        buckets.append(best_rows)
-        open_rows = [row for row in open_rows if not placed.issuperset(row)]
-
-    depth_of = sorted(range(len(slots)), key=order.__getitem__)
-    last = len(slots) - 1
-    assignment = [None] * G.order
-    assignment[e] = identity_value
-    chosen = [-1] * len(slots)  # the stack: option index per depth
-    leaves = []
-    depth = 0
-    while depth >= 0:
-        s = order[depth]
-        i = chosen[depth] + 1
-        if i == len(options[s]):
-            chosen[depth] = -1
-            depth -= 1
-            continue
-        chosen[depth] = i
-        for g, value in zip(slots[s], options[s][i]):
-            assignment[g] = value
-        for g, h, gh in buckets[depth]:
-            if not row_ok(assignment, g, h, gh):
-                break
-        else:
-            if depth == last:
-                leaves.append(tuple(chosen[d] for d in depth_of))
-            else:
-                depth += 1
-    leaves.sort()
-    return leaves
-
-
-def _involution_options(points: tuple[int, ...]) -> list[tuple[frozenset, dict]]:
-    """All (domain, involutive bijection on it) pairs over the given points."""
-    out = []
-    points = tuple(points)
-    n = len(points)
-    for r in range(n + 1):
-        for dom in itertools.combinations(points, r):
-            for m in _involutions_on(list(dom)):
-                out.append((frozenset(dom), m))
-    return out
-
-
-def _involutions_on(points: list) -> list[dict]:
+def _set_partitions(points: tuple) -> Iterator[list[tuple]]:
+    """Every partition of points into blocks, each block in the given order."""
     if not points:
-        return [{}]
+        yield []
+        return
     first, rest = points[0], points[1:]
-    result = []
-    for m in _involutions_on(rest):
-        fixed = dict(m)
-        fixed[first] = first
-        result.append(fixed)
-    for i, partner in enumerate(rest):
-        others = rest[:i] + rest[i + 1 :]
-        for m in _involutions_on(others):
-            paired = dict(m)
-            paired[first] = partner
-            paired[partner] = first
-            result.append(paired)
-    return result
+    for partition in _set_partitions(rest):
+        for i, block in enumerate(partition):
+            yield partition[:i] + [(first,) + block] + partition[i + 1 :]
+        yield [(first,)] + partition
 
 
-def _bijection_options(points: tuple[int, ...]) -> list[tuple[frozenset, frozenset, dict]]:
-    """All (target domain D_g, source domain D_{g^-1}, map) triples."""
-    out = []
-    n = len(points)
-    for r in range(n + 1):
-        for src in itertools.combinations(points, r):
-            for tgt in itertools.combinations(points, r):
-                for images in itertools.permutations(tgt):
-                    out.append((frozenset(tgt), frozenset(src), dict(zip(src, images))))
-    return out
+def _transitive_pieces(G: FiniteGroup, k: int) -> list[tuple]:
+    """Every partial action of G on points 0..k-1 with a single orbit, as one
+    tuple of (x, alpha_g(x)) pairs per element: for each subgroup H, the
+    restriction of G/H to the coset H (point 0) and k - 1 further distinct
+    cosets, in every order."""
+    pieces = []
+    for H in all_subgroups(G):
+        cosets = left_transversal(G, H)  # coset 0 is H
+        moved = [[cosets.coset_position(G.mul(g, r)) for r in cosets.reps] for g in G.elements()]
+        for chosen in itertools.permutations(range(1, len(cosets)), k - 1):
+            point = {c: i for i, c in enumerate((0,) + chosen)}
+            pieces.append(tuple(
+                tuple((i, point[m[c]]) for c, i in point.items() if m[c] in point) for m in moved
+            ))
+    return pieces
 
 
 def enumerate_partial_actions(
@@ -815,15 +717,19 @@ def enumerate_partial_actions(
     """The complete, duplicate-free, canonically ordered list of partial
     actions of G on the carrier (an integer n means carrier 0..n-1).
 
-    Each {g, g^-1} slot ranges over every (domain, bijection) choice.  The
-    axioms reduce to one row rule per (g, h) with g, h != e: every
-    y = alpha_h(p) in D_{g^-1} needs p in D_{(gh)^-1} and
-    alpha_g(y) = alpha_gh(p).  A depth-first search places the slots in a
-    greedy order fixed by the group table (next the slot that closes the
-    most rows) and drops a partial choice at its first failing row, so it
-    accepts exactly the choices a full product-and-filter would.  The
-    output is sorted by ``canonical_key``, so its order does not depend on
-    the search order.
+    Actions are generated from their orbit data (see :func:`_orbit_data`):
+    for every partition of the carrier into orbits, each orbit, with base
+    x0 its first point, is a piece of :func:`_transitive_pieces` with x0
+    at the coset H.  A disjoint union of such pieces is the restriction of
+    the global action on the disjoint union of the G/H to the chosen
+    cosets, hence a partial action.  Complete: a partial action is the
+    restriction of its envelope, in which each orbit with stabilizer H of
+    x0 is G/H, x0 at H and each y at k_y H, distinct per y; that is one of
+    the pieces on the partition into orbits.  Duplicate-free: the action
+    determines its orbits (pieces are transitive, as the coset H reaches
+    every coset), the stabilizer H of each base, and the coset of each y,
+    the set of g with alpha_g(x0) = y; so two distinct choices give two
+    distinct actions.  The output is sorted by ``canonical_key``.
 
     Raises:
         MalformedInput: an integer carrier size is negative, or the carrier
@@ -842,56 +748,19 @@ def enumerate_partial_actions(
         raise SizeLimit(f"enumeration caps the group order at {ENUM_MAX_GROUP}")
     if len(carrier) > ENUM_MAX_CARRIER:
         raise SizeLimit(f"enumeration caps the carrier size at {ENUM_MAX_CARRIER}")
-    points = tuple(range(len(carrier)))
-
-    # one value per element: (D_g, D_{g^-1}, alpha_g, alpha_g's (p, y) pairs)
-    slots = _inverse_slots(G)
-    options = []
-    for slot in slots:
-        if len(slot) == 1:
-            options.append(
-                [((dom, dom, m, tuple(m.items())),) for dom, m in _involution_options(points)]
-            )
-        else:
-            pair_options = []
-            for tgt, src, m in _bijection_options(points):
-                m_inv = {v: k for k, v in m.items()}
-                pair_options.append(
-                    ((tgt, src, m, tuple(m.items())), (src, tgt, m_inv, tuple(m_inv.items())))
-                )
-            options.append(pair_options)
-    full = frozenset(points)
-    id_map = {x: x for x in points}
-
-    def consistent(a: list, g: int, h: int, gh: int) -> bool:
-        Dg_inv, mg = a[g][1], a[g][2]
-        D_ghinv, m_gh = a[gh][1], a[gh][2]
-        for p, y in a[h][3]:
-            if y in Dg_inv:
-                if p not in D_ghinv:
-                    return False
-                if mg[y] != m_gh[p]:
-                    return False
-        return True
-
-    def labelled(value: tuple) -> tuple[frozenset, dict]:
-        return (
-            frozenset(carrier[i] for i in value[0]),
-            {carrier[k]: carrier[v] for k, v in value[2].items()},
-        )
-
-    identity_value = (full, full, id_map, tuple(id_map.items()))
-    # each option is relabelled once, so actions that share it share its domains
-    named = [[tuple(map(labelled, opt)) for opt in opts] for opts in options]
-    e = G.identity
-    named_identity = labelled(identity_value)
+    pieces = {k: _transitive_pieces(G, k) for k in range(1, len(carrier) + 1)}
+    shared: dict[frozenset, frozenset] = {}  # one object per distinct domain saves memory
     actions = []
-    for leaf in _backtrack(G, slots, options, identity_value, consistent):
-        domains, maps = {}, {}
-        domains[e], maps[e] = named_identity
-        for slot, opts, i in zip(slots, named, leaf):
-            for g, (D, m) in zip(slot, opts[i]):
-                domains[g], maps[g] = D, m
-        actions.append(SetPartialAction(G, carrier, domains, maps))
+    for partition in _set_partitions(carrier):
+        for choice in itertools.product(*(pieces[len(b)] for b in partition)):
+            maps: list[dict] = [{} for _ in G.elements()]
+            for b, piece in zip(partition, choice):
+                for m, pairs in zip(maps, piece):
+                    m.update((b[i], b[j]) for i, j in pairs)
+            domains = {}
+            for g, m in enumerate(maps):
+                D = frozenset(m.values())
+                domains[g] = shared.setdefault(D, D)
+            actions.append(SetPartialAction(G, carrier, domains, dict(enumerate(maps))))
     actions.sort(key=lambda a: a.canonical_key())
     return actions

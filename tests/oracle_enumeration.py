@@ -3,7 +3,7 @@
 These build the full product of the per-slot options and filter it with the
 whole-candidate axiom check, with no pruning.  They are slow (Z6 on 4 points
 takes about 10 s, S3 on 4 points more than a minute) and exist only to pin
-the backtracking enumerators' output, order included.
+the enumerators' output, order included.
 """
 
 from __future__ import annotations
@@ -12,11 +12,57 @@ import itertools
 
 from partial_actions.algebra_actions import AlgebraPartialAction
 from partial_actions.block_algebras import WreathMap, block_power
-from partial_actions.set_actions import (
-    SetPartialAction,
-    _bijection_options,
-    _involution_options,
-)
+from partial_actions.groups import make_group
+from partial_actions.set_actions import SetPartialAction
+
+
+def relabelled(G):
+    """G with element a renamed |G|-1-a, so that e is not element 0."""
+    last = G.order - 1
+    return make_group([[last - G.table[last - a][last - b] for b in G.elements()] for a in G.elements()])
+
+
+def _involution_options(points: tuple[int, ...]) -> list[tuple[frozenset, dict]]:
+    """All (domain, involutive bijection on it) pairs over the given points."""
+    out = []
+    points = tuple(points)
+    n = len(points)
+    for r in range(n + 1):
+        for dom in itertools.combinations(points, r):
+            for m in _involutions_on(list(dom)):
+                out.append((frozenset(dom), m))
+    return out
+
+
+def _involutions_on(points: list) -> list[dict]:
+    if not points:
+        return [{}]
+    first, rest = points[0], points[1:]
+    result = []
+    for m in _involutions_on(rest):
+        fixed = dict(m)
+        fixed[first] = first
+        result.append(fixed)
+    for i, partner in enumerate(rest):
+        others = rest[:i] + rest[i + 1 :]
+        for m in _involutions_on(others):
+            paired = dict(m)
+            paired[first] = partner
+            paired[partner] = first
+            result.append(paired)
+    return result
+
+
+def _bijection_options(points: tuple[int, ...]) -> list[tuple[frozenset, frozenset, dict]]:
+    """All (target domain D_g, source domain D_{g^-1}, map) triples."""
+    out = []
+    n = len(points)
+    for r in range(n + 1):
+        for src in itertools.combinations(points, r):
+            for tgt in itertools.combinations(points, r):
+                for images in itertools.permutations(tgt):
+                    out.append((frozenset(tgt), frozenset(src), dict(zip(src, images))))
+    return out
 
 
 def brute_force_partial_actions(G, carrier) -> list[SetPartialAction]:

@@ -3,7 +3,7 @@ import json
 
 import oracle_globalization
 import pytest
-from oracle_enumeration import brute_force_algebra_partial_actions
+from oracle_enumeration import brute_force_algebra_partial_actions, relabelled
 
 from partial_actions import algebra_actions
 from partial_actions.algebra_actions import (
@@ -504,12 +504,6 @@ TWISTED_CASES = [(cyclic_group(k), n) for k in (2, 3, 4) for n in (1, 2, 3)] + [
 ]
 
 
-def relabelled(G):
-    """G with element a renamed |G|-1-a, so that e is not element 0."""
-    last = G.order - 1
-    return make_group([[last - G.table[last - a][last - b] for b in G.elements()] for a in G.elements()])
-
-
 def retwisted_copies(pa):
     """One copy of pa per nonempty map, with the twist at its first position
     multiplied by a generator of the automorphism group."""
@@ -660,15 +654,25 @@ class TestEnumerateAlgebraActions:
         block = Block("L", cyclic_group(aut_order))
         cases = [(cyclic_group(k), n) for k in (2, 3, 4) for n in (1, 2, 3)]
         cases += [(symmetric_group(3), n) for n in (1, 2)]
+        klein = make_group([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+        cases += [(klein, 2), (relabelled(symmetric_group(3)), 2)]
         for G, n in cases:
             expected = brute_force_algebra_partial_actions(G, n, block)
             assert enumerate_algebra_partial_actions(G, n, block) == expected
 
-    def test_twist_options_follow_positions_not_map_key_order(self, z2):
-        aut = cyclic_group(2)
+    def test_twists_follow_positions_not_map_key_order(self, z2, z4):
+        block = Block("L", cyclic_group(2))
         forward = SetPartialAction(z2, (0, 1), {1: [0, 1]}, {1: {0: 0, 1: 1}})
-        backward = SetPartialAction(z2, (0, 1), {1: [1, 0]}, {1: {1: 1, 0: 0}})
-        assert forward == backward
-        options = algebra_actions._twist_options_involution(forward, 1, aut)
-        assert options == algebra_actions._twist_options_involution(backward, 1, aut)
-        assert [tuple(tw[p] for p in (0, 1)) for tw in options] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        lifts = algebra_actions._twisted_lifts(forward, block_power(block, 2), {})
+        assert [tuple(pa.maps[1].twists[p] for p in (0, 1)) for pa in lifts] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)
+        ]
+        algebra = block_power(block, 3)
+        for spa in enumerate_partial_actions(z4, 3):
+            backward = SetPartialAction(
+                z4, spa.carrier, spa.domains,
+                {g: dict(reversed(m.items())) for g, m in spa.maps.items()},
+            )
+            assert backward == spa
+            expected = algebra_actions._twisted_lifts(spa, algebra, {})
+            assert algebra_actions._twisted_lifts(backward, algebra, {}) == expected

@@ -446,3 +446,29 @@ def test_mutated_golden_document(tmp_path_factory, command, path, op, value):
     else:
         assert code in (0, 1)
         assert code == int(_has_false_check(json.loads(out.getvalue())))
+
+
+SCRIPTS = Path(__file__).parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script,args,last_line",
+    [
+        (
+            "survey_envelopes.py", ["--max-size", "2"],
+            "Z6 on 2 point(s):    24 actions; envelope sizes "
+            "{2:2, 3:4, 4:3, 5:2, 6:6, 7:2, 8:2, 9:2, 12:1}",
+        ),
+        ("quiver_demo.py", [], "result: PASS"),
+    ],
+)
+def test_script_runs(script, args, last_line):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == last_line

@@ -228,6 +228,38 @@ class TestWorkbench:
         assert main(["verify", str(file)]) == 2
         assert f"(at {path})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "where,value,path",
+        [
+            ("groups.G.n", 2.5, "$.groups.G.n"),
+            ("groups.G.n", True, "$.groups.G.n"),
+            ("groups.G.n", "3", "$.groups.G.n"),
+            ("groups.G", {"kind": "cayley", "table": [[0, 1], [1.0, 0]]}, "$.groups.G.table[1][0]"),
+            ("actions.beta.domains.(12)", [0.7], "$.actions.beta.domains.(12)"),
+            ("actions.beta.domains.(12)", [True], "$.actions.beta.domains.(12)"),
+            ("actions.beta.maps.(12)", {"0": True}, "$.actions.beta.maps.(12)"),
+            ("actions.beta.maps.(12)", {"0": 0.2}, "$.actions.beta.maps.(12)"),
+            ("actions.beta.maps.(12)", {"0.0": 0}, "$.actions.beta.maps.(12)"),
+            ("actions.beta.twists", {"(12)": {"0": True}}, "$.actions.beta.twists.(12)"),
+        ],
+    )
+    def test_non_integer_exits_two(self, where, value, path, tmp_path, capsys):
+        # no bool, float or string is read as an integer; map keys are the
+        # JSON strings of positions, such as "0"
+        doc = self.doc()
+        doc["algebras"]["A"]["blocks"][0]["aut"] = {"kind": "cyclic", "n": 2}
+        doc["actions"]["beta"].update(domains={"(12)": [0]}, maps={"(12)": {"0": 0}})
+        *parents, key = where.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        file = tmp_path / "coerced.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(file)]) == 2
+        err = capsys.readouterr().err
+        assert "is not an integer" in err and f"(at {path})" in err
+
     def test_workbench_to_doc_uses_references(self):
         wb = parse_workbench(self.doc())
         doc2 = workbench_to_doc(wb)

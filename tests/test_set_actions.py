@@ -6,7 +6,7 @@ import oracle_checks
 import oracle_globalization
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracle_enumeration import brute_force_partial_actions
+from oracle_enumeration import brute_force_partial_actions, relabelled
 
 from partial_actions import set_actions
 from partial_actions.algebra_actions import lift_set_action, verify_algebra_partial_action
@@ -42,6 +42,7 @@ ENUM_GROUPS = {
     **{f"Z{k}": (lambda k=k: cyclic_group(k)) for k in range(1, 7)},
     "K4": lambda: make_group([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]),
     "S3": lambda: symmetric_group(3),
+    "S3-relabelled": lambda: relabelled(symmetric_group(3)),
 }
 
 
@@ -496,14 +497,14 @@ class TestEnumerate:
         def no_search(*args):
             raise AssertionError("searched a carrier with duplicate points")
 
-        monkeypatch.setattr(set_actions, "_backtrack", no_search)
+        monkeypatch.setattr(set_actions, "_transitive_pieces", no_search)
         with pytest.raises(MalformedInput, match="duplicate"):
             enumerate_partial_actions(cyclic_group(6), ["a", "a", "b", "c"])
 
     @pytest.mark.parametrize(
         "name,sizes",
         [(f"Z{k}", (0, 1, 2, 3)) for k in range(1, 7)]
-        + [("K4", (0, 1, 2, 3, 4)), ("S3", (0, 1, 2, 3))]
+        + [("K4", (0, 1, 2, 3, 4)), ("S3", (0, 1, 2, 3)), ("S3-relabelled", (0, 1, 2, 3))]
         + [(f"Z{k}", (4,)) for k in (2, 3, 4, 5)],
         ids=lambda v: v if isinstance(v, str) else "on-" + "-".join(map(str, v)),
     )
