@@ -42,7 +42,7 @@ from .set_actions import (
     SetGlobalization,
     _add_items,
     _axiom_items,
-    _axiom_witnesses,
+    _certified_witnesses,
     _envelope_witnesses,
     _equivariant_bijection,
     _first,
@@ -138,6 +138,22 @@ def verify_algebra_partial_action(pa: AlgebraPartialAction) -> VerificationRepor
     included) and the derived identities, by the set layer's code on
     positions, and class preservation.
 
+    The axioms and derived identities are decided by the certificate of
+    :func:`verify_partial_action`, on positions and with twists: besides
+    the position maps, phi(h) = twist of alpha_h at x0 must be a
+    homomorphism H -> Aut(B_{x0}), and the twist of alpha_g at x must be
+    tau_y·phi(k_y^-1·g·k_x)·tau_x^-1, where y = alpha_g(x), k_y is an
+    element with alpha_{k_y}(x0) = y (k_{x0} = e) and tau_y is the twist
+    of alpha_{k_y} at x0.  Data that passes is the restriction of the
+    global action induced from phi on the cosets of H, with x embedded at
+    k_x H under tau_x^-1, so axioms (i)-(iii) hold twists included; a
+    partial action passes, as its twists are those of its envelope (proved
+    at :func:`set_actions._orbit_data`).  The derived identities follow
+    from the axioms.  Each orbit keeps one automorphism group, because
+    ``WreathMap`` preserves classes and automorphism groups at
+    construction.  On a pass no scan runs; otherwise the axiom scan names
+    the witnesses.
+
     Raises:
         MalformedInput: a map's source or target is not the stated ideal.
     """
@@ -148,7 +164,7 @@ def verify_algebra_partial_action(pa: AlgebraPartialAction) -> VerificationRepor
             raise MalformedInput(
                 f"map of {G.name(g)} does not run from S_{{{G.name(G.inv(g))}}} to S_{{{G.name(g)}}}"
             )
-    witnesses = _axiom_witnesses(G, pa.algebra.positions(), *_position_data(pa))
+    witnesses = _certified_witnesses(G, pa.algebra.positions(), *_position_data(pa))
     n = G.name
     report = VerificationReport("algebra partial action")
     _add_items(report, _axiom_items("S"), witnesses, (

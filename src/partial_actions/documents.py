@@ -72,11 +72,17 @@ def parse_group(doc, path: str = "group") -> FiniteGroup:
             for j, x in enumerate(row):
                 if type(x) is not int:
                     _integer(x, "table entry", f"{path}.table[{i}][{j}]")
+        names = doc.get("names")
+        if names is not None:
+            _require(isinstance(names, list), "names must be a list", f"{path}.names")
+            for i, name in enumerate(names):
+                _require(isinstance(name, str), f"element name {name!r} is not a string",
+                         f"{path}.names[{i}]")
     else:
         n = _integer(doc.get("n"), "group size", f"{path}.n")
     try:
         if kind == "cayley":
-            return make_group(table, doc.get("names"))
+            return make_group(table, names)
         return symmetric_group(n) if kind == "symmetric" else cyclic_group(n)
     except PartialActionError as exc:
         raise DocumentError(str(exc), path) from exc
@@ -115,13 +121,15 @@ def parse_algebra(doc, groups: Mapping[str, FiniteGroup], path: str = "algebra")
     for i, bdoc in enumerate(doc["blocks"]):
         bpath = f"{path}.blocks[{i}]"
         _require(isinstance(bdoc, Mapping) and "class" in bdoc, "block needs a class", bpath)
+        iso_class = bdoc["class"]
+        _require(isinstance(iso_class, str), f"class {iso_class!r} is not a string", f"{bpath}.class")
         aut_doc = bdoc.get("aut", {"kind": "cayley", "table": [[0]], "names": ["1"]})
         if isinstance(aut_doc, str):
             _require(aut_doc in groups, f"unknown group reference {aut_doc!r}", bpath)
             aut = groups[aut_doc]
         else:
             aut = parse_group(aut_doc, f"{bpath}.aut")
-        blocks.append(Block(str(bdoc["class"]), aut))
+        blocks.append(Block(iso_class, aut))
     try:
         return BlockAlgebra(tuple(blocks))
     except PartialActionError as exc:
@@ -186,19 +194,23 @@ def parse_set_action(
         g = _resolve_element(G, names, key, f"{path}.domains")
         _require(isinstance(points, list), "domain must be a list", f"{path}.domains.{key}")
         resolved = []
-        for x in points:
-            _require(str(x) in lookup, f"point {x!r} not in the carrier", f"{path}.domains.{key}")
-            resolved.append(lookup[str(x)])
+        for x in points:  # a point matches only a carrier point of its own JSON type
+            text = str(x)
+            _require(text in lookup and type(lookup[text]) is type(x),
+                     f"point {x!r} not in the carrier", f"{path}.domains.{key}")
+            resolved.append(lookup[text])
         domains[g] = resolved
     maps = {}
     for key, pairs in _section(doc, "maps", path).items():
         g = _resolve_element(G, names, key, f"{path}.maps")
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
         m = {}
-        for k, v in pairs.items():
+        for k, v in pairs.items():  # keys are JSON strings; values keep their type
+            text = str(v)
             _require(str(k) in lookup, f"point {k!r} not in the carrier", f"{path}.maps.{key}")
-            _require(str(v) in lookup, f"point {v!r} not in the carrier", f"{path}.maps.{key}")
-            m[lookup[str(k)]] = lookup[str(v)]
+            _require(text in lookup and type(lookup[text]) is type(v),
+                     f"point {v!r} not in the carrier", f"{path}.maps.{key}")
+            m[lookup[str(k)]] = lookup[text]
         maps[g] = m
     try:
         return SetPartialAction(G, carrier, domains, maps)
@@ -277,8 +289,11 @@ def parse_algebra_action(
         )
         domains[g] = [position(p, f"{path}.domains.{key}") for p in positions]
     twists_doc = _section(doc, "twists", path)
+    maps_doc = _section(doc, "maps", path)
+    for key in twists_doc:
+        _require(key in maps_doc, f"twists for {key!r}, which has no map", f"{path}.twists.{key}")
     maps = {}
-    for key, pairs in _section(doc, "maps", path).items():
+    for key, pairs in maps_doc.items():
         g = _resolve_element(G, names, key, f"{path}.maps")
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
         pm = {
@@ -286,6 +301,12 @@ def parse_algebra_action(
             for k, v in pairs.items()
         }
         tw_pairs = _section(twists_doc, key, f"{path}.twists")
+        stray = set(tw_pairs).difference(map(str, pm))
+        if stray:
+            raise DocumentError(
+                f"twist at {min(stray)!r}, where the map of {key} is undefined",
+                f"{path}.twists.{key}",
+            )
         tw = {}
         for p in pm:
             ref = tw_pairs.get(str(p), None)
@@ -327,7 +348,8 @@ class Workbench:
 
 def parse_workbench(doc) -> Workbench:
     _require(isinstance(doc, Mapping), "workbench document must be an object", "$")
-    version = str(doc.get("version", FORMAT_VERSION))
+    version = doc.get("version", FORMAT_VERSION)
+    _require(isinstance(version, str), f"version {version!r} is not a string", "$.version")
     _require(version == FORMAT_VERSION, f"unsupported format version {version!r}", "$.version")
     wb = Workbench(version=version)
     for name, gdoc in _section(doc, "groups", "$").items():

@@ -10,15 +10,32 @@ The set-layer axiom verifier and envelope equivalence search below are the
 separate set versions that the package now runs through the code it shares
 with block algebras.  They take witnesses in set iteration order, so only
 their pass/fail flags and None-or-not results are compared.
+
+Both verifiers decide valid input from orbit data and scan the axioms only
+for witnesses; ``scanned_report`` runs them with that certificate refused,
+so that the scan decides every item, as it did before the certificate.
 """
 
 from __future__ import annotations
 
 from typing import Optional
+from unittest import mock
 
+from partial_actions import set_actions
 from partial_actions.block_algebras import wreath_compose
 from partial_actions.errors import GroupMismatch, MalformedInput
 from partial_actions.reporting import VerificationReport
+
+
+def _refuse(*args):
+    raise MalformedInput("certificate refused")
+
+
+def scanned_report(verify, action) -> VerificationReport:
+    """verify(action) with the orbit-data certificate refused, so that the
+    axiom scan alone builds the report."""
+    with mock.patch.object(set_actions, "_orbit_data", _refuse):
+        return verify(action)
 
 
 def associativity_failure(table):

@@ -1,6 +1,8 @@
 import itertools
 import json
+from collections import Counter
 
+import oracle_checks
 import oracle_globalization
 import pytest
 from oracle_enumeration import brute_force_algebra_partial_actions, relabelled
@@ -578,6 +580,38 @@ class TestTwistTransport:
         pa = AlgebraPartialAction(z2, algebra, {0: full, 1: full}, {1: swap})
         with pytest.raises(TwistTransportConflict, match="twist of alpha_"):
             globalize_block_power(pa)
+
+
+class TestCertificate:
+    """verify_algebra_partial_action decides validity from orbit data, twists
+    included; its reports must equal the ones the axiom scan alone builds."""
+
+    @pytest.mark.parametrize("aut_order", [2, 3])
+    def test_reports_match_the_scan(self, aut_order):
+        block = Block("L", cyclic_group(aut_order))
+        verdicts = Counter()
+        for G, n in TWISTED_CASES:
+            if n == 3:
+                continue
+            for pa in enumerate_algebra_partial_actions(G, n, block):
+                for candidate in [pa] + retwisted_copies(pa):
+                    report = verify_algebra_partial_action(candidate).to_dict()
+                    scanned = oracle_checks.scanned_report(verify_algebra_partial_action, candidate)
+                    assert report == scanned.to_dict()
+                    verdicts[report["ok"]] += 1
+        assert verdicts == {2: {True: 336, False: 654}, 3: {True: 173, False: 624}}[aut_order]
+
+    def test_identity_with_a_twist(self, z2):
+        algebra = block_power(Block("L", cyclic_group(2)), 2)
+        full = algebra.full_ideal()
+        twisted_e = WreathMap(full, full, {0: 0, 1: 1}, {0: 0, 1: 1})
+        pa = AlgebraPartialAction(z2, algebra, {0: full}, {0: twisted_e})
+        report = verify_algebra_partial_action(pa)
+        assert report.to_dict() == oracle_checks.scanned_report(
+            verify_algebra_partial_action, pa
+        ).to_dict()
+        assert not report.items[0].passed
+        assert report.items[0].witness == "alpha_e is not the identity map"
 
 
 class TestEquivalenceSearch:

@@ -260,6 +260,67 @@ class TestWorkbench:
         err = capsys.readouterr().err
         assert "is not an integer" in err and f"(at {path})" in err
 
+    @pytest.mark.parametrize(
+        "where,value,path",
+        [
+            ("actions.alpha.domains.(12)", [True], "$.actions.alpha.domains.(12)"),
+            ("actions.alpha.maps.(12)", {"True": "1"}, "$.actions.alpha.maps.(12)"),
+            ("groups.H", {"kind": "cayley", "table": [[0, 1], [1, 0]], "names": [True, "s"]},
+             "$.groups.H.names[0]"),
+            ("groups.H", {"kind": "cayley", "table": [[0, 1], [1, 0]], "names": ["e", 2.5]},
+             "$.groups.H.names[1]"),
+            ("algebras.A.blocks", [{"class": True}], "$.algebras.A.blocks[0].class"),
+            ("version", 1, "$.version"),
+        ],
+    )
+    def test_coerced_value_exits_two(self, where, value, path, tmp_path, capsys):
+        # with carrier ["True", 1], the domain entry true is not the point
+        # "True" and the map value "1" is not the point 1; names, classes
+        # and the version are strings, never stringified
+        doc = self.doc()
+        doc["actions"]["alpha"].update(
+            carrier=["True", 1], domains={"(12)": ["True"]}, maps={"(12)": {"True": "True"}}
+        )
+        *parents, key = where.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        file = tmp_path / "coerced.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(file)]) == 2
+        assert f"(at {path})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "twists,path",
+        [
+            ({"0": {"0": "1"}}, "$.actions.beta.twists.0"),
+            ({"1": {"7": "1"}}, "$.actions.beta.twists.1"),
+        ],
+    )
+    def test_stray_twist_exits_two(self, twists, path, tmp_path, capsys):
+        # a twist for an element without a map, or at a position its map
+        # does not move, was dropped: an identity with a twist verified OK
+        doc = {
+            "version": "1",
+            "groups": {"Z2": {"kind": "cyclic", "n": 2}},
+            "algebras": {"A": {"blocks": [{"class": "L", "aut": "Z2"}] * 2}},
+            "actions": {
+                "beta": {
+                    "kind": "algebra",
+                    "group": "Z2",
+                    "algebra": "A",
+                    "domains": {"1": [0, 1]},
+                    "maps": {"1": {"0": 1, "1": 0}},
+                    "twists": twists,
+                }
+            },
+        }
+        file = tmp_path / "stray.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(file)]) == 2
+        assert f"(at {path})" in capsys.readouterr().err
+
     def test_workbench_to_doc_uses_references(self):
         wb = parse_workbench(self.doc())
         doc2 = workbench_to_doc(wb)

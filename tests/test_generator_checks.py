@@ -5,6 +5,9 @@ Inputs are valid tables and actions, and perturbations of them: intercalate
 switches of group tables (a 2x2 subsquare a b / b a swapped to b a / a b,
 which keeps the table a Latin square), two images swapped in one map of a
 global set or wreath action, or one twist of a wreath action changed.
+
+The same perturbed actions, restricted to a drawn subset, check that the
+verifiers' orbit-data certificate gives the reports of the axiom scan.
 """
 
 import functools
@@ -18,13 +21,16 @@ from oracle_checks import (
     associativity_failure,
     cocycle_failure,
     factor_tables,
+    scanned_report,
     set_action_law_failure,
     wreath_action_law_failure,
 )
 
 from partial_actions.algebra_actions import (
+    AlgebraPartialAction,
     enumerate_algebra_partial_actions,
     globalize_block_power,
+    verify_algebra_partial_action,
     verify_enveloping,
 )
 from partial_actions.block_algebras import Block, WreathMap
@@ -40,7 +46,7 @@ from partial_actions.groups import (
     symmetric_group,
     trivial_subgroup,
 )
-from partial_actions.set_actions import GlobalSetAction
+from partial_actions.set_actions import GlobalSetAction, SetPartialAction, verify_partial_action
 
 GOLDEN = Path(__file__).parent / "data" / "golden_globalize.json"
 
@@ -211,15 +217,22 @@ def global_set_actions():
     return tuple(out)
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_set_action_law_matches_oracle(data):
+def draw_set_action(data):
+    """(G, carrier, maps) of a global set action, with two images swapped in
+    one map half of the time."""
     G, carrier, maps = data.draw(st.sampled_from(global_set_actions()))
     maps = {g: dict(m) for g, m in maps.items()}
     if len(carrier) > 1 and data.draw(st.booleans()):
         g = data.draw(st.sampled_from(list(G.elements())))
         x, y = data.draw(st.lists(st.sampled_from(carrier), min_size=2, max_size=2, unique=True))
         maps[g][x], maps[g][y] = maps[g][y], maps[g][x]
+    return G, carrier, maps
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_set_action_law_matches_oracle(data):
+    G, carrier, maps = draw_set_action(data)
     failure = set_action_law_failure(G, carrier, maps)
     try:
         GlobalSetAction(G, carrier, maps)
@@ -241,9 +254,9 @@ def global_wreath_actions():
     return tuple(globalize_block_power(pa) for pa in sources)
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_wreath_action_law_matches_oracle(data):
+def draw_wreath_action(data):
+    """(result, action): a GlobalizationResult and its envelope action, with
+    two positions swapped or one twist changed in one map half of the time."""
     result = data.draw(st.sampled_from(global_wreath_actions()))
     G = result.source.group
     action = dict(result.action)
@@ -262,6 +275,14 @@ def test_wreath_action_law_matches_oracle(data):
             aut = blocks[p].aut_group
             tw[p] = data.draw(st.sampled_from([f for f in aut.elements() if f != tw[p]]))
         action[g] = WreathMap(w.source, w.target, pm, tw)
+    return result, action
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_wreath_action_law_matches_oracle(data):
+    result, action = draw_wreath_action(data)
+    G = result.source.group
     failure = wreath_action_law_failure(G, action)
     candidate = {"envelope": result.envelope, "action": action, "embedding": result.embedding}
     try:
@@ -270,3 +291,44 @@ def test_wreath_action_law_matches_oracle(data):
         assert failure is not None, str(exc)
     else:
         assert failure is None
+
+
+def _outcome(verify, action):
+    """(certified report, scanned report) as dicts, or the error both raise."""
+    try:
+        certified = verify(action).to_dict()
+    except MalformedInput as exc:
+        with pytest.raises(MalformedInput):
+            scanned_report(verify, action)
+        return str(exc)
+    assert certified == scanned_report(verify, action).to_dict()
+    return certified
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_set_certificate_agrees_with_scan(data):
+    # the perturbed action restricted to a drawn subset, with D_g the image
+    # of the restricted map: a perturbation can break that map's fit too
+    G, carrier, maps = draw_set_action(data)
+    kept = data.draw(st.sets(st.sampled_from(carrier)))
+    sub = [x for x in carrier if x in kept]
+    maps = {g: {x: y for x, y in m.items() if x in kept and y in kept} for g, m in maps.items()}
+    spa = SetPartialAction(G, sub, {g: m.values() for g, m in maps.items()}, maps)
+    _outcome(verify_partial_action, spa)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_algebra_certificate_agrees_with_scan(data):
+    result, action = draw_wreath_action(data)
+    algebra = result.envelope
+    kept = data.draw(st.sets(st.sampled_from(algebra.positions()), min_size=1))
+    domains, maps = {}, {}
+    for g, w in action.items():
+        pm = {p: q for p, q in w.position_map.items() if p in kept and q in kept}
+        tw = {p: w.twists[p] for p in pm}
+        domains[g] = algebra.ideal(pm.values())
+        maps[g] = WreathMap(algebra.ideal(pm), domains[g], pm, tw)
+    pa = AlgebraPartialAction(result.source.group, algebra, domains, maps)
+    _outcome(verify_algebra_partial_action, pa)

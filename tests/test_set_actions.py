@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 from oracle_enumeration import brute_force_partial_actions, relabelled
 
 from partial_actions import set_actions
-from partial_actions.algebra_actions import lift_set_action, verify_algebra_partial_action
+from partial_actions.algebra_actions import (
+    enumerate_algebra_partial_actions,
+    lift_set_action,
+    verify_algebra_partial_action,
+)
+from partial_actions.block_algebras import Block
 from partial_actions.errors import (
     MalformedInput,
     NotASubgroup,
@@ -444,6 +449,62 @@ class TestSharedChecks:
         envelopes = [globalize_set(spa) for spa in enumerate_partial_actions(ENUM_GROUPS[name](), n)]
         verdicts = Counter(equivalent(a, b) is not None for a in envelopes for b in envelopes)
         assert verdicts[True] >= len(envelopes) and verdicts[False] > 0
+
+
+class TestCertificate:
+    """Both verifiers decide validity from orbit data and run the axiom scan
+    only on input that the certificate rejects; every report must equal the
+    one the scan alone builds (``oracle_checks.scanned_report``)."""
+
+    def test_valid_input_is_not_scanned(self, monkeypatch, s3, z4):
+        def scan(*args):
+            raise AssertionError("the axiom scan ran on valid input")
+
+        lifts = enumerate_algebra_partial_actions(z4, 2, Block("L", cyclic_group(2)))
+        twisted = next(pa for pa in lifts if any(any(w.twists.values()) for w in pa.maps.values()))
+        monkeypatch.setattr(set_actions, "_axiom_witnesses", scan)
+        spa = restrict_global(left_translation(s3), [0, 1, 3])
+        assert verify_partial_action(spa).ok
+        assert verify_algebra_partial_action(lift_set_action(spa)).ok
+        assert verify_algebra_partial_action(twisted).ok
+
+    def test_failing_input_is_scanned(self, monkeypatch, z2):
+        calls = []
+        scan = set_actions._axiom_witnesses
+        monkeypatch.setattr(
+            set_actions, "_axiom_witnesses", lambda *args: calls.append(args) or scan(*args)
+        )
+        moved = SetPartialAction(z2, ("a", "b"), maps={0: {"a": "b", "b": "a"}})
+        assert not verify_partial_action(moved).ok
+        assert not verify_algebra_partial_action(lift_set_action(moved)).ok
+        assert len(calls) == 2
+
+    def test_reports_match_the_scan(self):
+        enumerated = [
+            spa
+            for G in (cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3))
+            for n in (1, 2, 3)
+            for spa in enumerate_partial_actions(G, n)
+        ]
+        pool = enumerated + [copy for spa in enumerated for copy in _swapped_copies(spa)]
+        verdicts = Counter()
+        for spa in pool:
+            report = verify_partial_action(spa).to_dict()
+            assert report == oracle_checks.scanned_report(verify_partial_action, spa).to_dict()
+            verdicts[report["ok"]] += 1
+        assert verdicts == {True: 760, False: 1475}
+
+    @pytest.mark.parametrize("case,carrier,domains,maps,witness", [
+        ("D_e omits a point", ("a", "b"), {0: ["b"]}, {0: {"b": "b"}}, "D_e omits 'a'"),
+        ("alpha_e moves a point", ("a", "b"), {}, {0: {"a": "b", "b": "a"}}, "alpha_e moves 'a'"),
+        ("empty carrier", (), {}, {}, None),
+    ])
+    def test_named_cases(self, z2, case, carrier, domains, maps, witness):
+        spa = SetPartialAction(z2, carrier, domains, maps)
+        report = verify_partial_action(spa)
+        assert report.to_dict() == oracle_checks.scanned_report(verify_partial_action, spa).to_dict()
+        assert report.items[0].witness == witness
+        assert report.ok == (witness is None)
 
 
 class TestEnumerate:
