@@ -28,6 +28,7 @@ from .groups import FiniteGroup, cyclic_group, make_group, symmetric_group
 from .set_actions import SetPartialAction
 
 FORMAT_VERSION = "1"
+_ABSENT = object()  # no JSON value has this type, so it matches no point
 
 
 def _require(cond: bool, message: str, path: str) -> None:
@@ -195,10 +196,10 @@ def parse_set_action(
         _require(isinstance(points, list), "domain must be a list", f"{path}.domains.{key}")
         resolved = []
         for x in points:  # a point matches only a carrier point of its own JSON type
-            text = str(x)
-            _require(text in lookup and type(lookup[text]) is type(x),
-                     f"point {x!r} not in the carrier", f"{path}.domains.{key}")
-            resolved.append(lookup[text])
+            point = lookup.get(str(x), _ABSENT)
+            if type(point) is not type(x):
+                raise DocumentError(f"point {x!r} not in the carrier", f"{path}.domains.{key}")
+            resolved.append(point)
         domains[g] = resolved
     maps = {}
     for key, pairs in _section(doc, "maps", path).items():
@@ -206,11 +207,11 @@ def parse_set_action(
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
         m = {}
         for k, v in pairs.items():  # keys are JSON strings; values keep their type
-            text = str(v)
             _require(str(k) in lookup, f"point {k!r} not in the carrier", f"{path}.maps.{key}")
-            _require(text in lookup and type(lookup[text]) is type(v),
-                     f"point {v!r} not in the carrier", f"{path}.maps.{key}")
-            m[lookup[str(k)]] = lookup[text]
+            point = lookup.get(str(v), _ABSENT)
+            if type(point) is not type(v):
+                raise DocumentError(f"point {v!r} not in the carrier", f"{path}.maps.{key}")
+            m[lookup[str(k)]] = point
         maps[g] = m
     try:
         return SetPartialAction(G, carrier, domains, maps)
@@ -296,20 +297,18 @@ def parse_algebra_action(
     for key, pairs in maps_doc.items():
         g = _resolve_element(G, names, key, f"{path}.maps")
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
-        pm = {
-            key_position(k, f"{path}.maps.{key}"): position(v, f"{path}.maps.{key}")
-            for k, v in pairs.items()
-        }
         tw_pairs = _section(twists_doc, key, f"{path}.twists")
-        stray = set(tw_pairs).difference(map(str, pm))
-        if stray:
+        if not tw_pairs.keys() <= pairs.keys():
             raise DocumentError(
-                f"twist at {min(stray)!r}, where the map of {key} is undefined",
+                f"twist at {min(tw_pairs.keys() - pairs.keys())!r}, "
+                f"where the map of {key} is undefined",
                 f"{path}.twists.{key}",
             )
-        tw = {}
-        for p in pm:
-            ref = tw_pairs.get(str(p), None)
+        pm, tw = {}, {}
+        for k, v in pairs.items():  # a twist is keyed like its map entry
+            p = key_position(k, f"{path}.maps.{key}")
+            pm[p] = position(v, f"{path}.maps.{key}")
+            ref = tw_pairs.get(k, None)
             aut = algebra.blocks[p].aut_group
             if ref is None:
                 tw[p] = aut.identity
