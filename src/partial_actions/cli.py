@@ -21,11 +21,13 @@ from .algebra_actions import (
 )
 from .documents import (
     DocumentError,
+    _json_text,
     group_to_doc,
     load_workbench,
     parse_group,
+    set_action_to_doc,
 )
-from .errors import InternalInconsistency, PartialActionError
+from .errors import InternalInconsistency, PartialActionError, UnknownElement
 from .groups import (
     FiniteGroup,
     coset_factorize,
@@ -94,7 +96,7 @@ def cmd_verify(args) -> int:
         raise DocumentError("document contains no actions", "$.actions")
     reports = {n: _located(n, _action_verification, a) for n, a in wb.actions.items()}
     if args.format == "json":
-        _emit(json.dumps({n: r.to_dict() for n, r in reports.items()}, indent=2), args.output)
+        _emit(_json_text({n: r.to_dict() for n, r in reports.items()}), args.output)
     else:
         blocks = []
         for name, report in reports.items():
@@ -149,7 +151,18 @@ def cmd_factorize(args) -> int:
             for r in claims
         ):
             raise DocumentError("rows must be a list of [g, g_i, j, h] element labels", "$.rows")
-        rows = [((r[0], r[1]), r[2], r[3]) for r in claims]
+        rows = []
+        for i, r in enumerate(claims):  # labels and indices, never a bool
+            where = f"$.rows[{i}]"
+            for x in r:
+                if type(x) is bool:
+                    raise DocumentError(f"element label {x!r} is not a string or an index", where)
+            try:
+                g, g_i, j, h = (G.resolve(x) for x in r)
+                cf.transversal.rep_position(g_i)
+            except UnknownElement as exc:
+                raise DocumentError(f"{type(exc).__name__}: {exc}", where) from exc
+            rows.append(((g, g_i), j, h))
         report = cross_validate_table(cf, rows)
     if args.format == "json":
         payload = {
@@ -163,7 +176,7 @@ def cmd_factorize(args) -> int:
         }
         if report is not None:
             payload["comparison"] = report.to_dict()
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(_json_text(payload), args.output)
     else:
         _emit(_render_factorization_text(cf, report), args.output)
     return EXIT_OK
@@ -273,7 +286,7 @@ def cmd_globalize(args) -> int:
         docs[name] = _globalization_doc(kind, result, checks)
         texts.append(_globalization_text(name, kind, result, checks))
     if args.format == "json":
-        _emit(json.dumps(docs if len(docs) > 1 else docs[names[0]], indent=2), args.output)
+        _emit(_json_text(docs if len(docs) > 1 else docs[names[0]]), args.output)
     else:
         _emit("\n\n".join(texts), args.output)
     return EXIT_OK if all_ok else EXIT_VERIFICATION
@@ -296,13 +309,12 @@ def cmd_enumerate(args) -> int:
     G = _group_from_spec(args.group)
     actions = enumerate_partial_actions(G, args.size)
     if args.format == "json":
-        from .documents import set_action_to_doc
-
+        group_doc = group_to_doc(G)  # one object, encoded once by _json_text
         payload: dict = {"count": len(actions)}
-        payload["actions"] = [set_action_to_doc(a) for a in actions]
+        payload["actions"] = [set_action_to_doc(a, group_doc) for a in actions]
         if args.envelopes:
             payload["envelope_sizes"] = [globalize_set(a).size for a in actions]
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(_json_text(payload), args.output)
     else:
         lines = [f"{len(actions)} partial actions of {args.group} on {args.size} points"]
         for i, a in enumerate(actions):
@@ -337,7 +349,7 @@ def cmd_example_s3(args) -> int:
                 lines.append(f"  {status}  beta_{name}{got}  expected {exp}")
             texts.append("\n".join(lines))
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(_json_text(payload), args.output)
     else:
         _emit("\n\n".join(texts), args.output)
     return EXIT_OK if ok else EXIT_VERIFICATION

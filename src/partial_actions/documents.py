@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Mapping, Optional, Union
 
 from .algebra_actions import AlgebraPartialAction
@@ -28,7 +29,7 @@ from .groups import FiniteGroup, cyclic_group, make_group, symmetric_group
 from .set_actions import SetPartialAction
 
 FORMAT_VERSION = "1"
-_ABSENT = object()  # no JSON value has this type, so it matches no point
+_ABSENT = object()  # no JSON value is this object or has its type
 
 
 def _require(cond: bool, message: str, path: str) -> None:
@@ -146,7 +147,14 @@ def _carrier_lookup(carrier: tuple, path: str) -> dict[str, object]:
     return lookup
 
 
-def set_action_to_doc(spa: SetPartialAction, group_ref: Optional[str] = None) -> dict:
+def set_action_to_doc(
+    spa: SetPartialAction, group_ref: Union[str, dict, None] = None
+) -> dict:
+    """The action as a document.  ``group_ref`` is what its ``group`` field
+    holds: a group's name in the workbench, a group document, or ``None``
+    for a fresh ``group_to_doc(spa.group)``.  A group document is used as
+    given, not copied, so that many actions of one group can share one
+    (``_json_text`` encodes a shared document once)."""
     G = spa.group
     e = G.identity
     doc: dict = {
@@ -308,9 +316,9 @@ def parse_algebra_action(
         for k, v in pairs.items():  # a twist is keyed like its map entry
             p = key_position(k, f"{path}.maps.{key}")
             pm[p] = position(v, f"{path}.maps.{key}")
-            ref = tw_pairs.get(k, None)
+            ref = tw_pairs.get(k, _ABSENT)  # only a missing twist is the identity
             aut = algebra.blocks[p].aut_group
-            if ref is None:
+            if ref is _ABSENT:
                 tw[p] = aut.identity
             elif isinstance(ref, str):
                 aut_names = _name_index(aut, f"{path}.twists.{key}")
@@ -386,6 +394,53 @@ def workbench_to_doc(wb: Workbench) -> dict:
                 algebra_names.get(id(action.algebra)),
             )
     return doc
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte.
+
+    Exact ``str``, ``int``, ``bool`` and ``None`` values, lists, tuples and
+    dicts with ``str`` keys are encoded here; any other value (a float, a dict
+    with other keys, a subclass) is handed to ``json.dumps``.  A container
+    object met again is encoded once: ``ensure_ascii`` leaves no raw newline
+    inside a string, so its text moves to another depth by replacing the
+    newline-and-indent it was encoded at.
+    """
+    memo: dict[int, tuple[str, Optional[str]]] = {}  # id -> (newline+indent, text)
+
+    def encode(o, nl: str) -> str:  # nl: a newline and the indent of o's line
+        t = type(o)
+        if t is str:
+            return _encode_str(o)
+        if t is int:
+            return int.__repr__(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if not (t is list or t is tuple or (t is dict and all(type(k) is str for k in o))):
+            return json.dumps(o, indent=2).replace("\n", nl)
+        if not o:
+            return "{}" if t is dict else "[]"
+        seen = memo.get(id(o))
+        if seen is not None:
+            at, text = seen
+            if text is None:
+                raise ValueError("Circular reference detected")
+            return text if at == nl else text.replace(at, nl)
+        memo[id(o)] = (nl, None)
+        inner = nl + "  "
+        if t is dict:
+            items = [_encode_str(k) + ": " + encode(v, inner) for k, v in o.items()]
+            text = "{" + inner + ("," + inner).join(items) + nl + "}"
+        else:
+            text = "[" + inner + ("," + inner).join([encode(v, inner) for v in o]) + nl + "]"
+        memo[id(o)] = (nl, text)
+        return text
+
+    return encode(obj, "\n")
 
 
 def load_workbench(path: str) -> Workbench:

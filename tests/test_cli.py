@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partial_actions import cli
 from partial_actions.cli import _set_check_key, main
 from partial_actions.errors import InternalInconsistency
 from partial_actions.set_actions import (
@@ -188,6 +189,12 @@ class TestFactorizeCommand:
             ('{"rows": [7]}', "$.rows"),
             ('{"rows": [["(23)", "1", ["(23)"], "1"]]}', "$.rows"),
             ("{not json", "$"),
+            ('{"rows": [[true, "1", "(23)", "(23)"]]}', "$.rows[0]"),
+            ('{"rows": [["1", "1", "1", "1"], ["(23)", false, "(23)", "(23)"]]}', "$.rows[1]"),
+            ('{"rows": [["(99)", "1", "1", "1"]]}', "$.rows[0]"),
+            ('{"rows": [[99, 0, 0, 0]]}', "$.rows[0]"),
+            ('{"rows": [[0, 0, -1, 0]]}', "$.rows[0]"),
+            ('{"rows": [["1", "(12)", "1", "1"]]}', "$.rows[0]"),
         ],
     )
     def test_malformed_compare_file_exits_two(self, claims, where, tmp_path, capsys):
@@ -350,6 +357,38 @@ class TestEnumerateCommand:
     def test_size_limit_exits_two(self, capsys):
         for size in ("9", "-1"):
             assert main(["enumerate", "--group", "Z2", "--size", size]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["verify", str(DATA / "golden_globalize.json")], 0),
+        (["verify", "{broken}"], 1),
+        (["factorize", "--group", "S3", "--subgroup", "(12)", "--compare", "{claims}"], 0),
+        (["globalize", str(DATA / "golden_globalize.json")], 0),
+        (["enumerate", "--group", "S3", "--size", "2", "--envelopes"], 0),
+        (["example-s3"], 0),
+    ],
+)
+def test_json_output_is_json_dumps_indent_2(argv, code, tmp_path, capsys, monkeypatch):
+    """Every ``--format json`` report is what ``json.dumps(..., indent=2)``
+    prints for the same payload."""
+    broken = json.loads((DATA / "golden_globalize.json").read_text(encoding="utf-8"))
+    broken["actions"]["short_e"] = {  # D_e omits a point: verify exits 1
+        "kind": "set", "group": "Z2", "carrier": ["a", "b"],
+        "domains": {"0": ["a"]}, "maps": {"0": {"a": "a"}},
+    }
+    files = {
+        "broken": write(tmp_path, "broken.json", broken),
+        "claims": write(tmp_path, "claims.json", {"rows": [["(23)", "1", "(23)", "(13)"]]}),
+    }
+    argv = [arg.format(**files) for arg in argv] + ["--format", "json"]
+    outputs = []
+    for writer in (cli._json_text, lambda obj: json.dumps(obj, indent=2)):
+        monkeypatch.setattr(cli, "_json_text", writer)
+        assert main(argv) == code
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 class TestExampleCommand:

@@ -1,10 +1,13 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partial_actions.cli import main
 from partial_actions.documents import (
     DocumentError,
+    _json_text,
     algebra_action_to_doc,
     algebra_to_doc,
     group_to_doc,
@@ -63,6 +66,13 @@ class TestSetActionDocs:
         spa2 = parse_set_action(doc2, {})
         assert spa2 == spa
         assert set_action_to_doc(spa2) == doc2
+
+    def test_shared_group_document(self):
+        spa = parse_set_action(self.doc(), {})
+        group_doc = group_to_doc(spa.group)
+        doc = set_action_to_doc(spa, group_doc)
+        assert doc["group"] is group_doc
+        assert doc == set_action_to_doc(spa)
 
     def test_omitted_elements_have_empty_domains(self):
         doc = self.doc()
@@ -241,6 +251,7 @@ class TestWorkbench:
             ("actions.beta.maps.(12)", {"0": 0.2}, "$.actions.beta.maps.(12)"),
             ("actions.beta.maps.(12)", {"0.0": 0}, "$.actions.beta.maps.(12)"),
             ("actions.beta.twists", {"(12)": {"0": True}}, "$.actions.beta.twists.(12)"),
+            ("actions.beta.twists", {"(12)": {"0": None}}, "$.actions.beta.twists.(12)"),
         ],
     )
     def test_non_integer_exits_two(self, where, value, path, tmp_path, capsys):
@@ -326,3 +337,75 @@ class TestWorkbench:
         doc2 = workbench_to_doc(wb)
         assert doc2["actions"]["alpha"]["group"] == "G"
         assert doc2["actions"]["beta"]["algebra"] == "A"
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN, the infinities and -0.0 included
+    st.text(),
+    st.sampled_from(["", "\n", "a\r\n\tb", '"\\', "\x00\x1f", "é", "\u2028", "\U0001f600"]),
+)
+_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=3),
+    )
+
+
+_TREES = st.recursive(_SCALARS, _containers, max_leaves=8)
+
+
+class TestJsonText:
+    """The CLI's writer against its oracle, ``json.dumps(obj, indent=2)``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_json_dumps(self, data):
+        # one container placed at depths 1 and 3 and wherever the drawn
+        # tree puts it, also inside dicts that json.dumps encodes itself
+        shared = data.draw(_containers(_TREES))
+        tree = data.draw(st.recursive(_SCALARS | st.just(shared), _containers, max_leaves=16))
+        for obj in (shared, [shared, tree, {"at": [shared]}]):
+            assert _json_text(obj) == json.dumps(obj, indent=2)
+
+    def test_named_cases(self):
+        class Label(str):
+            pass
+
+        class Index(int):
+            def __repr__(self):
+                return "Index()"
+
+        group = {"kind": "cayley", "table": [[0, 1], [1, 0]], "names": ["e", "s\n"]}
+        cases = [
+            [group, {"a": [group, {"b": group}]}, (group,)],
+            {"x": {2: [group, {"y": [group]}]}, "z": group},
+            {None: 1, True: [], False: {}, 2.5: (), math.nan: [math.inf, -math.inf, -0.0]},
+            [Label("é"), Index(3), {Label("k"): Index(4)}],
+            [[], {}, (), [[]], {"": {}}],
+        ]
+        for obj in cases:
+            assert _json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [object(), [1, {2, 3}], {"a": [b"bytes"]}, {(1, 2): 0}],
+    )
+    def test_unserializable_value_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(obj)
+
+    def test_circular_reference_raises_value_error(self):
+        loop: list = [1]
+        loop.append({"again": loop})
+        with pytest.raises(ValueError, match="Circular reference"):
+            _json_text(loop)
