@@ -39,16 +39,15 @@ from .groups import FiniteGroup, Subgroup
 from .reporting import EnvelopingReport, VerificationReport
 from .set_actions import (
     SetPartialAction,
-    SetGlobalization,
     _add_items,
     _axiom_items,
     _certified_witnesses,
+    _envelope_classes,
     _envelope_witnesses,
     _equivariant_bijection,
     _first,
     _orbit_data,
     enumerate_partial_actions,
-    globalize_set,
 )
 
 
@@ -529,18 +528,24 @@ def lift_set_action(
 
 def _transport_twists(
     pa: AlgebraPartialAction,
-    sg: SetGlobalization,
+    orbits: list,
+    paths: dict,
+    witnesses: tuple,
+    pair_class: dict,
 ) -> dict[tuple[int, int], int]:
     """Assign to every (g, position) pair the accumulated automorphism with
-    which a payload placed at that pair's envelope block arrives; ``sg`` is
-    ``globalize_set`` of the idempotent restriction of pa.
+    which a payload placed at that pair's envelope block arrives.
+    ``orbits`` and ``paths`` are the orbit data of pa, twists included, as
+    :func:`_orbit_data` returns it after checking pa against it, and
+    ``witnesses`` and ``pair_class`` the classes of the envelope of the
+    idempotent restriction (:func:`set_actions._envelope_classes`).
 
     Each class has one seed pair with the identity twist: its embedded pair
     (e, x) if it has one, else its witness.  A pair (t, x) and its
     neighbour (tu^-1, alpha_u(x)) across an identification edge satisfy
     transport(tu^-1, alpha_u(x)) = transport(t, x) tau_u(x)^-1, where
-    tau_u(x) is the twist of alpha_u at x.  In the orbit data of
-    :func:`_orbit_data` (x0, H, phi, k_y, tau_y) write T(b) for the
+    tau_u(x) is the twist of alpha_u at x.  In the orbit data
+    (x0, H, phi, k_y, tau_y) write T(b) for the
     transport of (b, x0).  The edge at x0 with u = h ∈ H gives
     T(bh) = T(b) phi(h); the edge at x0 with u = k_y gives
     transport(g, y) = T(g k_y) tau_y^-1; a seed (t, x) gives
@@ -550,28 +555,20 @@ def _transport_twists(
     values.  They are consistent exactly when phi is a homomorphism and
     every twist is the one the orbit data induces, which the orbit data
     checks; then T(b) = tau_x phi(b_c^-1 b) on the coset of b_c = t k_x.
-
-    Raises:
-        TwistTransportConflict: the twists are not induced by the orbit
-            data, so two paths would disagree — the input violates the
-            composition axiom.
-        MalformedInput: the positions do not form a partial action.
     """
     G = pa.group
     table, inv, e = G.table, G.inverses, G.identity
-    positions = pa.algebra.positions()
-    supports, maps, twists, auts = _position_data(pa)
-    orbits, paths = _orbit_data(G, positions, supports, maps, twists, auts)
-    seeds = list(sg.orbit_witness)
-    for x in positions:
-        seeds[sg.pair_class[(e, x)]] = (e, x)
+    auts = [b.aut_group for b in pa.algebra.blocks]
+    seeds = list(witnesses)
+    for x in pa.algebra.positions():
+        seeds[pair_class[(e, x)]] = (e, x)
     # per class: phi of its orbit, b_c^-1 = (t k_x)^-1 and T(b_c) = tau_x
     anchors = []
     for t, x in seeds:
         o, k_x, tau_x = paths[x]
         anchors.append((orbits[o].phi, inv[table[t][k_x]], tau_x))
     transport = {}
-    for (g, y), c in sg.pair_class.items():
+    for (g, y), c in pair_class.items():
         phi, b_inv, tau_x = anchors[c]
         _, k_y, tau_y = paths[y]
         aut = auts[y]
@@ -589,30 +586,42 @@ def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
     :func:`_transport_twists`: T(g k_y) tau_y^-1, where T(b h) = T(b) phi(h)
     on each coset.
 
-    On scalar-line blocks every twist is the identity and the position maps
-    are those of the set envelope.  The result always has at most n·|G|
-    blocks and passes all four enveloping checks; input that is not a
-    partial action raises (``TwistTransportConflict`` when only its twists
-    are at fault) rather than being resolved silently.
+    The orbit data is computed once, twists included, and serves both the
+    envelope's classes and the transport.  On scalar-line blocks every
+    twist is the identity and the position maps are those of the set
+    envelope.  The result always has at most n·|G| blocks and passes all
+    four enveloping checks; input that is not a partial action raises
+    rather than being resolved silently: ``MalformedInput`` when its
+    positions are at fault, as :func:`globalize_set` of its idempotent
+    restriction would, and ``TwistTransportConflict`` when only its twists
+    are.
     """
     G = pa.group
-    sg = globalize_set(restrict_to_idempotents(pa))
-    transport = _transport_twists(pa, sg)
-    envelope = BlockAlgebra(tuple(pa.algebra.blocks[x] for (_, x) in sg.orbit_witness))
+    table = G.table
+    positions = pa.algebra.positions()
+    orbits, paths = _orbit_data(G, positions, *_position_data(pa))
+    witnesses, pair_class = _envelope_classes(G, positions, orbits, paths)
+    transport = _transport_twists(pa, orbits, paths, witnesses, pair_class)
+    envelope = BlockAlgebra(tuple(pa.algebra.blocks[x] for (_, x) in witnesses))
     full = envelope.full_ideal()
-    auts = [b.aut_group for b in envelope.blocks]
+    # per block c with witness (t, x): t, x, its automorphism table and the
+    # inverse of transport(t, x)
+    sources = []
+    for c, (t, x) in enumerate(witnesses):
+        aut = envelope.blocks[c].aut_group
+        sources.append((t, x, aut.table, aut.inv(transport[(t, x)])))
     action = {}
     for g in G.elements():
+        row = table[g]
         pm = {}
         tw = {}
-        for c, (t, x) in enumerate(sg.orbit_witness):
-            moved = (G.mul(g, t), x)
-            pm[c] = sg.pair_class[moved]
-            aut = auts[c]
-            tw[c] = aut.mul(transport[moved], aut.inv(transport[(t, x)]))
+        for c, (t, x, mul, back) in enumerate(sources):
+            moved = (row[t], x)
+            pm[c] = pair_class[moved]
+            tw[c] = mul[transport[moved]][back]
         action[g] = WreathMap(full, full, pm, tw)
     e = G.identity
-    embed_pm = {x: sg.pair_class[(e, x)] for x in range(pa.algebra.n_blocks)}
+    embed_pm = {x: pair_class[(e, x)] for x in positions}
     embedding = WreathMap(
         pa.algebra.full_ideal(),
         envelope.ideal(embed_pm.values()),
@@ -623,7 +632,7 @@ def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
     checks = verify_enveloping(pa, candidate)
     if not checks.ok:
         raise InternalInconsistency("constructed envelope failed its own checks")
-    provenance = tuple((G.name(t), x) for (t, x) in sg.orbit_witness)
+    provenance = tuple((G.name(t), x) for (t, x) in witnesses)
     return GlobalizationResult(pa, envelope, provenance, action, embedding, checks)
 
 

@@ -60,6 +60,11 @@ class BlockAlgebra:
                 raise MalformedInput(
                     f"blocks labeled {b.iso_class!r} carry different automorphism groups"
                 )
+        # read by WreathMap's whole-map checks: one class means one
+        # automorphism group, since equal labels carry equal groups
+        orders = {aut.order for aut in by_class.values()}
+        object.__setattr__(self, "_single_class", len(by_class) == 1)
+        object.__setattr__(self, "_aut_order", orders.pop() if len(orders) == 1 else None)
 
     @property
     def n_blocks(self) -> int:
@@ -120,6 +125,22 @@ class WreathMap:
     target, keyed in position order; ``twists[p]`` is the automorphism (an
     element index of the block's automorphism group) applied to the payload
     in transit.
+
+    The constructor checks, in this order, raising at the first failure:
+    the keys of ``position_map`` are the source support and its values a
+    bijection onto the target support (MalformedInput); each block p lands
+    on a block of its class with the same automorphism group (ClassMismatch,
+    naming the first p in key order); ``twists`` has the same keys; and each
+    twist is an element index of its block's automorphism group
+    (MalformedInput, naming the first p).  Each check is a whole-set or
+    whole-map operation, O(n) in C for n = |support|: within one algebra of
+    a single class every block has the same automorphism group (equal
+    labels carry equal groups), so the class check holds without a look at
+    the positions, and exact-int twists are range-checked by their min and
+    max against the order that the source blocks share.  The per-position
+    loop runs only for maps between two algebras, algebras of several
+    classes or automorphism orders, non-int twists, or to name a failure.
+    ``tests/oracle_checks.py`` keeps that loop as the oracle.
     """
 
     source: BlockIdeal
@@ -130,27 +151,35 @@ class WreathMap:
     def __post_init__(self):
         pm = dict(self.position_map)
         tw = dict(self.twists)
-        if set(pm) != set(self.source.support):
+        if pm.keys() != self.source.support:
             raise MalformedInput("position map keys must be exactly the source support")
-        if set(pm.values()) != set(self.target.support) or len(set(pm.values())) != len(pm):
+        images = set(pm.values())
+        if images != self.target.support or len(images) != len(pm):
             raise MalformedInput("position map is not a bijection onto the target support")
-        for p, q in pm.items():
-            src_block = self.source.algebra.blocks[p]
-            tgt_block = self.target.algebra.blocks[q]
-            if src_block.iso_class != tgt_block.iso_class:
-                raise ClassMismatch(
-                    f"position {p} ({src_block.iso_class}) cannot map onto "
-                    f"position {q} ({tgt_block.iso_class})"
-                )
-            if src_block.aut_group != tgt_block.aut_group:
-                raise ClassMismatch(
-                    f"blocks at {p} and {q} share a label but not automorphisms"
-                )
-        if set(tw) != set(pm):
+        src_alg, tgt_alg = self.source.algebra, self.target.algebra
+        if not (src_alg._single_class and (src_alg is tgt_alg or src_alg == tgt_alg)):
+            for p, q in pm.items():
+                src_block = src_alg.blocks[p]
+                tgt_block = tgt_alg.blocks[q]
+                if src_block.iso_class != tgt_block.iso_class:
+                    raise ClassMismatch(
+                        f"position {p} ({src_block.iso_class}) cannot map onto "
+                        f"position {q} ({tgt_block.iso_class})"
+                    )
+                if src_block.aut_group != tgt_block.aut_group:
+                    raise ClassMismatch(
+                        f"blocks at {p} and {q} share a label but not automorphisms"
+                    )
+        if tw.keys() != pm.keys():
             raise MalformedInput("twists must be indexed exactly by the source support")
-        for p, f in tw.items():
-            if not (0 <= f < self.source.algebra.blocks[p].aut_group.order):
-                raise MalformedInput(f"twist at {p} is not an automorphism index")
+        order = src_alg._aut_order
+        if not (
+            tw and order is not None and set(map(type, tw.values())) == {int}
+            and 0 <= min(tw.values()) and max(tw.values()) < order
+        ):
+            for p, f in tw.items():
+                if not (0 <= f < src_alg.blocks[p].aut_group.order):
+                    raise MalformedInput(f"twist at {p} is not an automorphism index")
         if list(pm) != sorted(pm):
             pm = {p: pm[p] for p in sorted(pm)}
         object.__setattr__(self, "position_map", pm)
@@ -239,11 +268,15 @@ def wreath_compose(w2: WreathMap, w1: WreathMap) -> WreathMap:
     """
     if w1.target != w2.source:
         raise CompositionMismatch("target of the first map differs from source of the second")
-    pm = {p: w2.position_map[w1.position_map[p]] for p in w1.position_map}
-    tw = {}
-    for p in w1.position_map:
-        aut = w1.source.algebra.blocks[p].aut_group
-        tw[p] = aut.mul(w2.twists[w1.position_map[p]], w1.twists[p])
+    pm1, pm2, tw1, tw2 = w1.position_map, w2.position_map, w1.twists, w2.twists
+    pm = {p: pm2[q] for p, q in pm1.items()}
+    algebra = w1.source.algebra
+    if algebra._single_class:
+        mul = algebra.blocks[0].aut_group.table
+        tw = {p: mul[tw2[q]][tw1[p]] for p, q in pm1.items()}
+    else:
+        blocks = algebra.blocks
+        tw = {p: blocks[p].aut_group.table[tw2[q]][tw1[p]] for p, q in pm1.items()}
     return WreathMap(w1.source, w2.target, pm, tw)
 
 

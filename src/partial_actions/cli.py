@@ -60,11 +60,14 @@ def _group_from_spec(spec: str) -> FiniteGroup:
         return symmetric_group(n) if kind == "S" else cyclic_group(n)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
-            return parse_group(json.load(fh))
+            doc = json.load(fh)
     except OSError as exc:
-        raise DocumentError(f"group spec {spec!r} is neither S<n>/Z<n> nor a readable file: {exc}")
+        raise DocumentError(
+            f"group spec {spec!r} is neither S<n>/Z<n> nor a readable file: {exc}", "$"
+        ) from exc
     except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON in {spec}: {exc}")
+        raise DocumentError(f"invalid JSON: line {exc.lineno}, column {exc.colno}", "$") from exc
+    return parse_group(doc, "$")
 
 
 def _emit(text: str, output: Optional[str]) -> None:

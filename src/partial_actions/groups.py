@@ -266,7 +266,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     names = tuple(t[1] for t in labeled)
     index = {perm: i for i, perm in enumerate(ordered)}
     table = tuple(
-        tuple(index[tuple(a[b[x]] for x in range(n))] for b in ordered)
+        tuple(index[tuple(map(a.__getitem__, b))] for b in ordered)  # a∘b: x -> a[b[x]]
         for a in ordered
     )
     identity = index[tuple(range(n))]

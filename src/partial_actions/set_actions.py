@@ -63,8 +63,9 @@ class SetPartialAction:
         mps: dict[int, dict] = {}
         domains = dict(domains or {})
         maps = dict(maps or {})
+        order = group.order
         for g in list(domains) + list(maps):
-            if not (0 <= g < group.order):
+            if not (0 <= g < order):
                 raise MalformedInput(f"unknown group element {g}")
         for g in group.elements():
             if g in domains:
@@ -83,9 +84,14 @@ class SetPartialAction:
                 m = {x: x for x in doms[e]}
             else:
                 m = {}
-            for k, v in m.items():
-                if k not in carrier_set or v not in carrier_set:
-                    raise MalformedInput(f"map of {group.name(g)} leaves the carrier")
+            try:
+                inside = m.keys() <= carrier_set and carrier_set.issuperset(m.values())
+            except TypeError:  # an unhashable image: the loop raises as it always has
+                inside = False
+            if not inside:
+                for k, v in m.items():
+                    if k not in carrier_set or v not in carrier_set:
+                        raise MalformedInput(f"map of {group.name(g)} leaves the carrier")
             mps[g] = m
         self.domains = doms
         self.maps = mps
@@ -125,39 +131,44 @@ class SetPartialAction:
 class GlobalSetAction(SetPartialAction):
     """An ordinary group action: every domain is the full carrier.
 
-    The constructor checks that every map is a bijection of the carrier, that
-    the identity acts trivially and that the action law
-    alpha_g(alpha_t(x)) = alpha_gt(x) holds, and raises MalformedInput when
-    one fails.  The law is checked for every g and x and for t in
+    The constructor checks, in this order, that every map is a bijection of
+    the carrier, that the identity acts trivially and that the action law
+    alpha_g(alpha_t(x)) = alpha_gt(x) holds, and raises MalformedInput at
+    the first failure.  The law is checked for every g and x and for t in
     ``group.generators``, which is exact: every t is t's with s a generator
     and t' shorter (or t = e, covered by the identity check), and by
     induction on the length of t, since composition of maps is associative,
     alpha_g∘alpha_t = (alpha_g∘alpha_t')∘alpha_s = alpha_gt'∘alpha_s = alpha_gt.
+
+    Each check is a whole-set or whole-list operation: one set comparison
+    per map, then, with each map read once as the list of its images in
+    carrier order, one list comparison per pair (g, t), g the outer loop.
+    That is O(|G|·|S|·n) for n points and |S| <= log2 |G| generators, with
+    the per-point loop run only to name the first failing x.
+    ``tests/oracle_checks.py`` keeps the per-point loop as the oracle.
     """
 
     def __init__(self, group, carrier, maps):
-        super().__init__(
-            group,
-            carrier,
-            domains={g: carrier for g in group.elements()},
-            maps=maps,
-        )
-        full = frozenset(self.carrier)
+        full = frozenset(carrier)
+        super().__init__(group, carrier, domains=dict.fromkeys(group.elements(), full), maps=maps)
         for g in group.elements():
             m = self.maps[g]
-            if set(m) != full or set(m.values()) != full:
+            if m.keys() != full or set(m.values()) != full:
                 raise MalformedInput(f"map of {group.name(g)} is not a bijection of the carrier")
-        e = group.identity
-        if any(self.maps[e][x] != x for x in self.carrier):
+        carrier = self.carrier
+        images = [list(map(self.maps[g].__getitem__, carrier)) for g in group.elements()]
+        if images[group.identity] != list(carrier):
             raise MalformedInput("identity element does not act as the identity map")
         for g in group.elements():
+            m_g, row = self.maps[g], group.table[g]
             for t in group.generators:
-                gt = group.mul(g, t)
-                for x in self.carrier:
-                    if self.maps[g][self.maps[t][x]] != self.maps[gt][x]:
-                        raise MalformedInput(
-                            f"action law fails: {group.name(g)}*{group.name(t)} at {x!r}"
-                        )
+                if list(map(m_g.__getitem__, images[t])) != images[row[t]]:
+                    x = _first(
+                        x for x, y, z in zip(carrier, images[t], images[row[t]]) if m_g[y] != z
+                    )
+                    raise MalformedInput(
+                        f"action law fails: {group.name(g)}*{group.name(t)} at {x!r}"
+                    )
 
 
 def _first(items):
@@ -383,7 +394,8 @@ def _orbit_data(G, order, domains, maps, twists=None, auts=None) -> tuple[list, 
     and with s = h ∈ H join (g, y) to (g k_y, x0) and (b, x0) to (bh, x0),
     so each coset is one class.
 
-    The data is checked against the input in O(|G|·n) plus |H|^2 per orbit.
+    The data is checked against the input in O(|G|·n) plus |H|^2 per orbit,
+    every position check before any twist check.
     H must be closed, the points of an orbit must lie on distinct cosets,
     and for every g and x, x ∈ D_{g^-1} must hold exactly when g k_x H is
     the coset of a point y, with alpha_g(x) = y.  With twists, phi must be a
@@ -398,12 +410,14 @@ def _orbit_data(G, order, domains, maps, twists=None, auts=None) -> tuple[list, 
         MalformedInput: a map is not defined on its stated source, a
             stabilizer is not closed, two points of an orbit land on one
             coset, or a map differs from the one the orbit data induces.
-        TwistTransportConflict: phi is not a homomorphism on H, or a twist
-            differs from the one the orbit data induces.
+        TwistTransportConflict: the positions pass, but phi is not a
+            homomorphism on H, or a twist differs from the one the orbit
+            data induces.
     """
     e, inv, table, n = G.identity, G.inverses, G.table, G.name
     orbits: list[_Orbit] = []
     paths: dict = {}
+    twist_fault = None  # raised only once every position check has passed
     for x0 in order:
         if x0 in paths:
             continue
@@ -448,8 +462,8 @@ def _orbit_data(G, order, domains, maps, twists=None, auts=None) -> tuple[list, 
                 (a, b) for a in stabilizer for b in stabilizer
                 if phi[table[a][b]] != aut.mul(phi[a], phi[b])
             )
-            if bad:
-                raise TwistTransportConflict(
+            if bad and twist_fault is None:
+                twist_fault = (
                     f"the twists at {x0!r} are not a homomorphism on its stabilizer: "
                     f"phi({n(bad[0])}*{n(bad[1])}) != phi({n(bad[0])})*phi({n(bad[1])})"
                 )
@@ -468,15 +482,17 @@ def _orbit_data(G, order, domains, maps, twists=None, auts=None) -> tuple[list, 
                     f"alpha_{{{n(g)}}}({x!r}) is {said}, but the orbit of {orbit.base!r} "
                     f"gives {'undefined' if y is None else repr(y)}"
                 )
-            if y is not None and twists is not None:
+            if y is not None and twists is not None and twist_fault is None:
                 _, k_y, tau_y = paths[y]
                 aut = auts[x]
                 want = aut.mul(aut.mul(tau_y, orbit.phi[table[inv[k_y]][row[k]]]), aut.inv(tau))
                 if twists[g][x] != want:
-                    raise TwistTransportConflict(
+                    twist_fault = (
                         f"the twist of alpha_{{{n(g)}}} at {x!r} is {aut.name(twists[g][x])}, "
                         f"but the orbit of {orbit.base!r} gives {aut.name(want)}"
                     )
+    if twist_fault:
+        raise TwistTransportConflict(twist_fault)
     return orbits, paths
 
 
@@ -528,13 +544,29 @@ def globalize_set(spa: SetPartialAction) -> SetGlobalization:
     """
     G = spa.group
     X = spa.carrier
-    orbits, paths = _orbit_data(G, X, spa.domains, spa.maps)
+    witnesses, pair_class = _envelope_classes(G, X, *_orbit_data(G, X, spa.domains, spa.maps))
+    maps = {}
+    for t in G.elements():
+        row = G.table[t]
+        maps[t] = {c: pair_class[(row[g], x)] for c, (g, x) in enumerate(witnesses)}
+    envelope = GlobalSetAction(G, tuple(range(len(witnesses))), maps)
+    e = G.identity
+    embedding = {x: pair_class[(e, x)] for x in X}
+    return SetGlobalization(spa, envelope, embedding, witnesses, pair_class)
+
+
+def _envelope_classes(G, order, orbits, paths) -> tuple[tuple, dict]:
+    """The classes of G x positions under the identification of
+    :func:`globalize_set`, from the orbit data of :func:`_orbit_data`:
+    (witnesses, pair_class), ``witnesses[c]`` the lexicographically least
+    pair (g, x) of class c and ``pair_class[(g, x)]`` the class of each
+    pair.  The class of (g, y) is the coset g k_y H of its orbit."""
     class_of: dict[tuple[int, int], int] = {}  # (orbit, coset) -> class
     pair_class = {}
     witnesses = []
     for g in G.elements():
         row = G.table[g]
-        for x in X:
+        for x in order:
             o, k, _ = paths[x]
             key = (o, orbits[o].coset[row[k]])
             c = class_of.get(key)
@@ -542,15 +574,7 @@ def globalize_set(spa: SetPartialAction) -> SetGlobalization:
                 c = class_of[key] = len(witnesses)
                 witnesses.append((g, x))  # scan order is (g, position): lex least
             pair_class[(g, x)] = c
-    maps = {}
-    for t in G.elements():
-        maps[t] = {
-            c: pair_class[(G.mul(t, g), x)] for c, (g, x) in enumerate(witnesses)
-        }
-    envelope = GlobalSetAction(G, tuple(range(len(witnesses))), maps)
-    e = G.identity
-    embedding = {x: pair_class[(e, x)] for x in X}
-    return SetGlobalization(spa, envelope, embedding, tuple(witnesses), pair_class)
+    return tuple(witnesses), pair_class
 
 
 def _envelope_witnesses(G, domains, maps, beta, points, embedding,

@@ -14,6 +14,11 @@ their pass/fail flags and None-or-not results are compared.
 Both verifiers decide valid input from orbit data and scan the axioms only
 for witnesses; ``scanned_report`` runs them with that certificate refused,
 so that the scan decides every item, as it did before the certificate.
+
+``wreath_map_checks`` and ``global_set_action_checks`` are the constructor
+checks of ``WreathMap`` and ``GlobalSetAction`` entry by entry, in the form
+the package replaced with whole-set and whole-list operations.  They raise
+what the constructors raise, with the same messages.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from unittest import mock
 
 from partial_actions import set_actions
 from partial_actions.block_algebras import wreath_compose
-from partial_actions.errors import GroupMismatch, MalformedInput
+from partial_actions.errors import ClassMismatch, GroupMismatch, MalformedInput
 from partial_actions.reporting import VerificationReport
 
 
@@ -36,6 +41,71 @@ def scanned_report(verify, action) -> VerificationReport:
     axiom scan alone builds the report."""
     with mock.patch.object(set_actions, "_orbit_data", _refuse):
         return verify(action)
+
+
+def wreath_map_checks(source, target, position_map, twists) -> None:
+    """The checks of the ``WreathMap`` constructor, one position at a time:
+    support, bijection, class and automorphism group of every pair of
+    blocks, twist keys, then the range of every twist."""
+    pm = dict(position_map)
+    tw = dict(twists)
+    if set(pm) != set(source.support):
+        raise MalformedInput("position map keys must be exactly the source support")
+    if set(pm.values()) != set(target.support) or len(set(pm.values())) != len(pm):
+        raise MalformedInput("position map is not a bijection onto the target support")
+    for p, q in pm.items():
+        src_block = source.algebra.blocks[p]
+        tgt_block = target.algebra.blocks[q]
+        if src_block.iso_class != tgt_block.iso_class:
+            raise ClassMismatch(
+                f"position {p} ({src_block.iso_class}) cannot map onto "
+                f"position {q} ({tgt_block.iso_class})"
+            )
+        if src_block.aut_group != tgt_block.aut_group:
+            raise ClassMismatch(f"blocks at {p} and {q} share a label but not automorphisms")
+    if set(tw) != set(pm):
+        raise MalformedInput("twists must be indexed exactly by the source support")
+    for p, f in tw.items():
+        if not (0 <= f < source.algebra.blocks[p].aut_group.order):
+            raise MalformedInput(f"twist at {p} is not an automorphism index")
+
+
+def global_set_action_checks(group, carrier, maps) -> None:
+    """The checks of the ``GlobalSetAction`` constructor, one entry at a
+    time: the carrier and element checks of ``SetPartialAction`` (a missing
+    identity map is the identity), every map a bijection of the carrier,
+    the identity acting trivially, then the action law for every g, every
+    generator t and every point x, g the outer loop."""
+    carrier = tuple(carrier)
+    if len(set(carrier)) != len(carrier):
+        raise MalformedInput("carrier contains duplicate points")
+    full = frozenset(carrier)
+    maps = dict(maps)
+    for g in maps:
+        if not (0 <= g < group.order):
+            raise MalformedInput(f"unknown group element {g}")
+    e = group.identity
+    normalized = {}
+    for g in group.elements():
+        m = dict(maps[g]) if g in maps else {x: x for x in full} if g == e else {}
+        for k, v in m.items():
+            if k not in full or v not in full:
+                raise MalformedInput(f"map of {group.name(g)} leaves the carrier")
+        normalized[g] = m
+    for g in group.elements():
+        m = normalized[g]
+        if set(m) != full or set(m.values()) != full:
+            raise MalformedInput(f"map of {group.name(g)} is not a bijection of the carrier")
+    if any(normalized[e][x] != x for x in carrier):
+        raise MalformedInput("identity element does not act as the identity map")
+    for g in group.elements():
+        for t in group.generators:
+            gt = group.mul(g, t)
+            for x in carrier:
+                if normalized[g][normalized[t][x]] != normalized[gt][x]:
+                    raise MalformedInput(
+                        f"action law fails: {group.name(g)}*{group.name(t)} at {x!r}"
+                    )
 
 
 def associativity_failure(table):

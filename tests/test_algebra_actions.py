@@ -7,7 +7,7 @@ import oracle_globalization
 import pytest
 from oracle_enumeration import brute_force_algebra_partial_actions, relabelled
 
-from partial_actions import algebra_actions
+from partial_actions import algebra_actions, set_actions
 from partial_actions.algebra_actions import (
     AlgebraPartialAction,
     classify_indecomposable,
@@ -523,6 +523,16 @@ def retwisted_copies(pa):
     return out
 
 
+def package_transport(pa, sg):
+    """The package's transport of pa, from its orbit data and the classes of
+    sg, the set envelope of its idempotent restriction."""
+    positions = pa.algebra.positions()
+    orbits, paths = algebra_actions._orbit_data(
+        pa.group, positions, *algebra_actions._position_data(pa)
+    )
+    return algebra_actions._transport_twists(pa, orbits, paths, sg.orbit_witness, sg.pair_class)
+
+
 class TestTwistTransport:
     """The transport read off the orbit data (T(b h) = T(b) phi(h),
     transport(g, y) = T(g k_y) tau_y^-1) against the breadth-first walk kept
@@ -536,7 +546,7 @@ class TestTwistTransport:
             for pa in enumerate_algebra_partial_actions(G, n, block):
                 sg = globalize_set(restrict_to_idempotents(pa))
                 expected = oracle_globalization.transport_twists(pa, sg)
-                assert algebra_actions._transport_twists(pa, sg) == expected
+                assert package_transport(pa, sg) == expected
                 checked += 1
         assert checked == {2: 594, 3: 542}[aut_order]
 
@@ -552,7 +562,7 @@ class TestTwistTransport:
                 expected = oracle_globalization.globalize_set(spa)
                 assert oracle_globalization.same_globalization(sg, expected)
                 expected = oracle_globalization.transport_twists(pa, sg)
-                assert algebra_actions._transport_twists(pa, sg) == expected
+                assert package_transport(pa, sg) == expected
 
     def test_raises_exactly_on_non_actions(self):
         block = Block("L", cyclic_group(3))
@@ -580,6 +590,93 @@ class TestTwistTransport:
         pa = AlgebraPartialAction(z2, algebra, {0: full, 1: full}, {1: swap})
         with pytest.raises(TwistTransportConflict, match="twist of alpha_"):
             globalize_block_power(pa)
+
+
+class TestOneOrbitComputation:
+    """globalize_block_power computes the orbit data once, twists included,
+    and still reports position faults as MalformedInput before any twist
+    fault, as the set envelope of its idempotent restriction would."""
+
+    @staticmethod
+    def z4_action(fixed_by_square):
+        # Z4 on three Z3-blocks: alpha_2 fixes block 0 with twist 1, so phi
+        # on the stabilizer {0, 2} of block 0 is no homomorphism into Z3
+        # (a twist fault in the first orbit); alpha_1 moves block 1 to 2.
+        # With ``fixed_by_square`` alpha_2 also fixes block 1, which alpha_1
+        # moves: a position fault, found only after the first orbit.
+        G = cyclic_group(4)
+        algebra = block_power(Block("L", cyclic_group(3)), 3)
+        square = {0: 0, 1: 1} if fixed_by_square else {0: 0}
+        maps = {
+            1: WreathMap(algebra.ideal({1}), algebra.ideal({2}), {1: 2}, {1: 0}),
+            3: WreathMap(algebra.ideal({2}), algebra.ideal({1}), {2: 1}, {2: 0}),
+            2: WreathMap(algebra.ideal(square), algebra.ideal(square), square,
+                         {p: int(p == 0) for p in square}),
+        }
+        domains = {g: w.target for g, w in maps.items()}
+        return AlgebraPartialAction(G, algebra, domains, maps)
+
+    def test_position_fault_wins_over_an_earlier_twist_fault(self):
+        pa = self.z4_action(fixed_by_square=True)
+        with pytest.raises(MalformedInput) as exc:
+            globalize_block_power(pa)
+        with pytest.raises(MalformedInput) as set_exc:
+            globalize_set(restrict_to_idempotents(pa))
+        assert str(exc.value) == str(set_exc.value)
+
+    def test_twist_fault_alone_raises_a_conflict(self):
+        pa = self.z4_action(fixed_by_square=False)
+        globalize_set(restrict_to_idempotents(pa))  # the positions are an action
+        with pytest.raises(TwistTransportConflict, match="not a homomorphism"):
+            globalize_block_power(pa)
+
+    def test_position_and_twist_faults_raise_as_the_set_envelope(self):
+        # copies with two images swapped in one map (and the twist at its
+        # first position changed) against the set envelope of their positions
+        block = Block("L", cyclic_group(3))
+        raised = 0
+        for G, n in TWISTED_CASES:
+            if n == 1:
+                continue
+            for pa in enumerate_algebra_partial_actions(G, n, block)[::5]:
+                for g in G.elements():
+                    w = pa.maps[g]
+                    if len(w.position_map) < 2:
+                        continue
+                    p, q = sorted(w.position_map)[:2]
+                    pm = dict(w.position_map)
+                    pm[p], pm[q] = pm[q], pm[p]
+                    tw = dict(w.twists)
+                    tw[p] = block.aut_group.mul(tw[p], 1)
+                    maps = dict(pa.maps)
+                    maps[g] = WreathMap(w.source, w.target, pm, tw)
+                    copy = AlgebraPartialAction(G, pa.algebra, pa.domains, maps)
+                    try:
+                        globalize_set(restrict_to_idempotents(copy))
+                    except MalformedInput as set_exc:
+                        with pytest.raises(MalformedInput) as exc:
+                            globalize_block_power(copy)
+                        assert str(exc.value) == str(set_exc)
+                        raised += 1
+        assert raised > 0
+
+    def test_orbit_data_runs_once_per_call(self, monkeypatch):
+        calls = []
+        real = algebra_actions._orbit_data
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(algebra_actions, "_orbit_data", counted)
+        monkeypatch.setattr(set_actions, "_orbit_data", counted)
+        block = Block("L", cyclic_group(2))
+        pas = enumerate_algebra_partial_actions(symmetric_group(3), 2, block)[::9]
+        calls.clear()  # enumeration reads orbit data too
+        for pa in pas:
+            before = len(calls)
+            assert globalize_block_power(pa).checks.ok
+            assert len(calls) == before + 1
 
 
 class TestCertificate:

@@ -358,6 +358,104 @@ class TestEnumerateCommand:
         for size in ("9", "-1"):
             assert main(["enumerate", "--group", "Z2", "--size", size]) == 2
 
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ('{"kind": "cayley", "table": [[0, 1], [1, 2]]}', "$"),
+            ('{"kind": "cyclic", "n": true}', "$.n"),
+            ("{not json", "$"),
+        ],
+    )
+    def test_group_file_errors_are_located_at_the_root(self, text, where, tmp_path, capsys):
+        group = tmp_path / "group.json"
+        group.write_text(text, encoding="utf-8")
+        assert main(["enumerate", "--group", str(group), "--size", "1"]) == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"(at {where})")
+
+    def test_unreadable_group_file_is_located_at_the_root(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["factorize", "--group", str(missing)]) == 2
+        assert capsys.readouterr().err.rstrip().endswith("(at $)")
+
+
+class TestBenchmarkScale:
+    """``globalize`` in process on the globalize benchmark's shape: S5 acting
+    by left multiplication, restricted to 60 of its 120 elements, as a set
+    action and as its lift to 60 blocks with Aut = Z2 and coboundary twists
+    c(p) + c(q).  At this size every envelope map is a wreath map within one
+    single-class algebra, the constructors' whole-map path."""
+
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        import random
+
+        from partial_actions.groups import symmetric_group
+
+        G = symmetric_group(5)
+        rng = random.Random(5)
+        subset = rng.sample(range(G.order), 60)
+        pos = {x: i for i, x in enumerate(subset)}
+        c = [rng.randrange(2) for _ in subset]
+        n = G.name
+        set_doc = {"kind": "set", "group": "S5", "carrier": [n(x) for x in subset],
+                   "domains": {}, "maps": {}}
+        lift_doc = {"kind": "algebra", "group": "S5", "algebra": "Q60",
+                    "domains": {}, "maps": {}, "twists": {}}
+        for g in G.elements():
+            pairs = [(x, G.mul(g, x)) for x in subset if G.mul(g, x) in pos]
+            if not pairs:
+                continue
+            set_doc["domains"][n(g)] = [n(y) for _, y in pairs]
+            set_doc["maps"][n(g)] = {n(x): n(y) for x, y in pairs}
+            lift_doc["domains"][n(g)] = sorted(pos[y] for _, y in pairs)
+            lift_doc["maps"][n(g)] = {str(pos[x]): pos[y] for x, y in pairs}
+            lift_doc["twists"][n(g)] = {str(pos[x]): str((c[pos[x]] + c[pos[y]]) % 2)
+                                        for x, y in pairs}
+        doc = {
+            "version": "1",
+            "groups": {"S5": {"kind": "symmetric", "n": 5}, "Z2": {"kind": "cyclic", "n": 2}},
+            "algebras": {"Q60": {"blocks": [{"class": "Q", "aut": "Z2"}] * 60}},
+            "actions": {"s5_set": set_doc, "s5_lift": lift_doc},
+        }
+        path = write(tmp_path_factory.mktemp("scale"), "s5.json", doc)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["globalize", path, "--format", "json"])
+        return doc, code, json.loads(out.getvalue())
+
+    def test_every_check_passes(self, report):
+        _, code, payload = report
+        assert code == 0
+        for name in ("s5_set", "s5_lift"):
+            assert len(payload[name]["envelope_blocks"]) == 120
+            assert payload[name]["checks"] == {
+                "ideal": True, "covers": True, "intersection": True, "equivariance": True,
+            }
+
+    def test_envelopes_restrict_to_their_inputs(self, report):
+        doc, _, payload = report
+        for name, twisted in (("s5_set", False), ("s5_lift", True)):
+            env = payload[name]
+            embed = env["embedding"]["position_map"] if twisted else env["embedding"]
+            back = {q: p for p, q in embed.items()}
+            restricted = {}
+            for g, beta in env["action"].items():
+                moves = beta["map"] if twisted else beta
+                m = {}
+                for p, q in embed.items():
+                    if moves[str(q)] in back:
+                        target = back[moves[str(q)]]
+                        m[p] = (int(target), beta["twists"][str(q)]) if twisted else target
+                if m:
+                    restricted[g] = m
+            given = doc["actions"][name]
+            if twisted:
+                given = {g: {p: (q, given["twists"][g][p]) for p, q in m.items()}
+                         for g, m in given["maps"].items()}
+            else:
+                given = given["maps"]
+            assert restricted == given
+
 
 @pytest.mark.parametrize(
     "argv,code",

@@ -1,0 +1,209 @@
+"""The constructors of ``WreathMap`` and ``GlobalSetAction`` check whole maps
+at once; on mutated inputs they must accept exactly what the entry-by-entry
+checks in ``oracle_checks`` accept, and raise the same exception type with
+the same message."""
+
+import random
+from collections import Counter
+
+import pytest
+from oracle_checks import global_set_action_checks, wreath_map_checks
+
+from partial_actions.block_algebras import Block, BlockAlgebra, WreathMap, block_power
+from partial_actions.groups import (
+    cyclic_group,
+    left_transversal,
+    subgroup_closure,
+    symmetric_group,
+)
+from partial_actions.set_actions import GlobalSetAction
+
+
+def outcome(build, *args):
+    """("ok", None) or (exception type, message) of build(*args)."""
+    try:
+        build(*args)
+    except Exception as exc:  # the comparison covers every exception type
+        return type(exc), str(exc)
+    return "ok", None
+
+
+def kind_of(result) -> str:
+    """"ok", or the exception's type name and the first two words of its
+    message."""
+    kind, message = result
+    return kind if kind == "ok" else f"{kind.__name__}: {' '.join(message.split()[:2])}"
+
+
+Z1, Z2, Z3 = cyclic_group(1), cyclic_group(2), cyclic_group(3)
+L3, L2, K, M3 = Block("L", Z3), Block("L", Z2), Block("K", Z1), Block("M", Z3)
+
+ALGEBRAS = {
+    "single class, Aut Z3": block_power(L3, 4),
+    "equal copy of it": BlockAlgebra((Block("L", cyclic_group(3)),) * 4),
+    "same label, Aut Z2": block_power(L2, 4),
+    "scalar lines": block_power(K, 4),
+    "mixed classes and orders": BlockAlgebra((L3, K, L3, M3)),
+    "mixed classes, one order": BlockAlgebra((L3, M3, M3, L3)),
+}
+
+# twists of every kind: in range, -1, the group's order, booleans, a float
+# and a string
+TWIST_VALUES = (0, 1, 2, -1, 3, True, False, 1.5, "0")
+
+
+def wreath_cases(rng: random.Random, count: int):
+    """(source, target, position_map, twists) over every ordered pair of
+    the algebras above, mostly well formed, with one mutation in most."""
+    names = list(ALGEBRAS)
+    for _ in range(count):
+        a, b = ALGEBRAS[rng.choice(names)], ALGEBRAS[rng.choice(names)]
+        size = rng.randint(0, 4)
+        src = rng.sample(range(4), size)
+        tgt = rng.sample(range(4), size)
+        pm = dict(zip(src, tgt))
+        order = a.blocks[0].aut_group.order
+        tw = {p: rng.randrange(order) for p in pm}
+        kind = rng.randrange(8)
+        if kind == 0 and pm:  # one twist out of range or of another type
+            tw[rng.choice(list(tw))] = rng.choice(TWIST_VALUES)
+        elif kind == 1:  # every twist drawn from every kind
+            tw = {p: rng.choice(TWIST_VALUES) for p in pm}
+        elif kind == 2 and pm:  # twists keyed off the support
+            tw.pop(rng.choice(list(tw)))
+            tw[rng.choice([p for p in range(4) if p not in pm] or [0])] = 0
+        elif kind == 3 and len(pm) > 1:  # two blocks onto one
+            p, q = rng.sample(list(pm), 2)
+            pm[p] = pm[q]
+        elif kind == 4 and pm:  # a key off the support
+            pm.pop(rng.choice(list(pm)))
+        source = a.ideal(src if kind != 5 else src[:-1])
+        yield source, b.ideal(tgt), pm, tw
+
+
+class TestWreathMap:
+    def test_mutated_maps_match_the_oracle(self):
+        seen = Counter()
+        for source, target, pm, tw in wreath_cases(random.Random(7), 6000):
+            got = outcome(WreathMap, source, target, pm, tw)
+            want = outcome(wreath_map_checks, source, target, pm, tw)
+            assert got == want, (source, target, pm, tw)
+            seen[kind_of(got)] += 1
+            if got[0] == "ok":
+                w = WreathMap(source, target, pm, tw)
+                assert list(w.position_map) == sorted(pm) and w.position_map == pm
+        # every check fails somewhere and the sample is not all rejections
+        assert seen["ok"] > 500
+        for kind in ("MalformedInput: position map", "ClassMismatch: position",
+                     "ClassMismatch: blocks at", "MalformedInput: twists must",
+                     "MalformedInput: twist at", "TypeError: '<='"):
+            assert any(k.startswith(kind) for k in seen), kind
+
+    @pytest.mark.parametrize(
+        "source,target,pm,tw,expected",
+        [
+            # one label, two automorphism groups: only the full check sees it
+            (block_power(L3, 2).ideal({0, 1}), block_power(L2, 2).ideal({0, 1}),
+             {0: 1, 1: 0}, {0: 0, 1: 0}, "blocks at 0 and 1 share a label but not automorphisms"),
+            (BlockAlgebra((L3, M3)).full_ideal(), BlockAlgebra((L3, M3)).full_ideal(),
+             {0: 1, 1: 0}, {0: 0, 1: 0}, "position 0 (L) cannot map onto position 1 (M)"),
+            (block_power(L3, 2).full_ideal(), block_power(L3, 2).full_ideal(),
+             {0: 0, 1: 1}, {0: 0, 1: -1}, "twist at 1 is not an automorphism index"),
+            (block_power(L3, 2).full_ideal(), block_power(L3, 2).full_ideal(),
+             {0: 0, 1: 1}, {0: 3, 1: 0}, "twist at 0 is not an automorphism index"),
+            (block_power(K, 2).full_ideal(), block_power(K, 2).full_ideal(),
+             {0: 0, 1: 1}, {0: 0, 1: True}, "twist at 1 is not an automorphism index"),
+            (block_power(L3, 2).full_ideal(), block_power(L3, 2).full_ideal(),
+             {0: 0, 1: 1}, {0: True, 1: 2}, None),
+        ],
+    )
+    def test_named_cases(self, source, target, pm, tw, expected):
+        want = outcome(wreath_map_checks, source, target, pm, tw)
+        assert outcome(WreathMap, source, target, pm, tw) == want
+        assert want[1] == expected
+
+
+def global_actions():
+    """(G, carrier, maps) of regular actions and of actions on cosets."""
+    out = []
+    for G in (cyclic_group(2), cyclic_group(4), cyclic_group(6), symmetric_group(3)):
+        out.append((G, tuple(G.elements()), {
+            g: {x: G.mul(g, x) for x in G.elements()} for g in G.elements()
+        }))
+    S3 = symmetric_group(3)
+    T = left_transversal(S3, subgroup_closure(S3, ["(12)"]))
+    names = {r: f"c{r}" for r in T.reps}
+    out.append((S3, tuple(names.values()), {
+        g: {names[r]: names[T.reps[T.coset_position(S3.mul(g, r))]] for r in T.reps}
+        for g in S3.elements()
+    }))
+    return out
+
+
+def set_mutants(rng: random.Random, G, carrier, maps):
+    """Copies of a global action, each with one fault or none."""
+    yield maps
+    for _ in range(40):
+        m = {g: dict(mg) for g, mg in maps.items()}
+        g = rng.choice(list(G.elements()))
+        x, y = (rng.sample(carrier, 2) if len(carrier) > 1 else (carrier[0], carrier[0]))
+        kind = rng.randrange(9)
+        if kind == 0:  # two images swapped: still a bijection
+            m[g][x], m[g][y] = m[g][y], m[g][x]
+        elif kind == 1:  # swapped in g and, inverted, in g^-1
+            m[g][x], m[g][y] = m[g][y], m[g][x]
+            m[G.inv(g)] = {v: k for k, v in m[g].items()}
+        elif kind == 2:  # two points onto one
+            m[g][x] = m[g][y]
+        elif kind == 3:  # a point dropped
+            m[g].pop(x)
+        elif kind == 4:  # a foreign point
+            m[g]["zz"] = m[g].pop(x)
+        elif kind == 5:  # a foreign image
+            m[g][x] = "zz"
+        elif kind == 6:  # the identity map left out: it defaults to the identity
+            m.pop(G.identity)
+        elif kind == 7:  # an element the group does not have
+            m[G.order] = dict(m[g])
+        else:  # the identity moved by a permutation of the carrier
+            m[G.identity] = dict(m[g])
+        yield m
+
+
+def law_failures(G, carrier, maps) -> set:
+    """Every (g, t) with t a generator at which the action law fails."""
+    return {
+        (g, t) for g in G.elements() for t in G.generators for x in carrier
+        if maps[g][maps[t][x]] != maps[G.mul(g, t)][x]
+    }
+
+
+class TestGlobalSetAction:
+    def test_mutated_actions_match_the_oracle(self):
+        rng = random.Random(11)
+        seen = Counter()
+        repeated_law_failure = 0
+        for G, carrier, maps in global_actions():
+            for m in set_mutants(rng, G, carrier, maps):
+                got = outcome(GlobalSetAction, G, carrier, m)
+                assert got == outcome(global_set_action_checks, G, carrier, m), m
+                seen[kind_of(got)] += 1
+                if got[1] and got[1].startswith("action law"):
+                    repeated_law_failure += len(law_failures(G, carrier, m)) > 1
+        assert seen["ok"] > 0
+        for kind in ("MalformedInput: unknown group", "MalformedInput: map of",
+                     "MalformedInput: identity element", "MalformedInput: action law"):
+            assert any(k.startswith(kind) for k in seen), kind
+        assert repeated_law_failure > 0
+
+    def test_law_failure_at_several_pairs_names_the_first(self):
+        # a swap in one map of S3's regular action breaks the law at several
+        # (g, t); the first in g-then-t order, then carrier order, is named
+        G, carrier, maps = global_actions()[3]
+        maps = {g: dict(m) for g, m in maps.items()}
+        g = G.element_by_name("(123)")
+        maps[g][0], maps[g][1] = maps[g][1], maps[g][0]
+        assert len(law_failures(G, carrier, maps)) > 1
+        want = outcome(global_set_action_checks, G, carrier, maps)
+        assert want[1].startswith("action law fails: ")
+        assert outcome(GlobalSetAction, G, carrier, maps) == want

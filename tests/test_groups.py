@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,6 +95,27 @@ class TestSymmetricGroup:
     def test_cap(self):
         with pytest.raises(SizeLimit):
             symmetric_group(7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_table_is_composition_of_the_named_permutations(self, n):
+        # each name is read back as a permutation of 0..n-1 and every product
+        # is composed directly, right to left: (a*b)(x) = a(b(x))
+        G = symmetric_group(n)
+
+        def permutation(name):
+            perm = list(range(n))
+            for cycle in name.strip("()").split(")(") if name != "1" else []:
+                points = [int(c) - 1 for c in cycle]
+                for x, y in zip(points, points[1:] + points[:1]):
+                    perm[x] = y
+            return tuple(perm)
+
+        perms = [permutation(name) for name in G.names]
+        assert len(set(perms)) == G.order == len(list(itertools.permutations(range(n))))
+        index = {perm: i for i, perm in enumerate(perms)}
+        for a, pa in enumerate(perms):
+            row = tuple([index[tuple([pa[y] for y in pb])] for pb in perms])
+            assert G.table[a] == row
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_group_axioms_via_make_group(self, n):
