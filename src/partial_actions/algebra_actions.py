@@ -4,14 +4,14 @@ Domains are ideals generated by central idempotents (so every action here
 satisfies the globalizability criterion by construction) and the maps are
 wreath maps: class-preserving position bijections with automorphism twists.
 
-Two pipelines build envelopes.  ``globalize_extension_by_zero`` handles one
-indecomposable block: the action is an extension by zero from a subgroup H
-and the envelope is [G:H] copies of the block.  ``globalize_block_power``
-handles every block algebra, mixed classes included: the envelope is
-assembled from the envelope of the restriction to the idempotent positions,
-with twists read off the orbit data of that restriction (the stabilizer H
-of each orbit's base block, the homomorphism phi: H -> Aut(B) of its
-twists, and the twist along the path k_y to each block y).
+Every envelope comes from one assembly: a copy of a block per class of
+(g, position) pairs, and the twist each pair's block arrives with.
+``globalize_block_power`` handles every block algebra, mixed classes
+included: its classes and twists are read off the orbit data of the
+restriction to the idempotent positions (the stabilizer H of each orbit's
+base block, phi: H -> Aut(B) of its twists, and the twist along the path
+k_y to each block y).  ``globalize_extension_by_zero`` is the one-orbit
+case: its classes are the cosets of H, from ``coset_factorize``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     NotAHomomorphism,
     PartialActionError,
 )
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, coset_factorize
 from .reporting import EnvelopingReport, VerificationReport
 from .set_actions import (
     SetPartialAction,
@@ -74,9 +74,9 @@ class AlgebraPartialAction:
         doms: dict[int, BlockIdeal] = {}
         domains = dict(domains or {})
         maps = dict(maps or {})
-        for g in list(domains) + list(maps):
-            if not (0 <= g < group.order):
-                raise MalformedInput(f"unknown group element {g}")
+        for g in [*domains, *maps]:  # 1.0 and True are equal to 1, but name no element
+            if type(g) is not int or not 0 <= g < group.order:
+                raise MalformedInput(f"unknown group element {g!r}")
         for g in group.elements():
             if g in domains:
                 d = domains[g]
@@ -184,23 +184,20 @@ def verify_algebra_partial_action(pa: AlgebraPartialAction) -> VerificationRepor
 
 def classify_indecomposable(pa: AlgebraPartialAction) -> tuple[Subgroup, dict[int, int]]:
     """For an action on a single block: the subgroup H on which the action is
-    global, and the homomorphism H -> Aut(block) given by the twists.
+    global, and the homomorphism H -> Aut(block) given by the twists, read
+    as the stabilizer and phi of the one orbit of :func:`_orbit_data`.
 
     The reconstruction ``extend_by_zero_algebra(block, H, hom)`` equals the
     input for every valid action.
+
+    Raises:
+        MalformedInput: several blocks, or a support that is not a subgroup.
+        TwistTransportConflict: twists that are not a homomorphism on H.
     """
     if pa.algebra.n_blocks != 1:
         raise MalformedInput("classification applies to single-block algebras")
-    G = pa.group
-    members = tuple(g for g in G.elements() if pa.support(g))
-    H = Subgroup(G, members)  # raises NotASubgroup on invalid input actions
-    hom = {g: pa.maps[g].twists[0] for g in members}
-    aut = pa.algebra.blocks[0].aut_group
-    for a in members:
-        for b in members:
-            if hom[G.mul(a, b)] != aut.mul(hom[a], hom[b]):
-                raise InternalInconsistency("twists of a valid action must be a homomorphism")
-    return H, hom
+    (orbit,), _ = _orbit_data(pa.group, (0,), *_position_data(pa))
+    return Subgroup(pa.group, orbit.stabilizer), orbit.phi
 
 
 def extend_by_zero_algebra(
@@ -376,35 +373,17 @@ def globalize_extension_by_zero(
     """Envelope of the extension by zero of a global subgroup action on one
     block: one copy of the block per transversal representative, with beta_g
     moving the g_i component to the j(g,g_i) component under the twist
-    hom(h(g,g_i))."""
-    from .groups import coset_factorize, left_transversal
-
+    hom(h(g,g_i)): the one-orbit case of :func:`_assemble`, with (g, 0) in
+    the class j(g, e) and its twist hom(h(g, e)), from column e of the
+    verified j and h tables.  Blocks follow the transversal, e first."""
     pa = extend_by_zero_algebra(block, subgroup, hom)
-    blk = pa.algebra.blocks[0]
     G = subgroup.parent
-    transversal = left_transversal(G, subgroup)
-    cf = coset_factorize(G, subgroup, transversal)
-    m = len(transversal)
-    envelope = block_power(blk, m)
-    full = envelope.full_ideal()
-    hom = dict(hom)
-    action = {}
-    for g in G.elements():
-        pm = {i: cf.j_table[g][i] for i in range(m)}
-        twists = {i: hom[cf.h_table[g][i]] for i in range(m)}
-        action[g] = WreathMap(full, full, pm, twists)
-    embedding = WreathMap(
-        pa.algebra.full_ideal(),
-        envelope.ideal({0}),
-        {0: 0},
-        {0: blk.aut_group.identity},
-    )
-    candidate = {"envelope": envelope, "action": action, "embedding": embedding}
-    checks = verify_enveloping(pa, candidate)
-    if not checks.ok:
-        raise InternalInconsistency("constructed envelope failed its own checks")
-    provenance = tuple(G.name(r) for r in transversal.reps)
-    return GlobalizationResult(pa, envelope, provenance, action, embedding, checks)
+    cf = coset_factorize(G, subgroup)
+    reps = cf.transversal.reps
+    pair_class = {(g, 0): cf.j_table[g][0] for g in G.elements()}
+    transport = {(g, 0): hom[cf.h_table[g][0]] for g in G.elements()}
+    witnesses = tuple((r, 0) for r in reps)
+    return _assemble(pa, witnesses, pair_class, transport, tuple(G.name(r) for r in reps))
 
 
 def envelope_block_count(pa: AlgebraPartialAction) -> int:
@@ -580,11 +559,8 @@ def _transport_twists(
 def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
     """Envelope of a partial action on any block algebra, mixed classes
     included: one envelope block per point of the envelope of the idempotent
-    restriction, a copy of the block at its orbit witness (g, x).  The
-    twist of beta_g at the class of (t, x) is
-    transport(gt, x) transport(t, x)^-1, with the transport of
-    :func:`_transport_twists`: T(g k_y) tau_y^-1, where T(b h) = T(b) phi(h)
-    on each coset.
+    restriction, a copy of the block at its orbit witness (g, x), assembled
+    by :func:`_assemble` with the transport of :func:`_transport_twists`.
 
     The orbit data is computed once, twists included, and serves both the
     envelope's classes and the transport.  On scalar-line blocks every
@@ -597,11 +573,27 @@ def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
     are.
     """
     G = pa.group
-    table = G.table
     positions = pa.algebra.positions()
     orbits, paths = _orbit_data(G, positions, *_position_data(pa))
     witnesses, pair_class = _envelope_classes(G, positions, orbits, paths)
     transport = _transport_twists(pa, orbits, paths, witnesses, pair_class)
+    provenance = tuple((G.name(t), x) for (t, x) in witnesses)
+    return _assemble(pa, witnesses, pair_class, transport, provenance)
+
+
+def _assemble(
+    pa: AlgebraPartialAction,
+    witnesses: tuple,
+    pair_class: dict,
+    transport: dict,
+    provenance: tuple,
+) -> GlobalizationResult:
+    """Envelope of pa whose block c copies the block at witnesses[c] = (t, x),
+    with beta_g sending c to the class of (gt, x) under the twist
+    transport(gt, x) transport(t, x)^-1, and x embedded at the class of
+    (e, x); raises InternalInconsistency if it fails verify_enveloping."""
+    G = pa.group
+    table = G.table
     envelope = BlockAlgebra(tuple(pa.algebra.blocks[x] for (_, x) in witnesses))
     full = envelope.full_ideal()
     # per block c with witness (t, x): t, x, its automorphism table and the
@@ -621,7 +613,7 @@ def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
             tw[c] = mul[transport[moved]][back]
         action[g] = WreathMap(full, full, pm, tw)
     e = G.identity
-    embed_pm = {x: pair_class[(e, x)] for x in positions}
+    embed_pm = {x: pair_class[(e, x)] for x in pa.algebra.positions()}
     embedding = WreathMap(
         pa.algebra.full_ideal(),
         envelope.ideal(embed_pm.values()),
@@ -632,7 +624,6 @@ def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
     checks = verify_enveloping(pa, candidate)
     if not checks.ok:
         raise InternalInconsistency("constructed envelope failed its own checks")
-    provenance = tuple((G.name(t), x) for (t, x) in witnesses)
     return GlobalizationResult(pa, envelope, provenance, action, embedding, checks)
 
 

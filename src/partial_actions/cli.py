@@ -33,7 +33,6 @@ from .groups import (
     coset_factorize,
     cross_validate_table,
     cyclic_group,
-    left_transversal,
     subgroup_closure,
     symmetric_group,
 )
@@ -140,7 +139,7 @@ def cmd_factorize(args) -> int:
     G = _group_from_spec(args.group)
     generators = [s.strip() for s in args.subgroup.split(",") if s.strip()] if args.subgroup else []
     H = subgroup_closure(G, generators)
-    cf = coset_factorize(G, H, left_transversal(G, H))
+    cf = coset_factorize(G, H)
     report = None
     if args.compare:
         with open(args.compare, "r", encoding="utf-8") as fh:
@@ -189,7 +188,9 @@ def _globalize_one(action):
     """Route an action to its pipeline; returns (kind, result-ish, checks).
 
     One block is an extension by zero from a subgroup; any other block
-    algebra goes through the envelope of its idempotent restriction."""
+    algebra goes through the envelope of its idempotent restriction.  Both
+    share one assembly; the one-block branch stays because its report lists
+    transversal names and numbers the blocks from the identity's coset."""
     if isinstance(action, AlgebraPartialAction):
         if action.algebra.n_blocks == 1:
             H, hom = classify_indecomposable(action)

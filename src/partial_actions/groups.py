@@ -369,12 +369,8 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 @dataclass(frozen=True)
 class LeftTransversal:
-    """One representative per left coset gH, with the identity representing H.
-
-    ``reps[0]`` is the identity; the remaining representatives are the
-    minimal-index elements of their cosets, listed in ascending order, so the
-    same (G, H) always produces the same transversal.
-    """
+    """One representative per left coset gH, ``reps[0]`` the identity.
+    :func:`left_transversal` builds the one that :func:`_cosets` numbers."""
 
     subgroup: Subgroup
     reps: tuple[int, ...]
@@ -417,22 +413,29 @@ class LeftTransversal:
             ) from None
 
 
+def _cosets(G: FiniteGroup, members: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(reps, coset) for the subgroup H with these members: ``coset[g]`` is
+    the index of gH, H is coset 0 with representative e, and the other
+    cosets are numbered, and represented, by their least elements, ascending."""
+    table = G.table
+    coset = [-1] * G.order
+    for h in members:
+        coset[h] = 0
+    reps = [G.identity]
+    for g in G.elements():
+        if coset[g] < 0:
+            i, row = len(reps), table[g]
+            reps.append(g)
+            for h in members:
+                coset[row[h]] = i
+    return reps, coset
+
+
 def left_transversal(G: FiniteGroup, H: Subgroup) -> LeftTransversal:
-    """Deterministic left transversal of H in G (identity first, then the
-    minimal-index representative of each remaining coset, ascending)."""
+    """Deterministic left transversal of H in G, as :func:`_cosets` numbers it."""
     if H.parent is not G and H.parent != G:
         raise NotASubgroup("subgroup belongs to a different group")
-    covered = set()
-    reps = [G.identity]
-    for h in H.members:
-        covered.add(G.mul(G.identity, h))
-    for g in range(G.order):
-        if g in covered:
-            continue
-        reps.append(g)
-        for h in H.members:
-            covered.add(G.mul(g, h))
-    return LeftTransversal(H, tuple(reps))
+    return LeftTransversal(H, tuple(_cosets(G, H.members)[0]))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .errors import (
     SizeLimit,
     TwistTransportConflict,
 )
-from .groups import FiniteGroup, Subgroup, all_subgroups, left_transversal
+from .groups import FiniteGroup, Subgroup, _cosets, all_subgroups, coset_factorize
 from .reporting import VerificationReport
 
 Point = Hashable
@@ -64,9 +64,9 @@ class SetPartialAction:
         domains = dict(domains or {})
         maps = dict(maps or {})
         order = group.order
-        for g in list(domains) + list(maps):
-            if not (0 <= g < order):
-                raise MalformedInput(f"unknown group element {g}")
+        for g in [*domains, *maps]:  # 1.0 and True are equal to 1, but name no element
+            if type(g) is not int or not 0 <= g < order:
+                raise MalformedInput(f"unknown group element {g!r}")
         for g in group.elements():
             if g in domains:
                 D = frozenset(domains[g])
@@ -368,7 +368,7 @@ class _Orbit(NamedTuple):
     base: Point  # x0, the orbit's first position
     stabilizer: tuple[int, ...]  # H = {h : alpha_h(x0) = x0}, in element order
     phi: Optional[dict[int, int]]  # h -> the twist of alpha_h at x0; None for sets
-    coset: list[int]  # coset[g]: index of gH, cosets numbered by least element
+    coset: list[int]  # coset[g]: index of gH, numbered as groups._cosets does
     point_at: dict[int, Point]  # coset index -> the point y with k_y H there
 
 
@@ -438,12 +438,7 @@ def _orbit_data(G, order, domains, maps, twists=None, auts=None) -> tuple[list, 
         if e not in members or unclosed:
             where = f" at {n(unclosed[0])}*{n(unclosed[1])}" if unclosed else ""
             raise MalformedInput(f"the stabilizer of {x0!r} is not a subgroup{where}")
-        coset, count = [-1] * G.order, 0
-        for b in G.elements():
-            if coset[b] < 0:
-                for h in stabilizer:
-                    coset[table[b][h]] = count
-                count += 1
+        _, coset = _cosets(G, stabilizer)
         point_at = {}
         for y, k in reach.items():
             if y in paths:
@@ -748,9 +743,8 @@ def _transitive_pieces(G: FiniteGroup, k: int) -> list[tuple]:
     cosets, in every order."""
     pieces = []
     for H in all_subgroups(G):
-        cosets = left_transversal(G, H)  # coset 0 is H
-        moved = [[cosets.coset_position(G.mul(g, r)) for r in cosets.reps] for g in G.elements()]
-        for chosen in itertools.permutations(range(1, len(cosets)), k - 1):
+        moved = coset_factorize(G, H).j_table  # moved[g][c]: the coset g sends c to; 0 is H
+        for chosen in itertools.permutations(range(1, len(moved[0])), k - 1):
             point = {c: i for i, c in enumerate((0,) + chosen)}
             pieces.append(tuple(
                 tuple((i, point[m[c]]) for c, i in point.items() if m[c] in point) for m in moved

@@ -82,8 +82,8 @@ def global_set_action_checks(group, carrier, maps) -> None:
     full = frozenset(carrier)
     maps = dict(maps)
     for g in maps:
-        if not (0 <= g < group.order):
-            raise MalformedInput(f"unknown group element {g}")
+        if type(g) is not int or not 0 <= g < group.order:
+            raise MalformedInput(f"unknown group element {g!r}")
     e = group.identity
     normalized = {}
     for g in group.elements():

@@ -5,14 +5,23 @@ space per orbit of positions.  These are the versions it replaced: a
 union-find quotient of G x X that joins (g, x) with (gs, alpha_{s^-1}(x))
 for every s, and a breadth-first transport of twists along those same
 edges.  Both cost O(|G|^2 n).  They skip malformed data instead of raising,
-so they are compared with the package on valid input only.
+so they are compared with the package on valid input only.  The envelope of
+an extension by zero is kept too, assembled directly from the transversal
+and the j and h tables, beside the package's one shared assembly.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from partial_actions.errors import TwistTransportConflict
+from partial_actions.algebra_actions import (
+    GlobalizationResult,
+    extend_by_zero_algebra,
+    verify_enveloping,
+)
+from partial_actions.block_algebras import WreathMap, block_power
+from partial_actions.errors import InternalInconsistency, TwistTransportConflict
+from partial_actions.groups import coset_factorize, left_transversal
 from partial_actions.set_actions import GlobalSetAction, SetGlobalization
 
 
@@ -121,3 +130,36 @@ def transport_twists(pa, sg) -> dict[tuple[int, int], int]:
                 elif known != value:
                     raise TwistTransportConflict(f"pair {nb} receives twists {known} and {value}")
     return transport
+
+
+def globalize_extension_by_zero(block, subgroup, hom) -> GlobalizationResult:
+    """Envelope of the extension by zero of a global subgroup action on one
+    block: one copy of the block per transversal representative, with beta_g
+    moving the g_i component to the j(g,g_i) component under the twist
+    hom(h(g,g_i)), and the block embedded at the identity's component."""
+    pa = extend_by_zero_algebra(block, subgroup, hom)
+    blk = pa.algebra.blocks[0]
+    G = subgroup.parent
+    transversal = left_transversal(G, subgroup)
+    cf = coset_factorize(G, subgroup, transversal)
+    m = len(transversal)
+    envelope = block_power(blk, m)
+    full = envelope.full_ideal()
+    hom = dict(hom)
+    action = {}
+    for g in G.elements():
+        pm = {i: cf.j_table[g][i] for i in range(m)}
+        twists = {i: hom[cf.h_table[g][i]] for i in range(m)}
+        action[g] = WreathMap(full, full, pm, twists)
+    embedding = WreathMap(
+        pa.algebra.full_ideal(),
+        envelope.ideal({0}),
+        {0: 0},
+        {0: blk.aut_group.identity},
+    )
+    candidate = {"envelope": envelope, "action": action, "embedding": embedding}
+    checks = verify_enveloping(pa, candidate)
+    if not checks.ok:
+        raise InternalInconsistency("constructed envelope failed its own checks")
+    provenance = tuple(G.name(r) for r in transversal.reps)
+    return GlobalizationResult(pa, envelope, provenance, action, embedding, checks)

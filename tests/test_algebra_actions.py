@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from collections import Counter
 
 import oracle_checks
@@ -37,6 +38,7 @@ from partial_actions.errors import (
     InternalInconsistency,
     MalformedInput,
     NotAHomomorphism,
+    PartialActionError,
     TwistTransportConflict,
 )
 from partial_actions.groups import (
@@ -144,6 +146,17 @@ class TestVerify:
         with pytest.raises(MalformedInput):
             verify_algebra_partial_action(pa)
 
+    @pytest.mark.parametrize("key", [1.5, 1.0, True, "1", -1, 2], ids=repr)
+    @pytest.mark.parametrize("where", ["domains", "maps"])
+    def test_element_keys_must_be_element_indices(self, z2, key, where):
+        """Only an exact int in 0..order-1 names an element: 1.5 used to be
+        dropped, 1.0 and True read as element 1, and "1" leaked TypeError."""
+        algebra = BlockAlgebra((Block("L", cyclic_group(2)),))
+        full = algebra.full_ideal()
+        data = {"domains": {key: full}, "maps": {key: WreathMap(full, full, {0: 0}, {0: 1})}}
+        with pytest.raises(MalformedInput, match=f"^unknown group element {re.escape(repr(key))}$"):
+            AlgebraPartialAction(z2, algebra, **{where: data[where]})
+
 
 class TestGlobalizable:
     """Domains are central-idempotent ideals, so every action globalizes; on
@@ -190,6 +203,38 @@ class TestClassifyIndecomposable:
         assert H.members == (s3.identity,)
         assert hom == {s3.identity: 0}
 
+    @staticmethod
+    def _kept_by(G, names, twists):
+        """One block with Aut = Z2, kept by the named elements under the
+        given twists and zero elsewhere."""
+        algebra = BlockAlgebra((Block("L", cyclic_group(2)),))
+        full = algebra.full_ideal()
+        kept = [G.element_by_name(x) for x in names]
+        maps = {g: WreathMap(full, full, {0: 0}, {0: f}) for g, f in zip(kept, twists)}
+        return AlgebraPartialAction(G, algebra, dict.fromkeys(kept, full), maps)
+
+    def test_unclosed_support_raises_the_orbit_data_error(self, s3):
+        # 1, (12) and (13) keep the block, but (12)(13) = (132) does not
+        pa = self._kept_by(s3, ["1", "(12)", "(13)"], [0, 0, 0])
+        with pytest.raises(MalformedInput) as from_orbits:
+            globalize_block_power(pa)
+        with pytest.raises(MalformedInput) as got:
+            classify_indecomposable(pa)
+        assert str(got.value) == str(from_orbits.value)
+        assert "the stabilizer of 0 is not a subgroup" in str(got.value)
+        assert issubclass(got.type, PartialActionError)
+
+    def test_non_homomorphic_twist_raises_the_orbit_data_error(self, z4):
+        # phi(1) = phi(2) = phi(3) = 1 in Z2, but phi(1)phi(1) = 0 != phi(2)
+        pa = self._kept_by(z4, ["0", "1", "2", "3"], [0, 1, 1, 1])
+        with pytest.raises(TwistTransportConflict) as from_orbits:
+            globalize_block_power(pa)
+        with pytest.raises(TwistTransportConflict) as got:
+            classify_indecomposable(pa)
+        assert str(got.value) == str(from_orbits.value)
+        assert "not a homomorphism on its stabilizer" in str(got.value)
+        assert issubclass(got.type, PartialActionError)
+
 
 class TestExtendByZeroAlgebra:
     def test_not_a_homomorphism(self, s3, s3_swap_subgroup):
@@ -234,6 +279,34 @@ class TestGlobalizeExtensionByZero:
         assert res.block_count == 2
         assert res.action[1].position_map == {0: 1, 1: 0}
         assert set(res.action[1].twists.values()) == {0}
+
+    def test_shared_assembly_matches_the_direct_oracle(self):
+        """Every subgroup H of Z2, Z3, Z4, S3, Z6 and of S3 and Z4 relabelled
+        so that e is not element 0, with every phi: H -> Aut for Aut = Z1,
+        Z2, Z3 and S3: the envelope assembled from column e of the j and h
+        tables is the one the transversal assembly builds, block order
+        included."""
+        groups = [cyclic_group(n) for n in (2, 3, 4)] + [symmetric_group(3), cyclic_group(6)]
+        groups += [relabelled(symmetric_group(3)), relabelled(cyclic_group(4))]
+        auts = [cyclic_group(n) for n in (1, 2, 3)] + [symmetric_group(3)]
+        cases = 0
+        for G in groups:
+            for H in all_subgroups(G):
+                for aut in auts:
+                    block = Block("B", aut)
+                    for images in all_homs(H.as_group(), aut):
+                        phi = dict(zip(H.members, images))
+                        got = globalize_extension_by_zero(block, H, phi)
+                        want = oracle_globalization.globalize_extension_by_zero(block, H, phi)
+                        assert got.provenance == want.provenance
+                        assert got.envelope == want.envelope
+                        for g in G.elements():
+                            assert got.action[g].position_map == want.action[g].position_map
+                            assert got.action[g].twists == want.action[g].twists
+                        assert got.embedding == want.embedding
+                        assert got.checks == want.checks and got.checks.ok
+                        cases += 1
+        assert cases == 196
 
 
 class TestVerifyEnveloping:

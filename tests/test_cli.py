@@ -305,6 +305,19 @@ class TestGlobalizeCommand:
         expected = (DATA / f"golden_globalize.{suffix}").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("command,fmt,suffix", [
+        ("globalize", "json", "out.json"), ("globalize", "text", "out.txt"),
+        ("verify", "json", "verify.out.json"), ("verify", "text", "verify.out.txt"),
+    ])
+    def test_relabelled_golden_output(self, command, fmt, suffix, capsys):
+        """On Cayley tables whose identity is not element 0 (S3 with e at 5,
+        Z4 with e at 3): extensions by zero of one block from every
+        subgroup, set actions, lifts and twisted multi-block actions give
+        exactly the recorded output."""
+        assert main([command, str(DATA / "golden_relabelled.json"), "--format", fmt]) == 0
+        expected = (DATA / f"golden_relabelled.{suffix}").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
     def test_every_set_check_has_a_json_key(self, z2):
         """The set `checks` block is keyed by report item name, not position."""
         spa = enumerate_partial_actions(z2, 2)[-1]
@@ -353,6 +366,15 @@ class TestEnumerateCommand:
         assert main(["enumerate", "--group", "Z2", "--size", "2", "--envelopes"]) == 0
         out = capsys.readouterr().out
         assert "envelope size" in out
+
+    def test_relabelled_s3_golden_output(self, capsys, monkeypatch):
+        """S3 with e at element 5 on three points, in the recorded order and
+        with the recorded envelope sizes (the header echoes the group path)."""
+        monkeypatch.chdir(DATA)
+        argv = ["enumerate", "--group", "group_s3_relabelled.json", "--size", "3", "--envelopes"]
+        assert main(argv) == 0
+        expected = (DATA / "enumerate_s3_relabelled.out.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
 
     def test_size_limit_exits_two(self, capsys):
         for size in ("9", "-1"):

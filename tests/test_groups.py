@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracle_enumeration import relabelled
 
 from partial_actions.errors import (
     InternalInconsistency,
@@ -13,6 +14,7 @@ from partial_actions.errors import (
 from partial_actions.groups import (
     FiniteGroup,
     Subgroup,
+    _cosets,
     all_subgroups,
     coset_factorize,
     cross_validate_table,
@@ -178,6 +180,25 @@ class TestTransversal:
             pos = T.coset_position(g)
             h = s3.mul(s3.inv(T.reps[pos]), g)
             assert h in s3_swap_subgroup
+
+    @pytest.mark.parametrize("G", [
+        symmetric_group(3), cyclic_group(6),
+        relabelled(symmetric_group(3)), relabelled(cyclic_group(4)), relabelled(cyclic_group(6)),
+    ], ids=["S3", "Z6", "S3-relabelled", "Z4-relabelled", "Z6-relabelled"])
+    def test_numbering_on_every_subgroup(self, G):
+        """reps[0] is e, also where e is not element 0; the other
+        representatives are their cosets' least elements, ascending; and the
+        coset numbering is constant on each gH and 0 on H."""
+        for H in all_subgroups(G):
+            T = left_transversal(G, H)
+            reps, coset = _cosets(G, H.members)
+            assert T.reps == tuple(reps) and T.reps[0] == G.identity
+            blocks = [{G.mul(r, h) for h in H.members} for r in T.reps]
+            assert [min(b) for b in blocks[1:]] == sorted(T.reps[1:]) == list(T.reps[1:])
+            assert sorted(x for b in blocks for x in b) == list(G.elements())
+            for i, b in enumerate(blocks):
+                assert {coset[x] for x in b} == {T.coset_position(x) for x in b} == {i}
+            assert {coset[h] for h in H.members} == {0}
 
 
 class TestCosetFactorization:

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -121,6 +122,15 @@ class TestVerify:
         spa = SetPartialAction(z2, ("a", "b"), domains={1: ["a"]}, maps={1: {"b": "a"}})
         with pytest.raises(MalformedInput):
             verify_partial_action(spa)
+
+    @pytest.mark.parametrize("key", [1.5, 1.0, True, "1", -1, 2], ids=repr)
+    @pytest.mark.parametrize("where", ["domains", "maps"])
+    def test_element_keys_must_be_element_indices(self, z2, key, where):
+        """Only an exact int in 0..order-1 names an element: 1.5 used to be
+        dropped, 1.0 and True read as element 1, and "1" leaked TypeError."""
+        data = {"domains": {key: ["p"]}, "maps": {key: {"p": "q"}}}
+        with pytest.raises(MalformedInput, match=f"^unknown group element {re.escape(repr(key))}$"):
+            SetPartialAction(z2, ("p", "q"), **{where: data[where]})
 
     def test_witnesses_name_the_first_point_in_carrier_order(self, z2):
         # every point fails row (1, 1): alpha_1 is an 8-cycle, not an involution
