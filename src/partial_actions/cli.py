@@ -154,16 +154,12 @@ def cmd_factorize(args) -> int:
         ):
             raise DocumentError("rows must be a list of [g, g_i, j, h] element labels", "$.rows")
         rows = []
-        for i, r in enumerate(claims):  # labels and indices, never a bool
-            where = f"$.rows[{i}]"
-            for x in r:
-                if type(x) is bool:
-                    raise DocumentError(f"element label {x!r} is not a string or an index", where)
+        for i, r in enumerate(claims):
             try:
                 g, g_i, j, h = (G.resolve(x) for x in r)
                 cf.transversal.rep_position(g_i)
             except UnknownElement as exc:
-                raise DocumentError(f"{type(exc).__name__}: {exc}", where) from exc
+                raise DocumentError(f"{type(exc).__name__}: {exc}", f"$.rows[{i}]") from exc
             rows.append(((g, g_i), j, h))
         report = cross_validate_table(cf, rows)
     if args.format == "json":

@@ -12,7 +12,10 @@ Groups come in three kinds: ``cayley`` (explicit table), ``symmetric`` and
 ``cyclic``.  Actions reference groups and algebras by name or inline them.
 Domain/map entries are keyed by element display name; group elements omitted
 from ``domains`` have empty domains (the identity defaults to the full
-carrier with the identity map).  Parsing and serialization round-trip.
+carrier with the identity map).  Element keys resolve through their group
+(``FiniteGroup.resolve``) and twist names through the block's automorphism
+group (``FiniteGroup.element_by_name``); this module only says where a bad
+reference is.  Parsing and serialization round-trip.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Mapping, Optional, Union
 
 from .algebra_actions import AlgebraPartialAction
 from .block_algebras import Block, BlockAlgebra, WreathMap
-from .errors import DocumentError, PartialActionError
+from .errors import DocumentError, PartialActionError, UnknownElement
 from .groups import FiniteGroup, cyclic_group, make_group, symmetric_group
 from .set_actions import SetPartialAction
 
@@ -92,20 +95,11 @@ def parse_group(doc, path: str = "group") -> FiniteGroup:
         raise DocumentError(f"bad group document: {exc}", path) from exc
 
 
-def _name_index(G: FiniteGroup, path: str) -> dict[str, int]:
-    index = {}
-    for i, name in enumerate(G.names):
-        _require(name not in index, f"duplicate element name {name!r}", path)
-        index[name] = i
-    return index
-
-
-def _resolve_element(G: FiniteGroup, names: dict[str, int], ref, path: str) -> int:
-    if isinstance(ref, str) and ref in names:
-        return names[ref]
-    if isinstance(ref, int) and 0 <= ref < G.order:
-        return ref
-    raise DocumentError(f"unknown group element {ref!r}", path)
+def _resolve_element(G: FiniteGroup, ref, path: str) -> int:
+    try:
+        return G.resolve(ref)
+    except UnknownElement:
+        raise DocumentError(f"unknown group element {ref!r}", path) from None
 
 
 def algebra_to_doc(algebra: BlockAlgebra) -> dict:
@@ -176,19 +170,22 @@ def set_action_to_doc(
     return doc
 
 
+def _action_group(doc: Mapping, groups: Mapping[str, FiniteGroup], path: str) -> FiniteGroup:
+    """The group an action document names in ``groups`` or inlines."""
+    gref = doc.get("group")
+    if isinstance(gref, str):
+        _require(gref in groups, f"unknown group reference {gref!r}", f"{path}.group")
+        return groups[gref]
+    return parse_group(gref, f"{path}.group")
+
+
 def parse_set_action(
     doc,
     groups: Mapping[str, FiniteGroup],
     path: str = "action",
 ) -> SetPartialAction:
     _require(isinstance(doc, Mapping), "action document must be an object", path)
-    gref = doc.get("group")
-    if isinstance(gref, str):
-        _require(gref in groups, f"unknown group reference {gref!r}", f"{path}.group")
-        G = groups[gref]
-    else:
-        G = parse_group(gref, f"{path}.group")
-    names = _name_index(G, f"{path}.group")
+    G = _action_group(doc, groups, path)
     _require(isinstance(doc.get("carrier"), list), "action needs a carrier list", path)
     carrier = tuple(doc["carrier"])
     for i, x in enumerate(carrier):
@@ -200,7 +197,7 @@ def parse_set_action(
     lookup = _carrier_lookup(carrier, f"{path}.carrier")
     domains = {}
     for key, points in _section(doc, "domains", path).items():
-        g = _resolve_element(G, names, key, f"{path}.domains")
+        g = _resolve_element(G, key, f"{path}.domains")
         _require(isinstance(points, list), "domain must be a list", f"{path}.domains.{key}")
         resolved = []
         for x in points:  # a point matches only a carrier point of its own JSON type
@@ -211,7 +208,7 @@ def parse_set_action(
         domains[g] = resolved
     maps = {}
     for key, pairs in _section(doc, "maps", path).items():
-        g = _resolve_element(G, names, key, f"{path}.maps")
+        g = _resolve_element(G, key, f"{path}.maps")
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
         m = {}
         for k, v in pairs.items():  # keys are JSON strings; values keep their type
@@ -262,13 +259,7 @@ def parse_algebra_action(
     path: str = "action",
 ) -> AlgebraPartialAction:
     _require(isinstance(doc, Mapping), "action document must be an object", path)
-    gref = doc.get("group")
-    if isinstance(gref, str):
-        _require(gref in groups, f"unknown group reference {gref!r}", f"{path}.group")
-        G = groups[gref]
-    else:
-        G = parse_group(gref, f"{path}.group")
-    names = _name_index(G, f"{path}.group")
+    G = _action_group(doc, groups, path)
     aref = doc.get("algebra")
     if isinstance(aref, str):
         _require(aref in algebras, f"unknown algebra reference {aref!r}", f"{path}.algebra")
@@ -288,7 +279,7 @@ def parse_algebra_action(
 
     domains: dict[int, list[int]] = {}
     for key, positions in _section(doc, "domains", path).items():
-        g = _resolve_element(G, names, key, f"{path}.domains")
+        g = _resolve_element(G, key, f"{path}.domains")
         if isinstance(positions, Mapping):  # ideal form {"support": [...]}
             positions = positions.get("support")
         _require(
@@ -303,14 +294,15 @@ def parse_algebra_action(
         _require(key in maps_doc, f"twists for {key!r}, which has no map", f"{path}.twists.{key}")
     maps = {}
     for key, pairs in maps_doc.items():
-        g = _resolve_element(G, names, key, f"{path}.maps")
+        g = _resolve_element(G, key, f"{path}.maps")
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
         tw_pairs = _section(twists_doc, key, f"{path}.twists")
+        tw_path = f"{path}.twists.{key}"
         if not tw_pairs.keys() <= pairs.keys():
             raise DocumentError(
                 f"twist at {min(tw_pairs.keys() - pairs.keys())!r}, "
                 f"where the map of {key} is undefined",
-                f"{path}.twists.{key}",
+                tw_path,
             )
         pm, tw = {}, {}
         for k, v in pairs.items():  # a twist is keyed like its map entry
@@ -321,13 +313,13 @@ def parse_algebra_action(
             if ref is _ABSENT:
                 tw[p] = aut.identity
             elif isinstance(ref, str):
-                aut_names = _name_index(aut, f"{path}.twists.{key}")
-                _require(ref in aut_names, f"unknown automorphism {ref!r}", f"{path}.twists.{key}")
-                tw[p] = aut_names[ref]
+                try:
+                    tw[p] = aut.element_by_name(ref)
+                except UnknownElement:
+                    raise DocumentError(f"unknown automorphism {ref!r}", tw_path) from None
             else:
-                where = f"{path}.twists.{key}"
-                tw[p] = _integer(ref, "automorphism index", where)
-                _require(0 <= ref < aut.order, f"bad automorphism index {ref}", where)
+                tw[p] = _integer(ref, "automorphism index", tw_path)
+                _require(0 <= ref < aut.order, f"bad automorphism index {ref}", tw_path)
         source = algebra.ideal(pm.keys())
         target = algebra.ideal(domains.get(g, pm.values()))
         try:

@@ -34,6 +34,7 @@ class FiniteGroup:
 
     Instances are immutable.  Construct through :func:`make_group`,
     :func:`cyclic_group` or :func:`symmetric_group` rather than directly.
+    Element names are distinct; the group owns the one name index.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -41,6 +42,13 @@ class FiniteGroup:
     names: tuple[str, ...]
     inverses: tuple[int, ...] = field(compare=False)
     doc_kind: Optional[tuple[str, int]] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        index: dict[str, int] = {}
+        for i, name in enumerate(self.names):
+            if index.setdefault(name, i) != i:
+                raise NotAGroup(f"duplicate element name {name!r}")
+        object.__setattr__(self, "_by_name", index)
 
     @property
     def order(self) -> int:
@@ -60,17 +68,20 @@ class FiniteGroup:
 
     def element_by_name(self, label: str) -> int:
         try:
-            return self.names.index(label)
-        except ValueError:
+            return self._by_name[label]  # type: ignore[attr-defined]
+        except (KeyError, TypeError):
             raise UnknownElement(f"no element named {label!r}") from None
 
     def resolve(self, ref: ElementRef) -> int:
-        """Accept an element index or a display label."""
+        """The element a display name or an exact ``int`` index refers to;
+        anything else, a bool or a float included, is unknown."""
+        if type(ref) is int:
+            if 0 <= ref < self.order:
+                return ref
+            raise UnknownElement(f"element index {ref} out of range")
         if isinstance(ref, str):
             return self.element_by_name(ref)
-        if not (0 <= ref < self.order):
-            raise UnknownElement(f"element index {ref} out of range")
-        return ref
+        raise UnknownElement(f"element reference {ref!r} is neither a name nor an index")
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -287,15 +298,15 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self):
+        G = self.parent
+        for a in self.members:
+            if type(a) is not int or not 0 <= a < G.order:
+                raise NotASubgroup(f"member {a!r} is not an element index 0..{G.order - 1}")
         members = tuple(sorted(set(self.members)))
         object.__setattr__(self, "members", members)
-        G = self.parent
         member_set = frozenset(members)
         if not members:
             raise NotASubgroup("empty member set")
-        for a in members:
-            if not (0 <= a < G.order):
-                raise NotASubgroup(f"member {a} out of range")
         if G.identity not in member_set:
             raise NotASubgroup("does not contain the identity")
         for a in members:
@@ -476,12 +487,9 @@ class CosetFactorization:
         return out
 
 
-def coset_factorize(
-    G: FiniteGroup,
-    H: Subgroup,
-    transversal: Optional[LeftTransversal] = None,
-) -> CosetFactorization:
-    """Compute j and h for every (g, g_i) and verify the factorization laws.
+def coset_factorize(G: FiniteGroup, H: Subgroup) -> CosetFactorization:
+    """Compute j and h for every (g, g_i), g_i in ``left_transversal(G, H)``,
+    and verify the factorization laws.
 
     Verified before returning: the defining equality g*g_i = j*h, the
     identity rows j(e,g_i)=g_i and h(e,g_i)=e, that g_i -> j(g,g_i) permutes
@@ -502,11 +510,7 @@ def coset_factorize(
         InternalInconsistency: if any of those laws fails (unreachable for a
             valid transversal).
     """
-    if transversal is None:
-        transversal = left_transversal(G, H)
-    else:
-        if transversal.subgroup != H:
-            raise NotASubgroup("transversal belongs to a different subgroup")
+    transversal = left_transversal(G, H)
     reps = transversal.reps
     t = len(reps)
     j_rows = []

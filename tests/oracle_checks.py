@@ -19,6 +19,12 @@ so that the scan decides every item, as it did before the certificate.
 checks of ``WreathMap`` and ``GlobalSetAction`` entry by entry, in the form
 the package replaced with whole-set and whole-list operations.  They raise
 what the constructors raise, with the same messages.
+
+``_name_index``, ``_resolve_element`` and ``resolve_twist_name`` are the
+document parser's own element resolution, which rebuilt a name index for
+every action and every twist entry; the parser now resolves through
+``FiniteGroup.resolve`` and ``FiniteGroup.element_by_name``.  Unlike the
+group, ``_resolve_element`` takes a bool as the index it equals.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from unittest import mock
 
 from partial_actions import set_actions
 from partial_actions.block_algebras import wreath_compose
-from partial_actions.errors import ClassMismatch, GroupMismatch, MalformedInput
+from partial_actions.errors import ClassMismatch, DocumentError, GroupMismatch, MalformedInput
 from partial_actions.reporting import VerificationReport
 
 
@@ -339,3 +345,28 @@ def envelopes_equivalent(a, b) -> Optional[dict[int, int]]:
             if full[a.envelope.maps[g][p]] != b.envelope.maps[g][full[p]]:
                 return None
     return full
+
+
+def _name_index(G, path: str) -> dict[str, int]:
+    index = {}
+    for i, name in enumerate(G.names):
+        if name in index:
+            raise DocumentError(f"duplicate element name {name!r}", path)
+        index[name] = i
+    return index
+
+
+def _resolve_element(G, names: dict[str, int], ref, path: str) -> int:
+    if isinstance(ref, str) and ref in names:
+        return names[ref]
+    if isinstance(ref, int) and 0 <= ref < G.order:
+        return ref
+    raise DocumentError(f"unknown group element {ref!r}", path)
+
+
+def resolve_twist_name(aut, ref: str, path: str) -> int:
+    """A twist given by name, as the parser resolved it."""
+    aut_names = _name_index(aut, path)
+    if ref not in aut_names:
+        raise DocumentError(f"unknown automorphism {ref!r}", path)
+    return aut_names[ref]

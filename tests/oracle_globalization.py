@@ -21,7 +21,7 @@ from partial_actions.algebra_actions import (
 )
 from partial_actions.block_algebras import WreathMap, block_power
 from partial_actions.errors import InternalInconsistency, TwistTransportConflict
-from partial_actions.groups import coset_factorize, left_transversal
+from partial_actions.groups import coset_factorize
 from partial_actions.set_actions import GlobalSetAction, SetGlobalization
 
 
@@ -140,8 +140,8 @@ def globalize_extension_by_zero(block, subgroup, hom) -> GlobalizationResult:
     pa = extend_by_zero_algebra(block, subgroup, hom)
     blk = pa.algebra.blocks[0]
     G = subgroup.parent
-    transversal = left_transversal(G, subgroup)
-    cf = coset_factorize(G, subgroup, transversal)
+    cf = coset_factorize(G, subgroup)
+    transversal = cf.transversal
     m = len(transversal)
     envelope = block_power(blk, m)
     full = envelope.full_ideal()

@@ -204,6 +204,15 @@ class TestFactorizeCommand:
         assert main(argv) == 2
         assert f"(at {where})" in capsys.readouterr().err
 
+    def test_boolean_row_is_an_unknown_element(self, tmp_path, capsys):
+        compare = write(tmp_path, "claims.json", {"rows": [["1"] * 4, [True, "1", "(23)", "(23)"]]})
+        argv = ["factorize", "--group", "S3", "--subgroup", "(12)", "--compare", compare]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "input error: UnknownElement: element reference True is neither a name nor "
+            "an index (at $.rows[1])\n"
+        )
+
     def test_bad_group_spec_exits_two(self, capsys):
         assert main(["factorize", "--group", "Q8", "--subgroup", ""]) == 2
 

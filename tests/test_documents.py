@@ -1,16 +1,21 @@
 import json
 import math
+from pathlib import Path
 
+import oracle_checks
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partial_actions.algebra_actions import AlgebraPartialAction
 from partial_actions.cli import main
 from partial_actions.documents import (
     DocumentError,
     _json_text,
+    _resolve_element,
     algebra_action_to_doc,
     algebra_to_doc,
     group_to_doc,
+    load_workbench,
     parse_algebra,
     parse_group,
     parse_set_action,
@@ -18,7 +23,10 @@ from partial_actions.documents import (
     set_action_to_doc,
     workbench_to_doc,
 )
+from partial_actions.errors import UnknownElement
 from partial_actions.groups import symmetric_group
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestGroupDocs:
@@ -337,6 +345,108 @@ class TestWorkbench:
         doc2 = workbench_to_doc(wb)
         assert doc2["actions"]["alpha"]["group"] == "G"
         assert doc2["actions"]["beta"]["algebra"] == "A"
+
+    @pytest.mark.parametrize(
+        "place,path",
+        [
+            ("groups.G", "$.groups.G"),
+            ("groups.H", "$.groups.H"),
+            ("actions.alpha.group", "$.actions.alpha.group"),
+            ("algebras.A.blocks.0.aut", "$.algebras.A.blocks[0].aut"),
+        ],
+    )
+    def test_repeated_element_name_exits_two(self, place, path, tmp_path, capsys):
+        # a group is rejected where it is defined, whether or not an action
+        # uses it (G is used by both actions, H by none)
+        doc = self.doc()
+        *parents, key = place.split(".")
+        target = doc
+        for name in parents:
+            target = target[int(name)] if name.isdigit() else target[name]
+        target[key] = {"kind": "cayley", "table": [[0, 1], [1, 0]], "names": ["e", "e"]}
+        file = tmp_path / "repeated.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(file)]) == 2
+        assert capsys.readouterr().err == f"input error: duplicate element name 'e' (at {path})\n"
+
+
+def _golden_groups() -> list:
+    """Every group of the golden documents: named, inline, and the
+    automorphism groups of every block."""
+    found = []
+    for name in ("golden_globalize.json", "golden_relabelled.json"):
+        wb = load_workbench(str(DATA / name))
+        algebras = [*wb.algebras.values()]
+        found += wb.groups.values()
+        for action in wb.actions.values():
+            found.append(action.group)
+            if isinstance(action, AlgebraPartialAction):
+                algebras.append(action.algebra)
+        found += [b.aut_group for A in algebras for b in A.blocks]
+    groups = []
+    for G in found:
+        if G not in groups:
+            groups.append(G)
+    return groups
+
+
+_GOLDEN_GROUPS = _golden_groups()
+
+
+@st.composite
+def _group_and_key(draw):
+    G = draw(st.sampled_from(_GOLDEN_GROUPS))
+    key = draw(
+        st.one_of(
+            st.sampled_from(G.names),
+            st.tuples(st.sampled_from(G.names), st.sampled_from(" 0a)")).map("".join),
+            st.from_regex(r"[0-9]{1,2}", fullmatch=True),
+            st.text(max_size=4),
+            st.integers(-2, G.order + 2),
+            st.booleans(),
+        )
+    )
+    return G, key
+
+
+def _outcome(resolve, *args):
+    try:
+        return resolve(*args)
+    except DocumentError as exc:
+        return str(exc), exc.path
+
+
+class TestElementResolutionOracle:
+    """Resolution through the group against the parser's former name index
+    (``oracle_checks``), on every group of the golden documents."""
+
+    def test_golden_groups(self):
+        assert len(_GOLDEN_GROUPS) >= 6
+        assert any(G.identity != 0 for G in _GOLDEN_GROUPS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_group_and_key())
+    def test_element_keys(self, case):
+        G, key = case
+        path = "$.actions.a.maps"
+        got = _outcome(_resolve_element, G, key, path)
+        if type(key) is bool:  # the oracle reads a bool as the index it equals
+            assert got == (f"unknown group element {key!r} (at {path})", path)
+        else:
+            index = oracle_checks._name_index(G, path)
+            assert got == _outcome(oracle_checks._resolve_element, G, index, key, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_group_and_key())
+    def test_twist_names(self, case):
+        aut, ref = case
+        ref = str(ref)  # a twist given by name is a string
+        path = "$.actions.a.twists.g"
+        try:
+            got = aut.element_by_name(ref)
+        except UnknownElement:
+            got = (f"unknown automorphism {ref!r} (at {path})", path)
+        assert got == _outcome(oracle_checks.resolve_twist_name, aut, ref, path)
 
 
 _SCALARS = st.one_of(

@@ -155,6 +155,47 @@ class TestSubgroups:
         assert [H.order for H in subs] == [1, 2, 2, 2, 3, 6]
 
 
+class TestElementReferences:
+    @pytest.mark.parametrize("ref", [True, False, 1.0, None, [], -1, 6, "(45)"])
+    def test_unknown_reference_rejected(self, s3, ref):
+        with pytest.raises(UnknownElement):
+            s3.resolve(ref)
+        with pytest.raises(UnknownElement):
+            s3.element_by_name(ref)
+
+    @pytest.mark.parametrize(
+        "G",
+        [symmetric_group(3), symmetric_group(4), cyclic_group(5), relabelled(symmetric_group(3))],
+        ids=["S3", "S4", "Z5", "S3-relabelled"],
+    )
+    def test_every_name_and_index_resolves(self, G):
+        for i, name in enumerate(G.names):
+            assert G.resolve(name) == G.element_by_name(name) == G.names.index(name) == i
+            assert G.resolve(i) == i
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: cyclic_group(2, ["a", "a"]),
+            lambda: make_group([[0, 1], [1, 0]], ["a", "a"]),
+            lambda: make_group([[0, 1, 2], [1, 2, 0], [2, 0, 1]], ["e", "a", "a"]),
+        ],
+    )
+    def test_repeated_names_rejected(self, build):
+        with pytest.raises(NotAGroup, match=r"^duplicate element name 'a'$"):
+            build()
+
+    @pytest.mark.parametrize("gen", [True, 1.0])
+    def test_closure_of_a_non_index_rejected(self, s3, gen):
+        with pytest.raises(UnknownElement):
+            subgroup_closure(s3, [gen])
+
+    @pytest.mark.parametrize("member", [1.5, True, None, [], "1", -1, 6])
+    def test_subgroup_member_must_be_an_index(self, s3, member):
+        with pytest.raises(NotASubgroup, match="is not an element index"):
+            Subgroup(s3, (0, member))
+
+
 class TestTransversal:
     def test_s3_transversal(self, s3, s3_swap_subgroup):
         T = left_transversal(s3, s3_swap_subgroup)
