@@ -25,6 +25,8 @@ from .block_algebras import (
     BlockIdeal,
     WreathMap,
     block_power,
+    decompose_isotypic,
+    k_line_block,
     wreath_compose,
     wreath_identity,
 )
@@ -129,6 +131,20 @@ def _position_data(pa: AlgebraPartialAction) -> tuple[list, list, list, list]:
     )
 
 
+def _from_position_data(G, algebra, supports, maps, twists) -> AlgebraPartialAction:
+    """The action of G on algebra with S_g on ``supports[g]`` and alpha_g
+    sending each p of S_{g^-1} to ``maps[g][p]`` under ``twists[g][p]``, all
+    indexed by element: the inverse of :func:`_position_data`, and the one
+    place this module builds an action.  ``WreathMap`` checks each map.  A
+    support may be given as its ideal, which the lifts of one set action
+    share."""
+    ideals = [s if isinstance(s, BlockIdeal) else algebra.ideal(s) for s in supports]
+    inv = G.inverses
+    return AlgebraPartialAction(G, algebra, dict(enumerate(ideals)), {
+        g: WreathMap(ideals[inv[g]], ideals[g], maps[g], twists[g]) for g in G.elements()
+    })
+
+
 def verify_algebra_partial_action(pa: AlgebraPartialAction) -> VerificationReport:
     """Itemized axiom check for a partial action on a block algebra.
 
@@ -213,7 +229,8 @@ def extend_by_zero_algebra(
 
     Raises:
         NotAHomomorphism: hom is not a homomorphism H -> Aut(block), is not
-            total on H, or does not fix the identity.
+            total on H, does not fix the identity, or has a value that is
+            not an exact int automorphism index.
     """
     if isinstance(block, BlockAlgebra):
         if block.n_blocks != 1:
@@ -230,21 +247,21 @@ def extend_by_zero_algebra(
         raise NotAHomomorphism("hom must be defined exactly on the subgroup members")
     if hom[G.identity] != aut.identity:
         raise NotAHomomorphism("hom must send the identity to the identity")
+    for f in hom.values():  # True and 1.0 equal 1, but index no automorphism
+        if type(f) is not int or not 0 <= f < aut.order:
+            raise NotAHomomorphism(f"{f!r} is not an automorphism index")
     for a in subgroup.members:
-        if not (0 <= hom[a] < aut.order):
-            raise NotAHomomorphism(f"{hom[a]} is not an automorphism index")
         for b in subgroup.members:
             if hom[G.mul(a, b)] != aut.mul(hom[a], hom[b]):
                 raise NotAHomomorphism(
                     f"hom({G.name(a)}*{G.name(b)}) != hom({G.name(a)})*hom({G.name(b)})"
                 )
-    full = algebra.full_ideal()
-    domains = {}
-    maps = {}
-    for g in subgroup.members:
-        domains[g] = full
-        maps[g] = WreathMap(full, full, {0: 0}, {0: hom[g]})
-    return AlgebraPartialAction(G, algebra, domains, maps)
+    elements = G.elements()
+    return _from_position_data(
+        G, algebra, [(0,) if g in hom else () for g in elements],
+        [{0: 0} if g in hom else {} for g in elements],
+        [{0: hom[g]} if g in hom else {} for g in elements],
+    )
 
 
 class GlobalizationResult:
@@ -401,28 +418,21 @@ def split_partial_action(pa: AlgebraPartialAction) -> list[AlgebraPartialAction]
     preserve classes, so each component is invariant and the restriction is
     well defined.  ``product_partial_action`` reassembles the input.
     """
-    from .block_algebras import decompose_isotypic
-
     components = decompose_isotypic(pa.algebra)
     for _, positions in components:
         if positions != tuple(range(positions[0], positions[0] + len(positions))):
             raise MalformedInput("blocks of one class must be contiguous")
+    supports, maps, twists, _ = _position_data(pa)
     out = []
-    for label, positions in components:
-        offset = positions[0]
-        pos_set = frozenset(positions)
-        algebra = BlockAlgebra(tuple(pa.algebra.blocks[p] for p in positions))
-        domains = {}
-        maps = {}
-        for g in pa.group.elements():
-            supp = pa.support(g) & pos_set
-            src_supp = pa.support(pa.group.inv(g)) & pos_set
-            domains[g] = algebra.ideal(p - offset for p in supp)
-            source = algebra.ideal(p - offset for p in src_supp)
-            pm = {p - offset: pa.maps[g].position_map[p] - offset for p in src_supp}
-            tw = {p - offset: pa.maps[g].twists[p] for p in src_supp}
-            maps[g] = WreathMap(source, domains[g], pm, tw)
-        out.append(AlgebraPartialAction(pa.group, algebra, domains, maps))
+    for _, positions in components:
+        offset, end = positions[0], positions[-1] + 1
+        algebra = BlockAlgebra(pa.algebra.blocks[offset:end])
+        out.append(_from_position_data(
+            pa.group, algebra,
+            [[p - offset for p in s if offset <= p < end] for s in supports],
+            [{p - offset: q - offset for p, q in m.items() if offset <= p < end} for m in maps],
+            [{p - offset: f for p, f in tw.items() if offset <= p < end} for tw in twists],
+        ))
     return out
 
 
@@ -439,38 +449,27 @@ def product_partial_action(components: Sequence[AlgebraPartialAction]) -> Algebr
         if c.group != G:
             raise GroupMismatch("components are over different groups")
     blocks = tuple(itertools.chain.from_iterable(c.algebra.blocks for c in components))
-    algebra = BlockAlgebra(blocks)
-    offsets = []
-    total = 0
+    supports = [set() for _ in G.elements()]
+    maps = [{} for _ in G.elements()]
+    twists = [{} for _ in G.elements()]
+    offset = 0
     for c in components:
-        offsets.append(total)
-        total += c.algebra.n_blocks
-    domains = {}
-    maps = {}
-    for g in G.elements():
-        supp = set()
-        src = set()
-        pm: dict[int, int] = {}
-        tw: dict[int, int] = {}
-        for c, off in zip(components, offsets):
-            supp |= {p + off for p in c.support(g)}
-            src |= {p + off for p in c.support(G.inv(g))}
-            pm.update({p + off: q + off for p, q in c.maps[g].position_map.items()})
-            tw.update({p + off: f for p, f in c.maps[g].twists.items()})
-        domains[g] = algebra.ideal(supp)
-        maps[g] = WreathMap(algebra.ideal(src), domains[g], pm, tw)
-    return AlgebraPartialAction(G, algebra, domains, maps)
+        c_supports, c_maps, c_twists, _ = _position_data(c)
+        for g in G.elements():
+            supports[g].update(p + offset for p in c_supports[g])
+            maps[g].update((p + offset, q + offset) for p, q in c_maps[g].items())
+            twists[g].update((p + offset, f) for p, f in c_twists[g].items())
+        offset += c.algebra.n_blocks
+    return _from_position_data(G, BlockAlgebra(blocks), supports, maps, twists)
 
 
 def restrict_to_idempotents(pa: AlgebraPartialAction) -> SetPartialAction:
     """The induced partial action on the primitive central idempotents: the
     carrier is the block positions, domains are the supports, and the maps
     are the position parts of the wreath maps."""
-    G = pa.group
-    n = pa.algebra.n_blocks
-    domains = {g: pa.support(g) for g in G.elements()}
-    maps = {g: dict(pa.maps[g].position_map) for g in G.elements()}
-    return SetPartialAction(G, tuple(range(n)), domains, maps)
+    supports, maps, _, _ = _position_data(pa)
+    positions = pa.algebra.positions()
+    return SetPartialAction(pa.group, positions, dict(enumerate(supports)), dict(enumerate(maps)))
 
 
 def lift_set_action(
@@ -484,25 +483,16 @@ def lift_set_action(
     ``restrict_to_idempotents`` inverts this lift; on carriers that are
     already 0..n-1 the round trip is the identity in both directions.
     """
-    from .block_algebras import k_line_block
-
     if block is None:
         block = k_line_block()
     G = spa.group
-    n = len(spa.carrier)
-    algebra = block_power(block, n)
     pos = {x: i for i, x in enumerate(spa.carrier)}
-    e_aut = block.aut_group.identity
-    domains = {}
-    maps = {}
-    for g in G.elements():
-        supp = frozenset(pos[x] for x in spa.domains[g])
-        src = frozenset(pos[x] for x in spa.domains[G.inv(g)])
-        pm = {pos[x]: pos[y] for x, y in spa.maps[g].items()}
-        tw = {p: e_aut for p in src}
-        domains[g] = algebra.ideal(supp)
-        maps[g] = WreathMap(algebra.ideal(src), domains[g], pm, tw)
-    return AlgebraPartialAction(G, algebra, domains, maps)
+    maps = [{pos[x]: pos[y] for x, y in spa.maps[g].items()} for g in G.elements()]
+    return _from_position_data(
+        G, block_power(block, len(spa.carrier)),
+        [[pos[x] for x in spa.domains[g]] for g in G.elements()], maps,
+        [dict.fromkeys(m, block.aut_group.identity) for m in maps],
+    )
 
 
 def _transport_twists(
@@ -743,14 +733,8 @@ def _twisted_lifts(
                 twists.append(tw)
             batch.append(twists)
     batch.sort(key=lambda tw: [tw[g][p] for g, p in keyed])
-    ideals = [algebra.ideal(spa.domains[g]) for g in G.elements()]
-    return [
-        AlgebraPartialAction(G, algebra, dict(enumerate(ideals)), {
-            g: WreathMap(ideals[inv[g]], ideals[g], dict(maps[g]), twists[g])
-            for g in G.elements()
-        })
-        for twists in batch
-    ]
+    ideals = [algebra.ideal(spa.domains[g]) for g in G.elements()]  # shared by every lift
+    return [_from_position_data(G, algebra, ideals, maps, twists) for twists in batch]
 
 
 def enumerate_algebra_partial_actions(

@@ -98,8 +98,8 @@ class BlockIdeal:
 
     def __post_init__(self):
         object.__setattr__(self, "support", frozenset(self.support))
-        for p in self.support:
-            if not (isinstance(p, int) and 0 <= p < self.algebra.n_blocks):
+        for p in self.support:  # True equals 1, but is no position
+            if not (type(p) is int and 0 <= p < self.algebra.n_blocks):
                 raise MalformedInput(f"position {p!r} outside the algebra")
 
     def class_multiset(self) -> tuple[str, ...]:

@@ -34,7 +34,7 @@ class FiniteGroup:
 
     Instances are immutable.  Construct through :func:`make_group`,
     :func:`cyclic_group` or :func:`symmetric_group` rather than directly.
-    Element names are distinct; the group owns the one name index.
+    Element names are distinct strings; the group owns the one name index.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -46,6 +46,8 @@ class FiniteGroup:
     def __post_init__(self):
         index: dict[str, int] = {}
         for i, name in enumerate(self.names):
+            if not isinstance(name, str):  # documents write names as strings; never coerced
+                raise NotAGroup(f"element name {name!r} is not a string")
             if index.setdefault(name, i) != i:
                 raise NotAGroup(f"duplicate element name {name!r}")
         object.__setattr__(self, "_by_name", index)
@@ -191,10 +193,13 @@ def make_group(
         raise NotAGroup("empty table")
     if n > MAX_TABLE_ORDER:
         raise SizeLimit(f"order {n} exceeds the cap of {MAX_TABLE_ORDER}")
-    rows = tuple(tuple(int(x) for x in row) for row in table)
-    for row in rows:
-        for x in row:
-            if not (0 <= x < n):
+    rows = tuple(map(tuple, table))
+    entries = list(itertools.chain.from_iterable(rows))
+    if not (set(map(type, entries)) == {int} and 0 <= min(entries) and max(entries) < n):
+        for x in entries:  # True and 0.0 equal 1 and 0, but are not entries
+            if type(x) is not int:
+                raise NotAGroup(f"table entry {x!r} is not an integer")
+            if not 0 <= x < n:
                 raise NotAGroup(f"table entry {x} out of range 0..{n - 1}")
     _check_latin(rows)
     identity = _find_identity(rows)
@@ -213,7 +218,7 @@ def make_group(
     else:
         if len(names) != n:
             raise NotAGroup(f"{len(names)} names for {n} elements")
-        name_tuple = tuple(str(s) for s in names)
+        name_tuple = tuple(names)
     return FiniteGroup(rows, identity, name_tuple, inverses)
 
 
@@ -224,12 +229,14 @@ def cyclic_group(n: int, names: Optional[Sequence[str]] = None) -> FiniteGroup:
         SizeLimit: n exceeds ``MAX_CYCLIC_ORDER`` (checked before the n^2
             table is built).
     """
+    if type(n) is not int:  # True and 2.0 equal 1 and 2, but are no group size
+        raise NotAGroup(f"group size {n!r} is not an integer")
     if n < 1:
         raise NotAGroup("order must be positive")
     if n > MAX_CYCLIC_ORDER:
         raise SizeLimit(f"cyclic group cap is n <= {MAX_CYCLIC_ORDER}")
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    name_tuple = tuple(str(s) for s in names) if names is not None else tuple(str(i) for i in range(n))
+    name_tuple = tuple(names) if names is not None else tuple(str(i) for i in range(n))
     if len(name_tuple) != n:
         raise NotAGroup(f"{len(name_tuple)} names for {n} elements")
     inverses = tuple((-a) % n for a in range(n))
@@ -266,6 +273,8 @@ def symmetric_group(n: int) -> FiniteGroup:
     Raises:
         SizeLimit: if n exceeds the desk-scale cap of 6.
     """
+    if type(n) is not int:
+        raise NotAGroup(f"group size {n!r} is not an integer")
     if n < 1:
         raise NotAGroup("n must be positive")
     if n > MAX_SYMMETRIC_N:

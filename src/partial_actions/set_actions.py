@@ -774,16 +774,19 @@ def enumerate_partial_actions(
     distinct actions.  The output is sorted by ``canonical_key``.
 
     Raises:
-        MalformedInput: an integer carrier size is negative, or the carrier
-            repeats a point.
+        MalformedInput: an integer carrier size is negative, the carrier is
+            neither an exact int nor a sequence, or it repeats a point.
         SizeLimit: beyond |G| <= 6 or carriers larger than 4 points.
     """
-    if isinstance(carrier, int):
+    if type(carrier) is int:
         if carrier < 0:
             raise MalformedInput(f"carrier size {carrier} is negative")
         carrier = tuple(range(carrier))
     else:
-        carrier = tuple(carrier)
+        try:
+            carrier = tuple(carrier)
+        except TypeError:  # True and 2.0 are no size, and not a sequence of points
+            raise MalformedInput(f"carrier {carrier!r} is neither a size nor a sequence") from None
         if len(set(carrier)) != len(carrier):
             raise MalformedInput("carrier contains duplicate points")
     if G.order > ENUM_MAX_GROUP:

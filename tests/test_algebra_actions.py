@@ -438,6 +438,27 @@ class TestSplitProduct:
         with pytest.raises(MalformedInput):
             split_partial_action(pa)
 
+    def test_split_inverts_product_on_mixed_classes(self, z4):
+        """Every pair of a Z2-twisted action on two blocks and a Z3-twisted
+        action on one, with and without a scalar line after them."""
+        twisted = enumerate_algebra_partial_actions(z4, 2, Block("Q", cyclic_group(2)))
+        third = enumerate_algebra_partial_actions(z4, 1, Block("R", cyclic_group(3)))
+        line = lift_set_action(enumerate_partial_actions(z4, 1)[-1])
+        for a, b in itertools.product(twisted, third):
+            assert split_partial_action(product_partial_action([a, b])) == [a, b]
+            assert split_partial_action(product_partial_action([a, b, line])) == [a, b, line]
+
+    def test_map_short_of_its_source_domain_raises(self, z2):
+        """The map of 1 misses block 1 of S_1 = S_{1^-1}: the K component's
+        map is rejected by ``WreathMap`` (this used to leak KeyError)."""
+        algebra = BlockAlgebra((Block("L", cyclic_group(2)), k_line_block()))
+        half = algebra.ideal({0})
+        pa = AlgebraPartialAction(
+            z2, algebra, {1: algebra.full_ideal()}, {1: WreathMap(half, half, {0: 0}, {0: 1})}
+        )
+        with pytest.raises(MalformedInput, match="position map keys must be exactly the source"):
+            split_partial_action(pa)
+
 
 class TestRestrictLift:
     def test_lift_then_restrict_is_identity(self, z2):
@@ -829,6 +850,23 @@ class TestEquivalenceSearch:
         monkeypatch.setattr(algebra_actions, "_equivariant_bijection", lambda *args: bogus)
         with pytest.raises(InternalInconsistency):
             globalizations_equivalent(result, result)
+
+
+class TestPositionData:
+    @pytest.mark.parametrize("aut_order", [2, 3])
+    def test_constructor_inverts_position_data(self, aut_order):
+        """Every action of every group of order <= 4 on 1-3 blocks comes back
+        from its supports, position maps and twists."""
+        block = Block("L", cyclic_group(aut_order))
+        klein = make_group([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+        for G in (*(cyclic_group(k) for k in (1, 2, 3, 4)), klein):
+            for n in (1, 2, 3):
+                for pa in enumerate_algebra_partial_actions(G, n, block):
+                    supports, maps, twists, _ = algebra_actions._position_data(pa)
+                    rebuilt = algebra_actions._from_position_data(
+                        G, pa.algebra, supports, maps, twists
+                    )
+                    assert rebuilt == pa
 
 
 class TestEnumerateAlgebraActions:

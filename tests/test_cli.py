@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import make_golden_relabelled
 from partial_actions import cli
 from partial_actions.cli import _set_check_key, main
+from partial_actions.documents import _json_text, workbench_to_doc
 from partial_actions.errors import InternalInconsistency
 from partial_actions.set_actions import (
     enumerate_partial_actions,
@@ -326,6 +328,13 @@ class TestGlobalizeCommand:
         assert main([command, str(DATA / "golden_relabelled.json"), "--format", fmt]) == 0
         expected = (DATA / f"golden_relabelled.{suffix}").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+    def test_relabelled_golden_document_is_its_generator_output(self):
+        """``make_golden_relabelled.py`` writes the recorded document byte
+        for byte, which also pins the order of its enumerated actions."""
+        wb = make_golden_relabelled.workbench()
+        expected = (DATA / "golden_relabelled.json").read_text(encoding="utf-8")
+        assert _json_text(workbench_to_doc(wb)) + "\n" == expected
 
     def test_every_set_check_has_a_json_key(self, z2):
         """The set `checks` block is keyed by report item name, not position."""
