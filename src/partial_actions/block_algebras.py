@@ -10,9 +10,9 @@ materializing a base field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
+from ._values import Frozen
 from .errors import (
     ClassMismatch,
     CompositionMismatch,
@@ -26,8 +26,7 @@ def trivial_group() -> FiniteGroup:
     return make_group([[0]], names=["1"])
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Frozen):
     """One indecomposable factor: a class label and its automorphism group.
 
     Blocks with equal labels are declared isomorphic; scalar-line blocks
@@ -36,21 +35,29 @@ class Block:
 
     iso_class: str
     aut_group: FiniteGroup
+    _fields = ("iso_class", "aut_group")
+
+    def __init__(self, iso_class: str, aut_group: FiniteGroup):
+        object.__setattr__(self, "iso_class", iso_class)
+        object.__setattr__(self, "aut_group", aut_group)
+
+    def _key(self) -> tuple:
+        return (self.iso_class, self.aut_group)
 
 
 def k_line_block(label: str = "K") -> Block:
     return Block(label, trivial_group())
 
 
-@dataclass(frozen=True)
-class BlockAlgebra:
+class BlockAlgebra(Frozen):
     """An ordered product of blocks; position i carries the i-th primitive
     central idempotent."""
 
     blocks: tuple[Block, ...]
+    _fields = ("blocks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+    def __init__(self, blocks: tuple[Block, ...]):
+        object.__setattr__(self, "blocks", tuple(blocks))
         if not self.blocks:
             raise MalformedInput("an algebra needs at least one block")
         by_class: dict[str, FiniteGroup] = {}
@@ -65,6 +72,9 @@ class BlockAlgebra:
         orders = {aut.order for aut in by_class.values()}
         object.__setattr__(self, "_single_class", len(by_class) == 1)
         object.__setattr__(self, "_aut_order", orders.pop() if len(orders) == 1 else None)
+
+    def _key(self) -> tuple:
+        return (self.blocks,)
 
     @property
     def n_blocks(self) -> int:
@@ -84,23 +94,30 @@ class BlockAlgebra:
 
 
 def block_power(block: Block, n: int) -> BlockAlgebra:
+    if type(n) is not int:  # True equals 1, but is no number of copies
+        raise MalformedInput(f"number of copies {n!r} is not an integer")
     if n < 1:
         raise MalformedInput("need at least one copy")
     return BlockAlgebra((block,) * n)
 
 
-@dataclass(frozen=True)
-class BlockIdeal:
+class BlockIdeal(Frozen):
     """An ideal generated by central idempotents: a set of block positions."""
 
     algebra: BlockAlgebra
     support: frozenset
+    _fields = ("algebra", "support")
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(self.support))
-        for p in self.support:  # True equals 1, but is no position
-            if not (type(p) is int and 0 <= p < self.algebra.n_blocks):
+    def __init__(self, algebra: BlockAlgebra, support: frozenset):
+        object.__setattr__(self, "algebra", algebra)
+        support = frozenset(support)
+        object.__setattr__(self, "support", support)
+        for p in support:  # True equals 1, but is no position
+            if not (type(p) is int and 0 <= p < algebra.n_blocks):
                 raise MalformedInput(f"position {p!r} outside the algebra")
+
+    def _key(self) -> tuple:
+        return (self.algebra, self.support)
 
     def class_multiset(self) -> tuple[str, ...]:
         return tuple(sorted(self.algebra.blocks[p].iso_class for p in self.support))
@@ -116,8 +133,7 @@ def ideals_isomorphic(a: BlockIdeal, b: BlockIdeal) -> bool:
     return a.class_multiset() == b.class_multiset()
 
 
-@dataclass(frozen=True, eq=True)
-class WreathMap:
+class WreathMap(Frozen):
     """A blockwise isomorphism: a class-preserving position bijection plus a
     per-source-position automorphism twist.
 
@@ -147,16 +163,25 @@ class WreathMap:
     target: BlockIdeal
     position_map: Mapping[int, int]
     twists: Mapping[int, int]
+    _fields = ("source", "target", "position_map", "twists")
 
-    def __post_init__(self):
-        pm = dict(self.position_map)
-        tw = dict(self.twists)
-        if pm.keys() != self.source.support:
+    def __init__(
+        self,
+        source: BlockIdeal,
+        target: BlockIdeal,
+        position_map: Mapping[int, int],
+        twists: Mapping[int, int],
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        pm = dict(position_map)
+        tw = dict(twists)
+        if pm.keys() != source.support:
             raise MalformedInput("position map keys must be exactly the source support")
         images = set(pm.values())
-        if images != self.target.support or len(images) != len(pm):
+        if images != target.support or len(images) != len(pm):
             raise MalformedInput("position map is not a bijection onto the target support")
-        src_alg, tgt_alg = self.source.algebra, self.target.algebra
+        src_alg, tgt_alg = source.algebra, target.algebra
         if not (src_alg._single_class and (src_alg is tgt_alg or src_alg == tgt_alg)):
             for p, q in pm.items():
                 src_block = src_alg.blocks[p]
@@ -184,6 +209,9 @@ class WreathMap:
             pm = {p: pm[p] for p in sorted(pm)}
         object.__setattr__(self, "position_map", pm)
         object.__setattr__(self, "twists", tw)
+
+    def _key(self) -> tuple:
+        return (self.source, self.target, self.position_map, self.twists)
 
     def is_identity(self) -> bool:
         return (

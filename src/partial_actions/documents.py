@@ -21,10 +21,10 @@ reference is.  Parsing and serialization round-trip.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Mapping, Optional, Union
 
+from ._values import Value
 from .algebra_actions import AlgebraPartialAction
 from .block_algebras import Block, BlockAlgebra, WreathMap
 from .errors import DocumentError, PartialActionError, UnknownElement
@@ -335,14 +335,29 @@ def parse_algebra_action(
 AnyAction = Union[SetPartialAction, AlgebraPartialAction]
 
 
-@dataclass
-class Workbench:
+class Workbench(Value):
     """Parsed workbench document: named groups, algebras and actions."""
 
-    version: str = FORMAT_VERSION
-    groups: dict[str, FiniteGroup] = field(default_factory=dict)
-    algebras: dict[str, BlockAlgebra] = field(default_factory=dict)
-    actions: dict[str, AnyAction] = field(default_factory=dict)
+    version: str
+    groups: dict[str, FiniteGroup]
+    algebras: dict[str, BlockAlgebra]
+    actions: dict[str, AnyAction]
+    _fields = ("version", "groups", "algebras", "actions")
+
+    def __init__(
+        self,
+        version: str = FORMAT_VERSION,
+        groups: Optional[dict[str, FiniteGroup]] = None,
+        algebras: Optional[dict[str, BlockAlgebra]] = None,
+        actions: Optional[dict[str, AnyAction]] = None,
+    ):
+        self.version = version
+        self.groups = {} if groups is None else groups
+        self.algebras = {} if algebras is None else algebras
+        self.actions = {} if actions is None else actions
+
+    def _key(self) -> tuple:
+        return (self.version, self.groups, self.algebras, self.actions)
 
 
 def parse_workbench(doc) -> Workbench:

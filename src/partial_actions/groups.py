@@ -9,10 +9,10 @@ permutation groups the product follows right-to-left function composition:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
+from ._values import Frozen, Value
 from .errors import (
     InternalInconsistency,
     NotAGroup,
@@ -28,29 +28,44 @@ MAX_CYCLIC_ORDER = 720  # 6!, the order of S6, the largest group accepted elsewh
 ElementRef = Union[int, str]
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """A finite group as a validated Cayley table.
 
     Instances are immutable.  Construct through :func:`make_group`,
     :func:`cyclic_group` or :func:`symmetric_group` rather than directly.
     Element names are distinct strings; the group owns the one name index.
+    Equality and hash leave out ``inverses`` and ``doc_kind``.
     """
 
     table: tuple[tuple[int, ...], ...]
     identity: int
     names: tuple[str, ...]
-    inverses: tuple[int, ...] = field(compare=False)
-    doc_kind: Optional[tuple[str, int]] = field(default=None, compare=False, repr=False)
+    inverses: tuple[int, ...]
+    doc_kind: Optional[tuple[str, int]]
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        table: tuple[tuple[int, ...], ...],
+        identity: int,
+        names: tuple[str, ...],
+        inverses: tuple[int, ...],
+        doc_kind: Optional[tuple[str, int]] = None,
+    ):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "inverses", inverses)
+        object.__setattr__(self, "doc_kind", doc_kind)
         index: dict[str, int] = {}
-        for i, name in enumerate(self.names):
+        for i, name in enumerate(names):
             if not isinstance(name, str):  # documents write names as strings; never coerced
                 raise NotAGroup(f"element name {name!r} is not a string")
             if index.setdefault(name, i) != i:
                 raise NotAGroup(f"duplicate element name {name!r}")
         object.__setattr__(self, "_by_name", index)
+
+    def _key(self) -> tuple:
+        return (self.table, self.identity, self.names)
 
     @property
     def order(self) -> int:
@@ -299,19 +314,20 @@ def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup(table, identity, names, tuple(inverses), doc_kind=("symmetric", n))
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Frozen):
     """A verified subgroup, stored as sorted element indices of the parent."""
 
     parent: FiniteGroup
     members: tuple[int, ...]
+    _fields = ("parent", "members")
 
-    def __post_init__(self):
-        G = self.parent
-        for a in self.members:
+    def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
+        object.__setattr__(self, "parent", parent)
+        G = parent
+        for a in members:
             if type(a) is not int or not 0 <= a < G.order:
                 raise NotASubgroup(f"member {a!r} is not an element index 0..{G.order - 1}")
-        members = tuple(sorted(set(self.members)))
+        members = tuple(sorted(set(members)))
         object.__setattr__(self, "members", members)
         member_set = frozenset(members)
         if not members:
@@ -327,6 +343,9 @@ class Subgroup:
                         f"not closed under multiplication at {G.name(a)}*{G.name(b)}"
                     )
         object.__setattr__(self, "_member_set", member_set)
+
+    def _key(self) -> tuple:
+        return (self.parent, self.members)
 
     @property
     def order(self) -> int:
@@ -387,15 +406,17 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return sorted(seen.values(), key=lambda H: (H.order, H.members))
 
 
-@dataclass(frozen=True)
-class LeftTransversal:
+class LeftTransversal(Frozen):
     """One representative per left coset gH, ``reps[0]`` the identity.
     :func:`left_transversal` builds the one that :func:`_cosets` numbers."""
 
     subgroup: Subgroup
     reps: tuple[int, ...]
+    _fields = ("subgroup", "reps")
 
-    def __post_init__(self):
+    def __init__(self, subgroup: Subgroup, reps: tuple[int, ...]):
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "reps", reps)
         G = self.group
         H = self.subgroup
         if not self.reps or self.reps[0] != G.identity:
@@ -412,6 +433,9 @@ class LeftTransversal:
         if len(covered) != G.order:
             raise InternalInconsistency("cosets do not cover the group")
         object.__setattr__(self, "_coset_position", covered)
+
+    def _key(self) -> tuple:
+        return (self.subgroup, self.reps)
 
     @property
     def group(self) -> FiniteGroup:
@@ -458,8 +482,7 @@ def left_transversal(G: FiniteGroup, H: Subgroup) -> LeftTransversal:
     return LeftTransversal(H, tuple(_cosets(G, H.members)[0]))
 
 
-@dataclass(frozen=True)
-class CosetFactorization:
+class CosetFactorization(Frozen):
     """The maps j and h defined by g*g_i = j(g,g_i)*h(g,g_i).
 
     ``j_table[g][i]`` is the transversal *position* of j(g, reps[i]);
@@ -469,6 +492,20 @@ class CosetFactorization:
     transversal: LeftTransversal
     j_table: tuple[tuple[int, ...], ...]
     h_table: tuple[tuple[int, ...], ...]
+    _fields = ("transversal", "j_table", "h_table")
+
+    def __init__(
+        self,
+        transversal: LeftTransversal,
+        j_table: tuple[tuple[int, ...], ...],
+        h_table: tuple[tuple[int, ...], ...],
+    ):
+        object.__setattr__(self, "transversal", transversal)
+        object.__setattr__(self, "j_table", j_table)
+        object.__setattr__(self, "h_table", h_table)
+
+    def _key(self) -> tuple:
+        return (self.transversal, self.j_table, self.h_table)
 
     @property
     def group(self) -> FiniteGroup:
@@ -559,27 +596,53 @@ def coset_factorize(G: FiniteGroup, H: Subgroup) -> CosetFactorization:
     return cf
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(Frozen):
     g: int
     g_i: int
     claimed_j: int
     claimed_h: int
     computed_j: int
     computed_h: int
+    _fields = ("g", "g_i", "claimed_j", "claimed_h", "computed_j", "computed_h")
+
+    def __init__(
+        self, g: int, g_i: int, claimed_j: int, claimed_h: int, computed_j: int, computed_h: int
+    ):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g_i", g_i)
+        object.__setattr__(self, "claimed_j", claimed_j)
+        object.__setattr__(self, "claimed_h", claimed_h)
+        object.__setattr__(self, "computed_j", computed_j)
+        object.__setattr__(self, "computed_h", computed_h)
+
+    def _key(self) -> tuple:
+        return (self.g, self.g_i, self.claimed_j, self.claimed_h, self.computed_j, self.computed_h)
 
     @property
     def matches(self) -> bool:
         return self.claimed_j == self.computed_j and self.claimed_h == self.computed_h
 
 
-@dataclass
-class DiscrepancyReport:
+class DiscrepancyReport(Value):
     """Result of recomputing a claimed j/h table row by row."""
 
     factorization: CosetFactorization
     checked: list[RowCheck]
     missing: list[tuple[int, int, int, int]]  # (g, g_i, computed_j, computed_h)
+    _fields = ("factorization", "checked", "missing")
+
+    def __init__(
+        self,
+        factorization: CosetFactorization,
+        checked: list[RowCheck],
+        missing: list[tuple[int, int, int, int]],
+    ):
+        self.factorization = factorization
+        self.checked = checked
+        self.missing = missing
+
+    def _key(self) -> tuple:
+        return (self.factorization, self.checked, self.missing)
 
     @property
     def match_count(self) -> int:

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._values import Frozen, Value
 
-@dataclass(frozen=True)
-class CheckItem:
+
+class CheckItem(Frozen):
     name: str
     passed: bool
-    witness: Optional[str] = None
+    witness: Optional[str]
+    _fields = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: Optional[str] = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
+
+    def _key(self) -> tuple:
+        return (self.name, self.passed, self.witness)
 
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -18,12 +27,19 @@ class CheckItem:
         return f"{status}  {self.name}{tail}"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Value):
     """Outcome of checking a candidate against the partial-action axioms."""
 
     subject: str
-    items: list[CheckItem] = field(default_factory=list)
+    items: list[CheckItem]
+    _fields = ("subject", "items")
+
+    def __init__(self, subject: str, items: Optional[list[CheckItem]] = None):
+        self.subject = subject
+        self.items = [] if items is None else items
+
+    def _key(self) -> tuple:
+        return (self.subject, self.items)
 
     def add(self, name: str, passed: bool, witness: Optional[str] = None) -> None:
         self.items.append(CheckItem(name, passed, witness))
@@ -55,11 +71,17 @@ class VerificationReport:
 ENVELOPE_CHECKS = ("ideal", "covers", "intersection", "equivariance")
 
 
-@dataclass
-class EnvelopingReport:
+class EnvelopingReport(Value):
     """The four-item checklist for a candidate enveloping action."""
 
-    items: dict[str, CheckItem] = field(default_factory=dict)
+    items: dict[str, CheckItem]
+    _fields = ("items",)
+
+    def __init__(self, items: Optional[dict[str, CheckItem]] = None):
+        self.items = {} if items is None else items
+
+    def _key(self) -> tuple:
+        return (self.items,)
 
     def add(self, name: str, passed: bool, witness: Optional[str] = None) -> None:
         if name not in ENVELOPE_CHECKS:

@@ -35,6 +35,16 @@ ENUM_MAX_GROUP = 6
 ENUM_MAX_CARRIER = 4
 
 
+def _check_points(carrier: tuple) -> None:
+    """Raise MalformedInput unless the carrier's points are hashable and distinct."""
+    try:
+        distinct = len(set(carrier))
+    except TypeError:  # a list point, say, is no set member
+        raise MalformedInput("carrier contains an unhashable point") from None
+    if distinct != len(carrier):
+        raise MalformedInput("carrier contains duplicate points")
+
+
 class SetPartialAction:
     """Candidate partial action data; run :func:`verify_partial_action` to
     check the axioms.
@@ -55,8 +65,7 @@ class SetPartialAction:
     ):
         self.group = group
         self.carrier = tuple(carrier)
-        if len(set(self.carrier)) != len(self.carrier):
-            raise MalformedInput("carrier contains duplicate points")
+        _check_points(self.carrier)
         carrier_set = frozenset(self.carrier)
         e = group.identity
         doms: dict[int, frozenset] = {}
@@ -223,17 +232,47 @@ def _axiom_witnesses(G, order, domains, maps, twists=None, auts=None) -> tuple:
     return identity, compatibility, composition, intersection, inverse
 
 
-def _certified_witnesses(G, order, domains, maps, twists=None, auts=None) -> tuple:
-    """The witnesses of :func:`_axiom_witnesses`, from the same arguments,
-    deciding validity first from orbit data: when :func:`_orbit_data`
-    accepts the data, it is a partial action, so every axiom and derived
-    identity holds and each witness is None.  Only rejected data is
-    scanned, and the scan alone names the witnesses."""
+def _certified_witnesses(action, G, order, domains, maps, twists=None, auts=None) -> tuple:
+    """The witnesses of :func:`_axiom_witnesses`, from the position data of
+    the action, deciding validity first from orbit data: when
+    :func:`_orbit_data` accepts the data, it is a partial action, so every
+    axiom and derived identity holds and each witness is None.  Only
+    rejected data is scanned, and the scan alone names the witnesses.
+    Accepted orbit data is kept on the action for
+    :func:`_certified_orbit_data`."""
     try:
-        _orbit_data(G, order, domains, maps, twists, auts)
+        data = _orbit_data(G, order, domains, maps, twists, auts)
     except (MalformedInput, TwistTransportConflict):
         return _axiom_witnesses(G, order, domains, maps, twists, auts)
+    action._certificate = (_position_copy(G, order, domains, maps, twists, auts), data)
     return (None,) * 5
+
+
+def _certified_orbit_data(action, G, order, domains, maps, twists=None, auts=None) -> tuple[list, dict]:
+    """:func:`_orbit_data` of the action's position data, taken from the
+    certificate that a verifier kept on the action when the data still
+    equals, map by map, the data it certified.  The pipeline that follows
+    a verifier (:func:`globalize_set`, ``globalize_block_power`` or
+    ``classify_indecomposable``) thus computes no orbit data of its own,
+    and an action changed in between is certified afresh.  The certificate
+    serves one call."""
+    kept = action.__dict__.pop("_certificate", None)
+    if kept is not None and kept[0] == _position_copy(G, order, domains, maps, twists, auts):
+        return kept[1]
+    return _orbit_data(G, order, domains, maps, twists, auts)
+
+
+def _position_copy(G, order, domains, maps, twists, auts) -> tuple:
+    """The position data as lists indexed by element, each map copied."""
+    elements = G.elements()
+    return (
+        G,
+        tuple(order),
+        [domains[g] for g in elements],
+        [dict(maps[g]) for g in elements],
+        None if twists is None else [dict(twists[g]) for g in elements],
+        None if auts is None else list(auts),
+    )
 
 
 def _axiom_items(letter: str) -> tuple[str, ...]:
@@ -291,7 +330,7 @@ def verify_partial_action(candidate: SetPartialAction) -> VerificationReport:
         if set(m.values()) != candidate.domains[g] or len(set(m.values())) != len(m):
             raise MalformedInput(f"map of {n(g)} is not a bijection onto its stated codomain")
     maps = _in_carrier_order(candidate)
-    witnesses = _certified_witnesses(G, candidate.carrier, candidate.domains, maps)
+    witnesses = _certified_witnesses(candidate, G, candidate.carrier, candidate.domains, maps)
     return _add_items(VerificationReport("set partial action"), _axiom_items("D"), witnesses, (
         lambda kind, x: f"D_e omits {x!r}" if kind == "omits" else f"alpha_e moves {x!r}",
         lambda g, h, x: f"g={n(g)}, h={n(h)}: {x!r} outside D_{{({n(g)}{n(h)})^-1}}",
@@ -524,7 +563,8 @@ class SetGlobalization:
 
 def globalize_set(spa: SetPartialAction) -> SetGlobalization:
     """Envelope of a set partial action: the quotient of G x X, built from
-    the orbit data of :func:`_orbit_data`.
+    the orbit data of :func:`_orbit_data`, or of the certificate of
+    :func:`verify_partial_action` on the same data (:func:`_certified_orbit_data`).
 
     Pairs (g, x) and (t, y) are identified when x ∈ D_{g^-1 t} and
     alpha_{t^-1 g}(x) = y; the envelope action is t·[g, x] = [tg, x] and the
@@ -539,7 +579,8 @@ def globalize_set(spa: SetPartialAction) -> SetGlobalization:
     """
     G = spa.group
     X = spa.carrier
-    witnesses, pair_class = _envelope_classes(G, X, *_orbit_data(G, X, spa.domains, spa.maps))
+    orbit_data = _certified_orbit_data(spa, G, X, spa.domains, spa.maps)
+    witnesses, pair_class = _envelope_classes(G, X, *orbit_data)
     maps = {}
     for t in G.elements():
         row = G.table[t]
@@ -787,8 +828,7 @@ def enumerate_partial_actions(
             carrier = tuple(carrier)
         except TypeError:  # True and 2.0 are no size, and not a sequence of points
             raise MalformedInput(f"carrier {carrier!r} is neither a size nor a sequence") from None
-        if len(set(carrier)) != len(carrier):
-            raise MalformedInput("carrier contains duplicate points")
+        _check_points(carrier)
     if G.order > ENUM_MAX_GROUP:
         raise SizeLimit(f"enumeration caps the group order at {ENUM_MAX_GROUP}")
     if len(carrier) > ENUM_MAX_CARRIER:

@@ -1,8 +1,8 @@
 """The library takes only exact ints as group sizes, table entries,
-positions and automorphism indices, and only strings as element names: a
-bool or a float that equals an int is rejected with a
-``PartialActionError`` subclass, never coerced or leaked as a bare Python
-exception."""
+positions, numbers of copies and automorphism indices, only strings as
+element names, and only hashable carrier points: a bool or a float that
+equals an int, or a list point, is rejected with a ``PartialActionError``
+subclass, never coerced or leaked as a bare Python exception."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from partial_actions.algebra_actions import extend_by_zero_algebra
 from partial_actions.block_algebras import Block, block_power, k_line_block
 from partial_actions.errors import MalformedInput, NotAGroup, NotAHomomorphism
 from partial_actions.groups import cyclic_group, make_group, symmetric_group, whole_group
-from partial_actions.set_actions import enumerate_partial_actions
+from partial_actions.set_actions import SetPartialAction, enumerate_partial_actions
 
 Z2 = cyclic_group(2)
 SWAP = [[0, 1], [1, 0]]
@@ -32,6 +32,18 @@ CASES = [
      "position 1.0"),
     ("bool carrier", lambda: enumerate_partial_actions(Z2, True), MalformedInput, "carrier True"),
     ("float carrier", lambda: enumerate_partial_actions(Z2, 2.0), MalformedInput, "carrier 2.0"),
+    ("unhashable point", lambda: SetPartialAction(Z2, [[1], 2]), MalformedInput,
+     "carrier contains an unhashable point"),
+    ("unhashable enumerated point", lambda: enumerate_partial_actions(Z2, [[0], 1]),
+     MalformedInput, "carrier contains an unhashable point"),
+    ("bool copies", lambda: block_power(k_line_block(), True), MalformedInput,
+     "number of copies True"),
+    ("float copies", lambda: block_power(k_line_block(), 2.0), MalformedInput,
+     "number of copies 2.0"),
+    ("string copies", lambda: block_power(k_line_block(), "2"), MalformedInput,
+     "number of copies '2'"),
+    ("no copies", lambda: block_power(k_line_block(), None), MalformedInput,
+     "number of copies None"),
     ("bool twist on a scalar line",
      lambda: extend_by_zero_algebra(k_line_block(), whole_group(Z2), {0: 0, 1: True}),
      NotAHomomorphism, "True is not an automorphism index"),
@@ -48,7 +60,9 @@ CASES = [
 def test_non_int_values_are_rejected(build, error, message):
     """Before: cyclic_group(True) built a group whose document
     ``parse_group`` rejects, symmetric_group(2.0) and
-    enumerate_partial_actions(G, 2.0) leaked TypeError, make_group coerced
+    enumerate_partial_actions(G, 2.0) leaked TypeError, as did an
+    unhashable carrier point and block_power(B, 2.0), block_power(B, True)
+    built one block, make_group coerced
     entries with int() and names with str(), ideal({True}) was the ideal
     {1}, enumerate_partial_actions(G, True) ran on one point, and a True
     twist leaked IndexError or was stored as a twist."""
