@@ -43,7 +43,6 @@ from .set_actions import (
     SetPartialAction,
     _add_items,
     _axiom_items,
-    _certified_orbit_data,
     _certified_witnesses,
     _envelope_classes,
     _envelope_witnesses,
@@ -180,7 +179,7 @@ def verify_algebra_partial_action(pa: AlgebraPartialAction) -> VerificationRepor
             raise MalformedInput(
                 f"map of {G.name(g)} does not run from S_{{{G.name(G.inv(g))}}} to S_{{{G.name(g)}}}"
             )
-    witnesses = _certified_witnesses(pa, G, pa.algebra.positions(), *_position_data(pa))
+    witnesses = _certified_witnesses(G, pa.algebra.positions(), *_position_data(pa))
     n = G.name
     report = VerificationReport("algebra partial action")
     _add_items(report, _axiom_items("S"), witnesses, (
@@ -213,7 +212,7 @@ def classify_indecomposable(pa: AlgebraPartialAction) -> tuple[Subgroup, dict[in
     """
     if pa.algebra.n_blocks != 1:
         raise MalformedInput("classification applies to single-block algebras")
-    (orbit,), _ = _certified_orbit_data(pa, pa.group, (0,), *_position_data(pa))
+    (orbit,), _ = _orbit_data(pa.group, (0,), *_position_data(pa))
     return Subgroup(pa.group, orbit.stabilizer), orbit.phi
 
 
@@ -553,10 +552,8 @@ def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
     restriction, a copy of the block at its orbit witness (g, x), assembled
     by :func:`_assemble` with the transport of :func:`_transport_twists`.
 
-    The orbit data is computed once, twists included, or taken from the
-    certificate of :func:`verify_algebra_partial_action` on the same data
-    (``set_actions._certified_orbit_data``), and serves both the envelope's
-    classes and the transport.  On scalar-line blocks every
+    The orbit data is computed once, twists included, and serves both the
+    envelope's classes and the transport.  On scalar-line blocks every
     twist is the identity and the position maps are those of the set
     envelope.  The result always has at most n·|G| blocks and passes all
     four enveloping checks; input that is not a partial action raises
@@ -567,7 +564,7 @@ def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
     """
     G = pa.group
     positions = pa.algebra.positions()
-    orbits, paths = _certified_orbit_data(pa, G, positions, *_position_data(pa))
+    orbits, paths = _orbit_data(G, positions, *_position_data(pa))
     witnesses, pair_class = _envelope_classes(G, positions, orbits, paths)
     transport = _transport_twists(pa, orbits, paths, witnesses, pair_class)
     provenance = tuple((G.name(t), x) for (t, x) in witnesses)

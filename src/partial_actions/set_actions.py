@@ -232,47 +232,17 @@ def _axiom_witnesses(G, order, domains, maps, twists=None, auts=None) -> tuple:
     return identity, compatibility, composition, intersection, inverse
 
 
-def _certified_witnesses(action, G, order, domains, maps, twists=None, auts=None) -> tuple:
-    """The witnesses of :func:`_axiom_witnesses`, from the position data of
-    the action, deciding validity first from orbit data: when
-    :func:`_orbit_data` accepts the data, it is a partial action, so every
-    axiom and derived identity holds and each witness is None.  Only
-    rejected data is scanned, and the scan alone names the witnesses.
-    Accepted orbit data is kept on the action for
-    :func:`_certified_orbit_data`."""
+def _certified_witnesses(G, order, domains, maps, twists=None, auts=None) -> tuple:
+    """The witnesses of :func:`_axiom_witnesses`, from the same arguments,
+    deciding validity first from orbit data: when :func:`_orbit_data`
+    accepts the data, it is a partial action, so every axiom and derived
+    identity holds and each witness is None.  Only rejected data is
+    scanned, and the scan alone names the witnesses."""
     try:
-        data = _orbit_data(G, order, domains, maps, twists, auts)
+        _orbit_data(G, order, domains, maps, twists, auts)
     except (MalformedInput, TwistTransportConflict):
         return _axiom_witnesses(G, order, domains, maps, twists, auts)
-    action._certificate = (_position_copy(G, order, domains, maps, twists, auts), data)
     return (None,) * 5
-
-
-def _certified_orbit_data(action, G, order, domains, maps, twists=None, auts=None) -> tuple[list, dict]:
-    """:func:`_orbit_data` of the action's position data, taken from the
-    certificate that a verifier kept on the action when the data still
-    equals, map by map, the data it certified.  The pipeline that follows
-    a verifier (:func:`globalize_set`, ``globalize_block_power`` or
-    ``classify_indecomposable``) thus computes no orbit data of its own,
-    and an action changed in between is certified afresh.  The certificate
-    serves one call."""
-    kept = action.__dict__.pop("_certificate", None)
-    if kept is not None and kept[0] == _position_copy(G, order, domains, maps, twists, auts):
-        return kept[1]
-    return _orbit_data(G, order, domains, maps, twists, auts)
-
-
-def _position_copy(G, order, domains, maps, twists, auts) -> tuple:
-    """The position data as lists indexed by element, each map copied."""
-    elements = G.elements()
-    return (
-        G,
-        tuple(order),
-        [domains[g] for g in elements],
-        [dict(maps[g]) for g in elements],
-        None if twists is None else [dict(twists[g]) for g in elements],
-        None if auts is None else list(auts),
-    )
 
 
 def _axiom_items(letter: str) -> tuple[str, ...]:
@@ -330,7 +300,7 @@ def verify_partial_action(candidate: SetPartialAction) -> VerificationReport:
         if set(m.values()) != candidate.domains[g] or len(set(m.values())) != len(m):
             raise MalformedInput(f"map of {n(g)} is not a bijection onto its stated codomain")
     maps = _in_carrier_order(candidate)
-    witnesses = _certified_witnesses(candidate, G, candidate.carrier, candidate.domains, maps)
+    witnesses = _certified_witnesses(G, candidate.carrier, candidate.domains, maps)
     return _add_items(VerificationReport("set partial action"), _axiom_items("D"), witnesses, (
         lambda kind, x: f"D_e omits {x!r}" if kind == "omits" else f"alpha_e moves {x!r}",
         lambda g, h, x: f"g={n(g)}, h={n(h)}: {x!r} outside D_{{({n(g)}{n(h)})^-1}}",
@@ -563,8 +533,7 @@ class SetGlobalization:
 
 def globalize_set(spa: SetPartialAction) -> SetGlobalization:
     """Envelope of a set partial action: the quotient of G x X, built from
-    the orbit data of :func:`_orbit_data`, or of the certificate of
-    :func:`verify_partial_action` on the same data (:func:`_certified_orbit_data`).
+    the orbit data of :func:`_orbit_data`.
 
     Pairs (g, x) and (t, y) are identified when x ∈ D_{g^-1 t} and
     alpha_{t^-1 g}(x) = y; the envelope action is t·[g, x] = [tg, x] and the
@@ -579,8 +548,7 @@ def globalize_set(spa: SetPartialAction) -> SetGlobalization:
     """
     G = spa.group
     X = spa.carrier
-    orbit_data = _certified_orbit_data(spa, G, X, spa.domains, spa.maps)
-    witnesses, pair_class = _envelope_classes(G, X, *orbit_data)
+    witnesses, pair_class = _envelope_classes(G, X, *_orbit_data(G, X, spa.domains, spa.maps))
     maps = {}
     for t in G.elements():
         row = G.table[t]

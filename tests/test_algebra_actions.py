@@ -531,17 +531,6 @@ class TestGlobalizeBlockPower:
         assert main(["globalize", str(path), "--format", "json"]) == 0
         assert all(json.loads(capsys.readouterr().out)["checks"].values())
 
-    def test_an_action_changed_after_verification_is_certified_afresh(self, z2):
-        """The verifier's orbit data is not reused once a twist changes."""
-        algebra = block_power(Block("L", cyclic_group(2)), 2)
-        full = algebra.full_ideal()
-        swap = WreathMap(full, full, {0: 1, 1: 0}, {0: 1, 1: 1})
-        pa = AlgebraPartialAction(z2, algebra, {0: full, 1: full}, {1: swap})
-        assert verify_algebra_partial_action(pa).ok
-        pa.maps[1].twists[0] = 0  # alpha_1 twice now twists block 0
-        with pytest.raises(TwistTransportConflict):
-            globalize_block_power(pa)
-
     def test_twist_transport_conflict_surfaces(self, z2):
         # an order-two element acting with an order-four twist is invalid;
         # the conflict must raise, not be absorbed

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import make_golden_relabelled
-from partial_actions import cli, set_actions
+from partial_actions import cli
 from partial_actions.cli import _set_check_key, main
 from partial_actions.documents import _json_text, workbench_to_doc
 from partial_actions.errors import InternalInconsistency
@@ -344,25 +344,6 @@ class TestGlobalizeCommand:
         assert keys == ["ideal", "covers", "intersection", "equivariance"]
         with pytest.raises(InternalInconsistency):
             _set_check_key("an unnamed check")
-
-    @pytest.mark.parametrize("names", [
-        ("set_half", "twisted_s3", "single_quiver"),
-        None,
-    ], ids=["three kinds", "whole document"])
-    def test_orbit_data_is_computed_once_per_action(self, names, tmp_path, capsys, monkeypatch):
-        """The verifier's certificate is the orbit data the pipeline uses:
-        one ``_orbit_data`` call per action, for a set action, a multi-block
-        algebra action and a one-block one alike (two each before).  The
-        golden tests pin the output."""
-        doc = json.loads((DATA / "golden_globalize.json").read_text(encoding="utf-8"))
-        if names is not None:
-            doc["actions"] = {name: doc["actions"][name] for name in names}
-        path = write(tmp_path, "actions.json", doc)
-        calls = []
-        orbit_data = set_actions._orbit_data
-        monkeypatch.setattr(set_actions, "_orbit_data", lambda *a: calls.append(a) or orbit_data(*a))
-        assert main(["globalize", path, "--format", "json"]) == 0
-        assert len(calls) == len(doc["actions"])
 
     def test_invalid_action_exits_one(self, tmp_path, capsys):
         path = write(
