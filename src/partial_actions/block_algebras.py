@@ -33,16 +33,11 @@ class Block(Frozen):
     carry the trivial automorphism group.
     """
 
-    iso_class: str
-    aut_group: FiniteGroup
     _fields = ("iso_class", "aut_group")
 
     def __init__(self, iso_class: str, aut_group: FiniteGroup):
         object.__setattr__(self, "iso_class", iso_class)
         object.__setattr__(self, "aut_group", aut_group)
-
-    def _key(self) -> tuple:
-        return (self.iso_class, self.aut_group)
 
 
 def k_line_block(label: str = "K") -> Block:
@@ -53,7 +48,6 @@ class BlockAlgebra(Frozen):
     """An ordered product of blocks; position i carries the i-th primitive
     central idempotent."""
 
-    blocks: tuple[Block, ...]
     _fields = ("blocks",)
 
     def __init__(self, blocks: tuple[Block, ...]):
@@ -72,9 +66,6 @@ class BlockAlgebra(Frozen):
         orders = {aut.order for aut in by_class.values()}
         object.__setattr__(self, "_single_class", len(by_class) == 1)
         object.__setattr__(self, "_aut_order", orders.pop() if len(orders) == 1 else None)
-
-    def _key(self) -> tuple:
-        return (self.blocks,)
 
     @property
     def n_blocks(self) -> int:
@@ -104,8 +95,6 @@ def block_power(block: Block, n: int) -> BlockAlgebra:
 class BlockIdeal(Frozen):
     """An ideal generated by central idempotents: a set of block positions."""
 
-    algebra: BlockAlgebra
-    support: frozenset
     _fields = ("algebra", "support")
 
     def __init__(self, algebra: BlockAlgebra, support: frozenset):
@@ -115,9 +104,6 @@ class BlockIdeal(Frozen):
         for p in support:  # True equals 1, but is no position
             if not (type(p) is int and 0 <= p < algebra.n_blocks):
                 raise MalformedInput(f"position {p!r} outside the algebra")
-
-    def _key(self) -> tuple:
-        return (self.algebra, self.support)
 
     def class_multiset(self) -> tuple[str, ...]:
         return tuple(sorted(self.algebra.blocks[p].iso_class for p in self.support))
@@ -159,10 +145,6 @@ class WreathMap(Frozen):
     ``tests/oracle_checks.py`` keeps that loop as the oracle.
     """
 
-    source: BlockIdeal
-    target: BlockIdeal
-    position_map: Mapping[int, int]
-    twists: Mapping[int, int]
     _fields = ("source", "target", "position_map", "twists")
 
     def __init__(
@@ -209,9 +191,6 @@ class WreathMap(Frozen):
             pm = {p: pm[p] for p in sorted(pm)}
         object.__setattr__(self, "position_map", pm)
         object.__setattr__(self, "twists", tw)
-
-    def _key(self) -> tuple:
-        return (self.source, self.target, self.position_map, self.twists)
 
     def is_identity(self) -> bool:
         return (

@@ -338,10 +338,6 @@ AnyAction = Union[SetPartialAction, AlgebraPartialAction]
 class Workbench(Value):
     """Parsed workbench document: named groups, algebras and actions."""
 
-    version: str
-    groups: dict[str, FiniteGroup]
-    algebras: dict[str, BlockAlgebra]
-    actions: dict[str, AnyAction]
     _fields = ("version", "groups", "algebras", "actions")
 
     def __init__(
@@ -355,9 +351,6 @@ class Workbench(Value):
         self.groups = {} if groups is None else groups
         self.algebras = {} if algebras is None else algebras
         self.actions = {} if actions is None else actions
-
-    def _key(self) -> tuple:
-        return (self.version, self.groups, self.algebras, self.actions)
 
 
 def parse_workbench(doc) -> Workbench:

@@ -37,11 +37,7 @@ class FiniteGroup(Frozen):
     Equality and hash leave out ``inverses`` and ``doc_kind``.
     """
 
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    names: tuple[str, ...]
-    inverses: tuple[int, ...]
-    doc_kind: Optional[tuple[str, int]]
+    _fields = ("table", "identity", "names")  # compared; the repr is its own
 
     def __init__(
         self,
@@ -63,9 +59,6 @@ class FiniteGroup(Frozen):
             if index.setdefault(name, i) != i:
                 raise NotAGroup(f"duplicate element name {name!r}")
         object.__setattr__(self, "_by_name", index)
-
-    def _key(self) -> tuple:
-        return (self.table, self.identity, self.names)
 
     @property
     def order(self) -> int:
@@ -317,8 +310,6 @@ def symmetric_group(n: int) -> FiniteGroup:
 class Subgroup(Frozen):
     """A verified subgroup, stored as sorted element indices of the parent."""
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
     _fields = ("parent", "members")
 
     def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
@@ -343,9 +334,6 @@ class Subgroup(Frozen):
                         f"not closed under multiplication at {G.name(a)}*{G.name(b)}"
                     )
         object.__setattr__(self, "_member_set", member_set)
-
-    def _key(self) -> tuple:
-        return (self.parent, self.members)
 
     @property
     def order(self) -> int:
@@ -410,8 +398,6 @@ class LeftTransversal(Frozen):
     """One representative per left coset gH, ``reps[0]`` the identity.
     :func:`left_transversal` builds the one that :func:`_cosets` numbers."""
 
-    subgroup: Subgroup
-    reps: tuple[int, ...]
     _fields = ("subgroup", "reps")
 
     def __init__(self, subgroup: Subgroup, reps: tuple[int, ...]):
@@ -433,9 +419,6 @@ class LeftTransversal(Frozen):
         if len(covered) != G.order:
             raise InternalInconsistency("cosets do not cover the group")
         object.__setattr__(self, "_coset_position", covered)
-
-    def _key(self) -> tuple:
-        return (self.subgroup, self.reps)
 
     @property
     def group(self) -> FiniteGroup:
@@ -489,9 +472,6 @@ class CosetFactorization(Frozen):
     ``h_table[g][i]`` is the element index of h(g, reps[i]), a member of H.
     """
 
-    transversal: LeftTransversal
-    j_table: tuple[tuple[int, ...], ...]
-    h_table: tuple[tuple[int, ...], ...]
     _fields = ("transversal", "j_table", "h_table")
 
     def __init__(
@@ -503,9 +483,6 @@ class CosetFactorization(Frozen):
         object.__setattr__(self, "transversal", transversal)
         object.__setattr__(self, "j_table", j_table)
         object.__setattr__(self, "h_table", h_table)
-
-    def _key(self) -> tuple:
-        return (self.transversal, self.j_table, self.h_table)
 
     @property
     def group(self) -> FiniteGroup:
@@ -597,12 +574,6 @@ def coset_factorize(G: FiniteGroup, H: Subgroup) -> CosetFactorization:
 
 
 class RowCheck(Frozen):
-    g: int
-    g_i: int
-    claimed_j: int
-    claimed_h: int
-    computed_j: int
-    computed_h: int
     _fields = ("g", "g_i", "claimed_j", "claimed_h", "computed_j", "computed_h")
 
     def __init__(
@@ -615,9 +586,6 @@ class RowCheck(Frozen):
         object.__setattr__(self, "computed_j", computed_j)
         object.__setattr__(self, "computed_h", computed_h)
 
-    def _key(self) -> tuple:
-        return (self.g, self.g_i, self.claimed_j, self.claimed_h, self.computed_j, self.computed_h)
-
     @property
     def matches(self) -> bool:
         return self.claimed_j == self.computed_j and self.claimed_h == self.computed_h
@@ -626,23 +594,17 @@ class RowCheck(Frozen):
 class DiscrepancyReport(Value):
     """Result of recomputing a claimed j/h table row by row."""
 
-    factorization: CosetFactorization
-    checked: list[RowCheck]
-    missing: list[tuple[int, int, int, int]]  # (g, g_i, computed_j, computed_h)
     _fields = ("factorization", "checked", "missing")
 
     def __init__(
         self,
         factorization: CosetFactorization,
         checked: list[RowCheck],
-        missing: list[tuple[int, int, int, int]],
+        missing: list[tuple[int, int, int, int]],  # (g, g_i, computed_j, computed_h)
     ):
         self.factorization = factorization
         self.checked = checked
         self.missing = missing
-
-    def _key(self) -> tuple:
-        return (self.factorization, self.checked, self.missing)
 
     @property
     def match_count(self) -> int:

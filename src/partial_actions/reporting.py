@@ -8,18 +8,12 @@ from ._values import Frozen, Value
 
 
 class CheckItem(Frozen):
-    name: str
-    passed: bool
-    witness: Optional[str]
     _fields = ("name", "passed", "witness")
 
     def __init__(self, name: str, passed: bool, witness: Optional[str] = None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "witness", witness)
-
-    def _key(self) -> tuple:
-        return (self.name, self.passed, self.witness)
 
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -30,16 +24,11 @@ class CheckItem(Frozen):
 class VerificationReport(Value):
     """Outcome of checking a candidate against the partial-action axioms."""
 
-    subject: str
-    items: list[CheckItem]
     _fields = ("subject", "items")
 
     def __init__(self, subject: str, items: Optional[list[CheckItem]] = None):
         self.subject = subject
         self.items = [] if items is None else items
-
-    def _key(self) -> tuple:
-        return (self.subject, self.items)
 
     def add(self, name: str, passed: bool, witness: Optional[str] = None) -> None:
         self.items.append(CheckItem(name, passed, witness))
@@ -74,14 +63,10 @@ ENVELOPE_CHECKS = ("ideal", "covers", "intersection", "equivariance")
 class EnvelopingReport(Value):
     """The four-item checklist for a candidate enveloping action."""
 
-    items: dict[str, CheckItem]
     _fields = ("items",)
 
     def __init__(self, items: Optional[dict[str, CheckItem]] = None):
         self.items = {} if items is None else items
-
-    def _key(self) -> tuple:
-        return (self.items,)
 
     def add(self, name: str, passed: bool, witness: Optional[str] = None) -> None:
         if name not in ENVELOPE_CHECKS:
