@@ -700,7 +700,7 @@ def _twisted_lifts(
     The order is ``itertools.product`` order over the {g, g^-1} pairs in
     element order: an involution's twists at its fixed points, then at the
     lesser point of each 2-cycle; any other g's twists on D_{g^-1};
-    positions ascending, whatever the key order of spa's maps.
+    positions ascending, the carrier order in which spa's maps are keyed.
     """
     G, positions, maps = spa.group, spa.carrier, spa.maps
     aut = algebra.blocks[0].aut_group
@@ -715,10 +715,10 @@ def _twisted_lifts(
     for g in G.elements():
         m = maps[g]
         if g == inv[g] != e:
-            keyed += [(g, p) for p in sorted(m) if m[p] == p]
-            keyed += [(g, p) for p in sorted(m) if p < m[p]]
+            keyed += [(g, p) for p in m if m[p] == p]
+            keyed += [(g, p) for p in m if p < m[p]]
         elif e != g < inv[g]:
-            keyed += [(g, p) for p in sorted(m)]
+            keyed += [(g, p) for p in m]
     batch = []
     for phis in itertools.product(*(homs[orbit.stabilizer] for orbit in orbits)):
         for choice in itertools.product(aut.elements(), repeat=len(free)):

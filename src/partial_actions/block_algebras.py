@@ -81,7 +81,7 @@ class BlockAlgebra(Frozen):
         return BlockIdeal(self, frozenset())
 
     def ideal(self, support) -> "BlockIdeal":
-        return BlockIdeal(self, frozenset(support))
+        return BlockIdeal(self, support)
 
 
 def block_power(block: Block, n: int) -> BlockAlgebra:
@@ -99,11 +99,12 @@ class BlockIdeal(Frozen):
 
     def __init__(self, algebra: BlockAlgebra, support: frozenset):
         object.__setattr__(self, "algebra", algebra)
-        support = frozenset(support)
-        object.__setattr__(self, "support", support)
+        if not isinstance(support, frozenset):
+            support = tuple(support)  # checked before hashing: a list is no position
         for p in support:  # True equals 1, but is no position
             if not (type(p) is int and 0 <= p < algebra.n_blocks):
                 raise MalformedInput(f"position {p!r} outside the algebra")
+        object.__setattr__(self, "support", frozenset(support))
 
     def class_multiset(self) -> tuple[str, ...]:
         return tuple(sorted(self.algebra.blocks[p].iso_class for p in self.support))
@@ -126,7 +127,7 @@ class WreathMap(Frozen):
     ``position_map[p] = q`` moves block p of the source onto block q of the
     target, keyed in position order; ``twists[p]`` is the automorphism (an
     element index of the block's automorphism group) applied to the payload
-    in transit.
+    in transit.  Positions and twists are exact ints, never bools or floats.
 
     The constructor checks, in this order, raising at the first failure:
     the keys of ``position_map`` are the source support and its values a
@@ -158,10 +159,11 @@ class WreathMap(Frozen):
         object.__setattr__(self, "target", target)
         pm = dict(position_map)
         tw = dict(twists)
-        if pm.keys() != source.support:
+        if pm.keys() != source.support or not set(map(type, pm)) <= {int}:
             raise MalformedInput("position map keys must be exactly the source support")
         images = set(pm.values())
-        if images != target.support or len(images) != len(pm):
+        if (images != target.support or len(images) != len(pm)
+                or not set(map(type, images)) <= {int}):
             raise MalformedInput("position map is not a bijection onto the target support")
         src_alg, tgt_alg = source.algebra, target.algebra
         if not (src_alg._single_class and (src_alg is tgt_alg or src_alg == tgt_alg)):
@@ -185,7 +187,7 @@ class WreathMap(Frozen):
             and 0 <= min(tw.values()) and max(tw.values()) < order
         ):
             for p, f in tw.items():
-                if not (0 <= f < src_alg.blocks[p].aut_group.order):
+                if not (type(f) is int and 0 <= f < src_alg.blocks[p].aut_group.order):
                     raise MalformedInput(f"twist at {p} is not an automorphism index")
         if list(pm) != sorted(pm):
             pm = {p: pm[p] for p in sorted(pm)}
@@ -229,7 +231,8 @@ FormalSum = dict[int, Token]
 
 def formal_sum(payloads: Mapping[int, Union[str, Token]]) -> FormalSum:
     """Normalize a formal sum: each position carries (twist index, symbol);
-    a bare symbol means the untwisted token."""
+    a bare symbol gets twist index 0, which is untwisted only where element
+    0 of the block's automorphism group is its identity."""
     out: FormalSum = {}
     for p, payload in payloads.items():
         if isinstance(payload, str):
@@ -250,19 +253,24 @@ def symbolic_basis(ideal: BlockIdeal, prefix: str = "x") -> FormalSum:
 
 def wreath_apply(w: WreathMap, element: Mapping[int, Union[str, Token]]) -> FormalSum:
     """Push a formal sum through a wreath map: the payload at position p
-    lands at position_map[p] with the twist applied on the left.
+    lands at position_map[p] with the twist applied on the left.  A bare
+    symbol is untwisted: its twist is the identity of the block's group.
 
     Raises:
         SupportViolation: the element mentions positions outside the source.
+        MalformedInput: a payload is no symbol or (twist index, symbol) pair.
     """
-    elem = formal_sum(element)
-    extra = set(elem) - set(w.source.support)
+    extra = set(element) - w.source.support
     if extra:
         raise SupportViolation(f"element supported outside the source at {sorted(extra)}")
     out: FormalSum = {}
-    for p, (f, symbol) in elem.items():
+    for p, payload in element.items():
         aut = w.source.algebra.blocks[p].aut_group
-        out[w.position_map[p]] = (aut.mul(w.twists[p], f), symbol)
+        token = (aut.identity, payload) if isinstance(payload, str) else payload
+        if not (type(token) is tuple and len(token) == 2 and type(token[0]) is int
+                and 0 <= token[0] < aut.order and isinstance(token[1], str)):
+            raise MalformedInput(f"payload {payload!r} at {p} is not a symbol or a twisted symbol")
+        out[w.position_map[p]] = (aut.mul(w.twists[p], token[0]), token[1])
     return out
 
 

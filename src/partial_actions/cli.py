@@ -222,7 +222,7 @@ def _globalization_doc(kind: str, result, checks) -> dict:
         for g in G.elements():
             w = result.action[g]
             action_doc[G.name(g)] = {
-                "map": {str(p): q for p, q in sorted(w.position_map.items())},
+                "map": {str(p): q for p, q in w.position_map.items()},
                 "twists": {
                     str(p): result.envelope.blocks[p].aut_group.name(f)
                     for p, f in sorted(w.twists.items())
@@ -233,7 +233,7 @@ def _globalization_doc(kind: str, result, checks) -> dict:
             "envelope_blocks": [list(p) if isinstance(p, tuple) else p for p in result.provenance],
             "action": action_doc,
             "embedding": {
-                "position_map": {str(p): q for p, q in sorted(result.embedding.position_map.items())},
+                "position_map": {str(p): q for p, q in result.embedding.position_map.items()},
             },
             "checks": checks.to_dict(),
         }
@@ -242,7 +242,7 @@ def _globalization_doc(kind: str, result, checks) -> dict:
         "kind": "set",
         "envelope_blocks": [[G.name(g), x] for (g, x) in result.orbit_witness],
         "action": {
-            G.name(g): {str(p): q for p, q in sorted(result.envelope.maps[g].items())}
+            G.name(g): {str(p): q for p, q in result.envelope.maps[g].items()}
             for g in G.elements()
         },
         "embedding": {str(x): c for x, c in sorted(result.embedding.items(), key=lambda kv: str(kv[0]))},
@@ -298,9 +298,8 @@ def _render_action_line(spa: SetPartialAction) -> str:
     for g in G.elements():
         if g == G.identity or not spa.domains[g]:
             continue
-        dom = sorted(spa.domains[g], key=spa.carrier.index)
-        m = spa.maps[g]
-        images = ",".join(f"{x!r}->{m[x]!r}" for x in sorted(m, key=spa.carrier.index))
+        dom = [x for x in spa.carrier if x in spa.domains[g]]
+        images = ",".join(f"{x!r}->{y!r}" for x, y in spa.maps[g].items())
         parts.append(f"{G.name(g)}: D={dom!r} [{images}]")
     return "; ".join(parts) if parts else "all domains empty off the identity"
 

@@ -161,12 +161,8 @@ def set_action_to_doc(
     for g in G.elements():
         if g != e and not spa.domains[g]:
             continue
-        by_position = sorted(spa.domains[g], key=spa.carrier.index)
-        doc["domains"][G.name(g)] = list(by_position)
-        doc["maps"][G.name(g)] = {
-            str(k): spa.maps[g][k]
-            for k in sorted(spa.maps[g], key=spa.carrier.index)
-        }
+        doc["domains"][G.name(g)] = [x for x in spa.carrier if x in spa.domains[g]]
+        doc["maps"][G.name(g)] = {str(k): v for k, v in spa.maps[g].items()}
     return doc
 
 
@@ -244,7 +240,7 @@ def algebra_action_to_doc(
             continue
         doc["domains"][G.name(g)] = sorted(pa.support(g))
         w = pa.maps[g]
-        doc["maps"][G.name(g)] = {str(p): q for p, q in sorted(w.position_map.items())}
+        doc["maps"][G.name(g)] = {str(p): q for p, q in w.position_map.items()}
         doc["twists"][G.name(g)] = {
             str(p): pa.algebra.blocks[p].aut_group.name(f)
             for p, f in sorted(w.twists.items())

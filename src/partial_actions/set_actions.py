@@ -35,6 +35,15 @@ ENUM_MAX_GROUP = 6
 ENUM_MAX_CARRIER = 4
 
 
+def _subset_of(carrier_set: frozenset, points: Iterable) -> Optional[frozenset]:
+    """The points as a subset of carrier_set, or None; an unhashable point lies in no carrier."""
+    try:
+        points = frozenset(points)
+    except TypeError:
+        return None
+    return points if points <= carrier_set else None
+
+
 def _check_points(carrier: tuple) -> None:
     """Raise MalformedInput unless the carrier's points are hashable and distinct."""
     try:
@@ -50,10 +59,10 @@ class SetPartialAction:
     check the axioms.
 
     Construction normalizes the data (missing domains become empty, the
-    identity defaults to the full carrier with the identity map) and rejects
-    references to unknown group elements or points, but deliberately does not
-    enforce the axioms, so that broken candidates can be built and reported
-    on.
+    identity defaults to the full carrier with the identity map, and maps
+    are keyed in carrier order) and rejects unknown group elements and
+    points, unhashable ones included, but deliberately does not enforce the
+    axioms, so that broken candidates can be built and reported on.
     """
 
     def __init__(
@@ -67,6 +76,7 @@ class SetPartialAction:
         self.carrier = tuple(carrier)
         _check_points(self.carrier)
         carrier_set = frozenset(self.carrier)
+        pos = self._pos = {x: i for i, x in enumerate(self.carrier)}
         e = group.identity
         doms: dict[int, frozenset] = {}
         mps: dict[int, dict] = {}
@@ -78,33 +88,30 @@ class SetPartialAction:
                 raise MalformedInput(f"unknown group element {g!r}")
         for g in group.elements():
             if g in domains:
-                D = frozenset(domains[g])
+                D = _subset_of(carrier_set, domains[g])
             elif g == e:
                 D = carrier_set
             else:
                 D = frozenset()
-            if not D <= carrier_set:
+            if D is None:
                 raise MalformedInput(f"domain of {group.name(g)} leaves the carrier")
             doms[g] = D
         for g in group.elements():
             if g in maps:
                 m = dict(maps[g])
             elif g == e:
-                m = {x: x for x in doms[e]}
+                m = {x: x for x in self.carrier if x in doms[e]}
             else:
                 m = {}
-            try:
-                inside = m.keys() <= carrier_set and carrier_set.issuperset(m.values())
-            except TypeError:  # an unhashable image: the loop raises as it always has
-                inside = False
-            if not inside:
-                for k, v in m.items():
-                    if k not in carrier_set or v not in carrier_set:
-                        raise MalformedInput(f"map of {group.name(g)} leaves the carrier")
+            if not m.keys() <= carrier_set or _subset_of(carrier_set, m.values()) is None:
+                raise MalformedInput(f"map of {group.name(g)} leaves the carrier")
+            keys = tuple(m)  # a full map in carrier order, as envelopes have, needs no sort
+            ordered = keys if keys == self.carrier else tuple(sorted(keys, key=pos.__getitem__))
+            if keys != ordered:
+                m = {x: m[x] for x in ordered}
             mps[g] = m
         self.domains = doms
         self.maps = mps
-        self._pos = {x: i for i, x in enumerate(self.carrier)}
 
     def is_global(self) -> bool:
         full = frozenset(self.carrier)
@@ -113,11 +120,12 @@ class SetPartialAction:
     def canonical_key(self):
         """Deterministic sort key; two actions are equal iff keys are equal
         (given the same group and carrier)."""
+        at = self._pos.__getitem__
         key = []
         for g in self.group.elements():
-            dom = tuple(sorted(self._pos[x] for x in self.domains[g]))
-            pairs = tuple(sorted((self._pos[k], self._pos[v]) for k, v in self.maps[g].items()))
-            key.append((dom, pairs))
+            dom = tuple(sorted(map(at, self.domains[g])))
+            m = self.maps[g]  # keyed in carrier order, so its pairs come sorted
+            key.append((dom, tuple(zip(map(at, m), map(at, m.values())))))
         return tuple(key)
 
     def __eq__(self, other) -> bool:
@@ -158,14 +166,15 @@ class GlobalSetAction(SetPartialAction):
     """
 
     def __init__(self, group, carrier, maps):
-        full = frozenset(carrier)
-        super().__init__(group, carrier, domains=dict.fromkeys(group.elements(), full), maps=maps)
+        super().__init__(group, carrier, maps=maps)
+        full = frozenset(self.carrier)
+        self.domains = dict.fromkeys(group.elements(), full)
         for g in group.elements():
             m = self.maps[g]
             if m.keys() != full or set(m.values()) != full:
                 raise MalformedInput(f"map of {group.name(g)} is not a bijection of the carrier")
         carrier = self.carrier
-        images = [list(map(self.maps[g].__getitem__, carrier)) for g in group.elements()]
+        images = [list(self.maps[g].values()) for g in group.elements()]  # in carrier order
         if images[group.identity] != list(carrier):
             raise MalformedInput("identity element does not act as the identity map")
         for g in group.elements():
@@ -264,12 +273,6 @@ def _add_items(report, names, witnesses, wording):
     return report
 
 
-def _in_carrier_order(spa: SetPartialAction) -> list[dict]:
-    """The maps of spa indexed by element, each keyed in carrier order."""
-    maps = [spa.maps[g] for g in spa.group.elements()]
-    return [{x: m[x] for x in spa.carrier if x in m} for m in maps]
-
-
 def verify_partial_action(candidate: SetPartialAction) -> VerificationReport:
     """Check the partial-action axioms and derived identities, itemized;
     each witness names the first failing point in carrier order.
@@ -299,8 +302,7 @@ def verify_partial_action(candidate: SetPartialAction) -> VerificationReport:
             )
         if set(m.values()) != candidate.domains[g] or len(set(m.values())) != len(m):
             raise MalformedInput(f"map of {n(g)} is not a bijection onto its stated codomain")
-    maps = _in_carrier_order(candidate)
-    witnesses = _certified_witnesses(G, candidate.carrier, candidate.domains, maps)
+    witnesses = _certified_witnesses(G, candidate.carrier, candidate.domains, candidate.maps)
     return _add_items(VerificationReport("set partial action"), _axiom_items("D"), witnesses, (
         lambda kind, x: f"D_e omits {x!r}" if kind == "omits" else f"alpha_e moves {x!r}",
         lambda g, h, x: f"g={n(g)}, h={n(h)}: {x!r} outside D_{{({n(g)}{n(h)})^-1}}",
@@ -312,18 +314,13 @@ def verify_partial_action(candidate: SetPartialAction) -> VerificationReport:
 
 def restrict_global(global_action: GlobalSetAction, subset: Iterable[Point]) -> SetPartialAction:
     """Restrict a global action to a subset: D_g = subset ∩ beta_g(subset)."""
-    sub = frozenset(subset)
-    if not sub <= frozenset(global_action.carrier):
+    sub = _subset_of(frozenset(global_action.carrier), subset)
+    if sub is None:
         raise MalformedInput("subset leaves the carrier")
-    G = global_action.group
-    order = [x for x in global_action.carrier if x in sub]
-    domains = {}
-    maps = {}
-    for g in G.elements():
-        beta_g = global_action.maps[g]
-        domains[g] = sub & {beta_g[y] for y in sub}
-        maps[g] = {x: beta_g[x] for x in sub if beta_g[x] in sub}
-    return SetPartialAction(G, tuple(order), domains, maps)
+    order = tuple(x for x in global_action.carrier if x in sub)
+    maps = {g: {x: b[x] for x in order if b[x] in sub} for g, b in global_action.maps.items()}
+    domains = {g: m.values() for g, m in maps.items()}  # D_g = subset ∩ beta_g(subset)
+    return SetPartialAction(global_action.group, order, domains, maps)
 
 
 def extend_by_zero(action_of_h: SetPartialAction, subgroup: Subgroup) -> SetPartialAction:
@@ -339,11 +336,8 @@ def extend_by_zero(action_of_h: SetPartialAction, subgroup: Subgroup) -> SetPart
     G = H.parent
     if action_of_h.group != H.as_group():
         raise NotASubgroup("the action is not over the given subgroup")
-    domains = {}
-    maps = {}
-    for k, member in enumerate(H.members):
-        domains[member] = action_of_h.domains[k]
-        maps[member] = dict(action_of_h.maps[k])
+    domains = {H.members[k]: D for k, D in action_of_h.domains.items()}
+    maps = {H.members[k]: m for k, m in action_of_h.maps.items()}  # the constructor copies
     return SetPartialAction(G, action_of_h.carrier, domains, maps)
 
 
@@ -639,7 +633,7 @@ def verify_set_globalization(spa: SetPartialAction, sg: SetGlobalization) -> Ver
     inj = len(image) == len(spa.carrier) and set(sg.embedding) == set(spa.carrier)
     report.add("embedding is injective on the carrier", inj, None if inj else "image collapses")
     witnesses = _envelope_witnesses(
-        G, spa.domains, _in_carrier_order(spa), sg.envelope.maps, sg.envelope.carrier, sg.embedding
+        G, spa.domains, spa.maps, sg.envelope.maps, sg.envelope.carrier, sg.embedding
     )
     names = (
         "orbit of the embedded carrier covers the envelope",

@@ -1,0 +1,113 @@
+"""Compare the CLI's output under two checkouts, byte for byte.
+
+    python3 tests/compare_outputs.py BASE_ROOT CHANGE_ROOT [--seed S]
+
+Each run is one ``python -m partial_actions ...`` invocation, made once with
+``BASE_ROOT/src`` and once with ``CHANGE_ROOT/src`` as ``PYTHONPATH``, with
+``PYTHONHASHSEED=0``, on the same input files: the documents in this
+checkout's ``tests/data`` and the seed-S inputs that perfbench's own
+workload builders write.  A run differs when its stdout, its stderr or its
+exit code differs.  The script prints ``N runs, K differ``, then one line
+per run that differs, and exits 1 when any does.
+
+The runs: ``globalize`` and ``verify``, text and JSON, on the two golden
+documents and the globalize-s5 and verify-mixed inputs; ``example-s3``,
+text and JSON; ``enumerate --envelopes``, text and JSON, on the
+enumerate-z6x4 group at size 4 and on ``group_s3_relabelled.json`` at
+size 3.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+FORMATS = ("text", "json")
+
+
+def golden_runs() -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of ``globalize`` and ``verify`` on the golden
+    documents."""
+    return [
+        (f"{command} {doc} {fmt}", [command, str(DATA / doc), "--format", fmt])
+        for doc in ("golden_globalize.json", "golden_relabelled.json")
+        for command in ("globalize", "verify")
+        for fmt in FORMATS
+    ]
+
+
+def seed_runs(workdir: Path, seed: int) -> list[tuple[str, list[str]]]:
+    """The runs on perfbench's seed inputs, which are written to workdir,
+    and on the built-in example and the relabelled S3 table."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench import workloads
+
+    enumerate_wl = workloads.build_enumerate(seed, workdir)
+    (z6_args,) = enumerate_wl.invocations
+    z6 = z6_args[z6_args.index("--group") + 1]
+    runs = []
+    for build in (workloads.build_globalize, workloads.build_verify):
+        doc = build(seed, workdir).invocations[0][1]
+        name = Path(doc).name
+        runs += [
+            (f"{command} seed-{seed} {name} {fmt}", [command, doc, "--format", fmt])
+            for command in ("globalize", "verify")
+            for fmt in FORMATS
+        ]
+    runs += [(f"example-s3 {fmt}", ["example-s3", "--format", fmt]) for fmt in FORMATS]
+    for label, group, size in (
+        (f"seed-{seed} z6.json", z6, "4"),
+        ("group_s3_relabelled.json", str(DATA / "group_s3_relabelled.json"), "3"),
+    ):
+        runs += [
+            (f"enumerate {label} --size {size} {fmt}",
+             ["enumerate", "--group", group, "--size", size, "--envelopes", "--format", fmt])
+            for fmt in FORMATS
+        ]
+    return runs
+
+
+def run_cli(root: Path, args: list[str], cwd: Path) -> tuple[bytes, bytes, int]:
+    """stdout, stderr and exit code of the CLI of the checkout at root."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    done = subprocess.run(
+        [sys.executable, "-m", "partial_actions", *args], cwd=cwd, env=env, capture_output=True
+    )
+    return done.stdout, done.stderr, done.returncode
+
+
+def compare(base: Path, change: Path, runs: list[tuple[str, list[str]]]) -> list[str]:
+    """The names of the runs whose output differs between the checkouts."""
+    for root in (base, change):
+        if not (root / "src" / "partial_actions").is_dir():
+            raise SystemExit(f"{root} holds no src/partial_actions")
+    with tempfile.TemporaryDirectory() as cwd:
+        return [
+            name for name, args in runs
+            if run_cli(base, args, Path(cwd)) != run_cli(change, args, Path(cwd))
+        ]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="root of the checkout compared against")
+    parser.add_argument("change", type=Path, help="root of the changed checkout")
+    parser.add_argument("--seed", type=int, default=7, help="seed of the perfbench inputs")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as workdir:
+        runs = golden_runs() + seed_runs(Path(workdir), args.seed)
+        differ = compare(args.base.resolve(), args.change.resolve(), runs)
+    print(f"{len(runs)} runs, {len(differ)} differ")
+    for name in differ:
+        print(f"differs: {name}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

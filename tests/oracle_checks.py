@@ -52,12 +52,17 @@ def scanned_report(verify, action) -> VerificationReport:
 def wreath_map_checks(source, target, position_map, twists) -> None:
     """The checks of the ``WreathMap`` constructor, one position at a time:
     support, bijection, class and automorphism group of every pair of
-    blocks, twist keys, then the range of every twist."""
+    blocks, twist keys, then the type and range of every twist.  Positions
+    and twists are exact ints: a bool or a float equal to one is none."""
     pm = dict(position_map)
     tw = dict(twists)
-    if set(pm) != set(source.support):
+    if set(pm) != set(source.support) or any(type(p) is not int for p in pm):
         raise MalformedInput("position map keys must be exactly the source support")
-    if set(pm.values()) != set(target.support) or len(set(pm.values())) != len(pm):
+    images = list(pm.values())
+    if (
+        set(images) != set(target.support) or len(set(images)) != len(pm)
+        or any(type(q) is not int for q in images)
+    ):
         raise MalformedInput("position map is not a bijection onto the target support")
     for p, q in pm.items():
         src_block = source.algebra.blocks[p]
@@ -72,7 +77,7 @@ def wreath_map_checks(source, target, position_map, twists) -> None:
     if set(tw) != set(pm):
         raise MalformedInput("twists must be indexed exactly by the source support")
     for p, f in tw.items():
-        if not (0 <= f < source.algebra.blocks[p].aut_group.order):
+        if not (type(f) is int and 0 <= f < source.algebra.blocks[p].aut_group.order):
             raise MalformedInput(f"twist at {p} is not an automorphism index")
 
 
@@ -83,7 +88,11 @@ def global_set_action_checks(group, carrier, maps) -> None:
     the identity acting trivially, then the action law for every g, every
     generator t and every point x, g the outer loop."""
     carrier = tuple(carrier)
-    if len(set(carrier)) != len(carrier):
+    try:
+        distinct = len(set(carrier))
+    except TypeError:
+        raise MalformedInput("carrier contains an unhashable point") from None
+    if distinct != len(carrier):
         raise MalformedInput("carrier contains duplicate points")
     full = frozenset(carrier)
     maps = dict(maps)
@@ -95,7 +104,11 @@ def global_set_action_checks(group, carrier, maps) -> None:
     for g in group.elements():
         m = dict(maps[g]) if g in maps else {x: x for x in full} if g == e else {}
         for k, v in m.items():
-            if k not in full or v not in full:
+            try:
+                inside = k in full and v in full
+            except TypeError:  # an unhashable point lies in no carrier
+                inside = False
+            if not inside:
                 raise MalformedInput(f"map of {group.name(g)} leaves the carrier")
         normalized[g] = m
     for g in group.elements():

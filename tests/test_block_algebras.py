@@ -24,7 +24,7 @@ from partial_actions.errors import (
     MalformedInput,
     SupportViolation,
 )
-from partial_actions.groups import cyclic_group, symmetric_group
+from partial_actions.groups import cyclic_group, make_group, symmetric_group
 
 
 @pytest.fixture
@@ -126,6 +126,16 @@ class TestWreathApply:
         twice = wreath_apply(w, once)
         assert once == {0: (1, "a")}
         assert twice == {0: (0, "a")}  # the twist has order two
+
+    def test_bare_symbol_is_untwisted_when_the_identity_is_not_element_0(self):
+        # element 1 is the identity of this Z2; a bare symbol used to be read
+        # as twist 0, the token twisted by s
+        z2r = make_group([[1, 0], [0, 1]], ["s", "e"])
+        algebra = BlockAlgebra((Block("Q", z2r),))
+        w = wreath_identity(algebra.full_ideal())
+        assert symbolic_basis(algebra.full_ideal()) == {0: (1, "x0")}
+        assert wreath_apply(w, {0: "x0"}) == {0: (1, "x0")}
+        assert wreath_apply(w, {0: (0, "x0")}) == {0: (0, "x0")}
 
     def test_support_violation(self, lambda_z2):
         algebra = block_power(lambda_z2, 2)

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from collections import Counter
 from pathlib import Path
@@ -16,6 +17,7 @@ from partial_actions.algebra_actions import (
     verify_algebra_partial_action,
 )
 from partial_actions.block_algebras import Block
+from partial_actions.documents import load_workbench, set_action_to_doc
 from partial_actions.errors import (
     MalformedInput,
     NotASubgroup,
@@ -644,3 +646,56 @@ def test_global_part_of_restriction_is_subgroup(data):
     H, restricted = global_part(spa)
     assert spa.group.identity in H.members
     assert verify_partial_action(restricted).ok
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def _order_cases():
+    """Every action of a group of order <= 4 on <= 3 points, each also on
+    its carrier listed in reverse, and the set actions of both golden
+    documents."""
+    for G in (*(cyclic_group(k) for k in range(1, 5)), ENUM_GROUPS["K4"]()):
+        for n in range(4):
+            for spa in enumerate_partial_actions(G, n):
+                yield spa
+                yield SetPartialAction(G, spa.carrier[::-1], spa.domains, spa.maps)
+    for name in ("golden_globalize.json", "golden_relabelled.json"):
+        for action in load_workbench(GOLDEN / name).actions.values():
+            if isinstance(action, SetPartialAction):
+                yield action
+
+
+def _shuffled(spa, rng):
+    """spa rebuilt with every domain listed, and every map keyed, in a
+    shuffled order."""
+    domains, maps = {}, {}
+    for g in spa.group.elements():
+        domains[g] = rng.sample(sorted(spa.domains[g], key=repr), len(spa.domains[g]))
+        maps[g] = dict(rng.sample(list(spa.maps[g].items()), len(spa.maps[g])))
+    return SetPartialAction(spa.group, spa.carrier, domains, maps)
+
+
+def _derived(spa):
+    """What the readers and writers make of spa, in forms that keep order."""
+    envelope = globalize_set(spa).envelope
+    return (
+        json.dumps(verify_partial_action(spa).to_dict()),
+        json.dumps(set_action_to_doc(spa)),
+        spa.canonical_key(),
+        [list(envelope.maps[g].items()) for g in envelope.group.elements()],
+    )
+
+
+def test_maps_are_keyed_in_carrier_order_whatever_the_callers_order():
+    rng = random.Random(15)
+    cases = 0
+    for spa in _order_cases():
+        shuffled = _shuffled(spa, rng)
+        for g in spa.group.elements():
+            keys = list(shuffled.maps[g])
+            assert keys == [x for x in spa.carrier if x in shuffled.maps[g]], (spa, g)
+        assert shuffled == spa
+        assert _derived(shuffled) == _derived(spa)
+        cases += 1
+    assert cases > 800

@@ -1,19 +1,38 @@
 """The library takes only exact ints as group sizes, table entries,
 positions, numbers of copies and automorphism indices, only strings as
-element names, and only hashable carrier points: a bool or a float that
+element names and symbols, and only hashable points: a bool or a float that
 equals an int, or a list point, is rejected with a ``PartialActionError``
 subclass, never coerced or leaked as a bare Python exception."""
 
 import pytest
 
 from partial_actions.algebra_actions import extend_by_zero_algebra
-from partial_actions.block_algebras import Block, block_power, k_line_block
+from partial_actions.block_algebras import (
+    Block,
+    block_power,
+    k_line_block,
+    wreath_apply,
+    wreath_identity,
+)
 from partial_actions.errors import MalformedInput, NotAGroup, NotAHomomorphism
 from partial_actions.groups import cyclic_group, make_group, symmetric_group, whole_group
-from partial_actions.set_actions import SetPartialAction, enumerate_partial_actions
+from partial_actions.set_actions import (
+    GlobalSetAction,
+    SetPartialAction,
+    enumerate_partial_actions,
+    restrict_global,
+)
 
 Z2 = cyclic_group(2)
 SWAP = [[0, 1], [1, 0]]
+Z2_SWAP = GlobalSetAction(Z2, [0, 1], {1: {0: 1, 1: 0}})
+Q_Z2 = block_power(Block("Q", Z2), 1)
+
+
+def apply_identity(payload):
+    """wreath_apply of the identity on one Z2-twisted block to payload."""
+    return wreath_apply(wreath_identity(Q_Z2.full_ideal()), {0: payload})
+
 
 CASES = [
     ("cyclic_group(True)", lambda: cyclic_group(True), NotAGroup, "group size True"),
@@ -36,6 +55,24 @@ CASES = [
      "carrier contains an unhashable point"),
     ("unhashable enumerated point", lambda: enumerate_partial_actions(Z2, [[0], 1]),
      MalformedInput, "carrier contains an unhashable point"),
+    ("unhashable domain point", lambda: SetPartialAction(Z2, [1, 2], {1: [[1]]}),
+     MalformedInput, "domain of 1 leaves the carrier"),
+    ("unhashable map image",
+     lambda: SetPartialAction(Z2, [1, 2], {1: [1, 2]}, {1: {1: [2], 2: 1}}),
+     MalformedInput, "map of 1 leaves the carrier"),
+    ("unhashable global image", lambda: GlobalSetAction(Z2, [1, 2], {1: {1: [2], 2: 1}}),
+     MalformedInput, "map of 1 leaves the carrier"),
+    ("unhashable global carrier point", lambda: GlobalSetAction(Z2, [[1], 2], {}),
+     MalformedInput, "carrier contains an unhashable point"),
+    ("unhashable subset point", lambda: restrict_global(Z2_SWAP, [[0]]), MalformedInput,
+     "subset leaves the carrier"),
+    ("unhashable position", lambda: block_power(k_line_block(), 2).ideal([[0]]),
+     MalformedInput, r"position \[0\] outside the algebra"),
+    ("twist out of range", lambda: apply_identity((5, "x")), MalformedInput, r"payload \(5, 'x'\)"),
+    ("float twist", lambda: apply_identity((1.5, "x")), MalformedInput, r"payload \(1.5, 'x'\)"),
+    ("string twist", lambda: apply_identity(("1", "x")), MalformedInput, r"payload \('1', 'x'\)"),
+    ("bool twist", lambda: apply_identity((True, "x")), MalformedInput, r"payload \(True, 'x'\)"),
+    ("int symbol", lambda: apply_identity((1, 7)), MalformedInput, r"payload \(1, 7\)"),
     ("bool copies", lambda: block_power(k_line_block(), True), MalformedInput,
      "number of copies True"),
     ("float copies", lambda: block_power(k_line_block(), 2.0), MalformedInput,
@@ -65,6 +102,9 @@ def test_non_int_values_are_rejected(build, error, message):
     built one block, make_group coerced
     entries with int() and names with str(), ideal({True}) was the ideal
     {1}, enumerate_partial_actions(G, True) ran on one point, and a True
-    twist leaked IndexError or was stored as a twist."""
+    twist leaked IndexError or was stored as a twist.  An unhashable point
+    in a domain, a map, a subset or a support leaked TypeError, and
+    wreath_apply leaked IndexError on twist 5 and read 1.5, "1" and True
+    as twist 1 and the symbol 7 as "7"."""
     with pytest.raises(error, match=message):
         build()
