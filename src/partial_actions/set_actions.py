@@ -103,7 +103,11 @@ class SetPartialAction:
                 m = {x: x for x in self.carrier if x in doms[e]}
             else:
                 m = {}
-            if not m.keys() <= carrier_set or _subset_of(carrier_set, m.values()) is None:
+            try:
+                inside = m.keys() <= carrier_set and carrier_set.issuperset(m.values())
+            except TypeError:  # an unhashable image lies in no carrier
+                inside = False
+            if not inside:
                 raise MalformedInput(f"map of {group.name(g)} leaves the carrier")
             keys = tuple(m)  # a full map in carrier order, as envelopes have, needs no sort
             ordered = keys if keys == self.carrier else tuple(sorted(keys, key=pos.__getitem__))
@@ -120,13 +124,11 @@ class SetPartialAction:
     def canonical_key(self):
         """Deterministic sort key; two actions are equal iff keys are equal
         (given the same group and carrier)."""
-        at = self._pos.__getitem__
-        key = []
-        for g in self.group.elements():
-            dom = tuple(sorted(map(at, self.domains[g])))
-            m = self.maps[g]  # keyed in carrier order, so its pairs come sorted
-            key.append((dom, tuple(zip(map(at, m), map(at, m.values())))))
-        return tuple(key)
+        at = self._pos.__getitem__  # maps are keyed in carrier order, so pairs come sorted
+        return tuple(
+            (tuple(sorted(map(at, self.domains[g]))), tuple(zip(map(at, m), map(at, m.values()))))
+            for g, m in self.maps.items()
+        )
 
     def __eq__(self, other) -> bool:
         return (
