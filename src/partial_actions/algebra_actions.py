@@ -92,6 +92,8 @@ class AlgebraPartialAction:
         mps: dict[int, WreathMap] = {}
         for g in group.elements():
             if g in maps:
+                if not isinstance(maps[g], WreathMap):
+                    raise MalformedInput(f"map of {group.name(g)} is not a wreath map")
                 mps[g] = maps[g]
             elif g == e:
                 mps[g] = wreath_identity(doms[e])

@@ -100,7 +100,10 @@ class BlockIdeal(Frozen):
     def __init__(self, algebra: BlockAlgebra, support: frozenset):
         object.__setattr__(self, "algebra", algebra)
         if not isinstance(support, frozenset):
-            support = tuple(support)  # checked before hashing: a list is no position
+            try:
+                support = tuple(support)  # checked before hashing: a list is no position
+            except TypeError:  # 5 is no set of positions
+                raise MalformedInput(f"position {support!r} outside the algebra") from None
         for p in support:  # True equals 1, but is no position
             if not (type(p) is int and 0 <= p < algebra.n_blocks):
                 raise MalformedInput(f"position {p!r} outside the algebra")
@@ -227,20 +230,6 @@ def wreath_inverse(w: WreathMap) -> WreathMap:
 
 Token = tuple[int, str]
 FormalSum = dict[int, Token]
-
-
-def formal_sum(payloads: Mapping[int, Union[str, Token]]) -> FormalSum:
-    """Normalize a formal sum: each position carries (twist index, symbol);
-    a bare symbol gets twist index 0, which is untwisted only where element
-    0 of the block's automorphism group is its identity."""
-    out: FormalSum = {}
-    for p, payload in payloads.items():
-        if isinstance(payload, str):
-            out[p] = (0, payload)
-        else:
-            f, s = payload
-            out[p] = (int(f), str(s))
-    return out
 
 
 def symbolic_basis(ideal: BlockIdeal, prefix: str = "x") -> FormalSum:

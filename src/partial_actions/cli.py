@@ -6,7 +6,6 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from typing import Optional
@@ -22,6 +21,8 @@ from .algebra_actions import (
 from .documents import (
     DocumentError,
     _json_text,
+    _read_json,
+    _wreath_map_doc,
     group_to_doc,
     load_workbench,
     parse_group,
@@ -57,16 +58,7 @@ def _group_from_spec(spec: str) -> FiniteGroup:
     if m:
         kind, n = m.group(1).upper(), int(m.group(2))
         return symmetric_group(n) if kind == "S" else cyclic_group(n)
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DocumentError(
-            f"group spec {spec!r} is neither S<n>/Z<n> nor a readable file: {exc}", "$"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: line {exc.lineno}, column {exc.colno}", "$") from exc
-    return parse_group(doc, "$")
+    return parse_group(_read_json(spec), "$")
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -142,11 +134,7 @@ def cmd_factorize(args) -> int:
     cf = coset_factorize(G, H)
     report = None
     if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DocumentError(f"invalid JSON in {args.compare}: {exc}", "$") from exc
+        doc = _read_json(args.compare)
         claims = doc.get("rows") if isinstance(doc, dict) else None
         if not isinstance(claims, list) or not all(
             isinstance(r, list) and len(r) == 4 and all(isinstance(x, (str, int)) for x in r)
@@ -220,21 +208,13 @@ def _globalization_doc(kind: str, result, checks) -> dict:
         G = result.source.group
         action_doc = {}
         for g in G.elements():
-            w = result.action[g]
-            action_doc[G.name(g)] = {
-                "map": {str(p): q for p, q in w.position_map.items()},
-                "twists": {
-                    str(p): result.envelope.blocks[p].aut_group.name(f)
-                    for p, f in sorted(w.twists.items())
-                },
-            }
+            position_map, twists = _wreath_map_doc(result.action[g])
+            action_doc[G.name(g)] = {"map": position_map, "twists": twists}
         return {
             "kind": "algebra",
             "envelope_blocks": [list(p) if isinstance(p, tuple) else p for p in result.provenance],
             "action": action_doc,
-            "embedding": {
-                "position_map": {str(p): q for p, q in result.embedding.position_map.items()},
-            },
+            "embedding": {"position_map": _wreath_map_doc(result.embedding)[0]},
             "checks": checks.to_dict(),
         }
     G = result.envelope.group
@@ -402,10 +382,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (DocumentError, OSError) as exc:  # OSError: an --output path not writable
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PartialActionError as exc:

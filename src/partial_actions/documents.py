@@ -220,6 +220,15 @@ def parse_set_action(
         raise DocumentError(str(exc), path) from exc
 
 
+def _wreath_map_doc(w: WreathMap) -> tuple[dict, dict]:
+    """A wreath map as JSON: its position map and its twists by name, both
+    keyed by ``str(p)`` in position order."""
+    blocks = w.source.algebra.blocks
+    position_map = {str(p): q for p, q in w.position_map.items()}
+    twists = {str(p): blocks[p].aut_group.name(w.twists[p]) for p in w.position_map}
+    return position_map, twists
+
+
 def algebra_action_to_doc(
     pa: AlgebraPartialAction,
     group_ref: Optional[str] = None,
@@ -239,12 +248,7 @@ def algebra_action_to_doc(
         if g != e and not pa.support(g):
             continue
         doc["domains"][G.name(g)] = sorted(pa.support(g))
-        w = pa.maps[g]
-        doc["maps"][G.name(g)] = {str(p): q for p, q in w.position_map.items()}
-        doc["twists"][G.name(g)] = {
-            str(p): pa.algebra.blocks[p].aut_group.name(f)
-            for p, f in sorted(w.twists.items())
-        }
+        doc["maps"][G.name(g)], doc["twists"][G.name(g)] = _wreath_map_doc(pa.maps[g])
     return doc
 
 
@@ -439,12 +443,18 @@ def _json_text(obj) -> str:
     return encode(obj, "\n")
 
 
-def load_workbench(path: str) -> Workbench:
+def _read_json(path: str):
+    """The JSON value in the file at ``path``.  A file that cannot be read
+    or decoded (missing, not UTF-8, nested too deep, an integer too long)
+    is a ``DocumentError`` at ``$``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}", "$") from exc
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:  # a ValueError, worded by position
         raise DocumentError(f"invalid JSON: line {exc.lineno}, column {exc.colno}", "$") from exc
-    return parse_workbench(doc)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise DocumentError(f"cannot read {path}: {exc}", "$") from exc
+
+
+def load_workbench(path: str) -> Workbench:
+    return parse_workbench(_read_json(path))

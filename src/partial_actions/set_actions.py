@@ -62,7 +62,8 @@ class SetPartialAction:
     identity defaults to the full carrier with the identity map, and maps
     are keyed in carrier order) and rejects unknown group elements and
     points, unhashable ones included, but deliberately does not enforce the
-    axioms, so that broken candidates can be built and reported on.
+    axioms, so that broken candidates can be built and reported on.  Last,
+    each point must have the type of the carrier point it equals.
     """
 
     def __init__(
@@ -98,7 +99,10 @@ class SetPartialAction:
             doms[g] = D
         for g in group.elements():
             if g in maps:
-                m = dict(maps[g])
+                try:
+                    m = dict(maps[g])
+                except (TypeError, ValueError):  # 5 or "ab" is no map
+                    raise MalformedInput(f"map of {group.name(g)} leaves the carrier") from None
             elif g == e:
                 m = {x: x for x in self.carrier if x in doms[e]}
             else:
@@ -114,6 +118,15 @@ class SetPartialAction:
             if keys != ordered:
                 m = {x: m[x] for x in ordered}
             mps[g] = m
+        kinds = set(map(type, self.carrier))  # True and 1.0 equal 1, but are not the point 1
+        points = itertools.chain(*doms.values(), *mps.values(), *map(dict.values, mps.values()))
+        if len(kinds) > 1 or not set(map(type, points)) <= kinds:  # find the first g at fault
+            typed = frozenset(zip(map(type, self.carrier), self.carrier))
+            parts = [("domain", g, D) for g, D in doms.items()]
+            parts += [("map", g, [*m, *m.values()]) for g, m in mps.items()]
+            for what, g, xs in parts:
+                if not typed.issuperset(zip(map(type, xs), xs)):
+                    raise MalformedInput(f"{what} of {group.name(g)} leaves the carrier")
         self.domains = doms
         self.maps = mps
 

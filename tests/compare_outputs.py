@@ -14,7 +14,9 @@ The runs: ``globalize`` and ``verify``, text and JSON, on the two golden
 documents and the globalize-s5 and verify-mixed inputs; ``example-s3``,
 text and JSON; ``enumerate --envelopes``, text and JSON, on the
 enumerate-z6x4 group at size 4 and on ``group_s3_relabelled.json`` at
-size 3.
+size 3; and four bad-input runs, which exit 2: ``verify`` on a missing
+file, and ``verify``, ``globalize`` and ``enumerate --group`` on a file
+that is not JSON.
 """
 
 from __future__ import annotations
@@ -73,6 +75,19 @@ def seed_runs(workdir: Path, seed: int) -> list[tuple[str, list[str]]]:
     return runs
 
 
+def error_runs(workdir: Path) -> list[tuple[str, list[str]]]:
+    """The bad-input runs, on a missing file and on invalid JSON written to
+    workdir."""
+    missing, bad = str(workdir / "missing.json"), workdir / "bad.json"
+    bad.write_text("{bad", encoding="utf-8")
+    return [
+        ("verify missing.json", ["verify", missing]),
+        ("verify bad.json", ["verify", str(bad)]),
+        ("globalize bad.json", ["globalize", str(bad)]),
+        ("enumerate --group bad.json", ["enumerate", "--group", str(bad), "--size", "1"]),
+    ]
+
+
 def run_cli(root: Path, args: list[str], cwd: Path) -> tuple[bytes, bytes, int]:
     """stdout, stderr and exit code of the CLI of the checkout at root."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
@@ -101,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="seed of the perfbench inputs")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
-        runs = golden_runs() + seed_runs(Path(workdir), args.seed)
+        runs = golden_runs() + seed_runs(Path(workdir), args.seed) + error_runs(Path(workdir))
         differ = compare(args.base.resolve(), args.change.resolve(), runs)
     print(f"{len(runs)} runs, {len(differ)} differ")
     for name in differ:

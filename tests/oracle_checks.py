@@ -84,9 +84,10 @@ def wreath_map_checks(source, target, position_map, twists) -> None:
 def global_set_action_checks(group, carrier, maps) -> None:
     """The checks of the ``GlobalSetAction`` constructor, one entry at a
     time: the carrier and element checks of ``SetPartialAction`` (a missing
-    identity map is the identity), every map a bijection of the carrier,
-    the identity acting trivially, then the action law for every g, every
-    generator t and every point x, g the outer loop."""
+    identity map is the identity; every point lies in the carrier, then
+    every point has the type of the carrier point it equals), every map a
+    bijection of the carrier, the identity acting trivially, then the action
+    law for every g, every generator t and every point x, g the outer loop."""
     carrier = tuple(carrier)
     try:
         distinct = len(set(carrier))
@@ -102,7 +103,10 @@ def global_set_action_checks(group, carrier, maps) -> None:
     e = group.identity
     normalized = {}
     for g in group.elements():
-        m = dict(maps[g]) if g in maps else {x: x for x in full} if g == e else {}
+        try:
+            m = dict(maps[g]) if g in maps else {x: x for x in full} if g == e else {}
+        except (TypeError, ValueError):  # 5 or "ab" is no map
+            raise MalformedInput(f"map of {group.name(g)} leaves the carrier") from None
         for k, v in m.items():
             try:
                 inside = k in full and v in full
@@ -111,6 +115,11 @@ def global_set_action_checks(group, carrier, maps) -> None:
             if not inside:
                 raise MalformedInput(f"map of {group.name(g)} leaves the carrier")
         normalized[g] = m
+    point = {x: x for x in carrier}  # True equals 1, but is not the point 1
+    for g in group.elements():
+        for k, v in normalized[g].items():
+            if type(k) is not type(point[k]) or type(v) is not type(point[v]):
+                raise MalformedInput(f"map of {group.name(g)} leaves the carrier")
     for g in group.elements():
         m = normalized[g]
         if set(m) != full or set(m.values()) != full:

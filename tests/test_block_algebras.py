@@ -7,7 +7,6 @@ from partial_actions.block_algebras import (
     BlockAlgebra,
     block_power,
     decompose_isotypic,
-    formal_sum,
     ideals_isomorphic,
     k_line_block,
     make_ideal_iso,
@@ -252,7 +251,3 @@ class TestValidation:
         algebra = block_power(lambda_z2, 2)
         with pytest.raises(MalformedInput):
             WreathMap(algebra.ideal({0}), algebra.ideal({1}), {0: 1}, {1: 0})
-
-    def test_formal_sum_normalization(self):
-        out = formal_sum({0: "a", 1: (1, "b")})
-        assert out == {0: (0, "a"), 1: (1, "b")}

@@ -418,6 +418,43 @@ class TestEnumerateCommand:
         assert capsys.readouterr().err.rstrip().endswith("(at $)")
 
 
+FILE_ARGUMENTS = {
+    "verify": ["verify", "{}"],
+    "globalize": ["globalize", "{}"],
+    "factorize --group": ["factorize", "--group", "{}"],
+    "factorize --compare": ["factorize", "--group", "S3", "--compare", "{}"],
+    "enumerate --group": ["enumerate", "--group", "{}", "--size", "1"],
+}
+FILE_FAULTS = {
+    "missing": None,
+    "directory": None,
+    "not UTF-8": b"\xff\xfe",
+    "invalid JSON": b"{bad",
+    "nested 100,000 deep": b"[" * 100_000 + b"]" * 100_000,
+    "5,000-digit integer": b"9" * 5_000,
+}
+
+
+@pytest.mark.parametrize("fault", FILE_FAULTS)
+@pytest.mark.parametrize("argument", FILE_ARGUMENTS)
+def test_unreadable_input_file_exits_two_at_the_root(argument, fault, tmp_path, capsys):
+    """Every file argument is read by one reader: a file that cannot be
+    opened or decoded is bad input at ``$``, never a traceback.  Before, a
+    non-UTF-8 file, deep nesting and an over-long integer exited 1 with a
+    traceback on every argument, and a missing ``--compare`` file had no
+    path."""
+    path = tmp_path / "input.json"
+    if fault == "directory":
+        path.mkdir()
+    elif FILE_FAULTS[fault] is not None:
+        path.write_bytes(FILE_FAULTS[fault])
+    argv = [str(path) if a == "{}" else a for a in FILE_ARGUMENTS[argument]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.endswith("(at $)\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestBenchmarkScale:
     """``globalize`` in process on the globalize benchmark's shape: S5 acting
     by left multiplication, restricted to 60 of its 120 elements, as a set

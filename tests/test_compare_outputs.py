@@ -1,8 +1,8 @@
 """The byte-identity check of ``compare_outputs.py``: a checkout matches
-itself on the golden documents, and a CLI that prints something else
-differs on every run."""
+itself on the golden documents, a CLI that prints something else differs
+on every run, and the bad-input runs are rejected as input errors."""
 
-from compare_outputs import ROOT, compare, golden_runs
+from compare_outputs import ROOT, compare, error_runs, golden_runs, run_cli
 
 
 def test_a_checkout_matches_itself_on_the_golden_documents():
@@ -18,3 +18,12 @@ def test_a_different_cli_differs(tmp_path):
     (package / "__main__.py").write_text("print('another CLI')\n")
     runs = golden_runs()[:2]
     assert compare(ROOT, tmp_path, runs) == [name for name, _ in runs]
+
+
+def test_the_bad_input_runs_exit_two_at_the_root(tmp_path):
+    runs = error_runs(tmp_path)
+    assert len(runs) == 4
+    for name, args in runs:
+        out, err, code = run_cli(ROOT, args, tmp_path)
+        assert (out, code) == (b"", 2), name
+        assert err.startswith(b"input error: ") and err.endswith(b"(at $)\n"), name

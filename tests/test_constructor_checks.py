@@ -201,6 +201,19 @@ class TestGlobalSetAction:
         assert outcome(GlobalSetAction, Z2, carrier, maps) == want
         assert want == (MalformedInput, expected)
 
+    @pytest.mark.parametrize("carrier,maps", [
+        ((0, 1), {1: {0: True, 1: 0}}),
+        ((0, 1), {1: {True: 0, 0: 1}}),
+        ((0, 1.5), {1: {0: 1.5, 1.5: 0.0}}),
+        ((0, 1), {1: {0: 1, 1: 0}, 0: {0: 0, 1: 1.0}}),
+        ((0, 1), {1: {0: 1.0, 1: 0}, 0: {0: 0, 1: "zz"}}),
+        ((0, 1), {1: 5}),
+    ])
+    def test_points_of_another_type_match_the_oracle(self, carrier, maps):
+        want = outcome(global_set_action_checks, Z2, carrier, maps)
+        assert outcome(GlobalSetAction, Z2, carrier, maps) == want
+        assert want[0] is MalformedInput and want[1].endswith("leaves the carrier")
+
     def test_mutated_actions_match_the_oracle(self):
         rng = random.Random(11)
         seen = Counter()

@@ -1,12 +1,14 @@
 """The library takes only exact ints as group sizes, table entries,
 positions, numbers of copies and automorphism indices, only strings as
-element names and symbols, and only hashable points: a bool or a float that
-equals an int, or a list point, is rejected with a ``PartialActionError``
-subclass, never coerced or leaked as a bare Python exception."""
+element names and symbols, only hashable points of their carrier point's
+type, and only containers where it reads one: a bool or a float that equals
+an int, a list point, or a number given as a map or a support is rejected
+with a ``PartialActionError`` subclass, never coerced or leaked as a bare
+Python exception."""
 
 import pytest
 
-from partial_actions.algebra_actions import extend_by_zero_algebra
+from partial_actions.algebra_actions import AlgebraPartialAction, extend_by_zero_algebra
 from partial_actions.block_algebras import (
     Block,
     block_power,
@@ -27,6 +29,7 @@ Z2 = cyclic_group(2)
 SWAP = [[0, 1], [1, 0]]
 Z2_SWAP = GlobalSetAction(Z2, [0, 1], {1: {0: 1, 1: 0}})
 Q_Z2 = block_power(Block("Q", Z2), 1)
+K2 = block_power(k_line_block(), 2)
 
 
 def apply_identity(payload):
@@ -60,6 +63,29 @@ CASES = [
     ("unhashable map image",
      lambda: SetPartialAction(Z2, [1, 2], {1: [1, 2]}, {1: {1: [2], 2: 1}}),
      MalformedInput, "map of 1 leaves the carrier"),
+    ("bool domain point", lambda: SetPartialAction(Z2, [1, 2], {1: [True, 2]}),
+     MalformedInput, "domain of 1 leaves the carrier"),
+    ("float domain point", lambda: SetPartialAction(Z2, [1, 2], {1: [1.0]}),
+     MalformedInput, "domain of 1 leaves the carrier"),
+    ("bool map key", lambda: SetPartialAction(Z2, [1, 2], {1: [1, 2]}, {1: {True: 2, 2: 1}}),
+     MalformedInput, "map of 1 leaves the carrier"),
+    ("float map image", lambda: SetPartialAction(Z2, [1, 2], {1: [1, 2]}, {1: {1: 2.0, 2: 1}}),
+     MalformedInput, "map of 1 leaves the carrier"),
+    ("float point, mixed carrier", lambda: SetPartialAction(Z2, [1, 1.5], {1: [1.0]}),
+     MalformedInput, "domain of 1 leaves the carrier"),
+    ("bool global image", lambda: GlobalSetAction(Z2, [0, 1], {1: {0: True, 1: 0}}),
+     MalformedInput, "map of 1 leaves the carrier"),
+    ("int map", lambda: SetPartialAction(Z2, [1, 2], {1: [1, 2]}, {1: 5}), MalformedInput,
+     "map of 1 leaves the carrier"),
+    ("string map", lambda: SetPartialAction(Z2, [1, 2], {1: [1, 2]}, {1: "ab"}),
+     MalformedInput, "map of 1 leaves the carrier"),
+    ("triple map", lambda: SetPartialAction(Z2, [1, 2], {1: [1, 2]}, {1: [[1, 2, 3]]}),
+     MalformedInput, "map of 1 leaves the carrier"),
+    ("algebra map that is no wreath map",
+     lambda: AlgebraPartialAction(Z2, K2, {1: [0]}, {1: {0: 0}}), MalformedInput,
+     "map of 1 is not a wreath map"),
+    ("int support", lambda: AlgebraPartialAction(Z2, K2, {1: 5}), MalformedInput,
+     "position 5 outside the algebra"),
     ("unhashable global image", lambda: GlobalSetAction(Z2, [1, 2], {1: {1: [2], 2: 1}}),
      MalformedInput, "map of 1 leaves the carrier"),
     ("unhashable global carrier point", lambda: GlobalSetAction(Z2, [[1], 2], {}),
@@ -105,6 +131,10 @@ def test_non_int_values_are_rejected(build, error, message):
     twist leaked IndexError or was stored as a twist.  An unhashable point
     in a domain, a map, a subset or a support leaked TypeError, and
     wreath_apply leaked IndexError on twist 5 and read 1.5, "1" and True
-    as twist 1 and the symbol 7 as "7"."""
+    as twist 1 and the symbol 7 as "7".  A bool or a float point equal to
+    an int carrier point was kept as given, so the written document could
+    not be read back; a map that is no mapping, or a support that is no
+    iterable, leaked TypeError or ValueError, and an algebra map that is no
+    wreath map built and failed later in the verifier."""
     with pytest.raises(error, match=message):
         build()
