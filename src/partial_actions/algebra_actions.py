@@ -5,11 +5,12 @@ satisfies the globalizability criterion by construction) and the maps are
 wreath maps: class-preserving position bijections with automorphism twists.
 
 Every envelope comes from one assembly: a copy of a block per class of
-(g, position) pairs, and the twist each pair's block arrives with.
+(g, position) pairs, class c anchored at b_c, with b_c H the class, and the
+twist T_c of a payload placed there; beta_g twists c by
+T_c' phi(b_c'^-1 g b_c) T_c^-1, the action induced from phi.
 ``globalize_block_power`` handles every block algebra, mixed classes
-included: its classes and twists are read off the orbit data of the
-restriction to the idempotent positions (the stabilizer H of each orbit's
-base block, phi: H -> Aut(B) of its twists, and the twist along the path
+included, anchored by the orbit data of its idempotent restriction (each
+orbit's stabilizer H, phi: H -> Aut(B), and the twist tau_y along the path
 k_y to each block y).  ``globalize_extension_by_zero`` is the one-orbit
 case: its classes are the cosets of H, from ``coset_factorize``.
 """
@@ -42,6 +43,7 @@ from .reporting import EnvelopingReport, VerificationReport
 from .set_actions import (
     SetPartialAction,
     _add_items,
+    _as_dict,
     _axiom_items,
     _certified_witnesses,
     _envelope_classes,
@@ -74,8 +76,8 @@ class AlgebraPartialAction:
         self.algebra = algebra
         e = group.identity
         doms: dict[int, BlockIdeal] = {}
-        domains = dict(domains or {})
-        maps = dict(maps or {})
+        domains = _as_dict(domains, "domains")
+        maps = _as_dict(maps, "maps")
         for g in [*domains, *maps]:  # 1.0 and True are equal to 1, but name no element
             if type(g) is not int or not 0 <= g < group.order:
                 raise MalformedInput(f"unknown group element {g!r}")
@@ -393,16 +395,18 @@ def globalize_extension_by_zero(
     block: one copy of the block per transversal representative, with beta_g
     moving the g_i component to the j(g,g_i) component under the twist
     hom(h(g,g_i)): the one-orbit case of :func:`_assemble`, with (g, 0) in
-    the class j(g, e) and its twist hom(h(g, e)), from column e of the
-    verified j and h tables.  Blocks follow the transversal, e first."""
+    the class j(g, e) of the verified j table and block i anchored at
+    (hom, g_i, identity), whose twist hom(g_j^-1 g g_i) is hom(h(g, g_i)).
+    Blocks follow the transversal, e first."""
     pa = extend_by_zero_algebra(block, subgroup, hom)
     G = subgroup.parent
     cf = coset_factorize(G, subgroup)
     reps = cf.transversal.reps
     pair_class = {(g, 0): cf.j_table[g][0] for g in G.elements()}
-    transport = {(g, 0): hom[cf.h_table[g][0]] for g in G.elements()}
+    identity = pa.algebra.blocks[0].aut_group.identity
+    anchors = [(hom, r, identity) for r in reps]
     witnesses = tuple((r, 0) for r in reps)
-    return _assemble(pa, witnesses, pair_class, transport, tuple(G.name(r) for r in reps))
+    return _assemble(pa, witnesses, pair_class, anchors, tuple(G.name(r) for r in reps))
 
 
 def envelope_block_count(pa: AlgebraPartialAction) -> int:
@@ -497,112 +501,75 @@ def lift_set_action(
     )
 
 
-def _transport_twists(
-    pa: AlgebraPartialAction,
-    orbits: list,
-    paths: dict,
-    witnesses: tuple,
-    pair_class: dict,
-) -> dict[tuple[int, int], int]:
-    """Assign to every (g, position) pair the accumulated automorphism with
-    which a payload placed at that pair's envelope block arrives.
-    ``orbits`` and ``paths`` are the orbit data of pa, twists included, as
-    :func:`_orbit_data` returns it after checking pa against it, and
-    ``witnesses`` and ``pair_class`` the classes of the envelope of the
-    idempotent restriction (:func:`set_actions._envelope_classes`).
-
-    Each class has one seed pair with the identity twist: its embedded pair
-    (e, x) if it has one, else its witness.  A pair (t, x) and its
-    neighbour (tu^-1, alpha_u(x)) across an identification edge satisfy
-    transport(tu^-1, alpha_u(x)) = transport(t, x) tau_u(x)^-1, where
-    tau_u(x) is the twist of alpha_u at x.  In the orbit data
-    (x0, H, phi, k_y, tau_y) write T(b) for the
-    transport of (b, x0).  The edge at x0 with u = h ∈ H gives
-    T(bh) = T(b) phi(h); the edge at x0 with u = k_y gives
-    transport(g, y) = T(g k_y) tau_y^-1; a seed (t, x) gives
-    T(t k_x) = tau_x.  Every pair of a class is joined to its seed through
-    such edges, so these rules fix the transport, and any consistent
-    derivation, such as a breadth-first walk of the edges, finds the same
-    values.  They are consistent exactly when phi is a homomorphism and
-    every twist is the one the orbit data induces, which the orbit data
-    checks; then T(b) = tau_x phi(b_c^-1 b) on the coset of b_c = t k_x.
-    """
-    G = pa.group
-    table, inv, e = G.table, G.inverses, G.identity
-    auts = [b.aut_group for b in pa.algebra.blocks]
-    seeds = list(witnesses)
-    for x in pa.algebra.positions():
-        seeds[pair_class[(e, x)]] = (e, x)
-    # per class: phi of its orbit, b_c^-1 = (t k_x)^-1 and T(b_c) = tau_x
-    anchors = []
-    for t, x in seeds:
-        o, k_x, tau_x = paths[x]
-        anchors.append((orbits[o].phi, inv[table[t][k_x]], tau_x))
-    transport = {}
-    for (g, y), c in pair_class.items():
-        phi, b_inv, tau_x = anchors[c]
-        _, k_y, tau_y = paths[y]
-        aut = auts[y]
-        at_x0 = aut.mul(tau_x, phi[table[b_inv][table[g][k_y]]])  # T(g k_y)
-        transport[(g, y)] = aut.mul(at_x0, aut.inv(tau_y))
-    return transport
-
-
 def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
     """Envelope of a partial action on any block algebra, mixed classes
     included: one envelope block per point of the envelope of the idempotent
     restriction, a copy of the block at its orbit witness (g, x), assembled
-    by :func:`_assemble` with the transport of :func:`_transport_twists`.
+    by :func:`_assemble`.  The orbit data (x0, H, phi, k_y, tau_y) is
+    computed once, twists included, for both the classes and their anchors:
+    a class is anchored at its embedded pair (e, x) if it has one, else at
+    its witness (t, x), with b_c = t k_x and T_c = tau_x.
 
-    The orbit data is computed once, twists included, and serves both the
-    envelope's classes and the transport.  On scalar-line blocks every
-    twist is the identity and the position maps are those of the set
-    envelope.  The result always has at most n·|G| blocks and passes all
-    four enveloping checks; input that is not a partial action raises
-    rather than being resolved silently: ``MalformedInput`` when its
-    positions are at fault, as :func:`globalize_set` of its idempotent
-    restriction would, and ``TwistTransportConflict`` when only its twists
-    are.
+    On scalar-line blocks every twist is the identity and the position maps
+    are those of the set envelope.  The result always has at most n·|G|
+    blocks and passes all four enveloping checks; input that is not a
+    partial action raises rather than being resolved silently:
+    ``MalformedInput`` when its positions are at fault, as
+    :func:`globalize_set` of its idempotent restriction would, and
+    ``TwistTransportConflict`` when only its twists are.
     """
     G = pa.group
     positions = pa.algebra.positions()
     orbits, paths = _orbit_data(G, positions, *_position_data(pa))
     witnesses, pair_class = _envelope_classes(G, positions, orbits, paths)
-    transport = _transport_twists(pa, orbits, paths, witnesses, pair_class)
+    seeds = list(witnesses)
+    for x in positions:
+        seeds[pair_class[(G.identity, x)]] = (G.identity, x)
+    anchors = []
+    for t, x in seeds:
+        o, k_x, tau_x = paths[x]
+        anchors.append((orbits[o].phi, G.table[t][k_x], tau_x))
     provenance = tuple((G.name(t), x) for (t, x) in witnesses)
-    return _assemble(pa, witnesses, pair_class, transport, provenance)
+    return _assemble(pa, witnesses, pair_class, anchors, provenance)
 
 
 def _assemble(
     pa: AlgebraPartialAction,
     witnesses: tuple,
     pair_class: dict,
-    transport: dict,
+    anchors: list,
     provenance: tuple,
 ) -> GlobalizationResult:
     """Envelope of pa whose block c copies the block at witnesses[c] = (t, x),
-    with beta_g sending c to the class of (gt, x) under the twist
-    transport(gt, x) transport(t, x)^-1, and x embedded at the class of
-    (e, x); raises InternalInconsistency if it fails verify_enveloping."""
+    with beta_g sending c to c', the class of (gt, x), under the twist
+    T_c' phi(b_c'^-1 g b_c) T_c^-1, where anchors[c] = (phi, b_c, T_c), and
+    x embedded at the class of (e, x) untwisted.  These twists compose, as
+    phi is a homomorphism on H, so beta is an action.  At the embedded block
+    of x, anchored at (k_x, tau_x), beta_g twists by
+    tau_y phi(k_y^-1 g k_x) tau_x^-1, y = alpha_g(x), which
+    :func:`set_actions._orbit_data` has checked to be the twist of alpha_g
+    at x, so the embedding is equivariant.  Raises InternalInconsistency if
+    the envelope fails verify_enveloping."""
     G = pa.group
     table = G.table
     envelope = BlockAlgebra(tuple(pa.algebra.blocks[x] for (_, x) in witnesses))
     full = envelope.full_ideal()
-    # per block c with witness (t, x): t, x, its automorphism table and the
-    # inverse of transport(t, x)
-    sources = []
-    for c, (t, x) in enumerate(witnesses):
+    # per block c: what beta_g reads where c is the source, and where c is
+    # the target: the row of b_c^-1 and T_c
+    sources, targets = [], []
+    for c, ((t, x), (phi, b, T)) in enumerate(zip(witnesses, anchors)):
         aut = envelope.blocks[c].aut_group
-        sources.append((t, x, aut.table, aut.inv(transport[(t, x)])))
+        sources.append((t, x, b, phi, aut.table, aut.inv(T)))
+        targets.append((table[G.inv(b)], T))
     action = {}
     for g in G.elements():
         row = table[g]
         pm = {}
         tw = {}
-        for c, (t, x, mul, back) in enumerate(sources):
-            moved = (row[t], x)
-            pm[c] = pair_class[moved]
-            tw[c] = mul[transport[moved]][back]
+        for c, (t, x, b, phi, mul, back) in enumerate(sources):
+            pm[c] = d = pair_class[(row[t], x)]
+            b_inv, T = targets[d]
+            tw[c] = mul[mul[T][phi[b_inv[row[b]]]]][back]
         action[g] = WreathMap(full, full, pm, tw)
     e = G.identity
     embed_pm = {x: pair_class[(e, x)] for x in pa.algebra.positions()}

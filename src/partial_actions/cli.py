@@ -6,6 +6,7 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from typing import Optional
@@ -380,9 +381,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.output:  # an unwritable --output fails before any work, and the probe leaves no file
+        try:
+            existed = os.path.lexists(args.output)
+            open(args.output, "a", encoding="utf-8").close()
+            if not existed:
+                os.remove(args.output)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"input error: cannot write {args.output}: {reason}", file=sys.stderr)
+            return EXIT_INPUT
     try:
         return args.func(args)
-    except (DocumentError, OSError) as exc:  # OSError: an --output path not writable
+    except (DocumentError, OSError) as exc:  # OSError: a write that fails after the check
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PartialActionError as exc:

@@ -44,6 +44,14 @@ def _subset_of(carrier_set: frozenset, points: Iterable) -> Optional[frozenset]:
     return points if points <= carrier_set else None
 
 
+def _as_dict(value, what: str) -> dict:
+    """A copy of the mapping value, {} for None; 5 or "ab" is no mapping."""
+    try:
+        return {} if value is None else dict(value)
+    except (TypeError, ValueError):
+        raise MalformedInput(f"{what} is not a mapping") from None
+
+
 def _check_points(carrier: tuple) -> None:
     """Raise MalformedInput unless the carrier's points are hashable and distinct."""
     try:
@@ -74,15 +82,18 @@ class SetPartialAction:
         maps: Optional[Mapping[int, Mapping[Point, Point]]] = None,
     ):
         self.group = group
-        self.carrier = tuple(carrier)
+        try:
+            self.carrier = tuple(carrier)
+        except TypeError:  # 5 is no carrier
+            raise MalformedInput("carrier is not a sequence of points") from None
         _check_points(self.carrier)
         carrier_set = frozenset(self.carrier)
         pos = self._pos = {x: i for i, x in enumerate(self.carrier)}
         e = group.identity
         doms: dict[int, frozenset] = {}
         mps: dict[int, dict] = {}
-        domains = dict(domains or {})
-        maps = dict(maps or {})
+        domains = _as_dict(domains, "domains")
+        maps = _as_dict(maps, "maps")
         order = group.order
         for g in [*domains, *maps]:  # 1.0 and True are equal to 1, but name no element
             if type(g) is not int or not 0 <= g < order:

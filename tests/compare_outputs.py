@@ -14,14 +14,17 @@ The runs: ``globalize`` and ``verify``, text and JSON, on the two golden
 documents and the globalize-s5 and verify-mixed inputs; ``example-s3``,
 text and JSON; ``enumerate --envelopes``, text and JSON, on the
 enumerate-z6x4 group at size 4 and on ``group_s3_relabelled.json`` at
-size 3; and four bad-input runs, which exit 2: ``verify`` on a missing
-file, and ``verify``, ``globalize`` and ``enumerate --group`` on a file
-that is not JSON.
+size 3; ``factorize --subgroup (12)``, text and JSON, on S3 with
+``--compare`` and the claimed rows of ``s3_example.CLAIMED_ROWS``, and on
+``group_s3_relabelled.json``; and four bad-input runs, which exit 2:
+``verify`` on a missing file, and ``verify``, ``globalize`` and
+``enumerate --group`` on a file that is not JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -75,6 +78,26 @@ def seed_runs(workdir: Path, seed: int) -> list[tuple[str, list[str]]]:
     return runs
 
 
+def factorize_runs(workdir: Path) -> list[tuple[str, list[str]]]:
+    """The ``factorize`` runs, with the built-in example's claimed rows
+    written to workdir."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from partial_actions.s3_example import CLAIMED_ROWS
+
+    claims = workdir / "claims.json"
+    rows = [[g, g_i, j, h] for (g, g_i), j, h in CLAIMED_ROWS]
+    claims.write_text(json.dumps({"rows": rows}), encoding="utf-8")
+    return [
+        (f"factorize {label} --subgroup (12) {fmt}",
+         ["factorize", "--group", group, "--subgroup", "(12)", *extra, "--format", fmt])
+        for label, group, extra in (
+            ("S3 --compare claims.json", "S3", ["--compare", str(claims)]),
+            ("group_s3_relabelled.json", str(DATA / "group_s3_relabelled.json"), []),
+        )
+        for fmt in FORMATS
+    ]
+
+
 def error_runs(workdir: Path) -> list[tuple[str, list[str]]]:
     """The bad-input runs, on a missing file and on invalid JSON written to
     workdir."""
@@ -116,7 +139,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="seed of the perfbench inputs")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
-        runs = golden_runs() + seed_runs(Path(workdir), args.seed) + error_runs(Path(workdir))
+        work = Path(workdir)
+        runs = golden_runs() + seed_runs(work, args.seed) + factorize_runs(work) + error_runs(work)
         differ = compare(args.base.resolve(), args.change.resolve(), runs)
     print(f"{len(runs)} runs, {len(differ)} differ")
     for name in differ:

@@ -51,6 +51,7 @@ from partial_actions.groups import (
 )
 from partial_actions.cli import main
 from partial_actions.documents import algebra_action_to_doc
+from partial_actions.reporting import EnvelopingReport
 from partial_actions.set_actions import (
     SetPartialAction,
     enumerate_partial_actions,
@@ -236,6 +237,38 @@ class TestClassifyIndecomposable:
         assert issubclass(got.type, PartialActionError)
 
 
+K2 = block_power(k_line_block(), 2)
+# (id, call, error, message): rejections of the algebra layer's
+# constructors that no other test reaches
+CONSTRUCTION_FAULTS = [
+    ("hom(e) is no identity",
+     lambda: extend_by_zero_algebra(Block("L", cyclic_group(2)), whole_group(cyclic_group(1)),
+                                    {0: 1}),
+     NotAHomomorphism, "hom must send the identity to the identity"),
+    ("domain of another algebra",
+     lambda: AlgebraPartialAction(
+         cyclic_group(2), K2, {1: block_power(k_line_block(), 3).ideal([0])}
+     ),
+     MalformedInput, "domain ideal belongs to a different algebra"),
+    ("product of nothing", lambda: product_partial_action([]), MalformedInput,
+     "need at least one component"),
+    ("no copies", lambda: block_power(k_line_block(), 0), MalformedInput,
+     "need at least one copy"),
+    ("unknown enveloping check", lambda: EnvelopingReport().add("bogus", True), ValueError,
+     "unknown enveloping check 'bogus'"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [f[1:] for f in CONSTRUCTION_FAULTS],
+    ids=[f[0] for f in CONSTRUCTION_FAULTS],
+)
+def test_construction_fault_is_rejected(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 class TestExtendByZeroAlgebra:
     def test_not_a_homomorphism(self, s3, s3_swap_subgroup):
         block = Block("L", cyclic_group(4))
@@ -309,7 +342,66 @@ class TestGlobalizeExtensionByZero:
         assert cases == 196
 
 
+def two_class_candidate():
+    """Z2 acting on a block of class A and one of class B, both with
+    Aut = Z2, where only e acts, and its envelope as a candidate: blocks
+    (e, 0), (e, 1), (1, 0) and (1, 1), the first two embedded."""
+    G = cyclic_group(2)
+    pa = AlgebraPartialAction(G, BlockAlgebra((Block("A", G), Block("B", G))))
+    res = globalize_block_power(pa)
+    return pa, {"envelope": res.envelope, "action": res.action, "embedding": res.embedding}
+
+
+def _without_beta_1(candidate):
+    return dict(candidate, action={0: candidate["action"][0]})
+
+
+def _beta_1_on_zero(candidate):
+    zero = candidate["envelope"].zero_ideal()
+    return dict(candidate, action={**candidate["action"], 1: WreathMap(zero, zero, {}, {})})
+
+
+def _embedding(position_map, twists):
+    return lambda candidate: dict(
+        candidate, embedding={"position_map": position_map, "twists": twists}
+    )
+
+
+# (id, mutation of the two-class candidate, the MalformedInput message or
+# None, the witness of the ideal check)
+ENVELOPE_FAULTS = [
+    ("action misses an element", _without_beta_1,
+     "action must assign a map to every group element", None),
+    ("beta on part of the envelope", _beta_1_on_zero,
+     "beta of 1 is not defined on the whole envelope", None),
+    ("embedding misses a block", _embedding({0: 0}, {0: 0}), None,
+     "embedding is not defined on every block"),
+    ("block on another class", _embedding({0: 1, 1: 0}, {0: 0, 1: 0}), None,
+     "block 0 lands on a block of another class"),
+    ("missing twist", _embedding({0: 0, 1: 1}, {0: 0}), None,
+     "twist at block 1 is missing or invalid"),
+    ("twist out of range", _embedding({0: 0, 1: 1}, {0: 2, 1: 0}), None,
+     "twist at block 0 is missing or invalid"),
+]
+
+
 class TestVerifyEnveloping:
+    @pytest.mark.parametrize(
+        "mutate,message,witness",
+        [f[1:] for f in ENVELOPE_FAULTS],
+        ids=[f[0] for f in ENVELOPE_FAULTS],
+    )
+    def test_faulty_candidate_is_rejected(self, mutate, message, witness):
+        pa, candidate = two_class_candidate()
+        assert verify_enveloping(pa, candidate).ok
+        if message is not None:
+            with pytest.raises(MalformedInput, match=f"^{message}$"):
+                verify_enveloping(pa, mutate(candidate))
+        else:
+            report = verify_enveloping(pa, mutate(candidate))
+            assert not report.items["ideal"].passed
+            assert report.items["ideal"].witness == witness
+
     def test_pipeline_output_passes(self, quiver_setup):
         block, H, hom = quiver_setup
         res = globalize_extension_by_zero(block, H, hom)
@@ -617,20 +709,28 @@ def retwisted_copies(pa):
     return out
 
 
-def package_transport(pa, sg):
-    """The package's transport of pa, from its orbit data and the classes of
-    sg, the set envelope of its idempotent restriction."""
-    positions = pa.algebra.positions()
-    orbits, paths = algebra_actions._orbit_data(
-        pa.group, positions, *algebra_actions._position_data(pa)
-    )
-    return algebra_actions._transport_twists(pa, orbits, paths, sg.orbit_witness, sg.pair_class)
+def assert_envelope_twists_match_oracle(pa, sg):
+    """The envelope of pa twists beta_g at the block of each witness (t, x)
+    of sg, the set envelope of pa's idempotent restriction, by
+    oracle(gt, x) oracle(t, x)^-1, from the transport that the breadth-first
+    walk of ``oracle_globalization`` assigns to each pair."""
+    G = pa.group
+    res = globalize_block_power(pa)
+    assert res.provenance == tuple((G.name(t), x) for t, x in sg.orbit_witness)
+    oracle = oracle_globalization.transport_twists(pa, sg)
+    for c, (t, x) in enumerate(sg.orbit_witness):
+        aut = pa.algebra.blocks[x].aut_group
+        back = aut.inv(oracle[(t, x)])
+        for g in G.elements():
+            assert res.action[g].twists[c] == aut.mul(oracle[(G.mul(g, t), x)], back)
 
 
 class TestTwistTransport:
-    """The transport read off the orbit data (T(b h) = T(b) phi(h),
-    transport(g, y) = T(g k_y) tau_y^-1) against the breadth-first walk kept
-    in ``oracle_globalization``."""
+    """The envelope's twists, T_c' phi(b_c'^-1 g b_c) T_c^-1 from one
+    anchor per block, against the ratios of the breadth-first transport
+    kept in ``oracle_globalization``: the oracle seeds each class as the
+    package anchors it, so the twists must agree exactly, not only up to
+    an equivalence."""
 
     @pytest.mark.parametrize("aut_order", [2, 3])
     def test_matches_breadth_first_oracle(self, aut_order):
@@ -638,14 +738,12 @@ class TestTwistTransport:
         checked = 0
         for G, n in TWISTED_CASES:
             for pa in enumerate_algebra_partial_actions(G, n, block):
-                sg = globalize_set(restrict_to_idempotents(pa))
-                expected = oracle_globalization.transport_twists(pa, sg)
-                assert package_transport(pa, sg) == expected
+                assert_envelope_twists_match_oracle(pa, globalize_set(restrict_to_idempotents(pa)))
                 checked += 1
         assert checked == {2: 594, 3: 542}[aut_order]
 
     def test_matches_oracle_when_the_identity_is_not_element_0(self):
-        # each embedded class is seeded at its pair (e, x), which is then
+        # each embedded class is anchored at its pair (e, x), which is then
         # not its lexicographically least pair
         block = Block("L", cyclic_group(2))
         for G in (relabelled(cyclic_group(4)), relabelled(symmetric_group(3))):
@@ -655,8 +753,7 @@ class TestTwistTransport:
                 sg = globalize_set(spa)
                 expected = oracle_globalization.globalize_set(spa)
                 assert oracle_globalization.same_globalization(sg, expected)
-                expected = oracle_globalization.transport_twists(pa, sg)
-                assert package_transport(pa, sg) == expected
+                assert_envelope_twists_match_oracle(pa, sg)
 
     def test_raises_exactly_on_non_actions(self):
         block = Block("L", cyclic_group(3))

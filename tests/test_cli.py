@@ -455,6 +455,26 @@ def test_unreadable_input_file_exits_two_at_the_root(argument, fault, tmp_path, 
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_unwritable_output_fails_before_any_work(tmp_path, capsys):
+    """Before, ``verify`` computed every report and then exited 2 with a
+    bare ``[Errno 21] Is a directory``, which hid whether the actions
+    verified; an unreadable input is not reached."""
+    missing, directory = tmp_path / "missing.json", tmp_path / "out"
+    directory.mkdir()
+    assert main(["verify", str(missing), "--output", str(directory)]) == 2
+    assert capsys.readouterr().err == f"input error: cannot write {directory}: Is a directory\n"
+
+
+def test_failed_run_leaves_the_output_as_it_was(tmp_path, capsys):
+    missing, existing, new = tmp_path / "missing.json", tmp_path / "old.txt", tmp_path / "new.txt"
+    existing.write_text("earlier report\n", encoding="utf-8")
+    for output in (existing, new):
+        assert main(["verify", str(missing), "--output", str(output)]) == 2
+        assert f"cannot read {missing}" in capsys.readouterr().err
+    assert existing.read_text(encoding="utf-8") == "earlier report\n"
+    assert not new.exists()
+
+
 class TestBenchmarkScale:
     """``globalize`` in process on the globalize benchmark's shape: S5 acting
     by left multiplication, restricted to 60 of its 120 elements, as a set

@@ -13,6 +13,7 @@ from partial_actions.errors import (
 )
 from partial_actions.groups import (
     FiniteGroup,
+    LeftTransversal,
     Subgroup,
     _cosets,
     all_subgroups,
@@ -37,6 +38,44 @@ NONASSOC_LOOP_6 = [
     [4, 2, 5, 1, 0, 3],
     [5, 0, 3, 4, 2, 1],
 ]
+
+
+S3 = symmetric_group(3)
+S3_SWAP = Subgroup(S3, (0, 1))  # {1, (12)}
+# (id, call, error, message): rejections of the group layer that no other
+# test reaches
+GROUP_FAULTS = [
+    ("short row", lambda: make_group([[0, 1], [1]]), NotAGroup, "row 1 has length 1, expected 2"),
+    ("column no permutation", lambda: make_group([[0, 1], [0, 1]]), NotAGroup,
+     r"column 0 is not a permutation of 0..1"),
+    ("empty table", lambda: make_group([]), NotAGroup, "empty table"),
+    ("too few names", lambda: make_group([[0, 1], [1, 0]], ["a"]), NotAGroup,
+     "1 names for 2 elements"),
+    ("cyclic order 0", lambda: cyclic_group(0), NotAGroup, "order must be positive"),
+    ("symmetric n 0", lambda: symmetric_group(0), NotAGroup, "n must be positive"),
+    ("members without e", lambda: Subgroup(S3, (1,)), NotASubgroup,
+     "does not contain the identity"),
+    ("members not closed", lambda: Subgroup(S3, (0, 1, 2)), NotASubgroup,
+     r"not closed under multiplication at \(12\)\*\(13\)"),
+    ("reps not from e", lambda: LeftTransversal(S3_SWAP, (2, 0, 3)), InternalInconsistency,
+     "transversal must start with the identity"),
+    ("overlapping cosets", lambda: LeftTransversal(S3_SWAP, (0, 1, 2)), InternalInconsistency,
+     r"cosets of 1 and \(12\) overlap"),
+    ("cosets short of G", lambda: LeftTransversal(S3_SWAP, (0, 2)), InternalInconsistency,
+     "cosets do not cover the group"),
+    ("subgroup of another group", lambda: left_transversal(cyclic_group(6), S3_SWAP),
+     NotASubgroup, "subgroup belongs to a different group"),
+    ("sweep above order 12", lambda: all_subgroups(cyclic_group(13)), SizeLimit,
+     "subgroup sweep is capped at order 12"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,error,message", [f[1:] for f in GROUP_FAULTS], ids=[f[0] for f in GROUP_FAULTS]
+)
+def test_group_fault_is_rejected(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
 
 
 class TestMakeGroup:

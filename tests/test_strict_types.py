@@ -86,6 +86,28 @@ CASES = [
      "map of 1 is not a wreath map"),
     ("int support", lambda: AlgebraPartialAction(Z2, K2, {1: 5}), MalformedInput,
      "position 5 outside the algebra"),
+    ("int carrier", lambda: SetPartialAction(Z2, 5), MalformedInput,
+     "carrier is not a sequence of points"),
+    ("int domains", lambda: SetPartialAction(Z2, [1, 2], 5), MalformedInput,
+     "domains is not a mapping"),
+    ("string domains", lambda: SetPartialAction(Z2, [1, 2], "ab"), MalformedInput,
+     "domains is not a mapping"),
+    ("int maps", lambda: SetPartialAction(Z2, [1, 2], None, 5), MalformedInput,
+     "maps is not a mapping"),
+    ("string maps", lambda: SetPartialAction(Z2, [1, 2], None, "ab"), MalformedInput,
+     "maps is not a mapping"),
+    ("int global maps", lambda: GlobalSetAction(Z2, [1, 2], 5), MalformedInput,
+     "maps is not a mapping"),
+    ("string global maps", lambda: GlobalSetAction(Z2, [1, 2], "ab"), MalformedInput,
+     "maps is not a mapping"),
+    ("int algebra domains", lambda: AlgebraPartialAction(Z2, K2, 5), MalformedInput,
+     "domains is not a mapping"),
+    ("string algebra domains", lambda: AlgebraPartialAction(Z2, K2, "ab"), MalformedInput,
+     "domains is not a mapping"),
+    ("int algebra maps", lambda: AlgebraPartialAction(Z2, K2, None, 5), MalformedInput,
+     "maps is not a mapping"),
+    ("string algebra maps", lambda: AlgebraPartialAction(Z2, K2, None, "ab"), MalformedInput,
+     "maps is not a mapping"),
     ("unhashable global image", lambda: GlobalSetAction(Z2, [1, 2], {1: {1: [2], 2: 1}}),
      MalformedInput, "map of 1 leaves the carrier"),
     ("unhashable global carrier point", lambda: GlobalSetAction(Z2, [[1], 2], {}),
@@ -134,7 +156,8 @@ def test_non_int_values_are_rejected(build, error, message):
     as twist 1 and the symbol 7 as "7".  A bool or a float point equal to
     an int carrier point was kept as given, so the written document could
     not be read back; a map that is no mapping, or a support that is no
-    iterable, leaked TypeError or ValueError, and an algebra map that is no
-    wreath map built and failed later in the verifier."""
+    iterable, leaked TypeError or ValueError, as did a number or a string
+    given as the carrier, the domains or the maps, and an algebra map that
+    is no wreath map built and failed later in the verifier."""
     with pytest.raises(error, match=message):
         build()
