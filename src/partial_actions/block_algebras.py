@@ -104,9 +104,14 @@ class BlockIdeal(Frozen):
                 support = tuple(support)  # checked before hashing: a list is no position
             except TypeError:  # 5 is no set of positions
                 raise MalformedInput(f"position {support!r} outside the algebra") from None
-        for p in support:  # True equals 1, but is no position
-            if not (type(p) is int and 0 <= p < algebra.n_blocks):
-                raise MalformedInput(f"position {p!r} outside the algebra")
+        if support and not (  # True equals 1, but is no position
+            set(map(type, support)) <= {int}
+            and 0 <= min(support) and max(support) < algebra.n_blocks
+        ):
+            n = algebra.n_blocks
+            for p in support:  # name the first position at fault
+                if not (type(p) is int and 0 <= p < n):
+                    raise MalformedInput(f"position {p!r} outside the algebra")
         object.__setattr__(self, "support", frozenset(support))
 
     def class_multiset(self) -> tuple[str, ...]:

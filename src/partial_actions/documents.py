@@ -16,13 +16,21 @@ carrier with the identity map).  Element keys resolve through their group
 (``FiniteGroup.resolve``) and twist names through the block's automorphism
 group (``FiniteGroup.element_by_name``); this module only says where a bad
 reference is.  Parsing and serialization round-trip.
+
+Reading checks each carrier, domain list and map as a whole: the set of
+its values' types, then membership of the carrier or of the positions.
+Only when such a check fails does a loop over the entries run, to name the
+first one at fault; ``tests/oracle_documents.py`` keeps that loop alone as
+the oracle.  The constructors that the parser calls keep all their checks.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from ._values import Value
 from .algebra_actions import AlgebraPartialAction
@@ -132,12 +140,22 @@ def parse_algebra(doc, groups: Mapping[str, FiniteGroup], path: str = "algebra")
         raise DocumentError(str(exc), path) from exc
 
 
+def _all_in(values, kinds, allowed) -> bool:
+    """Whether every value has a type in ``kinds`` and lies in ``allowed``:
+    two whole-collection checks, the type check first, so that no value of
+    another type (a list, a bool for 1) is hashed or compared."""
+    return set(map(type, values)) <= kinds and allowed.issuperset(values)
+
+
 def _carrier_lookup(carrier: tuple, path: str) -> dict[str, object]:
-    lookup: dict[str, object] = {}
-    for x in carrier:
-        key = str(x)
-        _require(key not in lookup, f"carrier points collide at {key!r}", path)
-        lookup[key] = x
+    """Each carrier point by its string form, the form of a JSON key."""
+    lookup = dict(zip(map(str, carrier), carrier))
+    if len(lookup) < len(carrier):  # name the first collision
+        lookup = {}
+        for x in carrier:
+            key = str(x)
+            _require(key not in lookup, f"carrier points collide at {key!r}", path)
+            lookup[key] = x
     return lookup
 
 
@@ -184,28 +202,32 @@ def parse_set_action(
     G = _action_group(doc, groups, path)
     _require(isinstance(doc.get("carrier"), list), "action needs a carrier list", path)
     carrier = tuple(doc["carrier"])
-    for i, x in enumerate(carrier):
-        _require(
-            isinstance(x, (str, int)) and not isinstance(x, bool),
-            "carrier points must be strings or integers",
-            f"{path}.carrier[{i}]",
-        )
+    kinds = set(map(type, carrier))
+    if not kinds <= {str, int}:  # name the first point of another type
+        for i, x in enumerate(carrier):
+            _require(
+                isinstance(x, (str, int)) and not isinstance(x, bool),
+                "carrier points must be strings or integers",
+                f"{path}.carrier[{i}]",
+            )
     lookup = _carrier_lookup(carrier, f"{path}.carrier")
+    points = frozenset(carrier)
     domains = {}
-    for key, points in _section(doc, "domains", path).items():
+    for key, xs in _section(doc, "domains", path).items():
         g = _resolve_element(G, key, f"{path}.domains")
-        _require(isinstance(points, list), "domain must be a list", f"{path}.domains.{key}")
-        resolved = []
-        for x in points:  # a point matches only a carrier point of its own JSON type
-            point = lookup.get(str(x), _ABSENT)
-            if type(point) is not type(x):
-                raise DocumentError(f"point {x!r} not in the carrier", f"{path}.domains.{key}")
-            resolved.append(point)
-        domains[g] = resolved
+        _require(isinstance(xs, list), "domain must be a list", f"{path}.domains.{key}")
+        if not _all_in(xs, kinds, points):
+            for x in xs:  # a point matches only a carrier point of its own JSON type
+                if type(lookup.get(str(x), _ABSENT)) is not type(x):
+                    raise DocumentError(f"point {x!r} not in the carrier", f"{path}.domains.{key}")
+        domains[g] = xs
     maps = {}
     for key, pairs in _section(doc, "maps", path).items():
         g = _resolve_element(G, key, f"{path}.maps")
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
+        if pairs.keys() <= lookup.keys() and _all_in(pairs.values(), kinds, points):
+            maps[g] = dict(zip(map(lookup.__getitem__, pairs), pairs.values()))
+            continue
         m = {}
         for k, v in pairs.items():  # keys are JSON strings; values keep their type
             _require(str(k) in lookup, f"point {k!r} not in the carrier", f"{path}.maps.{key}")
@@ -267,31 +289,44 @@ def parse_algebra_action(
     else:
         algebra = parse_algebra(aref, groups, f"{path}.algebra")
 
+    n = algebra.n_blocks
+    keyed = {str(p): p for p in range(n)}  # each position by its one key, "0" and never "00"
+    positions = frozenset(keyed.values())
+    aut = algebra.blocks[0].aut_group if algebra._single_class else None
+    names = frozenset(aut.names) if aut is not None else None
+
     def position(x, where: str) -> int:
-        if type(x) is not int or not 0 <= x < algebra.n_blocks:
+        if type(x) is not int or not 0 <= x < n:
             _integer(x, "block position", where)
             raise DocumentError(f"block position {x} out of range", where)
         return x
 
     def key_position(k, where: str) -> int:  # JSON object keys are strings such as "0"
-        digits = isinstance(k, str) and k.isascii() and k.isdigit()
-        return position(int(k) if digits else k, where)
+        if isinstance(k, str) and k.isascii() and k.isdigit():
+            _require(k == "0" or k[0] != "0", f"block position {k!r} has a leading zero", where)
+            _require(k in keyed, f"block position {k} out of range", where)
+            return keyed[k]
+        return position(k, where)
 
     domains: dict[int, list[int]] = {}
-    for key, positions in _section(doc, "domains", path).items():
+    for key, support in _section(doc, "domains", path).items():
         g = _resolve_element(G, key, f"{path}.domains")
-        if isinstance(positions, Mapping):  # ideal form {"support": [...]}
-            positions = positions.get("support")
+        if isinstance(support, Mapping):  # ideal form {"support": [...]}
+            support = support.get("support")
         _require(
-            isinstance(positions, list),
+            isinstance(support, list),
             "domain must be a position list or {\"support\": [...]}",
             f"{path}.domains.{key}",
         )
-        domains[g] = [position(p, f"{path}.domains.{key}") for p in positions]
+        if not _all_in(support, {int}, positions):
+            for p in support:  # name the first position at fault
+                position(p, f"{path}.domains.{key}")
+        domains[g] = support
     twists_doc = _section(doc, "twists", path)
     maps_doc = _section(doc, "maps", path)
     for key in twists_doc:
         _require(key in maps_doc, f"twists for {key!r}, which has no map", f"{path}.twists.{key}")
+    ideals = {}
     maps = {}
     for key, pairs in maps_doc.items():
         g = _resolve_element(G, key, f"{path}.maps")
@@ -304,30 +339,42 @@ def parse_algebra_action(
                 f"where the map of {key} is undefined",
                 tw_path,
             )
-        pm, tw = {}, {}
-        for k, v in pairs.items():  # a twist is keyed like its map entry
-            p = key_position(k, f"{path}.maps.{key}")
-            pm[p] = position(v, f"{path}.maps.{key}")
-            ref = tw_pairs.get(k, _ABSENT)  # only a missing twist is the identity
-            aut = algebra.blocks[p].aut_group
-            if ref is _ABSENT:
-                tw[p] = aut.identity
-            elif isinstance(ref, str):
-                try:
-                    tw[p] = aut.element_by_name(ref)
-                except UnknownElement:
-                    raise DocumentError(f"unknown automorphism {ref!r}", tw_path) from None
-            else:
-                tw[p] = _integer(ref, "automorphism index", tw_path)
-                _require(0 <= ref < aut.order, f"bad automorphism index {ref}", tw_path)
+        if (
+            aut is not None  # one automorphism group: twists by name go through its name dict
+            and pairs.keys() <= keyed.keys()
+            and _all_in(pairs.values(), {int}, positions)
+            and _all_in(tw_pairs.values(), {str}, names)
+        ):
+            pm = dict(zip(map(keyed.__getitem__, pairs), pairs.values()))
+            refs = map(tw_pairs.get, pairs, repeat(aut.names[aut.identity]))
+            tw = dict(zip(pm, map(aut._by_name.__getitem__, refs)))
+        else:
+            pm, tw = {}, {}
+            for k, v in pairs.items():  # a twist is keyed like its map entry
+                p = key_position(k, f"{path}.maps.{key}")
+                pm[p] = position(v, f"{path}.maps.{key}")
+                ref = tw_pairs.get(k, _ABSENT)  # only a missing twist is the identity
+                block_aut = algebra.blocks[p].aut_group
+                if ref is _ABSENT:
+                    tw[p] = block_aut.identity
+                elif isinstance(ref, str):
+                    try:
+                        tw[p] = block_aut.element_by_name(ref)
+                    except UnknownElement:
+                        raise DocumentError(f"unknown automorphism {ref!r}", tw_path) from None
+                else:
+                    tw[p] = _integer(ref, "automorphism index", tw_path)
+                    _require(0 <= ref < block_aut.order, f"bad automorphism index {ref}", tw_path)
         source = algebra.ideal(pm.keys())
         target = algebra.ideal(domains.get(g, pm.values()))
         try:
             maps[g] = WreathMap(source, target, pm, tw)
         except PartialActionError as exc:
             raise DocumentError(str(exc), f"{path}.maps.{key}") from exc
+        if g in domains:  # S_g, already built as the target of alpha_g
+            ideals[g] = target
     try:
-        return AlgebraPartialAction(G, algebra, domains, maps)
+        return AlgebraPartialAction(G, algebra, {**domains, **ideals}, maps)
     except PartialActionError as exc:
         raise DocumentError(str(exc), path) from exc
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ._values import Frozen, Value
+from .errors import MalformedInput
 
 
 class CheckItem(Frozen):
@@ -70,7 +71,7 @@ class EnvelopingReport(Value):
 
     def add(self, name: str, passed: bool, witness: Optional[str] = None) -> None:
         if name not in ENVELOPE_CHECKS:
-            raise ValueError(f"unknown enveloping check {name!r}")
+            raise MalformedInput(f"unknown enveloping check {name!r}")
         self.items[name] = CheckItem(name, passed, witness)
 
     @property

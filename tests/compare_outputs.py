@@ -11,10 +11,13 @@ exit code differs.  The script prints ``N runs, K differ``, then one line
 per run that differs, and exits 1 when any does.
 
 The runs: ``globalize`` and ``verify``, text and JSON, on the two golden
-documents and the globalize-s5 and verify-mixed inputs; ``example-s3``,
-text and JSON; ``enumerate --envelopes``, text and JSON, on the
-enumerate-z6x4 group at size 4 and on ``group_s3_relabelled.json`` at
-size 3; ``factorize --subgroup (12)``, text and JSON, on S3 with
+documents, on ``parser_corners.json`` (a carrier of strings and integers,
+``{"support": [...]}`` domains, twists by index and omitted, an
+automorphism group whose identity is not element 0, an algebra of two
+classes with different automorphism groups, an inline group and algebra)
+and on the globalize-s5 and verify-mixed inputs; ``example-s3``, text and
+JSON; ``enumerate --envelopes``, text and JSON, on the enumerate-z6x4
+group at size 4 and on ``group_s3_relabelled.json`` at size 3; ``factorize --subgroup (12)``, text and JSON, on S3 with
 ``--compare`` and the claimed rows of ``s3_example.CLAIMED_ROWS``, and on
 ``group_s3_relabelled.json``; and four bad-input runs, which exit 2:
 ``verify`` on a missing file, and ``verify``, ``globalize`` and
@@ -36,12 +39,14 @@ DATA = ROOT / "tests" / "data"
 FORMATS = ("text", "json")
 
 
-def golden_runs() -> list[tuple[str, list[str]]]:
-    """(name, CLI arguments) of ``globalize`` and ``verify`` on the golden
-    documents."""
+def golden_runs(
+    docs: tuple[str, ...] = ("golden_globalize.json", "golden_relabelled.json"),
+) -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of ``globalize`` and ``verify`` on documents in
+    ``tests/data``, by default the golden ones."""
     return [
         (f"{command} {doc} {fmt}", [command, str(DATA / doc), "--format", fmt])
-        for doc in ("golden_globalize.json", "golden_relabelled.json")
+        for doc in docs
         for command in ("globalize", "verify")
         for fmt in FORMATS
     ]
@@ -140,7 +145,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
         work = Path(workdir)
-        runs = golden_runs() + seed_runs(work, args.seed) + factorize_runs(work) + error_runs(work)
+        runs = golden_runs() + golden_runs(("parser_corners.json",)) + seed_runs(work, args.seed)
+        runs += factorize_runs(work) + error_runs(work)
         differ = compare(args.base.resolve(), args.change.resolve(), runs)
     print(f"{len(runs)} runs, {len(differ)} differ")
     for name in differ:

@@ -254,7 +254,7 @@ CONSTRUCTION_FAULTS = [
      "need at least one component"),
     ("no copies", lambda: block_power(k_line_block(), 0), MalformedInput,
      "need at least one copy"),
-    ("unknown enveloping check", lambda: EnvelopingReport().add("bogus", True), ValueError,
+    ("unknown enveloping check", lambda: EnvelopingReport().add("bogus", True), MalformedInput,
      "unknown enveloping check 'bogus'"),
 ]
 

@@ -1,8 +1,13 @@
+import copy
 import json
 import math
+import sys
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import oracle_checks
+import oracle_documents
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +22,7 @@ from partial_actions.documents import (
     group_to_doc,
     load_workbench,
     parse_algebra,
+    parse_algebra_action,
     parse_group,
     parse_set_action,
     parse_workbench,
@@ -25,6 +31,7 @@ from partial_actions.documents import (
 )
 from partial_actions.errors import UnknownElement
 from partial_actions.groups import symmetric_group
+from partial_actions.set_actions import SetPartialAction
 
 DATA = Path(__file__).parent / "data"
 
@@ -519,3 +526,248 @@ class TestJsonText:
         loop.append({"again": loop})
         with pytest.raises(ValueError, match="Circular reference"):
             _json_text(loop)
+
+
+def _leading_zero_doc(pairs: dict) -> dict:
+    """Z2 on eight blocks: the map of 1 is ``pairs``, its domain their images."""
+    return {
+        "version": "1",
+        "groups": {"Z2": {"kind": "cyclic", "n": 2}},
+        "algebras": {"A": {"blocks": [{"class": "L", "aut": "Z2"}] * 8}},
+        "actions": {
+            "beta": {
+                "kind": "algebra",
+                "group": "Z2",
+                "algebra": "A",
+                "domains": {"1": sorted(set(pairs.values()))},
+                "maps": {"1": pairs},
+            }
+        },
+    }
+
+
+class TestPositionKeys:
+    """A block-position key is the decimal form of its position: ``"01"``
+    was read as 1, so that ``{"01": 0, "1": 0}`` kept only the later entry."""
+
+    CASES = [
+        ({"00": 0}, "'00'"),
+        ({"01": 1}, "'01'"),
+        ({"007": 7}, "'007'"),
+        ({"0": 1, "01": 0, "1": 0}, "'01'"),
+    ]
+
+    @pytest.mark.parametrize("pairs,key", CASES)
+    def test_library_rejects(self, pairs, key):
+        message = f"block position {key} has a leading zero"
+        for parse in (parse_workbench, oracle_documents.parse_workbench):
+            with pytest.raises(DocumentError, match=f"^{message} ") as got:
+                parse(_leading_zero_doc(pairs))
+            assert got.value.path == "$.actions.beta.maps.1"
+
+    @pytest.mark.parametrize("pairs,key", CASES)
+    def test_cli_exits_two(self, pairs, key, tmp_path, capsys):
+        file = tmp_path / "keys.json"
+        file.write_text(json.dumps(_leading_zero_doc(pairs)), encoding="utf-8")
+        assert main(["verify", str(file)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: block position {key} has a leading zero (at $.actions.beta.maps.1)\n"
+        )
+
+    def test_decimal_keys_are_read(self):
+        for key in ("0", "7"):
+            pa = parse_workbench(_leading_zero_doc({key: int(key)})).actions["beta"]
+            assert pa.maps[1].position_map == {int(key): int(key)}
+
+    def test_out_of_range_key_of_any_length(self):
+        # int() refuses a string of more than 4,300 digits with ValueError
+        for key in ("8", "9" * 5000):
+            with pytest.raises(DocumentError, match="out of range") as got:
+                parse_workbench(_leading_zero_doc({key: 0}))
+            assert got.value.path == "$.actions.beta.maps.1"
+
+
+@lru_cache(maxsize=None)
+def _seed_documents() -> tuple:
+    """(document, its parsed groups and algebras) for the golden documents,
+    the parser-corner document and the seed-5 verify-mixed input that
+    perfbench writes."""
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root))
+    from perfbench import workloads
+
+    with tempfile.TemporaryDirectory() as workdir:
+        mixed = workloads.build_verify(5, Path(workdir)).invocations[0][1]
+        docs = [json.loads(Path(mixed).read_text(encoding="utf-8"))]
+    for name in ("golden_globalize.json", "golden_relabelled.json", "parser_corners.json"):
+        docs.append(json.loads((DATA / name).read_text(encoding="utf-8")))
+    seeds = []
+    for doc in docs:
+        wb = parse_workbench({**doc, "actions": {}})
+        seeds.append((doc, wb.groups, wb.algebras))
+    return tuple(seeds)
+
+
+def _parsed(parse, *args):
+    """The action parse builds, with its document text, or the type,
+    message and path of the ``DocumentError`` it raises; any other
+    exception propagates."""
+    try:
+        action = parse(*args)
+    except DocumentError as exc:
+        return type(exc), str(exc), exc.path
+    to_doc = set_action_to_doc if isinstance(action, SetPartialAction) else algebra_action_to_doc
+    return action, _json_text(to_doc(action))
+
+
+def _entry(data, action: dict, section: str):
+    """A drawn (container, key) of an entry of one element's list or map in
+    ``action[section]``, or None; a domain in the ideal form is entered."""
+    entries = [v for v in action.get(section, {}).values() if isinstance(v, (list, dict))]
+    entries = [v.get("support") if isinstance(v, dict) and "support" in v else v for v in entries]
+    entries = [v for v in entries if isinstance(v, (list, dict)) and v]
+    if not entries:
+        return None
+    container = data.draw(st.sampled_from(entries))
+    keys = range(len(container)) if isinstance(container, list) else list(container)
+    return container, data.draw(st.sampled_from(keys))
+
+
+def _other_values(x) -> list:
+    """Values that are not the point or position x but may be read as it."""
+    if type(x) is int:
+        twins = [str(x), float(x)]
+    else:
+        twins = [int(x) if type(x) is str and x.isascii() and x.isdigit() else 10**6, 1.5]
+    return [True, False, *twins, [x], None, "zz", 10**6, -1, x]
+
+
+def _replace_key(mapping: dict, old: str, new: str) -> None:
+    """``mapping`` with the key old renamed new, at its place."""
+    items = [(new if k == old else k, v) for k, v in mapping.items()]
+    mapping.clear()
+    mapping.update(items)
+
+
+def _mutate_set(data, action: dict, context) -> None:
+    what = data.draw(st.sampled_from(["point", "key", "carrier", "mix", "form"]))
+    carrier = action.get("carrier")
+    if what == "point":  # a domain point or a map value
+        found = _entry(data, action, data.draw(st.sampled_from(["domains", "maps"])))
+        if found:
+            container, k = found
+            container[k] = data.draw(st.sampled_from(_other_values(container[k])))
+    elif what == "key":
+        found = _entry(data, action, "maps")
+        if found:
+            pairs, k = found
+            _replace_key(pairs, k, data.draw(st.sampled_from(["zz", "True", "1.0", "01", k + " "])))
+    elif what == "carrier" and carrier:  # a bad point, or one that collides with another
+        i = data.draw(st.integers(0, len(carrier) - 1))
+        x = carrier[i]
+        carrier[i] = data.draw(st.sampled_from(_other_values(x)))
+    elif what == "mix" and carrier:  # a point of the other JSON type, everywhere
+        i = data.draw(st.integers(0, len(carrier) - 1))
+        x = carrier[i]
+        y = str(x) if type(x) is int else 1000 + i
+        carrier[i] = y
+        for xs in action.get("domains", {}).values():
+            if isinstance(xs, list):
+                xs[:] = [y if p == x and type(p) is type(x) else p for p in xs]
+        for pairs in action.get("maps", {}).values():
+            _replace_key(pairs, str(x), str(y))
+            for k, v in pairs.items():
+                if v == x and type(v) is type(x):
+                    pairs[k] = y
+    elif what == "form":  # the ideal form is no set-action domain
+        domains = action.get("domains", {})
+        if domains:
+            key = data.draw(st.sampled_from(sorted(domains)))
+            domains[key] = {"support": domains[key]}
+
+
+_ABSENT = object()  # a twist drawn to be taken out
+
+
+def _mutate_algebra(data, action: dict, context) -> None:
+    G, algebra = context
+    n = algebra.n_blocks
+    what = data.draw(st.sampled_from(["position", "key", "twist", "stray", "form"]))
+    if what == "position":  # a domain position or a map value
+        found = _entry(data, action, data.draw(st.sampled_from(["domains", "maps"])))
+        if found:
+            container, k = found
+            container[k] = data.draw(st.sampled_from(_other_values(container[k]) + [n, n + 3, 0]))
+    elif what == "key":
+        found = _entry(data, action, "maps")
+        if found:
+            pairs, k = found
+            new = data.draw(st.sampled_from(
+                ["0" + k, "00", "007", str(n), "-1", "0.0", " 1", "x", k + "0", "1" * 5, "0"]
+            ))
+            if new not in pairs:
+                _replace_key(pairs, k, new)
+    elif what == "twist":  # missing, by integer index, by name, or no automorphism
+        found = _entry(data, action, "maps")
+        if found:
+            pairs, k = found
+            key = next(g for g, m in action["maps"].items() if m is pairs)
+            twists = action.setdefault("twists", {}).setdefault(key, {})
+            p = int(k) if k.isascii() and k.isdigit() and int(k) < n else 0
+            aut = algebra.blocks[p].aut_group
+            choices = [*range(-1, aut.order + 1), *aut.names, "zz", True, None, 1.5, _ABSENT]
+            ref = data.draw(st.sampled_from(choices))
+            if ref is _ABSENT:
+                twists.pop(k, None)
+            else:
+                twists[k] = ref
+    elif what == "stray":  # a twist at a position the map leaves, or for no map
+        maps = action.get("maps", {})
+        key = data.draw(st.sampled_from(G.names))
+        where = data.draw(st.sampled_from([str(p) for p in range(n)] + ["01"]))
+        if key not in maps or where not in maps[key]:
+            action.setdefault("twists", {}).setdefault(key, {})[where] = G.names[0]
+    elif what == "form":  # a position list to the ideal form and back
+        domains = action.get("domains", {})
+        if domains:
+            key = data.draw(st.sampled_from(sorted(domains)))
+            d = domains[key]
+            wrapped = isinstance(d, dict) and "support" in d
+            domains[key] = d["support"] if wrapped else {"support": d}
+
+
+class TestParserOracle:
+    """The whole-structure parser against the per-entry one it replaced
+    (``oracle_documents``), on mutations of the golden documents, the
+    parser-corner document and a perfbench input: both accept the same
+    actions and build equal ones, and reject the rest with the same
+    exception type, message and path."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mutated_action(self, data):
+        doc, groups, algebras = data.draw(st.sampled_from(_seed_documents()))
+        name = data.draw(st.sampled_from(sorted(doc["actions"])))
+        action = copy.deepcopy(doc["actions"][name])
+        path = f"$.actions.{name}"
+        gref = action["group"]
+        G = groups[gref] if isinstance(gref, str) else parse_group(gref)
+        if action["kind"] == "set":
+            mutate, context = _mutate_set, G
+            args = (groups, path)
+            parsers = (parse_set_action, oracle_documents.parse_set_action)
+        else:
+            aref = action["algebra"]
+            algebra = algebras[aref] if isinstance(aref, str) else parse_algebra(aref, groups)
+            mutate, context = _mutate_algebra, (G, algebra)
+            args = (groups, algebras, path)
+            parsers = (parse_algebra_action, oracle_documents.parse_algebra_action)
+        for _ in range(data.draw(st.integers(0, 3))):
+            mutate(data, action, context)
+        new, old = (_parsed(parse, action, *args) for parse in parsers)
+        assert new == old
+
+    def test_seed_documents_parse_alike(self):
+        for doc, _, _ in _seed_documents():
+            new = parse_workbench(doc)
+            assert new == oracle_documents.parse_workbench(doc)
