@@ -21,9 +21,9 @@ from .algebra_actions import (
 )
 from .documents import (
     DocumentError,
-    _json_text,
     _read_json,
     _wreath_map_doc,
+    _write_json,
     group_to_doc,
     load_workbench,
     parse_group,
@@ -70,6 +70,38 @@ def _emit(text: str, output: Optional[str]) -> None:
         print(text)
 
 
+_BATCH = 1 << 16  # characters per write: a few large writes, not one per piece
+
+
+def _emit_json(payload, output: Optional[str]) -> None:
+    """Write ``json.dumps(payload, indent=2)`` and a newline to ``output``, or
+    to stdout, streamed in writes of at least ``_BATCH`` characters but the
+    last."""
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            _write_batched(payload, fh.write)
+    else:
+        _write_batched(payload, sys.stdout.write)
+
+
+def _write_batched(payload, write) -> None:
+    batch: list[str] = []
+    size = 0
+
+    def add(piece: str) -> None:
+        nonlocal size
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            write("".join(batch))
+            batch.clear()
+            size = 0
+
+    _write_json(payload, add)
+    batch.append("\n")
+    write("".join(batch))
+
+
 def _action_verification(action):
     if isinstance(action, AlgebraPartialAction):
         return verify_algebra_partial_action(action)
@@ -91,7 +123,7 @@ def cmd_verify(args) -> int:
         raise DocumentError("document contains no actions", "$.actions")
     reports = {n: _located(n, _action_verification, a) for n, a in wb.actions.items()}
     if args.format == "json":
-        _emit(_json_text({n: r.to_dict() for n, r in reports.items()}), args.output)
+        _emit_json({n: r.to_dict() for n, r in reports.items()}, args.output)
     else:
         blocks = []
         for name, report in reports.items():
@@ -163,7 +195,7 @@ def cmd_factorize(args) -> int:
         }
         if report is not None:
             payload["comparison"] = report.to_dict()
-        _emit(_json_text(payload), args.output)
+        _emit_json(payload, args.output)
     else:
         _emit(_render_factorization_text(cf, report), args.output)
     return EXIT_OK
@@ -267,7 +299,7 @@ def cmd_globalize(args) -> int:
         docs[name] = _globalization_doc(kind, result, checks)
         texts.append(_globalization_text(name, kind, result, checks))
     if args.format == "json":
-        _emit(_json_text(docs if len(docs) > 1 else docs[names[0]]), args.output)
+        _emit_json(docs if len(docs) > 1 else docs[names[0]], args.output)
     else:
         _emit("\n\n".join(texts), args.output)
     return EXIT_OK if all_ok else EXIT_VERIFICATION
@@ -289,12 +321,14 @@ def cmd_enumerate(args) -> int:
     G = _group_from_spec(args.group)
     actions = enumerate_partial_actions(G, args.size)
     if args.format == "json":
-        group_doc = group_to_doc(G)  # one object, encoded once by _json_text
+        # one group document for all actions: encoded at most twice, then
+        # reused; the output is streamed
+        group_doc = group_to_doc(G)
         payload: dict = {"count": len(actions)}
         payload["actions"] = [set_action_to_doc(a, group_doc) for a in actions]
         if args.envelopes:
             payload["envelope_sizes"] = [globalize_set(a).size for a in actions]
-        _emit(_json_text(payload), args.output)
+        _emit_json(payload, args.output)
     else:
         lines = [f"{len(actions)} partial actions of {args.group} on {args.size} points"]
         for i, a in enumerate(actions):
@@ -329,7 +363,7 @@ def cmd_example_s3(args) -> int:
                 lines.append(f"  {status}  beta_{name}{got}  expected {exp}")
             texts.append("\n".join(lines))
     if args.format == "json":
-        _emit(_json_text(payload), args.output)
+        _emit_json(payload, args.output)
     else:
         _emit("\n\n".join(texts), args.output)
     return EXIT_OK if ok else EXIT_VERIFICATION

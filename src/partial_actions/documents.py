@@ -17,11 +17,12 @@ carrier with the identity map).  Element keys resolve through their group
 group (``FiniteGroup.element_by_name``); this module only says where a bad
 reference is.  Parsing and serialization round-trip.
 
-Reading checks each carrier, domain list and map as a whole: the set of
-its values' types, then membership of the carrier or of the positions.
-Only when such a check fails does a loop over the entries run, to name the
-first one at fault; ``tests/oracle_documents.py`` keeps that loop alone as
-the oracle.  The constructors that the parser calls keep all their checks.
+Reading checks each Cayley table row, carrier, domain list and map as a
+whole: the set of its values' types, then membership of the carrier or of
+the positions.  Only when such a check fails does a loop over the entries
+run, to name the first one at fault; ``tests/oracle_documents.py`` keeps
+that loop alone as the oracle of the action parsers.  The constructors
+that the parser calls keep all their checks.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def parse_group(doc, path: str = "group") -> FiniteGroup:
         _require(isinstance(table, list), "cayley group needs a table", path)
         for i, row in enumerate(table):
             _require(isinstance(row, list), "table row must be a list", f"{path}.table[{i}]")
-            for j, x in enumerate(row):
-                if type(x) is not int:
+            if not set(map(type, row)) <= {int}:  # name the first entry of another type
+                for j, x in enumerate(row):
                     _integer(x, "table entry", f"{path}.table[{i}][{j}]")
         names = doc.get("names")
         if names is not None:
@@ -166,7 +167,8 @@ def set_action_to_doc(
     holds: a group's name in the workbench, a group document, or ``None``
     for a fresh ``group_to_doc(spa.group)``.  A group document is used as
     given, not copied, so that many actions of one group can share one
-    (``_json_text`` encodes a shared document once)."""
+    (``_write_json`` encodes a shared document at most twice, then reuses
+    its text; the output is streamed)."""
     G = spa.group
     e = G.identity
     doc: dict = {
@@ -443,51 +445,101 @@ def workbench_to_doc(wb: Workbench) -> dict:
     return doc
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte.
+_ENCODE = {  # the JSON text of a scalar, by its exact type
+    str: _encode_str,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+_SCALARS = frozenset(_ENCODE)
+_MET = object()  # memo state of a container written once, whose text is not kept
+
+
+def _write_json(obj, write) -> None:
+    """Write ``json.dumps(obj, indent=2)``, byte for byte, as pieces passed
+    to ``write``.
 
     Exact ``str``, ``int``, ``bool`` and ``None`` values, lists, tuples and
     dicts with ``str`` keys are encoded here; any other value (a float, a dict
     with other keys, a subclass) is handed to ``json.dumps``.  A container
-    object met again is encoded once: ``ensure_ascii`` leaves no raw newline
-    inside a string, so its text moves to another depth by replacing the
-    newline-and-indent it was encoded at.
+    that holds a container is written member by member; one that holds
+    none is one piece.  A container object met again is encoded at most
+    twice, then reused: its text is kept from its second meeting on, and
+    ``ensure_ascii`` leaves no raw newline inside a string, so the text moves
+    to another depth by replacing the newline-and-indent it was encoded at.
     """
-    memo: dict[int, tuple[str, Optional[str]]] = {}  # id -> (newline+indent, text)
+    _write_value(obj, "\n", write, {})
 
-    def encode(o, nl: str) -> str:  # nl: a newline and the indent of o's line
-        t = type(o)
-        if t is str:
-            return _encode_str(o)
-        if t is int:
-            return int.__repr__(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if not (t is list or t is tuple or (t is dict and all(type(k) is str for k in o))):
-            return json.dumps(o, indent=2).replace("\n", nl)
-        if not o:
-            return "{}" if t is dict else "[]"
-        seen = memo.get(id(o))
-        if seen is not None:
-            at, text = seen
-            if text is None:
-                raise ValueError("Circular reference detected")
-            return text if at == nl else text.replace(at, nl)
-        memo[id(o)] = (nl, None)
-        inner = nl + "  "
-        if t is dict:
-            items = [_encode_str(k) + ": " + encode(v, inner) for k, v in o.items()]
-            text = "{" + inner + ("," + inner).join(items) + nl + "}"
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``: the pieces of ``_write_json`` joined."""
+    pieces: list[str] = []
+    _write_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+def _write_value(o, nl: str, write, memo: dict) -> None:
+    """Write ``o`` on a line whose newline and indent are ``nl``.  ``memo``
+    maps the id of each container met so far to ``None`` while it is being
+    written, then to ``_MET``, then to ``(nl, text)`` once it is met again."""
+    t = type(o)
+    if t in _SCALARS:
+        write(_ENCODE[t](o))
+        return
+    if not (t is list or t is tuple or (t is dict and all(type(k) is str for k in o))):
+        write(json.dumps(o, indent=2).replace("\n", nl))
+        return
+    if not o:
+        write("{}" if t is dict else "[]")
+        return
+    key = id(o)
+    state = memo.get(key, _ABSENT)
+    if state is _ABSENT:
+        memo[key] = None
+        _write_members(o, t, nl, write, memo)
+        memo[key] = _MET
+    elif state is _MET:
+        memo[key] = None
+        pieces: list[str] = []
+        _write_members(o, t, nl, pieces.append, memo)
+        text = "".join(pieces)
+        memo[key] = (nl, text)
+        write(text)
+    elif state is None:
+        raise ValueError("Circular reference detected")
+    else:
+        at, text = state
+        write(text if at == nl else text.replace(at, nl))
+
+
+def _write_members(o, t: type, nl: str, write, memo: dict) -> None:
+    """Write the non-empty container ``o`` (of type ``t``) from its opening
+    bracket to its closing one."""
+    inner = nl + "  "
+    sep = "," + inner
+    if t is dict:
+        values, prefixes, brackets = o.values(), [_encode_str(k) + ": " for k in o], "{}"
+    else:
+        values, prefixes, brackets = o, repeat(""), "[]"
+    kinds = set(map(type, values))
+    if kinds <= _SCALARS:  # no container inside: one piece
+        if len(kinds) == 1:
+            texts = map(_ENCODE[kinds.pop()], values)
         else:
-            text = "[" + inner + ("," + inner).join([encode(v, inner) for v in o]) + nl + "]"
-        memo[id(o)] = (nl, text)
-        return text
-
-    return encode(obj, "\n")
+            texts = [_ENCODE[type(v)](v) for v in values]
+        if t is dict:
+            texts = map(str.__add__, prefixes, texts)
+        write(brackets[0] + inner + sep.join(texts) + nl + brackets[1])
+        return
+    head = brackets[0] + inner  # text not yet written: the scalars since the last container
+    for prefix, v in zip(prefixes, values):
+        if type(v) in _SCALARS:
+            head += prefix + _ENCODE[type(v)](v) + sep
+        else:
+            write(head + prefix)
+            _write_value(v, inner, write, memo)
+            head = sep
+    write(head[: -len(sep)] + nl + brackets[1])
 
 
 def _read_json(path: str):

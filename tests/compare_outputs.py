@@ -6,9 +6,10 @@ Each run is one ``python -m partial_actions ...`` invocation, made once with
 ``BASE_ROOT/src`` and once with ``CHANGE_ROOT/src`` as ``PYTHONPATH``, with
 ``PYTHONHASHSEED=0``, on the same input files: the documents in this
 checkout's ``tests/data`` and the seed-S inputs that perfbench's own
-workload builders write.  A run differs when its stdout, its stderr or its
-exit code differs.  The script prints ``N runs, K differ``, then one line
-per run that differs, and exits 1 when any does.
+``workloads.build_*`` functions write.  A run differs when its stdout, its
+stderr, its exit code or the file it writes differs.  The script prints
+``N runs, K differ``, then one line per run that differs, and exits 1 when
+any does.
 
 The runs: ``globalize`` and ``verify``, text and JSON, on the two golden
 documents, on ``parser_corners.json`` (a carrier of strings and integers,
@@ -19,9 +20,12 @@ and on the globalize-s5 and verify-mixed inputs; ``example-s3``, text and
 JSON; ``enumerate --envelopes``, text and JSON, on the enumerate-z6x4
 group at size 4 and on ``group_s3_relabelled.json`` at size 3; ``factorize --subgroup (12)``, text and JSON, on S3 with
 ``--compare`` and the claimed rows of ``s3_example.CLAIMED_ROWS``, and on
-``group_s3_relabelled.json``; and four bad-input runs, which exit 2:
-``verify`` on a missing file, and ``verify``, ``globalize`` and
-``enumerate --group`` on a file that is not JSON.
+``group_s3_relabelled.json``; two ``--output`` runs in JSON,
+``enumerate --envelopes`` on the enumerate-z6x4 group at size 4 and
+``globalize`` on the globalize-s5 input, whose written files are compared
+too; and four bad-input runs, which exit 2: ``verify`` on a missing file,
+and ``verify``, ``globalize`` and ``enumerate --group`` on a file that is
+not JSON.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 FORMATS = ("text", "json")
+OUTPUT = "report.json"  # the file of an --output run, in its working directory
 
 
 def golden_runs(
@@ -62,8 +67,9 @@ def seed_runs(workdir: Path, seed: int) -> list[tuple[str, list[str]]]:
     (z6_args,) = enumerate_wl.invocations
     z6 = z6_args[z6_args.index("--group") + 1]
     runs = []
-    for build in (workloads.build_globalize, workloads.build_verify):
-        doc = build(seed, workdir).invocations[0][1]
+    docs = [build(seed, workdir).invocations[0][1]
+            for build in (workloads.build_globalize, workloads.build_verify)]
+    for doc in docs:
         name = Path(doc).name
         runs += [
             (f"{command} seed-{seed} {name} {fmt}", [command, doc, "--format", fmt])
@@ -80,6 +86,13 @@ def seed_runs(workdir: Path, seed: int) -> list[tuple[str, list[str]]]:
              ["enumerate", "--group", group, "--size", size, "--envelopes", "--format", fmt])
             for fmt in FORMATS
         ]
+    runs += [
+        (f"enumerate seed-{seed} z6.json --size 4 json --output",
+         ["enumerate", "--group", z6, "--size", "4", "--envelopes", "--format", "json",
+          "--output", OUTPUT]),
+        (f"globalize seed-{seed} {Path(docs[0]).name} json --output",
+         ["globalize", docs[0], "--format", "json", "--output", OUTPUT]),
+    ]
     return runs
 
 
@@ -125,6 +138,18 @@ def run_cli(root: Path, args: list[str], cwd: Path) -> tuple[bytes, bytes, int]:
     return done.stdout, done.stderr, done.returncode
 
 
+def outcome(root: Path, args: list[str], cwd: Path) -> tuple:
+    """``run_cli``'s result, and for an ``--output`` run the bytes of the
+    file it wrote (``None`` when it wrote none), which is then removed."""
+    result = run_cli(root, args, cwd)
+    if "--output" not in args:
+        return result
+    written = cwd / args[args.index("--output") + 1]
+    data = written.read_bytes() if written.exists() else None
+    written.unlink(missing_ok=True)
+    return (*result, data)
+
+
 def compare(base: Path, change: Path, runs: list[tuple[str, list[str]]]) -> list[str]:
     """The names of the runs whose output differs between the checkouts."""
     for root in (base, change):
@@ -133,7 +158,7 @@ def compare(base: Path, change: Path, runs: list[tuple[str, list[str]]]) -> list
     with tempfile.TemporaryDirectory() as cwd:
         return [
             name for name, args in runs
-            if run_cli(base, args, Path(cwd)) != run_cli(change, args, Path(cwd))
+            if outcome(base, args, Path(cwd)) != outcome(change, args, Path(cwd))
         ]
 
 

@@ -578,11 +578,18 @@ def test_json_output_is_json_dumps_indent_2(argv, code, tmp_path, capsys, monkey
         "claims": write(tmp_path, "claims.json", {"rows": [["(23)", "1", "(23)", "(13)"]]}),
     }
     argv = [arg.format(**files) for arg in argv] + ["--format", "json"]
+    oracle_calls = []
+
+    def oracle(obj, write):
+        oracle_calls.append(obj)
+        write(json.dumps(obj, indent=2))
+
     outputs = []
-    for writer in (cli._json_text, lambda obj: json.dumps(obj, indent=2)):
-        monkeypatch.setattr(cli, "_json_text", writer)
+    for writer in (cli._write_json, oracle):
+        monkeypatch.setattr(cli, "_write_json", writer)
         assert main(argv) == code
         outputs.append(capsys.readouterr().out)
+    assert len(oracle_calls) == 1  # the CLI writes through the patched seam
     assert outputs[0] == outputs[1]
 
 

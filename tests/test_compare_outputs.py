@@ -1,8 +1,9 @@
 """The byte-identity check of ``compare_outputs.py``: a checkout matches
 itself on the golden documents, a CLI that prints something else differs
-on every run, and the bad-input runs are rejected as input errors."""
+on every run, one that writes another ``--output`` file differs, and the
+bad-input runs are rejected as input errors."""
 
-from compare_outputs import ROOT, compare, error_runs, golden_runs, run_cli
+from compare_outputs import OUTPUT, ROOT, compare, error_runs, golden_runs, run_cli
 
 
 def test_a_checkout_matches_itself_on_the_golden_documents():
@@ -18,6 +19,22 @@ def test_a_different_cli_differs(tmp_path):
     (package / "__main__.py").write_text("print('another CLI')\n")
     runs = golden_runs()[:2]
     assert compare(ROOT, tmp_path, runs) == [name for name, _ in runs]
+
+
+def test_a_different_output_file_differs(tmp_path):
+    """Two CLIs that print nothing and write different files to --output."""
+    roots = []
+    for text in ("one", "other"):
+        package = tmp_path / text / "src" / "partial_actions"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "__main__.py").write_text(
+            f"import sys\nopen(sys.argv[sys.argv.index('--output') + 1], 'w').write({text!r})\n"
+        )
+        roots.append(tmp_path / text)
+    runs = [("writes", ["--output", OUTPUT])]
+    assert compare(roots[0], roots[0], runs) == []
+    assert compare(roots[0], roots[1], runs) == ["writes"]
 
 
 def test_the_bad_input_runs_exit_two_at_the_root(tmp_path):

@@ -1,8 +1,11 @@
 import copy
+import gc
+import io
 import json
 import math
 import sys
 import tempfile
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -11,11 +14,13 @@ import oracle_documents
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partial_actions import cli, documents
 from partial_actions.algebra_actions import AlgebraPartialAction
 from partial_actions.cli import main
 from partial_actions.documents import (
     DocumentError,
     _json_text,
+    _write_json,
     _resolve_element,
     algebra_action_to_doc,
     algebra_to_doc,
@@ -30,8 +35,8 @@ from partial_actions.documents import (
     workbench_to_doc,
 )
 from partial_actions.errors import UnknownElement
-from partial_actions.groups import symmetric_group
-from partial_actions.set_actions import SetPartialAction
+from partial_actions.groups import cyclic_group, symmetric_group
+from partial_actions.set_actions import SetPartialAction, enumerate_partial_actions, globalize_set
 
 DATA = Path(__file__).parent / "data"
 
@@ -58,6 +63,32 @@ class TestGroupDocs:
     def test_invalid_table(self):
         with pytest.raises(DocumentError):
             parse_group({"kind": "cayley", "table": [[0, 0], [1, 1]]})
+
+    @pytest.mark.parametrize("at", ["first", "last"])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (True, "table entry True is not an integer"),
+            (1.0, "table entry 1.0 is not an integer"),
+            ("1", "table entry '1' is not an integer"),
+            (None, "table row must be a list"),
+            ({"0": 1}, "table row must be a list"),
+        ],
+    )
+    def test_table_fault_is_named(self, bad, message, at):
+        """A row is checked as a whole; the entry or row at fault is named
+        with its path, the first one when a row holds two."""
+        table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+        i = j = 0 if at == "first" else 3
+        if message.startswith("table row"):
+            table[i], where = bad, f"$.G.table[{i}]"
+        else:
+            table[i][j], where = bad, f"$.G.table[{i}][{j}]"
+            if at == "first":
+                table[i][3] = 2.5  # a later fault in the same row is not named
+        with pytest.raises(DocumentError) as got:
+            parse_group({"kind": "cayley", "table": table}, "$.G")
+        assert (str(got.value), got.value.path) == (f"{message} (at {where})", where)
 
 
 class TestSetActionDocs:
@@ -479,6 +510,42 @@ def _containers(children):
 _TREES = st.recursive(_SCALARS, _containers, max_leaves=8)
 
 
+def _pieces(obj) -> list[str]:
+    pieces: list[str] = []
+    _write_json(obj, pieces.append)
+    return pieces
+
+
+@lru_cache(maxsize=None)
+def _z6x4_payload() -> dict:
+    """What ``enumerate --group Z6 --size 4 --envelopes --format json``
+    writes: 1,628 action documents that share one group document."""
+    G = cyclic_group(6)
+    actions = enumerate_partial_actions(G, 4)
+    group_doc = group_to_doc(G)
+    return {
+        "count": len(actions),
+        "actions": [set_action_to_doc(a, group_doc) for a in actions],
+        "envelope_sizes": [globalize_set(a).size for a in actions],
+    }
+
+
+class _CountingRaw(io.RawIOBase):
+    """A raw stream that keeps what it is given and counts its writes."""
+
+    def __init__(self):
+        self.writes = 0
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        self.data += b
+        return len(b)
+
+
 class TestJsonText:
     """The CLI's writer against its oracle, ``json.dumps(obj, indent=2)``."""
 
@@ -490,7 +557,9 @@ class TestJsonText:
         shared = data.draw(_containers(_TREES))
         tree = data.draw(st.recursive(_SCALARS | st.just(shared), _containers, max_leaves=16))
         for obj in (shared, [shared, tree, {"at": [shared]}]):
-            assert _json_text(obj) == json.dumps(obj, indent=2)
+            expected = json.dumps(obj, indent=2)
+            assert "".join(_pieces(obj)) == expected
+            assert _json_text(obj) == expected
 
     def test_named_cases(self):
         class Label(str):
@@ -507,9 +576,13 @@ class TestJsonText:
             {None: 1, True: [], False: {}, 2.5: (), math.nan: [math.inf, -math.inf, -0.0]},
             [Label("é"), Index(3), {Label("k"): Index(4)}],
             [[], {}, (), [[]], {"": {}}],
+            [1, "a", None, True, [2, 2.5], 0.5, {"k": False}, -7],
+            "top", 3, None, 1.5,
         ]
         for obj in cases:
-            assert _json_text(obj) == json.dumps(obj, indent=2)
+            expected = json.dumps(obj, indent=2)
+            assert "".join(_pieces(obj)) == expected
+            assert _json_text(obj) == expected
 
     @pytest.mark.parametrize(
         "obj",
@@ -519,13 +592,68 @@ class TestJsonText:
         with pytest.raises(TypeError):
             json.dumps(obj, indent=2)
         with pytest.raises(TypeError):
+            _write_json(obj, [].append)
+        with pytest.raises(TypeError):
             _json_text(obj)
 
     def test_circular_reference_raises_value_error(self):
         loop: list = [1]
         loop.append({"again": loop})
-        with pytest.raises(ValueError, match="Circular reference"):
-            _json_text(loop)
+        for write in (lambda obj: _write_json(obj, [].append), _json_text):
+            with pytest.raises(ValueError, match="Circular reference"):
+                write(loop)
+
+    def test_shared_container_is_encoded_at_most_twice(self, monkeypatch):
+        group = {"kind": "cayley", "table": [[0, 1], [1, 0]], "names": ["e", "s"]}
+        obj = [group, {"a": group}, [[group]], group, {"b": [group]}]
+        encoded = []
+        write_members = documents._write_members
+
+        def counted(o, *args):
+            encoded.append(id(o))
+            write_members(o, *args)
+
+        monkeypatch.setattr(documents, "_write_members", counted)
+        assert _json_text(obj) == json.dumps(obj, indent=2)
+        assert encoded.count(id(group)) == 2
+        assert encoded.count(id(group["table"])) == 2
+
+    def test_pieces_are_no_longer_than_a_member(self):
+        docs = [set_action_to_doc(a) for a in enumerate_partial_actions(symmetric_group(3), 3)]
+        docs = docs[:200]
+        assert len({json.dumps(d) for d in docs}) == 200
+        pieces = _pieces(docs)
+        assert "".join(pieces) == json.dumps(docs, indent=2)
+        assert max(map(len, pieces)) <= max(len(json.dumps(d, indent=2)) for d in docs)
+
+    def test_cli_makes_few_large_writes(self, monkeypatch):
+        """A write-through stdout passes each write on to the raw stream;
+        the CLI batches the pieces so that it gets a few large writes."""
+        raw = _CountingRaw()
+        stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        cli._emit_json(_z6x4_payload(), None)
+        stdout.flush()
+        expected = (json.dumps(_z6x4_payload(), indent=2) + "\n").encode("utf-8")
+        assert bytes(raw.data) == expected
+        assert raw.writes <= len(expected) // 4096 + 2
+
+    def test_nothing_outlives_the_call(self):
+        """Before, the writer's memo held the text of every container until
+        the next cyclic collection: 22.5 MiB on a larger payload."""
+        payload = _z6x4_payload()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            text = _json_text(payload)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert text == json.dumps(payload, indent=2)
+        assert left <= sys.getsizeof(text) + 64 * 1024
 
 
 def _leading_zero_doc(pairs: dict) -> dict:
