@@ -39,7 +39,7 @@ from .errors import (
     PartialActionError,
 )
 from .groups import FiniteGroup, Subgroup, coset_factorize
-from .reporting import EnvelopingReport, VerificationReport
+from .reporting import VerificationReport
 from .set_actions import (
     SetPartialAction,
     _add_items,
@@ -47,10 +47,10 @@ from .set_actions import (
     _axiom_items,
     _certified_witnesses,
     _envelope_classes,
-    _envelope_witnesses,
     _equivariant_bijection,
     _first,
     _orbit_data,
+    _verify_envelope,
     enumerate_partial_actions,
 )
 
@@ -283,7 +283,7 @@ class GlobalizationResult:
         provenance: tuple,
         action: dict[int, WreathMap],
         embedding: WreathMap,
-        checks: EnvelopingReport,
+        checks: VerificationReport,
     ):
         self.source = source
         self.envelope = envelope
@@ -300,18 +300,45 @@ class GlobalizationResult:
         return f"GlobalizationResult(blocks={self.block_count}, ok={self.checks.ok})"
 
 
-def _embedding_parts(embedding) -> tuple[dict, dict]:
-    if isinstance(embedding, WreathMap):
-        return dict(embedding.position_map), dict(embedding.twists)
-    return dict(embedding["position_map"]), dict(embedding.get("twists", {}))
+def _field(source, name: str, what: str):
+    try:
+        return source[name] if isinstance(source, Mapping) else getattr(source, name)
+    except (KeyError, AttributeError):
+        raise MalformedInput(f"{what} has no {name}") from None
 
 
-def verify_enveloping(pa: AlgebraPartialAction, candidate) -> EnvelopingReport:
+def _candidate_parts(candidate) -> tuple[BlockAlgebra, dict, dict, dict]:
+    """The envelope, the action, and the embedding's position map and twists
+    of a candidate for :func:`verify_enveloping`, read as mapping keys or
+    attributes: the one place a candidate is read.  MalformedInput names
+    the first field that is missing or of the wrong kind."""
+    envelope, action, embedding = (
+        _field(candidate, name, "candidate") for name in ("envelope", "action", "embedding")
+    )
+    if not isinstance(envelope, BlockAlgebra):
+        raise MalformedInput("candidate envelope is not a block algebra")
+    action = _as_dict(action, "candidate action")
+    for g, w in action.items():
+        if not isinstance(w, WreathMap):
+            raise MalformedInput(f"candidate action of {g!r} is not a wreath map")
+    if not isinstance(embedding, (WreathMap, Mapping)):
+        raise MalformedInput("candidate embedding is neither a wreath map nor a mapping")
+    pm = _field(embedding, "position_map", "candidate embedding")
+    tw = embedding.twists if isinstance(embedding, WreathMap) else embedding.get("twists", {})
+    for name, part in (("position_map", pm), ("twists", tw)):
+        if not isinstance(part, Mapping):
+            raise MalformedInput(f"embedding {name} is not a mapping")
+    return envelope, action, dict(pm), dict(tw)
+
+
+def verify_enveloping(pa: AlgebraPartialAction, candidate) -> VerificationReport:
     """Run the four enveloping-action checks of a candidate against a partial
-    action: the embedding lands on an ideal (a union of full blocks, hit
-    injectively and class-correctly), the orbit of the embedded algebra
-    covers the envelope, the embedded S_g equal the intersections
-    phi(A) ∩ beta_g(phi(A)), and phi intertwines alpha_g with beta_g.
+    action, by the set layer's :func:`set_actions._verify_envelope` on
+    positions and twists: the embedding lands on an ideal (a union of full
+    blocks, hit injectively and class-correctly), the orbit of the embedded
+    algebra covers the envelope, the embedded S_g equal the intersections
+    phi(A) ∩ beta_g(phi(A)), and phi intertwines alpha_g with beta_g.  The
+    items are named and keyed ideal, covers, intersection and equivariance.
 
     ``candidate`` needs ``envelope`` (BlockAlgebra), ``action`` (one full-
     support wreath map per group element, forming a global action) and
@@ -325,16 +352,10 @@ def verify_enveloping(pa: AlgebraPartialAction, candidate) -> EnvelopingReport:
     beta_g∘beta_t = (beta_g∘beta_t')∘beta_s = beta_gt'∘beta_s = beta_gt.
 
     Raises:
-        MalformedInput: the candidate's action data is not a global action.
+        MalformedInput: the candidate lacks a field or has one of the wrong
+            kind, or its action data is not a global action.
     """
-    if isinstance(candidate, Mapping):
-        envelope = candidate["envelope"]
-        action = candidate["action"]
-        embedding = candidate["embedding"]
-    else:
-        envelope = candidate.envelope
-        action = candidate.action
-        embedding = candidate.embedding
+    envelope, action, pm, tw = _candidate_parts(candidate)
     G = pa.group
     env_positions = frozenset(envelope.positions())
     if set(action) != set(G.elements()):
@@ -352,38 +373,25 @@ def verify_enveloping(pa: AlgebraPartialAction, candidate) -> EnvelopingReport:
                     f"beta is not a global action at {G.name(g)}*{G.name(t)}"
                 )
 
-    report = EnvelopingReport()
-    pm, tw = _embedding_parts(embedding)
-
-    witness = None
-    if set(pm) != set(pa.algebra.positions()):
-        witness = "embedding is not defined on every block"
-    elif len(set(pm.values())) != len(pm):
-        witness = "embedding collapses blocks"
-    elif not set(pm.values()) <= env_positions:
-        witness = "embedding leaves the envelope"
-    else:
-        for p, q in pm.items():
-            if pa.algebra.blocks[p].iso_class != envelope.blocks[q].iso_class:
-                witness = f"block {p} lands on a block of another class"
-                break
-            f = tw.get(p)
-            if f is None or not (0 <= f < pa.algebra.blocks[p].aut_group.order):
-                witness = f"twist at block {p} is missing or invalid"
-                break
-    report.add("ideal", witness is None, witness)
-
     supports, maps, twists, auts = _position_data(pa)
-    witnesses = _envelope_witnesses(
-        G, supports, maps, [action[g].position_map for g in G.elements()], env_positions, pm,
-        twists, auts, [action[g].twists for g in G.elements()], tw,
-    )
+    blocks, env_blocks = pa.algebra.blocks, envelope.blocks
+    ideal = {"undefined": "embedding is not defined on every block",
+             "collapses": "embedding collapses blocks", "leaves": "embedding leaves the envelope",
+             "class": "block {} lands on a block of another class",
+             "twist": "twist at block {} is missing or invalid"}
     tails = {"undefined": ": embedding undefined", "groups": ": twists live in different groups"}
-    return _add_items(report, ("covers", "intersection", "equivariance"), witnesses, (
-        lambda blocks: f"orbit misses blocks {blocks}",
+    names = ("ideal", "covers", "intersection", "equivariance")
+    report = VerificationReport("enveloping action", header="enveloping-action checks:")
+    return _verify_envelope(report, names, (
+        lambda kind, p: ideal[kind].format(p),
+        lambda missing: f"orbit misses blocks {missing}",
         lambda g: f"g={G.name(g)}",
         lambda g, p, kind: f"g={G.name(g)}, block {p}" + tails.get(kind, ""),
-    ))
+    ), G, pa.algebra.positions(), supports, maps,
+        [action[g].position_map for g in G.elements()], env_positions, pm,
+        twists, auts, [action[g].twists for g in G.elements()], tw,
+        lambda p, q: blocks[p].iso_class == env_blocks[q].iso_class,
+    )
 
 
 def globalize_extension_by_zero(

@@ -114,18 +114,8 @@ class BlockIdeal(Frozen):
                     raise MalformedInput(f"position {p!r} outside the algebra")
         object.__setattr__(self, "support", frozenset(support))
 
-    def class_multiset(self) -> tuple[str, ...]:
-        return tuple(sorted(self.algebra.blocks[p].iso_class for p in self.support))
-
     def __contains__(self, position: int) -> bool:
         return position in self.support
-
-
-def ideals_isomorphic(a: BlockIdeal, b: BlockIdeal) -> bool:
-    """Whether two central-idempotent ideals are isomorphic: their supports
-    carry the same multiset of block classes.  Over a single scalar-line
-    class this reduces to equal support cardinality."""
-    return a.class_multiset() == b.class_multiset()
 
 
 class WreathMap(Frozen):
@@ -287,21 +277,6 @@ def wreath_compose(w2: WreathMap, w1: WreathMap) -> WreathMap:
         blocks = algebra.blocks
         tw = {p: blocks[p].aut_group.table[tw2[q]][tw1[p]] for p, q in pm1.items()}
     return WreathMap(w1.source, w2.target, pm, tw)
-
-
-def make_ideal_iso(a: BlockIdeal, b: BlockIdeal, theta: Mapping[int, int]) -> WreathMap:
-    """The coefficient-transport isomorphism along a support bijection theta:
-    the payload at position p moves untwisted to theta(p).
-
-    Raises:
-        ClassMismatch: theta pairs blocks of different classes.
-        MalformedInput: theta is not a bijection of the supports.
-    """
-    theta = dict(theta)
-    if set(theta) != set(a.support) or set(theta.values()) != set(b.support):
-        raise MalformedInput("theta is not a bijection between the supports")
-    twists = {p: a.algebra.blocks[p].aut_group.identity for p in a.support}
-    return WreathMap(a, b, theta, twists)
 
 
 def decompose_isotypic(algebra: BlockAlgebra) -> list[tuple[str, tuple[int, ...]]]:

@@ -29,7 +29,7 @@ from .documents import (
     parse_group,
     set_action_to_doc,
 )
-from .errors import InternalInconsistency, PartialActionError, UnknownElement
+from .errors import PartialActionError, UnknownElement
 from .groups import (
     FiniteGroup,
     coset_factorize,
@@ -220,23 +220,8 @@ def _globalize_one(action):
     return "set", sg, checks
 
 
-# JSON key of each ``verify_set_globalization`` item, looked up by item name
-_SET_CHECK_KEYS = {
-    "embedding is injective on the carrier": "ideal",
-    "orbit of the embedded carrier covers the envelope": "covers",
-    "embedded D_g = image ∩ beta_g(image)": "intersection",
-    "beta_g extends alpha_g on embedded domains": "equivariance",
-}
-
-
-def _set_check_key(name: str) -> str:
-    try:
-        return _SET_CHECK_KEYS[name]
-    except KeyError:
-        raise InternalInconsistency(f"no JSON key for set-globalization check {name!r}") from None
-
-
 def _globalization_doc(kind: str, result, checks) -> dict:
+    passed = {item.key: item.passed for item in checks.items}
     if kind == "algebra":
         G = result.source.group
         action_doc = {}
@@ -248,7 +233,7 @@ def _globalization_doc(kind: str, result, checks) -> dict:
             "envelope_blocks": [list(p) if isinstance(p, tuple) else p for p in result.provenance],
             "action": action_doc,
             "embedding": {"position_map": _wreath_map_doc(result.embedding)[0]},
-            "checks": checks.to_dict(),
+            "checks": passed,
         }
     G = result.envelope.group
     return {
@@ -259,7 +244,7 @@ def _globalization_doc(kind: str, result, checks) -> dict:
             for g in G.elements()
         },
         "embedding": {str(x): c for x, c in sorted(result.embedding.items(), key=lambda kv: str(kv[0]))},
-        "checks": {_set_check_key(item.name): item.passed for item in checks.items},
+        "checks": passed,
     }
 
 

@@ -471,13 +471,6 @@ def _write_json(obj, write) -> None:
     _write_value(obj, "\n", write, {})
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)``: the pieces of ``_write_json`` joined."""
-    pieces: list[str] = []
-    _write_json(obj, pieces.append)
-    return "".join(pieces)
-
-
 def _write_value(o, nl: str, write, memo: dict) -> None:
     """Write ``o`` on a line whose newline and indent are ``nl``.  ``memo``
     maps the id of each container met so far to ``None`` while it is being

@@ -370,14 +370,6 @@ def subgroup_closure(G: FiniteGroup, generators: Iterable[ElementRef]) -> Subgro
     return Subgroup(G, tuple(sorted(members)))
 
 
-def whole_group(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, tuple(range(G.order)))
-
-
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, (G.identity,))
-
-
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, as closures of generating sets of size <= 3.
 

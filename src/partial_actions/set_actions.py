@@ -291,11 +291,12 @@ def _axiom_items(letter: str) -> tuple[str, ...]:
     )
 
 
-def _add_items(report, names, witnesses, wording):
+def _add_items(report, names, witnesses, wording, keys=None):
     """One report item per name: passed when its witness is None, otherwise
-    failed with the witness rendered by the matching function of wording."""
-    for name, witness, say in zip(names, witnesses, wording):
-        report.add(name, witness is None, witness and say(*witness))
+    failed with the witness rendered by the matching function of wording;
+    ``keys``, when given, are the items' keys."""
+    for name, witness, say, key in zip(names, witnesses, wording, keys or itertools.repeat(None)):
+        report.add(name, witness is None, witness and say(*witness), key)
     return report
 
 
@@ -639,7 +640,7 @@ def _envelope_witnesses(G, domains, maps, beta, points, embedding,
                 pieces = (
                     embedding_twists.get(y), twists[g][p], beta_twists[g][q], embedding_twists.get(p)
                 )
-                if any(f is None or not 0 <= f < aut.order for f in pieces):
+                if not all(type(f) is int and 0 <= f < aut.order for f in pieces):
                     return unreached, intersection, (g, p, "groups")
                 if aut.mul(pieces[0], pieces[1]) != aut.mul(pieces[2], pieces[3]):
                     return unreached, intersection, (g, p, "mismatch")
@@ -648,29 +649,68 @@ def _envelope_witnesses(G, domains, maps, beta, points, embedding,
     return unreached, intersection, None
 
 
-def verify_set_globalization(spa: SetPartialAction, sg: SetGlobalization) -> VerificationReport:
-    """Check the enveloping-action conditions transported to sets: injective
-    embedding, orbit coverage, D_g = image ∩ beta_g(image), equivariance.
-    The witnesses name the first failing element, then point in carrier
-    order."""
-    G = spa.group
-    report = VerificationReport("set globalization")
-    image = set(sg.embedding.values())
-    inj = len(image) == len(spa.carrier) and set(sg.embedding) == set(spa.carrier)
-    report.add("embedding is injective on the carrier", inj, None if inj else "image collapses")
+def _verify_envelope(report, names, wording, G, order, domains, maps, beta, points, embedding,
+                     twists=None, auts=None, beta_twists=None, embedding_twists=None, fits=None):
+    """The enveloping-action checks of sets and block algebras alike (a
+    point is a scalar-line block), over the data of :func:`_envelope_witnesses`,
+    added to report as in :func:`_add_items`, keyed ideal, covers,
+    intersection and equivariance.  The ideal witness is the first of: the
+    embedding is not defined on exactly ``order`` ("undefined", None), is not
+    injective ("collapses", None), leaves ``points`` ("leaves", None); with
+    twists, in embedding order, it sends p to a q with ``fits(p, q)`` false
+    ("class", p), or gives p no twist of auts[p] ("twist", p).  An unhashable
+    image, which no envelope can hold, raises MalformedInput."""
+    try:
+        image = set(embedding.values())
+    except TypeError:
+        raise MalformedInput("the embedding has an unhashable image") from None
+    ideal = None
+    if embedding.keys() != set(order):
+        ideal = ("undefined", None)
+    elif len(image) != len(embedding):
+        ideal = ("collapses", None)
+    elif not image <= set(points):
+        ideal = ("leaves", None)
+    elif twists is not None:
+        for p, q in embedding.items():
+            f = embedding_twists.get(p)
+            if not fits(p, q) or type(f) is not int or not 0 <= f < auts[p].order:
+                ideal = ("twist" if fits(p, q) else "class", p)
+                break
     witnesses = _envelope_witnesses(
-        G, spa.domains, spa.maps, sg.envelope.maps, sg.envelope.carrier, sg.embedding
+        G, domains, maps, beta, points, embedding, twists, auts, beta_twists, embedding_twists
     )
+    keys = ("ideal", "covers", "intersection", "equivariance")
+    return _add_items(report, names, (ideal, *witnesses), wording, keys)
+
+
+def verify_set_globalization(spa: SetPartialAction, sg: SetGlobalization) -> VerificationReport:
+    """Check the enveloping-action conditions transported to sets, by
+    :func:`_verify_envelope`: an injective embedding of the carrier into
+    the envelope, orbit coverage, D_g = image ∩ beta_g(image), and
+    equivariance.  The witnesses name the first failing element, then point
+    in carrier order.
+
+    Raises:
+        GroupMismatch: the envelope is over another group than spa.
+    """
+    G = spa.group
+    if sg.envelope.group != G:
+        raise GroupMismatch("the envelope is over a different group than the action")
+    ideal = {"undefined": "embedding is not defined on every point", "collapses": "image collapses",
+             "leaves": "embedding leaves the envelope"}
     names = (
+        "embedding is injective on the carrier",
         "orbit of the embedded carrier covers the envelope",
         "embedded D_g = image ∩ beta_g(image)",
         "beta_g extends alpha_g on embedded domains",
     )
-    return _add_items(report, names, witnesses, (
+    return _verify_envelope(VerificationReport("set globalization"), names, (
+        lambda kind, _: ideal[kind],
         lambda points: f"unreached points {points}",
         lambda g: f"g={G.name(g)}",
         lambda g, x, _: f"g={G.name(g)}, x={x!r}",
-    ))
+    ), G, spa.carrier, spa.domains, spa.maps, sg.envelope.maps, sg.envelope.carrier, sg.embedding)
 
 
 def _equivariant_bijection(G, beta_a, beta_b, points_a, points_b, seeds, twists=None):

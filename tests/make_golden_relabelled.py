@@ -31,7 +31,7 @@ from partial_actions.algebra_actions import (
     product_partial_action,
 )
 from partial_actions.block_algebras import Block, BlockAlgebra, k_line_block
-from partial_actions.documents import Workbench, _json_text, parse_workbench, workbench_to_doc
+from partial_actions.documents import Workbench, _write_json, parse_workbench, workbench_to_doc
 from partial_actions.groups import all_subgroups, cyclic_group, make_group, symmetric_group
 from partial_actions.set_actions import enumerate_partial_actions
 
@@ -96,7 +96,8 @@ def main() -> None:
     for name, action in wb.actions.items():
         if back.actions[name] != action:
             raise SystemExit(f"{name} does not survive a round trip through its document")
-    sys.stdout.write(_json_text(doc) + "\n")
+    _write_json(doc, sys.stdout.write)
+    sys.stdout.write("\n")
 
 
 if __name__ == "__main__":

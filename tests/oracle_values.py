@@ -237,17 +237,14 @@ class CheckItem:
     name: str
     passed: bool
     witness: Optional[str] = None
+    key: Optional[str] = None
 
 
 @dataclass
 class VerificationReport:
     subject: str
     items: list[CheckItem] = field(default_factory=list)
-
-
-@dataclass
-class EnvelopingReport:
-    items: dict[str, CheckItem] = field(default_factory=dict)
+    header: Optional[str] = None
 
 
 @dataclass
@@ -263,7 +260,7 @@ ORACLES = {
     for cls in (
         FiniteGroup, Subgroup, LeftTransversal, CosetFactorization, RowCheck, DiscrepancyReport,
         Block, BlockAlgebra, BlockIdeal, WreathMap,
-        CheckItem, VerificationReport, EnvelopingReport, Workbench,
+        CheckItem, VerificationReport, Workbench,
     )
 }
 

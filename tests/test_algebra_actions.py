@@ -6,6 +6,7 @@ from collections import Counter
 import oracle_checks
 import oracle_globalization
 import pytest
+from conftest import check_item, whole_group
 from oracle_enumeration import brute_force_algebra_partial_actions, relabelled
 
 from partial_actions import algebra_actions, set_actions
@@ -47,11 +48,9 @@ from partial_actions.groups import (
     make_group,
     subgroup_closure,
     symmetric_group,
-    whole_group,
 )
 from partial_actions.cli import main
 from partial_actions.documents import algebra_action_to_doc
-from partial_actions.reporting import EnvelopingReport
 from partial_actions.set_actions import (
     SetPartialAction,
     enumerate_partial_actions,
@@ -254,8 +253,6 @@ CONSTRUCTION_FAULTS = [
      "need at least one component"),
     ("no copies", lambda: block_power(k_line_block(), 0), MalformedInput,
      "need at least one copy"),
-    ("unknown enveloping check", lambda: EnvelopingReport().add("bogus", True), MalformedInput,
-     "unknown enveloping check 'bogus'"),
 ]
 
 
@@ -385,7 +382,39 @@ ENVELOPE_FAULTS = [
 ]
 
 
+# (id, a malformed candidate made from the two-class candidate, the
+# MalformedInput message, which names the field at fault)
+MALFORMED_CANDIDATES = [
+    ("no embedding", lambda c: {k: v for k, v in c.items() if k != "embedding"},
+     "candidate has no embedding"),
+    ("no position map", lambda c: dict(c, embedding={"twists": {0: 0, 1: 0}}),
+     "candidate embedding has no position_map"),
+    ("position map None", lambda c: dict(c, embedding={"position_map": None, "twists": {}}),
+     "embedding position_map is not a mapping"),
+    ("twists None", lambda c: dict(c, embedding={"position_map": {0: 0, 1: 1}, "twists": None}),
+     "embedding twists is not a mapping"),
+    ("action value a dict", lambda c: dict(c, action={**c["action"], 1: {"position_map": {}}}),
+     "candidate action of 1 is not a wreath map"),
+    ("envelope 5", lambda c: dict(c, envelope=5), "candidate envelope is not a block algebra"),
+    ("embedding 5", lambda c: dict(c, embedding=5),
+     "candidate embedding is neither a wreath map nor a mapping"),
+    ("no candidate", lambda c: object(), "candidate has no envelope"),
+    ("unhashable image", _embedding({0: [0], 1: 1}, {0: 0, 1: 0}),
+     "the embedding has an unhashable image"),
+]
+
+
 class TestVerifyEnveloping:
+    @pytest.mark.parametrize(
+        "malformed,message",
+        [f[1:] for f in MALFORMED_CANDIDATES],
+        ids=[f[0] for f in MALFORMED_CANDIDATES],
+    )
+    def test_malformed_candidate_raises_naming_the_field(self, malformed, message):
+        pa, candidate = two_class_candidate()
+        with pytest.raises(MalformedInput, match=f"^{message}$"):
+            verify_enveloping(pa, malformed(candidate))
+
     @pytest.mark.parametrize(
         "mutate,message,witness",
         [f[1:] for f in ENVELOPE_FAULTS],
@@ -399,8 +428,8 @@ class TestVerifyEnveloping:
                 verify_enveloping(pa, mutate(candidate))
         else:
             report = verify_enveloping(pa, mutate(candidate))
-            assert not report.items["ideal"].passed
-            assert report.items["ideal"].witness == witness
+            assert not check_item(report, "ideal").passed
+            assert check_item(report, "ideal").witness == witness
 
     def test_pipeline_output_passes(self, quiver_setup):
         block, H, hom = quiver_setup
@@ -428,8 +457,8 @@ class TestVerifyEnveloping:
         report = verify_enveloping(
             pa, {"envelope": bigger, "action": action, "embedding": embedding}
         )
-        assert not report.items["covers"].passed
-        assert report.items["ideal"].passed
+        assert not check_item(report, "covers").passed
+        assert check_item(report, "ideal").passed
 
     def test_collapsing_embedding_fails_ideal(self, z2):
         pa = lift_set_action(SetPartialAction(z2, (0, 1), domains={1: [0]}, maps={1: {0: 0}}))
@@ -438,7 +467,7 @@ class TestVerifyEnveloping:
         report = verify_enveloping(
             pa, {"envelope": res.envelope, "action": res.action, "embedding": bad_embedding}
         )
-        assert not report.items["ideal"].passed
+        assert not check_item(report, "ideal").passed
 
     def test_embedding_outside_the_envelope_is_reported(self, z2):
         pa = lift_set_action(SetPartialAction(z2, (0, 1), domains={1: [0]}, maps={1: {0: 0}}))
@@ -447,8 +476,8 @@ class TestVerifyEnveloping:
         report = verify_enveloping(
             pa, {"envelope": res.envelope, "action": res.action, "embedding": stray}
         )
-        assert report.items["ideal"].witness == "embedding leaves the envelope"
-        assert not any(item.passed for item in report.items.values())
+        assert check_item(report, "ideal").witness == "embedding leaves the envelope"
+        assert not any(item.passed for item in report.items)
 
     def test_wrong_restriction_fails_intersection(self, z2):
         # envelope of the empty-domain action used as a candidate for the
@@ -464,7 +493,7 @@ class TestVerifyEnveloping:
             pa=swap_action,
             candidate={"envelope": res.envelope, "action": res.action, "embedding": res.embedding},
         )
-        assert not report.items["intersection"].passed
+        assert not check_item(report, "intersection").passed
 
 
 class TestEnvelopeBlockCount:

@@ -1,15 +1,14 @@
 import itertools
 
 import pytest
+from conftest import ideals_isomorphic, make_ideal_iso
 
 from partial_actions.block_algebras import (
     Block,
     BlockAlgebra,
     block_power,
     decompose_isotypic,
-    ideals_isomorphic,
     k_line_block,
-    make_ideal_iso,
     symbolic_basis,
     wreath_apply,
     wreath_compose,

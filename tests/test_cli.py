@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import make_golden_relabelled
 from partial_actions import cli
-from partial_actions.cli import _set_check_key, main
-from partial_actions.documents import _json_text, workbench_to_doc
-from partial_actions.errors import InternalInconsistency
+from partial_actions.algebra_actions import globalize_block_power, lift_set_action
+from partial_actions.cli import main
+from partial_actions.documents import workbench_to_doc
 from partial_actions.set_actions import (
     enumerate_partial_actions,
     globalize_set,
@@ -334,16 +334,16 @@ class TestGlobalizeCommand:
         for byte, which also pins the order of its enumerated actions."""
         wb = make_golden_relabelled.workbench()
         expected = (DATA / "golden_relabelled.json").read_text(encoding="utf-8")
-        assert _json_text(workbench_to_doc(wb)) + "\n" == expected
+        assert json.dumps(workbench_to_doc(wb), indent=2) + "\n" == expected
 
     def test_every_set_check_has_a_json_key(self, z2):
-        """The set `checks` block is keyed by report item name, not position."""
+        """The set `checks` block is keyed by each report item's key, the
+        keys of the algebra report."""
         spa = enumerate_partial_actions(z2, 2)[-1]
         report = verify_set_globalization(spa, globalize_set(spa))
-        keys = [_set_check_key(item.name) for item in report.items]
-        assert keys == ["ideal", "covers", "intersection", "equivariance"]
-        with pytest.raises(InternalInconsistency):
-            _set_check_key("an unnamed check")
+        algebra = globalize_block_power(lift_set_action(spa)).checks
+        keys = ["ideal", "covers", "intersection", "equivariance"]
+        assert [item.key for item in report.items] == [item.key for item in algebra.items] == keys
 
     def test_invalid_action_exits_one(self, tmp_path, capsys):
         path = write(

@@ -19,7 +19,6 @@ from partial_actions.algebra_actions import AlgebraPartialAction
 from partial_actions.cli import main
 from partial_actions.documents import (
     DocumentError,
-    _json_text,
     _write_json,
     _resolve_element,
     algebra_action_to_doc,
@@ -516,6 +515,11 @@ def _pieces(obj) -> list[str]:
     return pieces
 
 
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``: the pieces of ``_write_json`` joined."""
+    return "".join(_pieces(obj))
+
+
 @lru_cache(maxsize=None)
 def _z6x4_payload() -> dict:
     """What ``enumerate --group Z6 --size 4 --envelopes --format json``
@@ -559,7 +563,6 @@ class TestJsonText:
         for obj in (shared, [shared, tree, {"at": [shared]}]):
             expected = json.dumps(obj, indent=2)
             assert "".join(_pieces(obj)) == expected
-            assert _json_text(obj) == expected
 
     def test_named_cases(self):
         class Label(str):
@@ -582,7 +585,6 @@ class TestJsonText:
         for obj in cases:
             expected = json.dumps(obj, indent=2)
             assert "".join(_pieces(obj)) == expected
-            assert _json_text(obj) == expected
 
     @pytest.mark.parametrize(
         "obj",
@@ -593,15 +595,12 @@ class TestJsonText:
             json.dumps(obj, indent=2)
         with pytest.raises(TypeError):
             _write_json(obj, [].append)
-        with pytest.raises(TypeError):
-            _json_text(obj)
 
     def test_circular_reference_raises_value_error(self):
         loop: list = [1]
         loop.append({"again": loop})
-        for write in (lambda obj: _write_json(obj, [].append), _json_text):
-            with pytest.raises(ValueError, match="Circular reference"):
-                write(loop)
+        with pytest.raises(ValueError, match="Circular reference"):
+            _write_json(loop, [].append)
 
     def test_shared_container_is_encoded_at_most_twice(self, monkeypatch):
         group = {"kind": "cayley", "table": [[0, 1], [1, 0]], "names": ["e", "s"]}

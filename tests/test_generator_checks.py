@@ -16,6 +16,7 @@ import re
 from pathlib import Path
 
 import pytest
+from conftest import trivial_subgroup
 from hypothesis import given, settings, strategies as st
 from oracle_checks import (
     associativity_failure,
@@ -44,7 +45,6 @@ from partial_actions.groups import (
     make_group,
     subgroup_closure,
     symmetric_group,
-    trivial_subgroup,
 )
 from partial_actions.set_actions import GlobalSetAction, SetPartialAction, verify_partial_action
 

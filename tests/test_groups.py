@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from conftest import trivial_subgroup, whole_group
 from hypothesis import given, settings, strategies as st
 from oracle_enumeration import relabelled
 
@@ -24,8 +25,6 @@ from partial_actions.groups import (
     make_group,
     subgroup_closure,
     symmetric_group,
-    trivial_subgroup,
-    whole_group,
 )
 
 # Latin square of order 6 with identity 0 and two-sided inverses that fails

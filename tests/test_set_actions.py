@@ -7,6 +7,7 @@ from pathlib import Path
 import oracle_checks
 import oracle_globalization
 import pytest
+from conftest import check_item, whole_group
 from hypothesis import given, settings, strategies as st
 from oracle_enumeration import brute_force_partial_actions, relabelled
 
@@ -19,6 +20,7 @@ from partial_actions.algebra_actions import (
 from partial_actions.block_algebras import Block
 from partial_actions.documents import load_workbench, set_action_to_doc
 from partial_actions.errors import (
+    GroupMismatch,
     MalformedInput,
     NotASubgroup,
     SizeLimit,
@@ -28,7 +30,6 @@ from partial_actions.groups import (
     make_group,
     subgroup_closure,
     symmetric_group,
-    whole_group,
 )
 from partial_actions.set_actions import (
     GlobalSetAction,
@@ -283,6 +284,69 @@ class TestGlobalize:
         )
         item = verify_set_globalization(spa, bad).items[-1]
         assert not item.passed and item.witness == "g=1, x='p0'"
+
+
+def fixed_point_candidate():
+    """Z2 fixing "a" and acting on "b" with D_1 = {a}, and its envelope:
+    point 0 is a, fixed by 1, and 1 swaps point 1 (b) with point 2."""
+    spa = SetPartialAction(cyclic_group(2), ("a", "b"), {1: ["a"]}, {1: {"a": "a"}})
+    return spa, globalize_set(spa)
+
+
+def _set_embedding(embedding):
+    return lambda spa, sg: (spa, SetGlobalization(
+        spa, sg.envelope, embedding, sg.orbit_witness, sg.pair_class
+    ))
+
+
+def _fixed_extra_point(spa, sg):
+    maps = {g: {**m, 3: 3} for g, m in sg.envelope.maps.items()}
+    envelope = GlobalSetAction(spa.group, (0, 1, 2, 3), maps)
+    return spa, SetGlobalization(spa, envelope, sg.embedding, sg.orbit_witness, sg.pair_class)
+
+
+def _empty_domains(spa, sg):
+    return SetPartialAction(spa.group, spa.carrier), sg
+
+
+# (id, mutation of the fixed-point candidate, the key of the first failing
+# item, its witness)
+SET_ENVELOPE_FAULTS = [
+    ("collapsing embedding", _set_embedding({"a": 0, "b": 0}), "ideal", "image collapses"),
+    ("embedding of another carrier", _set_embedding({"x": 0, "y": 1}), "ideal",
+     "embedding is not defined on every point"),
+    ("embedding leaves the envelope", _set_embedding({"a": 0, "b": 7}), "ideal",
+     "embedding leaves the envelope"),
+    ("unreached point", _fixed_extra_point, "covers", "unreached points [3]"),
+    ("wrong D_g", _empty_domains, "intersection", "g=1"),
+]
+
+
+class TestVerifySetGlobalization:
+    @pytest.mark.parametrize(
+        "mutate,key,witness",
+        [f[1:] for f in SET_ENVELOPE_FAULTS],
+        ids=[f[0] for f in SET_ENVELOPE_FAULTS],
+    )
+    def test_faulty_candidate_is_rejected(self, mutate, key, witness):
+        spa, sg = fixed_point_candidate()
+        assert verify_set_globalization(spa, sg).ok
+        report = verify_set_globalization(*mutate(spa, sg))
+        assert not report.ok
+        assert report.failures()[0] == check_item(report, key)
+        assert check_item(report, key).witness == witness
+
+    def test_unhashable_image_raises(self):
+        spa, sg = fixed_point_candidate()
+        with pytest.raises(MalformedInput, match="unhashable image"):
+            verify_set_globalization(*_set_embedding({"a": 0, "b": [1]})(spa, sg))
+
+    @pytest.mark.parametrize("action_order,envelope_order", [(3, 2), (2, 3)])
+    def test_envelope_over_another_group_raises(self, action_order, envelope_order):
+        spa = SetPartialAction(cyclic_group(action_order), (0, 1))
+        other = globalize_set(SetPartialAction(cyclic_group(envelope_order), (0, 1)))
+        with pytest.raises(GroupMismatch, match="over a different group"):
+            verify_set_globalization(spa, other)
 
 
 class TestOrbitEngine:

@@ -7,6 +7,7 @@ with a ``PartialActionError`` subclass, never coerced or leaked as a bare
 Python exception."""
 
 import pytest
+from conftest import whole_group
 
 from partial_actions.algebra_actions import AlgebraPartialAction, extend_by_zero_algebra
 from partial_actions.block_algebras import (
@@ -17,7 +18,7 @@ from partial_actions.block_algebras import (
     wreath_identity,
 )
 from partial_actions.errors import MalformedInput, NotAGroup, NotAHomomorphism
-from partial_actions.groups import cyclic_group, make_group, symmetric_group, whole_group
+from partial_actions.groups import cyclic_group, make_group, symmetric_group
 from partial_actions.set_actions import (
     GlobalSetAction,
     SetPartialAction,

@@ -28,7 +28,7 @@ from partial_actions.groups import (
     make_group,
     symmetric_group,
 )
-from partial_actions.reporting import EnvelopingReport, VerificationReport
+from partial_actions.reporting import VerificationReport
 from partial_actions.set_actions import globalize_set, verify_set_globalization
 
 DATA = Path(__file__).parent / "data"
@@ -81,14 +81,15 @@ def _instances() -> dict[str, list]:
                 found["BlockIdeal"] += action.domains.values()
                 found["WreathMap"] += action.maps.values()
                 if action.algebra.n_blocks > 1:
-                    found["EnvelopingReport"].append(globalize_block_power(action).checks)
+                    checks = globalize_block_power(action).checks
+                    found["VerificationReport"].append(checks)
+                    found["CheckItem"] += checks.items
             else:
                 checks = verify_set_globalization(action, globalize_set(action))
                 found["VerificationReport"].append(checks)
                 found["CheckItem"] += checks.items
     found["Workbench"].append(Workbench())
     found["VerificationReport"].append(VerificationReport("empty"))
-    found["EnvelopingReport"].append(EnvelopingReport())
     return found
 
 
@@ -191,9 +192,10 @@ CONSTRUCTIONS = [
     ("CheckItem", ("a check", False)),
     ("CheckItem", ("a check", True, "a witness")),
     ("VerificationReport", ("subject",)),
-    ("EnvelopingReport", ()),
+    ("VerificationReport", ("subject", [], "a header:")),
     ("Workbench", ()),
     ("Workbench", ("2",)),
+    ("CheckItem", ("a check", True, None, "ideal")),
 ]
 
 
@@ -215,7 +217,6 @@ def test_default_containers_are_fresh():
     a, b = VerificationReport("a"), VerificationReport("b")
     a.add("x", True)
     assert b.items == [] and a.items is not b.items
-    assert EnvelopingReport().items is not EnvelopingReport().items
     first, second = Workbench(), Workbench()
     assert all(getattr(first, f) is not getattr(second, f) for f in ("groups", "algebras", "actions"))
 
