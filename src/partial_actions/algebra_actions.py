@@ -48,6 +48,7 @@ from .set_actions import (
     _certified_witnesses,
     _envelope_classes,
     _equivariant_bijection,
+    _field,
     _first,
     _orbit_data,
     _verify_envelope,
@@ -298,13 +299,6 @@ class GlobalizationResult:
 
     def __repr__(self) -> str:
         return f"GlobalizationResult(blocks={self.block_count}, ok={self.checks.ok})"
-
-
-def _field(source, name: str, what: str):
-    try:
-        return source[name] if isinstance(source, Mapping) else getattr(source, name)
-    except (KeyError, AttributeError):
-        raise MalformedInput(f"{what} has no {name}") from None
 
 
 def _candidate_parts(candidate) -> tuple[BlockAlgebra, dict, dict, dict]:

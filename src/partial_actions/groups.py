@@ -95,9 +95,9 @@ class FiniteGroup(Frozen):
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """A generating set S, |S| <= log2 |G|: every element is a
-        left-bracketed product ((s1*s2)*...)*sk of members of S (the identity
-        is the empty product).  See :func:`_right_generators`."""
+        """A sorted generating set S, |S| <= log2 |G|, of elements of large
+        order: every element is a left-bracketed product ((s1*s2)*...)*sk of
+        S (the identity is the empty product).  See :func:`_right_generators`."""
         return _right_generators(self.table, self.identity)
 
     def element_order(self, a: int) -> int:
@@ -112,20 +112,30 @@ class FiniteGroup(Frozen):
 
 
 def _right_generators(table: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
-    """Greedy generating set of a table with a two-sided identity.
+    """Greedy generating set of a table with a two-sided identity, sorted.
 
-    Scans elements in index order, skips the identity, and adds an element
-    whenever it is not yet reached, where an element is reached when it is a
-    left-bracketed product ((s1*s2)*...)*sk of the chosen set.  Every element
-    ends up reached.  The table need not be associative (Light's test in
-    :func:`make_group` runs on it before associativity is known).  In a group
-    the reached set is the subgroup the chosen set generates, and each new
-    element lies outside it, so each addition at least doubles it and the
-    result has at most log2 |G| members.
+    Tries elements in descending element order, index order among ties (Z_n
+    gets one generator, S4 and S5 two), and adds an element whenever it is
+    not yet reached, where an element is reached when it is a left-bracketed
+    product ((s1*s2)*...)*sk of the chosen set.  Every element ends up
+    reached.  The table need not be associative (Light's test in
+    :func:`make_group` runs on it before associativity is known): the powers
+    a, a*a, (a*a)*a, ... still reach e, as y -> y*a permutes a Latin square.
+    In a group the reached set is the subgroup the chosen set generates, and
+    each new element lies outside it, so each addition at least doubles it
+    and the result has at most log2 |G| members.
     """
+    orders = []
+    for a in range(len(table)):
+        x, k = a, 1
+        while x != identity:
+            x, k = table[x][a], k + 1
+        if k == len(table) > 1:  # the first candidate, and its powers reach every element
+            return (a,)
+        orders.append(k)
     gens: list[int] = []
     reached = {identity}
-    for s in range(len(table)):
+    for s in sorted(range(len(table)), key=orders.__getitem__, reverse=True):
         if s in reached:
             continue
         gens.append(s)
@@ -138,7 +148,7 @@ def _right_generators(table: Sequence[Sequence[int]], identity: int) -> tuple[in
                 if y not in reached:
                     reached.add(y)
                     stack.append(y)
-    return tuple(gens)
+    return tuple(sorted(gens))
 
 
 def _check_latin(table: Sequence[Sequence[int]]) -> None:

@@ -124,9 +124,8 @@ class SetPartialAction:
                 inside = False
             if not inside:
                 raise MalformedInput(f"map of {group.name(g)} leaves the carrier")
-            keys = tuple(m)  # a full map in carrier order, as envelopes have, needs no sort
-            ordered = keys if keys == self.carrier else tuple(sorted(keys, key=pos.__getitem__))
-            if keys != ordered:
+            ordered = sorted(m, key=pos.__getitem__)
+            if list(m) != ordered:
                 m = {x: m[x] for x in ordered}
             mps[g] = m
         kinds = set(map(type, self.carrier))  # True and 1.0 equal 1, but are not the point 1
@@ -140,6 +139,14 @@ class SetPartialAction:
                     raise MalformedInput(f"{what} of {group.name(g)} leaves the carrier")
         self.domains = doms
         self.maps = mps
+
+    @classmethod
+    def _unchecked(cls, group, carrier, pos, domains, maps) -> "SetPartialAction":
+        """Valid pieces stored as the constructor stores them (maps keyed in
+        carrier order, ``pos`` the shareable position index); no check runs."""
+        action = cls.__new__(cls)
+        vars(action).update(group=group, carrier=carrier, _pos=pos, domains=domains, maps=maps)
+        return action
 
     def is_global(self) -> bool:
         full = frozenset(self.carrier)
@@ -183,22 +190,28 @@ class GlobalSetAction(SetPartialAction):
     induction on the length of t, since composition of maps is associative,
     alpha_g∘alpha_t = (alpha_g∘alpha_t')∘alpha_s = alpha_gt'∘alpha_s = alpha_gt.
 
-    Each check is a whole-set or whole-list operation: one set comparison
-    per map, then, with each map read once as the list of its images in
-    carrier order, one list comparison per pair (g, t), g the outer loop.
+    Each check is a whole-structure or whole-list operation: one pass over
+    the maps (:func:`_whole_maps`; the checks of :class:`SetPartialAction`
+    run only when it rejects), then one list comparison per pair (g, t), g
+    the outer loop, with each map read once as its images in carrier order.
     That is O(|G|·|S|·n) for n points and |S| <= log2 |G| generators, with
     the per-point loop run only to name the first failing x.
-    ``tests/oracle_checks.py`` keeps the per-point loop as the oracle.
+    ``tests/oracle_checks.py`` keeps the per-entry checks as the oracle.
     """
 
     def __init__(self, group, carrier, maps):
-        super().__init__(group, carrier, maps=maps)
-        full = frozenset(self.carrier)
-        self.domains = dict.fromkeys(group.elements(), full)
-        for g in group.elements():
-            m = self.maps[g]
-            if m.keys() != full or set(m.values()) != full:
-                raise MalformedInput(f"map of {group.name(g)} is not a bijection of the carrier")
+        whole = _whole_maps(group, carrier, maps)
+        if whole is None:  # the per-entry checks raise at the first fault, or accept
+            super().__init__(group, carrier, maps=maps)
+            full = frozenset(self.carrier)
+            for g in group.elements():
+                m = self.maps[g]
+                if m.keys() != full or set(m.values()) != full:
+                    raise MalformedInput(f"map of {group.name(g)} is not a bijection of the carrier")
+        else:
+            self.group, (self.carrier, self.maps) = group, whole
+            self._pos = {x: i for i, x in enumerate(self.carrier)}
+        self.domains = dict.fromkeys(group.elements(), frozenset(self.carrier))
         carrier = self.carrier
         images = [list(self.maps[g].values()) for g in group.elements()]  # in carrier order
         if images[group.identity] != list(carrier):
@@ -213,6 +226,29 @@ class GlobalSetAction(SetPartialAction):
                     raise MalformedInput(
                         f"action law fails: {group.name(g)}*{group.name(t)} at {x!r}"
                     )
+
+
+def _whole_maps(group, carrier, maps) -> Optional[tuple[tuple, dict]]:
+    """(carrier, maps keyed in carrier order) when one pass accepts the
+    data: ``maps`` and each map are exact dicts, keyed by the elements and by
+    the distinct points, each map onto the carrier, and every point is of one
+    type (True and 1.0 equal 1, but are not the point 1).  Else None."""
+    if type(maps) is not dict or maps.keys() != set(group.elements()) or set(map(type, maps)) - {int}:
+        return None
+    ms = [maps[g] for g in group.elements()]
+    try:
+        carrier = tuple(carrier)
+        full = frozenset(carrier)
+        whole = len(full) == len(carrier) and all(
+            type(m) is dict and m.keys() == full and set(m.values()) == full for m in ms
+        )
+    except TypeError:  # no sequence, or an unhashable point or image
+        return None
+    if not whole or len(set(map(type, itertools.chain(carrier, *ms, *map(dict.values, ms))))) > 1:
+        return None
+    return carrier, {
+        g: dict(m) if tuple(m) == carrier else {x: m[x] for x in carrier} for g, m in enumerate(ms)
+    }
 
 
 def _first(items):
@@ -540,9 +576,12 @@ class SetGlobalization:
     ):
         self.source = source
         self.envelope = envelope
-        self.embedding = dict(embedding)
         self.orbit_witness = orbit_witness
-        self.pair_class = dict(pair_class)
+        for name, value in (("embedding", embedding), ("pair_class", pair_class)):
+            try:
+                setattr(self, name, dict(value))
+            except (TypeError, ValueError):  # 5 or "ab" is no mapping
+                raise MalformedInput(f"{name} is not a mapping") from None
 
     @property
     def size(self) -> int:
@@ -684,6 +723,13 @@ def _verify_envelope(report, names, wording, G, order, domains, maps, beta, poin
     return _add_items(report, names, (ideal, *witnesses), wording, keys)
 
 
+def _field(source, name: str, what: str):
+    try:
+        return source[name] if isinstance(source, Mapping) else getattr(source, name)
+    except (KeyError, AttributeError):
+        raise MalformedInput(f"{what} has no {name}") from None
+
+
 def verify_set_globalization(spa: SetPartialAction, sg: SetGlobalization) -> VerificationReport:
     """Check the enveloping-action conditions transported to sets, by
     :func:`_verify_envelope`: an injective embedding of the carrier into
@@ -692,10 +738,17 @@ def verify_set_globalization(spa: SetPartialAction, sg: SetGlobalization) -> Ver
     in carrier order.
 
     Raises:
+        MalformedInput: the candidate (read as mapping keys or attributes)
+            lacks an ``envelope`` GlobalSetAction or an ``embedding`` mapping.
         GroupMismatch: the envelope is over another group than spa.
     """
     G = spa.group
-    if sg.envelope.group != G:
+    envelope, embedding = (_field(sg, name, "candidate") for name in ("envelope", "embedding"))
+    if not isinstance(envelope, GlobalSetAction):
+        raise MalformedInput("candidate envelope is not a global set action")
+    if not isinstance(embedding, Mapping):
+        raise MalformedInput("candidate embedding is not a mapping")
+    if envelope.group != G:
         raise GroupMismatch("the envelope is over a different group than the action")
     ideal = {"undefined": "embedding is not defined on every point", "collapses": "image collapses",
              "leaves": "embedding leaves the envelope"}
@@ -710,7 +763,7 @@ def verify_set_globalization(spa: SetPartialAction, sg: SetGlobalization) -> Ver
         lambda points: f"unreached points {points}",
         lambda g: f"g={G.name(g)}",
         lambda g, x, _: f"g={G.name(g)}, x={x!r}",
-    ), G, spa.carrier, spa.domains, spa.maps, sg.envelope.maps, sg.envelope.carrier, sg.embedding)
+    ), G, spa.carrier, spa.domains, spa.maps, envelope.maps, envelope.carrier, embedding)
 
 
 def _equivariant_bijection(G, beta_a, beta_b, points_a, points_b, seeds, twists=None):
@@ -863,17 +916,19 @@ def enumerate_partial_actions(
         raise SizeLimit(f"enumeration caps the carrier size at {ENUM_MAX_CARRIER}")
     pieces = {k: _transitive_pieces(G, k) for k in range(1, len(carrier) + 1)}
     shared: dict[frozenset, frozenset] = {}  # one object per distinct domain saves memory
+    pos = {x: i for i, x in enumerate(carrier)}
     actions = []
     for partition in _set_partitions(carrier):
-        for choice in itertools.product(*(pieces[len(b)] for b in partition)):
-            maps: list[dict] = [{} for _ in G.elements()]
-            for b, piece in zip(partition, choice):
-                for m, pairs in zip(maps, piece):
-                    m.update((b[i], b[j]) for i, j in pairs)
-            domains = {}
-            for g, m in enumerate(maps):
+        placed = [[tuple(tuple((b[i], b[j]) for i, j in pairs) for pairs in piece)
+                   for piece in pieces[len(b)]] for b in partition]  # the pieces on each block
+        for choice in itertools.product(*placed):
+            domains, maps = {}, {}
+            for g in G.elements():
+                m = dict(itertools.chain.from_iterable(c[g] for c in choice))
                 D = frozenset(m.values())
                 domains[g] = shared.setdefault(D, D)
-            actions.append(SetPartialAction(G, carrier, domains, dict(enumerate(maps))))
+                maps[g] = {x: m[x] for x in carrier if x in m}
+            # valid by the argument above, so built without the constructor's checks
+            actions.append(SetPartialAction._unchecked(G, carrier, pos, domains, maps))
     actions.sort(key=lambda a: a.canonical_key())
     return actions

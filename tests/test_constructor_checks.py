@@ -4,7 +4,8 @@ checks in ``oracle_checks`` accept, and raise the same exception type with
 the same message."""
 
 import random
-from collections import Counter
+from collections import Counter, OrderedDict
+from types import MappingProxyType
 
 import pytest
 from oracle_checks import global_set_action_checks, wreath_map_checks
@@ -17,7 +18,7 @@ from partial_actions.groups import (
     subgroup_closure,
     symmetric_group,
 )
-from partial_actions.set_actions import GlobalSetAction
+from partial_actions.set_actions import GlobalSetAction, SetPartialAction
 
 
 def outcome(build, *args):
@@ -191,6 +192,45 @@ def law_failures(G, carrier, maps) -> set:
     }
 
 
+def z3_maps(**changes):
+    """Z3's regular action on (0, 1, 2), element g as the map x -> x + g,
+    with the maps named g0, g1, g2 in ``changes`` replaced."""
+    maps = {g: {x: (x + g) % 3 for x in range(3)} for g in range(3)}
+    maps.update({int(k[1:]): m for k, m in changes.items()})
+    return maps
+
+
+# (id, carrier, maps): each mutation of a valid Z3 action is decided by the
+# one-pass check or, when it rejects, by the per-entry checks after it
+GLOBAL_SET_MUTANTS = [
+    ("valid", (0, 1, 2), z3_maps()),
+    ("keys out of carrier order", (0, 1, 2), z3_maps(g1={2: 0, 0: 1, 1: 2})),
+    ("True key", (0, 1, 2), z3_maps(g1={0: 1, True: 2, 2: 0})),
+    ("1.0 key", (0, 1, 2), z3_maps(g1={0: 1, 1.0: 2, 2: 0})),
+    ("True image", (0, 1, 2), z3_maps(g2={0: 2, 1: 0, 2: True})),
+    ("1.0 image", (0, 1, 2), z3_maps(g2={0: 2, 1: 0, 2: 1.0})),
+    ("mixed-type carrier", (0, "a", 2), {
+        g: {x: (0, "a", 2)[((0, "a", 2).index(x) + g) % 3] for x in (0, "a", 2)} for g in range(3)
+    }),
+    ("mixed-type carrier, True key", (0, "a", 2), {0: {0: 0, "a": "a", 2: 2}, True: {}}),
+    ("Mapping maps", (0, 1, 2), MappingProxyType(z3_maps())),
+    ("Mapping map", (0, 1, 2), z3_maps(g1=MappingProxyType({0: 1, 1: 2, 2: 0}))),
+    ("dict subclass map", (0, 1, 2), z3_maps(g2=OrderedDict({0: 2, 1: 0, 2: 1}))),
+    ("identity map missing", (0, 1, 2), {1: z3_maps()[1], 2: z3_maps()[2]}),
+    ("element map missing", (0, 1, 2), {0: z3_maps()[0], 2: z3_maps()[2]}),
+    ("extra element key", (0, 1, 2), {**z3_maps(), 3: {0: 0, 1: 1, 2: 2}}),
+    ("True element key", (0, 1, 2), {0: z3_maps()[0], True: z3_maps()[1], 2: z3_maps()[2]}),
+    ("map missing a point", (0, 1, 2), z3_maps(g1={0: 1, 1: 2})),
+    ("collapsing map", (0, 1, 2), z3_maps(g1={0: 1, 1: 1, 2: 0})),
+    ("foreign image", (0, 1, 2), z3_maps(g1={0: 1, 1: 2, 2: 5})),
+    ("unhashable image", (0, 1, 2), z3_maps(g1={0: 1, 1: [2], 2: 0})),
+    ("duplicate carrier point", (0, 1, 1), z3_maps()),
+    ("moved identity", (0, 1, 2), z3_maps(g0={0: 1, 1: 2, 2: 0})),
+    ("law failure", (0, 1, 2), z3_maps(g1={0: 1, 1: 0, 2: 2}, g2={0: 1, 1: 0, 2: 2})),
+    ("law failure, one map", (0, 1, 2), z3_maps(g2={0: 1, 1: 0, 2: 2})),
+]
+
+
 class TestGlobalSetAction:
     @pytest.mark.parametrize("carrier,maps,expected", [
         ((0, 1), {1: {0: [1], 1: 0}}, "map of 1 leaves the carrier"),
@@ -242,3 +282,42 @@ class TestGlobalSetAction:
         want = outcome(global_set_action_checks, G, carrier, maps)
         assert want[1].startswith("action law fails: ")
         assert outcome(GlobalSetAction, G, carrier, maps) == want
+
+    @pytest.mark.parametrize("carrier,maps", [m[1:] for m in GLOBAL_SET_MUTANTS],
+                             ids=[m[0] for m in GLOBAL_SET_MUTANTS])
+    def test_one_pass_mutant_matches_the_oracle(self, carrier, maps):
+        want = outcome(global_set_action_checks, Z3, carrier, maps)
+        assert outcome(GlobalSetAction, Z3, carrier, maps) == want
+        if want[0] == "ok":  # stored as the per-entry path stores it
+            action = GlobalSetAction(Z3, carrier, maps)
+            per_entry = GlobalSetAction(Z3, carrier, MappingProxyType(dict(maps)))
+            assert action == per_entry and action.canonical_key() == per_entry.canonical_key()
+            assert all(list(action.maps[g]) == list(per_entry.maps[g]) for g in Z3.elements())
+
+    def test_named_outcomes(self):
+        want = {name: outcome(global_set_action_checks, Z3, c, m) for name, c, m in GLOBAL_SET_MUTANTS}
+        assert [name for name, got in want.items() if got[0] == "ok"] == [
+            "valid", "keys out of carrier order", "mixed-type carrier", "Mapping maps",
+            "Mapping map", "dict subclass map", "identity map missing",
+        ]
+        messages = {name: got[1] for name, got in want.items() if got[0] is MalformedInput}
+        assert len(messages) == len(want) - 7
+        assert messages["True key"] == messages["unhashable image"] == "map of 1 leaves the carrier"
+        assert messages["1.0 image"] == "map of 2 leaves the carrier"
+        assert messages["True element key"] == "unknown group element True"
+        assert messages["duplicate carrier point"] == "carrier contains duplicate points"
+        assert messages["collapsing map"] == "map of 1 is not a bijection of the carrier"
+        assert messages["element map missing"] == "map of 1 is not a bijection of the carrier"
+        assert messages["moved identity"] == "identity element does not act as the identity map"
+        assert messages["law failure"] == "action law fails: 1*1 at 0"
+        assert messages["law failure, one map"] == "action law fails: 1*1 at 0"
+
+    def test_valid_dicts_skip_the_per_entry_checks(self, monkeypatch):
+        def per_entry(*args, **kwargs):
+            raise AssertionError("the per-entry checks ran on valid dicts")
+
+        monkeypatch.setattr(SetPartialAction, "__init__", per_entry)
+        GlobalSetAction(Z3, (0, 1, 2), z3_maps())
+        GlobalSetAction(Z3, (0, 1, 2), z3_maps(g1={2: 0, 0: 1, 1: 2}))
+        with pytest.raises(AssertionError, match="per-entry"):
+            GlobalSetAction(Z3, (0, 1, 2), z3_maps(g1={0: 1, True: 2, 2: 0}))

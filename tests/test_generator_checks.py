@@ -151,11 +151,26 @@ class TestGenerators:
                     frontier.append(y)
         assert reached == set(G.elements())
 
-    def test_known_sets(self):
-        S5 = symmetric_group(5)
-        assert [S5.name(s) for s in S5.generators] == ["(12)", "(13)", "(14)", "(15)"]
-        assert cyclic_group(9).generators == (1,)
-        assert cyclic_group(1).generators == ()
+    @pytest.mark.parametrize("n,names", [
+        (3, ["(12)", "(123)"]),
+        (4, ["(1234)", "(1243)"]),
+        (5, ["(12)(345)", "(123)(45)"]),
+        (6, ["(12)(345)", "(12)(346)", "(123)(45)"]),
+    ])
+    def test_known_sets(self, n, names):
+        # elements of large order are tried first, and the set is sorted
+        G = symmetric_group(n)
+        assert [G.name(s) for s in G.generators] == names
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 9, 12, 720])
+    def test_cyclic_groups_get_one_generator(self, n):
+        assert cyclic_group(n).generators == ((1,) if n > 1 else ())
+
+    @pytest.mark.parametrize("n", [2, 6, 12, 64])
+    def test_relabelled_cyclic_tables_get_one_generator(self, n):
+        # element i stands for i - 1 mod n, so the identity is element 1
+        G = make_group([[(a + b - 1) % n for b in range(n)] for a in range(n)])
+        assert len(G.generators) == 1 and G.element_order(G.generators[0]) == n
 
     def test_outside_equality_and_hash(self):
         a, b = symmetric_group(3), symmetric_group(3)

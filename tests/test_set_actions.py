@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from partial_actions.algebra_actions import (
     verify_algebra_partial_action,
 )
 from partial_actions.block_algebras import Block
-from partial_actions.documents import load_workbench, set_action_to_doc
+from partial_actions.documents import load_workbench, parse_group, set_action_to_doc
 from partial_actions.errors import (
     GroupMismatch,
     MalformedInput,
@@ -53,6 +54,14 @@ ENUM_GROUPS = {
     "S3": lambda: symmetric_group(3),
     "S3-relabelled": lambda: relabelled(symmetric_group(3)),
 }
+
+
+def perfbench_workloads():
+    """perfbench's workload builders, which are not installed with the package."""
+    sys.path.insert(0, str(Path(__file__).parent.parent))
+    from perfbench import workloads
+
+    return workloads
 
 
 def left_translation(G):
@@ -321,6 +330,17 @@ SET_ENVELOPE_FAULTS = [
     ("wrong D_g", _empty_domains, "intersection", "g=1"),
 ]
 
+# (id, mutation of the fixed-point candidate, MalformedInput's message): a
+# candidate the package did not build raises, naming the field at fault
+SET_CANDIDATE_FAULTS = [
+    ("no candidate", lambda spa, sg: (spa, object()), "candidate has no envelope"),
+    ("envelope is 5", lambda spa, sg: (spa, SetGlobalization(
+        spa, 5, sg.embedding, sg.orbit_witness, sg.pair_class
+    )), "candidate envelope is not a global set action"),
+    ("embedding is 5", lambda spa, sg: (spa, SetGlobalization(spa, sg.envelope, 5, (), {})),
+     "embedding is not a mapping"),
+]
+
 
 class TestVerifySetGlobalization:
     @pytest.mark.parametrize(
@@ -335,6 +355,17 @@ class TestVerifySetGlobalization:
         assert not report.ok
         assert report.failures()[0] == check_item(report, key)
         assert check_item(report, key).witness == witness
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [f[1:] for f in SET_CANDIDATE_FAULTS],
+        ids=[f[0] for f in SET_CANDIDATE_FAULTS],
+    )
+    def test_malformed_candidate_raises(self, mutate, message):
+        spa, sg = fixed_point_candidate()
+        with pytest.raises(MalformedInput) as info:
+            verify_set_globalization(*mutate(spa, sg))
+        assert str(info.value) == message
 
     def test_unhashable_image_raises(self):
         spa, sg = fixed_point_candidate()
@@ -613,14 +644,27 @@ class TestEnumerate:
         for spa in enumerate_partial_actions(z3, 3):
             assert verify_partial_action(spa).ok
 
-    def test_closed_under_canonical_form(self, z2):
-        # outputs are already normalized: rebuilding one from its own
-        # domains and maps gives an equal action with the same key
-        actions = enumerate_partial_actions(z2, 2)
-        for a in actions:
-            c = SetPartialAction(a.group, a.carrier, a.domains, a.maps)
-            assert c == a
-            assert c.canonical_key() == a.canonical_key()
+    @pytest.mark.parametrize(
+        "name,carrier",
+        [(name, n) for name in ENUM_GROUPS for n in range(5)]
+        + [("S3", ("z", "y", "x")), ("Z6", ("d", 7, "b", "a"))]
+        + [(f"enumerate-z6x4 seed {seed}", 4) for seed in (1, 2, 3)],
+        ids=str,
+    )
+    def test_closed_under_canonical_form(self, name, carrier, tmp_path):
+        """Outputs are built without the constructor's checks, but already
+        normalized: rebuilding one from its own domains and maps gives an
+        equal action with the same key, map key order and document."""
+        if name.startswith("enumerate-z6x4"):
+            workload = perfbench_workloads().build_enumerate(int(name.split()[-1]), tmp_path)
+            G = parse_group(json.loads(Path(workload.invocations[0][2]).read_text()))
+        else:
+            G = ENUM_GROUPS[name]()
+        for a in enumerate_partial_actions(G, carrier):
+            b = SetPartialAction(G, a.carrier, a.domains, a.maps)
+            assert b == a and b.canonical_key() == a.canonical_key()
+            assert all(list(b.maps[g]) == list(a.maps[g]) for g in G.elements())
+            assert json.dumps(set_action_to_doc(b)) == json.dumps(set_action_to_doc(a))
 
     def test_size_limits(self, z2):
         with pytest.raises(MalformedInput):
