@@ -24,7 +24,7 @@ def main() -> None:
     print(f"group: S3, subgroup H = {{{', '.join(G.name(m) for m in H.members)}}}")
 
     cf = factorization()
-    print(f"transversal: {[G.name(r) for r in cf.transversal.reps]}")
+    print(f"transversal: {[G.name(r) for r in cf.reps]}")
     print("sample factorizations g*g_i = j*h:")
     for g_label, gi_label in [("(23)", "(13)"), ("(12)", "(13)"), ("(123)", "(23)")]:
         g = G.element_by_name(g_label)

@@ -53,13 +53,11 @@ from .groups import (
     CosetFactorization,
     DiscrepancyReport,
     FiniteGroup,
-    LeftTransversal,
     Subgroup,
     all_subgroups,
     coset_factorize,
     cross_validate_table,
     cyclic_group,
-    left_transversal,
     make_group,
     subgroup_closure,
     symmetric_group,

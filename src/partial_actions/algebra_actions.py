@@ -403,7 +403,7 @@ def globalize_extension_by_zero(
     pa = extend_by_zero_algebra(block, subgroup, hom)
     G = subgroup.parent
     cf = coset_factorize(G, subgroup)
-    reps = cf.transversal.reps
+    reps = cf.reps
     pair_class = {(g, 0): cf.j_table[g][0] for g in G.elements()}
     identity = pa.algebra.blocks[0].aut_group.identity
     anchors = [(hom, r, identity) for r in reps]
@@ -588,6 +588,20 @@ def _assemble(
     return GlobalizationResult(pa, envelope, provenance, action, embedding, checks)
 
 
+def _result_parts(result) -> tuple[AlgebraPartialAction, BlockAlgebra, dict, dict, dict]:
+    """The source of a globalization and its :func:`_candidate_parts`;
+    MalformedInput unless :func:`verify_enveloping` finds a global action
+    and an embedding onto an ideal."""
+    parts = _candidate_parts(result)
+    source = _field(result, "source", "candidate")
+    if not isinstance(source, AlgebraPartialAction):
+        raise MalformedInput("candidate source is not an algebra partial action")
+    ideal = verify_enveloping(source, result).items[0]
+    if not ideal.passed:
+        raise MalformedInput(f"candidate embedding lands on no ideal: {ideal.witness}")
+    return (source, *parts)
+
+
 def globalizations_equivalent(
     a: GlobalizationResult, b: GlobalizationResult
 ) -> Optional[WreathMap]:
@@ -596,35 +610,40 @@ def globalizations_equivalent(
     The search is the set layer's, with twists, pairing equal blocks only.
 
     Raises:
+        MalformedInput: a result, read by :func:`_result_parts`, is
+            malformed, or the two embed different algebras.
+        GroupMismatch: the sources are over different groups.
         InternalInconsistency: the search returned data that is not a
             wreath isomorphism, which would be a bug.
     """
-    if a.source.group != b.source.group:
+    (src_a, env_a, act_a, pm_a, tw_a), (src_b, env_b, act_b, pm_b, tw_b) = (
+        _result_parts(a), _result_parts(b)
+    )
+    if src_a.group != src_b.group:
         raise GroupMismatch("envelopes are over different groups")
-    if a.source.algebra != b.source.algebra:
+    if src_a.algebra != src_b.algebra:
         raise MalformedInput("envelopes embed different algebras")
-    if a.envelope.n_blocks != b.envelope.n_blocks:
+    if env_a.n_blocks != env_b.n_blocks:
         return None
-    G = a.source.group
+    G = src_a.group
     seeds = []
-    for p, q in a.embedding.position_map.items():
-        aut = a.source.algebra.blocks[p].aut_group
-        f = aut.mul(b.embedding.twists[p], aut.inv(a.embedding.twists[p]))
-        seeds.append((q, b.embedding.position_map[p], f))
+    for p, q in pm_a.items():
+        aut = src_a.algebra.blocks[p].aut_group
+        seeds.append((q, pm_b[p], aut.mul(tw_b[p], aut.inv(tw_a[p]))))
     twists = (
-        [a.action[g].twists for g in G.elements()], [b.action[g].twists for g in G.elements()],
-        [blk.aut_group for blk in a.envelope.blocks],
-        lambda p, q: a.envelope.blocks[p] == b.envelope.blocks[q],
+        [act_a[g].twists for g in G.elements()], [act_b[g].twists for g in G.elements()],
+        [blk.aut_group for blk in env_a.blocks],
+        lambda p, q: env_a.blocks[p] == env_b.blocks[q],
     )
     found = _equivariant_bijection(
-        G, [a.action[g].position_map for g in G.elements()],
-        [b.action[g].position_map for g in G.elements()],
-        a.envelope.positions(), b.envelope.positions(), seeds, twists,
+        G, [act_a[g].position_map for g in G.elements()],
+        [act_b[g].position_map for g in G.elements()],
+        env_a.positions(), env_b.positions(), seeds, twists,
     )
     if found is None:
         return None
     try:
-        return WreathMap(a.envelope.full_ideal(), b.envelope.full_ideal(), *found)
+        return WreathMap(env_a.full_ideal(), env_b.full_ideal(), *found)
     except PartialActionError as exc:
         raise InternalInconsistency(f"equivalence search built no isomorphism: {exc}") from exc
 

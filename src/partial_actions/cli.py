@@ -134,29 +134,21 @@ def cmd_verify(args) -> int:
 
 def _render_factorization_text(cf, report=None) -> str:
     G = cf.group
-    lines = []
     header = f"{'(g, g_i)':<18} {'j':<8} {'h':<8}"
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [header, "-" * len(header)]
     annotations = {}
     if report is not None:
         for row in report.checked:
-            key = (row.g, row.g_i)
-            if row.matches:
-                annotations[key] = "MATCH"
-            else:
-                annotations[key] = (
-                    f"MISMATCH (claimed j={G.name(row.claimed_j)}, h={G.name(row.claimed_h)})"
-                )
-        for g, g_i, _, _ in report.missing:
-            annotations[(g, g_i)] = "MISSING from claim"
+            annotations[row.g, row.g_i] = "MATCH" if row.matches else (
+                f"MISMATCH (claimed j={G.name(row.claimed_j)}, h={G.name(row.claimed_h)})"
+            )
+        annotations.update(((g, g_i), "MISSING from claim") for g, g_i, _, _ in report.missing)
     for g, g_i, j, h in cf.rows():
         pair = f"({G.name(g)},{G.name(g_i)})"
         note = f"  {annotations[(g, g_i)]}" if (g, g_i) in annotations else ""
         lines.append(f"{pair:<18} {G.name(j):<8} {G.name(h):<8}{note}")
     if report is not None:
-        lines.append("")
-        lines.append(report.render_text().splitlines()[-1])
+        lines += ["", report.render_text().splitlines()[-1]]
     return "\n".join(lines)
 
 
@@ -174,20 +166,18 @@ def cmd_factorize(args) -> int:
             for r in claims
         ):
             raise DocumentError("rows must be a list of [g, g_i, j, h] element labels", "$.rows")
-        rows = []
         for i, r in enumerate(claims):
             try:
-                g, g_i, j, h = (G.resolve(x) for x in r)
-                cf.transversal.rep_position(g_i)
+                _, g_i, _, _ = map(G.resolve, r)
+                cf.rep_position(g_i)
             except UnknownElement as exc:
                 raise DocumentError(f"{type(exc).__name__}: {exc}", f"$.rows[{i}]") from exc
-            rows.append(((g, g_i), j, h))
-        report = cross_validate_table(cf, rows)
+        report = cross_validate_table(cf, [((g, g_i), j, h) for g, g_i, j, h in claims])
     if args.format == "json":
         payload = {
             "group": group_to_doc(G),
             "subgroup": [G.name(m) for m in H.members],
-            "transversal": [G.name(r) for r in cf.transversal.reps],
+            "transversal": [G.name(r) for r in cf.reps],
             "rows": [
                 {"g": G.name(g), "g_i": G.name(g_i), "j": G.name(j), "h": G.name(h)}
                 for g, g_i, j, h in cf.rows()

@@ -227,17 +227,12 @@ def parse_set_action(
     for key, pairs in _section(doc, "maps", path).items():
         g = _resolve_element(G, key, f"{path}.maps")
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
-        if pairs.keys() <= lookup.keys() and _all_in(pairs.values(), kinds, points):
-            maps[g] = dict(zip(map(lookup.__getitem__, pairs), pairs.values()))
-            continue
-        m = {}
-        for k, v in pairs.items():  # keys are JSON strings; values keep their type
-            _require(str(k) in lookup, f"point {k!r} not in the carrier", f"{path}.maps.{key}")
-            point = lookup.get(str(v), _ABSENT)
-            if type(point) is not type(v):
-                raise DocumentError(f"point {v!r} not in the carrier", f"{path}.maps.{key}")
-            m[lookup[str(k)]] = point
-        maps[g] = m
+        if not (pairs.keys() <= lookup.keys() and _all_in(pairs.values(), kinds, points)):
+            for k, v in pairs.items():  # name the first key or value outside the carrier
+                _require(k in lookup, f"point {k!r} not in the carrier", f"{path}.maps.{key}")
+                if type(lookup.get(str(v), _ABSENT)) is not type(v):  # values keep their JSON type
+                    raise DocumentError(f"point {v!r} not in the carrier", f"{path}.maps.{key}")
+        maps[g] = dict(zip(map(lookup.__getitem__, pairs), pairs.values()))
     try:
         return SetPartialAction(G, carrier, domains, maps)
     except PartialActionError as exc:

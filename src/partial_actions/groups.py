@@ -1,5 +1,6 @@
-"""Finite groups given by multiplication tables, subgroups, left transversals,
-and the coset-factorization maps j and h.
+"""Finite groups given by multiplication tables, subgroups, and the
+coset-factorization maps j and h over the left transversal that
+:func:`_cosets` numbers.
 
 Elements are integers 0..order-1; ``table[a][b]`` is the product a*b.  For
 permutation groups the product follows right-to-left function composition:
@@ -396,52 +397,6 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return sorted(seen.values(), key=lambda H: (H.order, H.members))
 
 
-class LeftTransversal(Frozen):
-    """One representative per left coset gH, ``reps[0]`` the identity.
-    :func:`left_transversal` builds the one that :func:`_cosets` numbers."""
-
-    _fields = ("subgroup", "reps")
-
-    def __init__(self, subgroup: Subgroup, reps: tuple[int, ...]):
-        object.__setattr__(self, "subgroup", subgroup)
-        object.__setattr__(self, "reps", reps)
-        G = self.group
-        H = self.subgroup
-        if not self.reps or self.reps[0] != G.identity:
-            raise InternalInconsistency("transversal must start with the identity")
-        covered: dict[int, int] = {}
-        for pos, rep in enumerate(self.reps):
-            for h in H.members:
-                x = G.mul(rep, h)
-                if x in covered:
-                    raise InternalInconsistency(
-                        f"cosets of {G.name(self.reps[covered[x]])} and {G.name(rep)} overlap"
-                    )
-                covered[x] = pos
-        if len(covered) != G.order:
-            raise InternalInconsistency("cosets do not cover the group")
-        object.__setattr__(self, "_coset_position", covered)
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self.subgroup.parent
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-    def coset_position(self, element: int) -> int:
-        """Index i with element ∈ reps[i]·H."""
-        return self._coset_position[element]  # type: ignore[attr-defined]
-
-    def rep_position(self, rep: int) -> int:
-        try:
-            return self.reps.index(rep)
-        except ValueError:
-            raise UnknownElement(
-                f"{self.group.name(rep)} is not a transversal representative"
-            ) from None
-
-
 def _cosets(G: FiniteGroup, members: Sequence[int]) -> tuple[list[int], list[int]]:
     """(reps, coset) for the subgroup H with these members: ``coset[g]`` is
     the index of gH, H is coset 0 with representative e, and the other
@@ -460,66 +415,67 @@ def _cosets(G: FiniteGroup, members: Sequence[int]) -> tuple[list[int], list[int
     return reps, coset
 
 
-def left_transversal(G: FiniteGroup, H: Subgroup) -> LeftTransversal:
-    """Deterministic left transversal of H in G, as :func:`_cosets` numbers it."""
-    if H.parent is not G and H.parent != G:
-        raise NotASubgroup("subgroup belongs to a different group")
-    return LeftTransversal(H, tuple(_cosets(G, H.members)[0]))
-
-
 class CosetFactorization(Frozen):
     """The maps j and h defined by g*g_i = j(g,g_i)*h(g,g_i).
 
-    ``j_table[g][i]`` is the transversal *position* of j(g, reps[i]);
-    ``h_table[g][i]`` is the element index of h(g, reps[i]), a member of H.
+    ``reps`` is the left transversal of ``subgroup`` that :func:`_cosets`
+    numbers, ``reps[0]`` the identity.  ``j_table[g][i]`` is the position
+    in ``reps`` of j(g, reps[i]); ``h_table[g][i]`` is the element index of
+    h(g, reps[i]), a member of H.
     """
 
-    _fields = ("transversal", "j_table", "h_table")
+    _fields = ("subgroup", "reps", "j_table", "h_table")
 
     def __init__(
         self,
-        transversal: LeftTransversal,
+        subgroup: Subgroup,
+        reps: tuple[int, ...],
         j_table: tuple[tuple[int, ...], ...],
         h_table: tuple[tuple[int, ...], ...],
     ):
-        object.__setattr__(self, "transversal", transversal)
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "j_table", j_table)
         object.__setattr__(self, "h_table", h_table)
 
     @property
     def group(self) -> FiniteGroup:
-        return self.transversal.group
+        return self.subgroup.parent
 
-    @property
-    def subgroup(self) -> Subgroup:
-        return self.transversal.subgroup
+    def rep_position(self, rep: int) -> int:
+        try:
+            return self.reps.index(rep)
+        except ValueError:
+            raise UnknownElement(
+                f"{self.group.name(rep)} is not a transversal representative"
+            ) from None
 
     def j(self, g: int, g_i: int) -> int:
         """The transversal element j(g, g_i)."""
-        i = self.transversal.rep_position(g_i)
-        return self.transversal.reps[self.j_table[g][i]]
+        return self.reps[self.j_table[g][self.rep_position(g_i)]]
 
     def h(self, g: int, g_i: int) -> int:
         """The subgroup element h(g, g_i)."""
-        return self.h_table[g][self.transversal.rep_position(g_i)]
+        return self.h_table[g][self.rep_position(g_i)]
 
     def rows(self) -> list[tuple[int, int, int, int]]:
         """All (g, g_i, j, h) rows, g-major then transversal order."""
-        out = []
-        for g in self.group.elements():
-            for i, g_i in enumerate(self.transversal.reps):
-                out.append((g, g_i, self.transversal.reps[self.j_table[g][i]], self.h_table[g][i]))
-        return out
+        return [
+            (g, g_i, self.reps[self.j_table[g][i]], self.h_table[g][i])
+            for g in self.group.elements() for i, g_i in enumerate(self.reps)
+        ]
 
 
 def coset_factorize(G: FiniteGroup, H: Subgroup) -> CosetFactorization:
-    """Compute j and h for every (g, g_i), g_i in ``left_transversal(G, H)``,
-    and verify the factorization laws.
+    """Compute j and h for every (g, g_i), g_i in the transversal that
+    :func:`_cosets` numbers, j from its coset numbering and h as
+    g_j^-1*g*g_i, and verify the factorization laws.
 
-    Verified before returning: the defining equality g*g_i = j*h, the
-    identity rows j(e,g_i)=g_i and h(e,g_i)=e, that g_i -> j(g,g_i) permutes
-    the transversal for each g, and the cocycle identities
-    j(gt,g_i)=j(g,j(t,g_i)) and h(gt,g_i)=h(g,j(t,g_i))*h(t,g_i) for all g, t.
+    Verified before returning: h lies in H, the defining equality
+    g*g_i = j*h, that g_i -> j(g,g_i) permutes the transversal for each g,
+    the identity rows j(e,g_i)=g_i and h(e,g_i)=e, and the cocycle
+    identities j(gt,g_i)=j(g,j(t,g_i)) and h(gt,g_i)=h(g,j(t,g_i))*h(t,g_i)
+    for all g, t.
 
     The cocycle identities are checked for t in ``G.generators`` only, which
     is exact.  Every t is a product t's with s a generator and t' shorter
@@ -532,47 +488,42 @@ def coset_factorize(G: FiniteGroup, H: Subgroup) -> CosetFactorization:
     the last step by associativity in G.
 
     Raises:
+        NotASubgroup: H is a subgroup of another group.
         InternalInconsistency: if any of those laws fails (unreachable for a
-            valid transversal).
+            group table).
     """
-    transversal = left_transversal(G, H)
-    reps = transversal.reps
-    t = len(reps)
-    j_rows = []
-    h_rows = []
+    if H.parent is not G and H.parent != G:
+        raise NotASubgroup("subgroup belongs to a different group")
+    reps, coset = _cosets(G, H.members)
+    mul, inv = G.table, G.inverses
+    positions = list(range(len(reps)))
+    j_rows, h_rows = [], []
     for g in G.elements():
-        j_row = []
-        h_row = []
-        for g_i in reps:
-            p = G.mul(g, g_i)
-            pos = transversal.coset_position(p)
-            h_elem = G.mul(G.inv(reps[pos]), p)
+        products = [mul[g][g_i] for g_i in reps]
+        j_row = tuple([coset[p] for p in products])
+        h_row = tuple([mul[inv[reps[j]]][p] for j, p in zip(j_row, products)])
+        for j, p, h_elem in zip(j_row, products, h_row):
             if h_elem not in H:
                 raise InternalInconsistency("factor h landed outside the subgroup")
-            if G.mul(reps[pos], h_elem) != p:
+            if mul[reps[j]][h_elem] != p:
                 raise InternalInconsistency("defining equality g*g_i = j*h fails")
-            j_row.append(pos)
-            h_row.append(h_elem)
-        if sorted(j_row) != list(range(t)):
+        if sorted(j_row) != positions:
             raise InternalInconsistency(f"g_i -> j({G.name(g)},g_i) is not a permutation")
-        j_rows.append(tuple(j_row))
-        h_rows.append(tuple(h_row))
-    cf = CosetFactorization(transversal, tuple(j_rows), tuple(h_rows))
+        j_rows.append(j_row)
+        h_rows.append(h_row)
     e = G.identity
-    for i, g_i in enumerate(reps):
-        if cf.j_table[e][i] != i or cf.h_table[e][i] != e:
-            raise InternalInconsistency("identity rows of j/h are wrong")
-    mul = G.table
+    if j_rows[e] != tuple(positions) or set(h_rows[e]) != {e}:
+        raise InternalInconsistency("identity rows of j/h are wrong")
     for s in G.generators:
-        j_s, h_s = cf.j_table[s], cf.h_table[s]
+        j_s, h_s = j_rows[s], h_rows[s]
         for g in G.elements():
-            j_g, h_g = cf.j_table[g], cf.h_table[g]
+            j_g, h_g = j_rows[g], h_rows[g]
             gs = mul[g][s]
-            if cf.j_table[gs] != tuple([j_g[mid] for mid in j_s]):
+            if j_rows[gs] != tuple([j_g[mid] for mid in j_s]):
                 raise InternalInconsistency("cocycle identity for j fails")
-            if cf.h_table[gs] != tuple([mul[h_g[mid]][h] for mid, h in zip(j_s, h_s)]):
+            if h_rows[gs] != tuple([mul[h_g[mid]][h] for mid, h in zip(j_s, h_s)]):
                 raise InternalInconsistency("cocycle identity for h fails")
-    return cf
+    return CosetFactorization(H, tuple(reps), tuple(j_rows), tuple(h_rows))
 
 
 class RowCheck(Frozen):
@@ -624,12 +575,9 @@ class DiscrepancyReport(Value):
         lines = []
         for row in self.checked:
             head = f"(({G.name(row.g)},{G.name(row.g_i)}))  j={G.name(row.claimed_j)}  h={G.name(row.claimed_h)}"
-            if row.matches:
-                lines.append(f"MATCH     {head}")
-            else:
-                lines.append(
-                    f"MISMATCH  {head}  corrected: j={G.name(row.computed_j)} h={G.name(row.computed_h)}"
-                )
+            lines.append(f"MATCH     {head}" if row.matches else (
+                f"MISMATCH  {head}  corrected: j={G.name(row.computed_j)} h={G.name(row.computed_h)}"
+            ))
         for g, g_i, j, h in self.missing:
             lines.append(
                 f"MISSING   (({G.name(g)},{G.name(g_i)}))  derived: j={G.name(j)} h={G.name(h)}"
@@ -683,22 +631,12 @@ def cross_validate_table(
             is not a transversal representative.
     """
     G = cf.group
-    transversal = cf.transversal
     checked: list[RowCheck] = []
     claimed_pairs = set()
     for (g_ref, gi_ref), j_ref, h_ref in claimed_rows:
-        g = G.resolve(g_ref)
-        g_i = G.resolve(gi_ref)
-        transversal.rep_position(g_i)  # raises UnknownElement for non-reps
-        claimed_j = G.resolve(j_ref)
-        claimed_h = G.resolve(h_ref)
-        checked.append(
-            RowCheck(g, g_i, claimed_j, claimed_h, cf.j(g, g_i), cf.h(g, g_i))
-        )
+        g, g_i = G.resolve(g_ref), G.resolve(gi_ref)
+        j, h = cf.j(g, g_i), cf.h(g, g_i)  # UnknownElement for a g_i that is no representative
+        checked.append(RowCheck(g, g_i, G.resolve(j_ref), G.resolve(h_ref), j, h))
         claimed_pairs.add((g, g_i))
-    missing = []
-    for g in G.elements():
-        for g_i in transversal.reps:
-            if (g, g_i) not in claimed_pairs:
-                missing.append((g, g_i, cf.j(g, g_i), cf.h(g, g_i)))
+    missing = [row for row in cf.rows() if row[:2] not in claimed_pairs]
     return DiscrepancyReport(cf, checked, missing)

@@ -575,7 +575,7 @@ class SetGlobalization:
         pair_class: dict[tuple[int, Point], int],
     ):
         self.source = source
-        self.envelope = envelope
+        self.envelope = _global_envelope(envelope)
         self.orbit_witness = orbit_witness
         for name, value in (("embedding", embedding), ("pair_class", pair_class)):
             try:
@@ -730,6 +730,23 @@ def _field(source, name: str, what: str):
         raise MalformedInput(f"{what} has no {name}") from None
 
 
+def _global_envelope(envelope) -> GlobalSetAction:
+    if not isinstance(envelope, GlobalSetAction):
+        raise MalformedInput("candidate envelope is not a global set action")
+    return envelope
+
+
+def _set_candidate(sg) -> tuple[GlobalSetAction, Mapping]:
+    """The envelope and the embedding of a set globalization candidate, read
+    as mapping keys or attributes.  MalformedInput names the first field
+    that is missing or of the wrong kind."""
+    envelope, embedding = (_field(sg, name, "candidate") for name in ("envelope", "embedding"))
+    envelope = _global_envelope(envelope)
+    if not isinstance(embedding, Mapping):
+        raise MalformedInput("candidate embedding is not a mapping")
+    return envelope, embedding
+
+
 def verify_set_globalization(spa: SetPartialAction, sg: SetGlobalization) -> VerificationReport:
     """Check the enveloping-action conditions transported to sets, by
     :func:`_verify_envelope`: an injective embedding of the carrier into
@@ -743,11 +760,7 @@ def verify_set_globalization(spa: SetPartialAction, sg: SetGlobalization) -> Ver
         GroupMismatch: the envelope is over another group than spa.
     """
     G = spa.group
-    envelope, embedding = (_field(sg, name, "candidate") for name in ("envelope", "embedding"))
-    if not isinstance(envelope, GlobalSetAction):
-        raise MalformedInput("candidate envelope is not a global set action")
-    if not isinstance(embedding, Mapping):
-        raise MalformedInput("candidate embedding is not a mapping")
+    envelope, embedding = _set_candidate(sg)
     if envelope.group != G:
         raise GroupMismatch("the envelope is over a different group than the action")
     ideal = {"undefined": "embedding is not defined on every point", "collapses": "image collapses",
@@ -829,17 +842,31 @@ def _equivariant_bijection(G, beta_a, beta_b, points_a, points_b, seeds, twists=
 
 def envelopes_equivalent(a: SetGlobalization, b: SetGlobalization) -> Optional[dict[int, int]]:
     """An equivariant bijection between two envelopes commuting with the
-    embeddings, or None when no such bijection exists."""
-    if a.envelope.group != b.envelope.group:
+    embeddings, or None when no such bijection exists.
+
+    Raises:
+        MalformedInput: a candidate, read as :func:`verify_set_globalization`
+            reads it, is malformed or embeds outside its envelope, or the
+            two embed different carriers.
+        GroupMismatch: the envelopes are over different groups.
+    """
+    (env_a, emb_a), (env_b, emb_b) = _set_candidate(a), _set_candidate(b)
+    for envelope, embedding in ((env_a, emb_a), (env_b, emb_b)):
+        try:
+            inside = set(embedding.values()) <= set(envelope.carrier)
+        except TypeError:  # an unhashable image lies in no carrier
+            inside = False
+        if not inside:
+            raise MalformedInput("embedding leaves the envelope")
+    if env_a.group != env_b.group:
         raise GroupMismatch("envelopes are over different groups")
-    if set(a.embedding) != set(b.embedding):
+    if set(emb_a) != set(emb_b):
         raise MalformedInput("envelopes embed different carriers")
-    if len(a.envelope.carrier) != len(b.envelope.carrier):
+    if len(env_a.carrier) != len(env_b.carrier):
         return None
-    seeds = [(a.embedding[x], b.embedding[x], None) for x in a.embedding]
+    seeds = [(emb_a[x], emb_b[x], None) for x in emb_a]
     found = _equivariant_bijection(
-        a.envelope.group, a.envelope.maps, b.envelope.maps,
-        a.envelope.carrier, b.envelope.carrier, seeds,
+        env_a.group, env_a.maps, env_b.maps, env_a.carrier, env_b.carrier, seeds
     )
     return None if found is None else found[0]
 

@@ -18,9 +18,12 @@ automorphism group whose identity is not element 0, an algebra of two
 classes with different automorphism groups, an inline group and algebra)
 and on the globalize-s5 and verify-mixed inputs; ``example-s3``, text and
 JSON; ``enumerate --envelopes``, text and JSON, on the enumerate-z6x4
-group at size 4 and on ``group_s3_relabelled.json`` at size 3; ``factorize --subgroup (12)``, text and JSON, on S3 with
-``--compare`` and the claimed rows of ``s3_example.CLAIMED_ROWS``, and on
-``group_s3_relabelled.json``; two ``--output`` runs in JSON,
+group at size 4 and on ``group_s3_relabelled.json`` at size 3;
+``factorize``, text and JSON, with ``--subgroup (12)`` on S3 with
+``--compare`` and the claimed rows of ``s3_example.CLAIMED_ROWS`` and on
+``group_s3_relabelled.json``, with ``--subgroup (12),(34)`` on S4 (index
+6), and on ``group_s3_relabelled.json`` (whose identity is not element 0)
+with the trivial subgroup and with ``--subgroup (123)``; two ``--output`` runs in JSON,
 ``enumerate --envelopes`` on the enumerate-z6x4 group at size 4 and
 ``globalize`` on the globalize-s5 input, whose written files are compared
 too; and four bad-input runs, which exit 2: ``verify`` on a missing file,
@@ -105,12 +108,16 @@ def factorize_runs(workdir: Path) -> list[tuple[str, list[str]]]:
     claims = workdir / "claims.json"
     rows = [[g, g_i, j, h] for (g, g_i), j, h in CLAIMED_ROWS]
     claims.write_text(json.dumps({"rows": rows}), encoding="utf-8")
+    relabelled = str(DATA / "group_s3_relabelled.json")
     return [
-        (f"factorize {label} --subgroup (12) {fmt}",
-         ["factorize", "--group", group, "--subgroup", "(12)", *extra, "--format", fmt])
+        (f"factorize {label} {fmt}", ["factorize", "--group", group, *extra, "--format", fmt])
         for label, group, extra in (
-            ("S3 --compare claims.json", "S3", ["--compare", str(claims)]),
-            ("group_s3_relabelled.json", str(DATA / "group_s3_relabelled.json"), []),
+            ("S3 --compare claims.json --subgroup (12)", "S3",
+             ["--subgroup", "(12)", "--compare", str(claims)]),
+            ("group_s3_relabelled.json --subgroup (12)", relabelled, ["--subgroup", "(12)"]),
+            ("S4 --subgroup (12),(34)", "S4", ["--subgroup", "(12),(34)"]),
+            ("group_s3_relabelled.json", relabelled, []),
+            ("group_s3_relabelled.json --subgroup (123)", relabelled, ["--subgroup", "(123)"]),
         )
         for fmt in FORMATS
     ]

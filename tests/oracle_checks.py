@@ -177,17 +177,28 @@ def wreath_action_law_failure(group, action):
     return None
 
 
-def factor_tables(G, transversal):
+def transversal_reps(G, H):
+    """The identity, then the least element of every other left coset of H,
+    ascending: each element joins when no earlier representative r has
+    r^-1*g in H."""
+    reps = [G.identity]
+    for g in G.elements():
+        if all(G.mul(G.inv(r), g) not in H for r in reps):
+            reps.append(g)
+    return reps
+
+
+def factor_tables(G, H, reps):
     """j and h tables of g*g_i = j*h, computed directly from the table, in the
-    layout of ``CosetFactorization``: j as transversal positions, h as
-    elements."""
-    reps = transversal.reps
+    layout of ``CosetFactorization``: j as positions in ``reps``, h as
+    elements.  The coset of p = g*g_i is found by brute force, as the first
+    i with reps[i]^-1*p in H."""
     j_table, h_table = [], []
     for g in G.elements():
         j_row, h_row = [], []
         for g_i in reps:
             p = G.mul(g, g_i)
-            pos = transversal.coset_position(p)
+            pos = next(i for i, r in enumerate(reps) if G.mul(G.inv(r), p) in H)
             j_row.append(pos)
             h_row.append(G.mul(G.inv(reps[pos]), p))
         j_table.append(j_row)

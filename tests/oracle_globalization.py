@@ -141,8 +141,7 @@ def globalize_extension_by_zero(block, subgroup, hom) -> GlobalizationResult:
     blk = pa.algebra.blocks[0]
     G = subgroup.parent
     cf = coset_factorize(G, subgroup)
-    transversal = cf.transversal
-    m = len(transversal)
+    m = len(cf.reps)
     envelope = block_power(blk, m)
     full = envelope.full_ideal()
     hom = dict(hom)
@@ -161,5 +160,5 @@ def globalize_extension_by_zero(block, subgroup, hom) -> GlobalizationResult:
     checks = verify_enveloping(pa, candidate)
     if not checks.ok:
         raise InternalInconsistency("constructed envelope failed its own checks")
-    provenance = tuple(G.name(r) for r in transversal.reps)
+    provenance = tuple(G.name(r) for r in cf.reps)
     return GlobalizationResult(pa, envelope, provenance, action, embedding, checks)

@@ -1,7 +1,7 @@
 """The package's value classes as the ``dataclasses`` declarations they
 replaced, kept as the oracle for their value semantics.
 
-The package writes these fourteen classes out by hand so that importing it
+The package writes these twelve classes out by hand so that importing it
 loads neither ``dataclasses`` nor ``inspect``.  Each declaration here is the
 one it replaced: the same fields, the same ``dataclass`` options and the
 ``__post_init__`` that normalizes and validates the fields.  Methods that
@@ -19,7 +19,6 @@ from typing import Mapping, Optional
 
 from partial_actions.errors import (
     ClassMismatch,
-    InternalInconsistency,
     MalformedInput,
     NotAGroup,
     NotASubgroup,
@@ -94,32 +93,9 @@ class Subgroup:
 
 
 @dataclass(frozen=True)
-class LeftTransversal:
+class CosetFactorization:
     subgroup: Subgroup
     reps: tuple[int, ...]
-
-    def __post_init__(self):
-        G = self.subgroup.parent
-        H = self.subgroup
-        if not self.reps or self.reps[0] != G.identity:
-            raise InternalInconsistency("transversal must start with the identity")
-        covered: dict[int, int] = {}
-        for pos, rep in enumerate(self.reps):
-            for h in H.members:
-                x = G.mul(rep, h)
-                if x in covered:
-                    raise InternalInconsistency(
-                        f"cosets of {G.name(self.reps[covered[x]])} and {G.name(rep)} overlap"
-                    )
-                covered[x] = pos
-        if len(covered) != G.order:
-            raise InternalInconsistency("cosets do not cover the group")
-        object.__setattr__(self, "_coset_position", covered)
-
-
-@dataclass(frozen=True)
-class CosetFactorization:
-    transversal: LeftTransversal
     j_table: tuple[tuple[int, ...], ...]
     h_table: tuple[tuple[int, ...], ...]
 
@@ -258,7 +234,7 @@ class Workbench:
 ORACLES = {
     cls.__name__: cls
     for cls in (
-        FiniteGroup, Subgroup, LeftTransversal, CosetFactorization, RowCheck, DiscrepancyReport,
+        FiniteGroup, Subgroup, CosetFactorization, RowCheck, DiscrepancyReport,
         Block, BlockAlgebra, BlockIdeal, WreathMap,
         CheckItem, VerificationReport, Workbench,
     )

@@ -176,11 +176,11 @@ def test_criterion_5_cocycle_identities():
             for g in G.elements():
                 for t in G.elements():
                     gt = G.mul(g, t)
-                    for gi in cf.transversal.reps:
+                    for gi in cf.reps:
                         assert cf.j(gt, gi) == cf.j(g, cf.j(t, gi))
                         assert cf.h(gt, gi) == G.mul(cf.h(g, cf.j(t, gi)), cf.h(t, gi))
                         total += 1
-            assert total == G.order**2 * len(cf.transversal)
+            assert total == G.order**2 * len(cf.reps)
 
 
 def test_criterion_6_global_parts_are_subgroups(enumerated_universe):

@@ -404,6 +404,84 @@ MALFORMED_CANDIDATES = [
 ]
 
 
+def orphan_block_candidate():
+    """The extension by zero of Z2 acting trivially on one block from the
+    trivial subgroup, its envelope, and a candidate whose envelope carries
+    a third block fixed by Z2 that the orbit of the embedding misses."""
+    z2 = cyclic_group(2)
+    block = Block("L", z2)
+    H = subgroup_closure(z2, [])
+    res = globalize_extension_by_zero(block, H, {0: 0})
+    pa = extend_by_zero_algebra(block, H, {0: 0})
+    bigger = block_power(block, 3)
+    full = bigger.full_ideal()
+    action = {}
+    for g in z2.elements():
+        pm = dict(res.action[g].position_map)
+        pm[2] = 2
+        tw = dict(res.action[g].twists)
+        tw[2] = 0
+        action[g] = WreathMap(full, full, pm, tw)
+    embedding = WreathMap(pa.algebra.full_ideal(), bigger.ideal({0}), {0: 0}, {0: 0})
+    return pa, res, {"envelope": bigger, "action": action, "embedding": embedding}
+
+
+class TestEquivalenceInputs:
+    """globalizations_equivalent reads both results as verify_enveloping
+    reads a candidate, plus their ``source``."""
+
+    @pytest.mark.parametrize(
+        "malformed,message",
+        [f[1:] for f in MALFORMED_CANDIDATES],
+        ids=[f[0] for f in MALFORMED_CANDIDATES],
+    )
+    @pytest.mark.parametrize("first", [False, True], ids=["second", "first"])
+    def test_malformed_candidate_raises_naming_the_field(self, malformed, message, first):
+        pa, candidate = two_class_candidate()
+        pair = (globalize_block_power(pa), malformed(dict(candidate, source=pa)))
+        with pytest.raises(MalformedInput, match=f"^{message}$"):
+            globalizations_equivalent(*(pair[::-1] if first else pair))
+
+    def test_source_that_is_no_action_raises(self):
+        pa, candidate = two_class_candidate()
+        with pytest.raises(MalformedInput, match="^candidate has no source$"):
+            globalizations_equivalent(globalize_block_power(pa), candidate)
+        with pytest.raises(
+            MalformedInput, match="^candidate source is not an algebra partial action$"
+        ):
+            globalizations_equivalent(dict(candidate, source=5), globalize_block_power(pa))
+
+    def test_embedding_on_no_ideal_raises(self):
+        pa, candidate = two_class_candidate()
+        collapsed = dict(candidate, source=pa, embedding={"position_map": {0: 0, 1: 0},
+                                                         "twists": {0: 0, 1: 0}})
+        with pytest.raises(
+            MalformedInput, match="^candidate embedding lands on no ideal: embedding collapses blocks$"
+        ):
+            globalizations_equivalent(globalize_block_power(pa), collapsed)
+
+    def test_sources_over_different_groups_raise(self):
+        results = [
+            globalize_block_power(AlgebraPartialAction(cyclic_group(n), block_power(k_line_block(), 2)))
+            for n in (2, 3)
+        ]
+        with pytest.raises(GroupMismatch, match="^envelopes are over different groups$"):
+            globalizations_equivalent(*results)
+
+    def test_sources_on_different_algebras_raise(self):
+        G = cyclic_group(2)
+        results = [
+            globalize_block_power(AlgebraPartialAction(G, BlockAlgebra((Block(c, G),) * 2)))
+            for c in ("A", "B")
+        ]
+        with pytest.raises(MalformedInput, match="^envelopes embed different algebras$"):
+            globalizations_equivalent(*results)
+
+    def test_different_block_counts_are_not_equivalent(self):
+        pa, res, candidate = orphan_block_candidate()
+        assert globalizations_equivalent(res, dict(candidate, source=pa)) is None
+
+
 class TestVerifyEnveloping:
     @pytest.mark.parametrize(
         "malformed,message",
@@ -437,26 +515,9 @@ class TestVerifyEnveloping:
         pa = extend_by_zero_algebra(block, H, hom)
         assert verify_enveloping(pa, res).ok
 
-    def test_orphan_block_fails_covers(self, z2):
-        block = Block("L", cyclic_group(2))
-        H = subgroup_closure(z2, [])
-        res = globalize_extension_by_zero(block, H, {0: 0})
-        pa = extend_by_zero_algebra(block, H, {0: 0})
-        bigger = block_power(block, 3)
-        full = bigger.full_ideal()
-        action = {}
-        for g in z2.elements():
-            pm = dict(res.action[g].position_map)
-            pm[2] = 2
-            tw = dict(res.action[g].twists)
-            tw[2] = 0
-            action[g] = WreathMap(full, full, pm, tw)
-        embedding = WreathMap(
-            pa.algebra.full_ideal(), bigger.ideal({0}), {0: 0}, {0: 0}
-        )
-        report = verify_enveloping(
-            pa, {"envelope": bigger, "action": action, "embedding": embedding}
-        )
+    def test_orphan_block_fails_covers(self):
+        pa, _, candidate = orphan_block_candidate()
+        report = verify_enveloping(pa, candidate)
         assert not check_item(report, "covers").passed
         assert check_item(report, "ideal").passed
 

@@ -713,3 +713,17 @@ def test_script_runs(script, args, last_line):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == last_line
+
+
+def test_globalize_of_an_unknown_action_names_it(set_action_file, capsys):
+    assert main(["globalize", set_action_file, "--action", "nosuch"]) == 2
+    assert capsys.readouterr().err == "input error: no action named 'nosuch' (at $.actions)\n"
+
+
+def test_text_output_file_holds_the_printed_report(set_action_file, tmp_path, capsys):
+    out_path = tmp_path / "report.txt"
+    assert main(["verify", set_action_file]) == 0
+    printed = capsys.readouterr().out
+    assert main(["verify", set_action_file, "--output", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_path.read_bytes() == printed.encode("utf-8")

@@ -13,8 +13,8 @@ from oracle_checks import global_set_action_checks, wreath_map_checks
 from partial_actions.block_algebras import Block, BlockAlgebra, WreathMap, block_power
 from partial_actions.errors import MalformedInput
 from partial_actions.groups import (
+    coset_factorize,
     cyclic_group,
-    left_transversal,
     subgroup_closure,
     symmetric_group,
 )
@@ -145,10 +145,10 @@ def global_actions():
             g: {x: G.mul(g, x) for x in G.elements()} for g in G.elements()
         }))
     S3 = symmetric_group(3)
-    T = left_transversal(S3, subgroup_closure(S3, ["(12)"]))
-    names = {r: f"c{r}" for r in T.reps}
+    cf = coset_factorize(S3, subgroup_closure(S3, ["(12)"]))
+    names = {r: f"c{r}" for r in cf.reps}
     out.append((S3, tuple(names.values()), {
-        g: {names[r]: names[T.reps[T.coset_position(S3.mul(g, r))]] for r in T.reps}
+        g: {names[r]: names[cf.j(g, r)] for r in cf.reps}
         for g in S3.elements()
     }))
     return out

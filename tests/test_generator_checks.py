@@ -24,6 +24,7 @@ from oracle_checks import (
     factor_tables,
     scanned_report,
     set_action_law_failure,
+    transversal_reps,
     wreath_action_law_failure,
 )
 
@@ -41,7 +42,6 @@ from partial_actions.groups import (
     FiniteGroup,
     coset_factorize,
     cyclic_group,
-    left_transversal,
     make_group,
     subgroup_closure,
     symmetric_group,
@@ -207,7 +207,7 @@ def test_cocycle_identities_match_oracle(table, data):
         H = subgroup_closure(G, gens)
     else:
         H = trivial_subgroup(G)
-    failure = cocycle_failure(G, *factor_tables(G, left_transversal(G, H)))
+    failure = cocycle_failure(G, *factor_tables(G, H, transversal_reps(G, H)))
     try:
         coset_factorize(G, H)
     except InternalInconsistency as exc:
@@ -224,11 +224,9 @@ def global_set_actions():
     for G in base_groups()[:4] + (cyclic_group(5),):
         regular = {g: {x: G.mul(g, x) for x in G.elements()} for g in G.elements()}
         out.append((G, tuple(G.elements()), regular))
-        T = left_transversal(G, subgroup_closure(G, G.generators[-1:]))
-        on_cosets = {
-            g: {x: T.reps[T.coset_position(G.mul(g, x))] for x in T.reps} for g in G.elements()
-        }
-        out.append((G, T.reps, on_cosets))
+        cf = coset_factorize(G, subgroup_closure(G, G.generators[-1:]))
+        on_cosets = {g: {x: cf.j(g, x) for x in cf.reps} for g in G.elements()}
+        out.append((G, cf.reps, on_cosets))
     return tuple(out)
 
 

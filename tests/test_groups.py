@@ -5,6 +5,7 @@ from conftest import trivial_subgroup, whole_group
 from hypothesis import given, settings, strategies as st
 from oracle_enumeration import relabelled
 
+from partial_actions import groups
 from partial_actions.errors import (
     InternalInconsistency,
     NotAGroup,
@@ -14,14 +15,12 @@ from partial_actions.errors import (
 )
 from partial_actions.groups import (
     FiniteGroup,
-    LeftTransversal,
     Subgroup,
     _cosets,
     all_subgroups,
     coset_factorize,
     cross_validate_table,
     cyclic_group,
-    left_transversal,
     make_group,
     subgroup_closure,
     symmetric_group,
@@ -56,13 +55,7 @@ GROUP_FAULTS = [
      "does not contain the identity"),
     ("members not closed", lambda: Subgroup(S3, (0, 1, 2)), NotASubgroup,
      r"not closed under multiplication at \(12\)\*\(13\)"),
-    ("reps not from e", lambda: LeftTransversal(S3_SWAP, (2, 0, 3)), InternalInconsistency,
-     "transversal must start with the identity"),
-    ("overlapping cosets", lambda: LeftTransversal(S3_SWAP, (0, 1, 2)), InternalInconsistency,
-     r"cosets of 1 and \(12\) overlap"),
-    ("cosets short of G", lambda: LeftTransversal(S3_SWAP, (0, 2)), InternalInconsistency,
-     "cosets do not cover the group"),
-    ("subgroup of another group", lambda: left_transversal(cyclic_group(6), S3_SWAP),
+    ("subgroup of another group", lambda: coset_factorize(cyclic_group(6), S3_SWAP),
      NotASubgroup, "subgroup belongs to a different group"),
     ("sweep above order 12", lambda: all_subgroups(cyclic_group(13)), SizeLimit,
      "subgroup sweep is capped at order 12"),
@@ -236,28 +229,24 @@ class TestElementReferences:
 
 class TestTransversal:
     def test_s3_transversal(self, s3, s3_swap_subgroup):
-        T = left_transversal(s3, s3_swap_subgroup)
-        assert [s3.name(r) for r in T.reps] == ["1", "(13)", "(23)"]
+        cf = coset_factorize(s3, s3_swap_subgroup)
+        assert [s3.name(r) for r in cf.reps] == ["1", "(13)", "(23)"]
 
     def test_whole_group(self, s3):
-        T = left_transversal(s3, whole_group(s3))
-        assert T.reps == (s3.identity,)
+        assert coset_factorize(s3, whole_group(s3)).reps == (s3.identity,)
 
     def test_z4_index_two(self, z4):
-        H = subgroup_closure(z4, [2])
-        T = left_transversal(z4, H)
-        assert T.reps == (0, 1)
+        assert coset_factorize(z4, subgroup_closure(z4, [2])).reps == (0, 1)
 
     def test_deterministic(self, s3, s3_swap_subgroup):
-        a = left_transversal(s3, s3_swap_subgroup)
-        b = left_transversal(s3, s3_swap_subgroup)
+        a = coset_factorize(s3, s3_swap_subgroup)
+        b = coset_factorize(s3, s3_swap_subgroup)
         assert a == b and repr(a) == repr(b)
 
     def test_coset_position_covers(self, s3, s3_swap_subgroup):
-        T = left_transversal(s3, s3_swap_subgroup)
+        cf = coset_factorize(s3, s3_swap_subgroup)
         for g in s3.elements():
-            pos = T.coset_position(g)
-            h = s3.mul(s3.inv(T.reps[pos]), g)
+            h = s3.mul(s3.inv(cf.j(g, s3.identity)), g)
             assert h in s3_swap_subgroup
 
     @pytest.mark.parametrize("G", [
@@ -269,15 +258,72 @@ class TestTransversal:
         representatives are their cosets' least elements, ascending; and the
         coset numbering is constant on each gH and 0 on H."""
         for H in all_subgroups(G):
-            T = left_transversal(G, H)
-            reps, coset = _cosets(G, H.members)
-            assert T.reps == tuple(reps) and T.reps[0] == G.identity
-            blocks = [{G.mul(r, h) for h in H.members} for r in T.reps]
-            assert [min(b) for b in blocks[1:]] == sorted(T.reps[1:]) == list(T.reps[1:])
+            reps = coset_factorize(G, H).reps
+            numbered, coset = _cosets(G, H.members)
+            assert reps == tuple(numbered) and reps[0] == G.identity
+            blocks = [{G.mul(r, h) for h in H.members} for r in reps]
+            assert [min(b) for b in blocks[1:]] == sorted(reps[1:]) == list(reps[1:])
             assert sorted(x for b in blocks for x in b) == list(G.elements())
             for i, b in enumerate(blocks):
-                assert {coset[x] for x in b} == {T.coset_position(x) for x in b} == {i}
+                assert {coset[x] for x in b} == {i}
             assert {coset[h] for h in H.members} == {0}
+
+
+def _loop(table):
+    """A Latin square with identity 0 and two-sided inverses, built directly
+    so that no associativity scan runs."""
+    n = len(table)
+    inverses = tuple(next(b for b in range(n) if table[a][b] == 0) for a in range(n))
+    return FiniteGroup(tuple(map(tuple, table)), 0, tuple(map(str, range(n))), inverses)
+
+
+class TestFactorizationSelfChecks:
+    """Each law that coset_factorize verifies still fires on a numbering or
+    a table that breaks it."""
+
+    def _patched(self, monkeypatch, wrong):
+        real = groups._cosets
+        monkeypatch.setattr(groups, "_cosets", lambda G, members: wrong(*real(G, members)))
+
+    def test_h_outside_the_subgroup(self, monkeypatch, s3, s3_swap_subgroup):
+        # cosets 1 and 2 swap numbers, so g_j^-1*g*g_i leaves H
+        self._patched(monkeypatch, lambda reps, coset: (reps, [(3 - c) % 3 for c in coset]))
+        with pytest.raises(InternalInconsistency, match="^factor h landed outside the subgroup$"):
+            coset_factorize(s3, s3_swap_subgroup)
+
+    def test_j_not_a_permutation(self, monkeypatch, s3, s3_swap_subgroup):
+        # a second representative of coset 1: j(1, .) hits position 1 twice
+        self._patched(monkeypatch, lambda reps, coset: (reps + reps[1:2], coset))
+        with pytest.raises(InternalInconsistency, match=r"^g_i -> j\(1,g_i\) is not a permutation$"):
+            coset_factorize(s3, s3_swap_subgroup)
+
+    def test_defining_equality(self):
+        # 2 = 1*4 lies in the coset of 1, and 1^-1*2 = 1*2 = 3 lies in
+        # H = {0, 3, 4}, but 1*3 = 5, not 2
+        G = _loop([
+            [0, 1, 2, 3, 4, 5],
+            [1, 0, 3, 5, 2, 4],
+            [2, 4, 0, 1, 5, 3],
+            [3, 2, 5, 4, 0, 1],
+            [4, 5, 1, 0, 3, 2],
+            [5, 3, 4, 2, 1, 0],
+        ])
+        with pytest.raises(InternalInconsistency, match=r"^defining equality g\*g_i = j\*h fails$"):
+            coset_factorize(G, Subgroup(G, (0, 3, 4)))
+
+    def test_h_cocycle(self):
+        # the row checks pass, and on this non-associative table the h
+        # identity fails at a pair where the j identity still holds
+        G = _loop([
+            [0, 1, 2, 3, 4, 5],
+            [1, 0, 5, 4, 3, 2],
+            [2, 3, 0, 1, 5, 4],
+            [3, 4, 1, 5, 2, 0],
+            [4, 5, 3, 2, 0, 1],
+            [5, 2, 4, 0, 1, 3],
+        ])
+        with pytest.raises(InternalInconsistency, match="^cocycle identity for h fails$"):
+            coset_factorize(G, Subgroup(G, (0, 3, 5)))
 
 
 class TestCosetFactorization:
@@ -290,7 +336,7 @@ class TestCosetFactorization:
 
     def test_identity_rows(self, s3, s3_swap_subgroup):
         cf = coset_factorize(s3, s3_swap_subgroup)
-        for gi in cf.transversal.reps:
+        for gi in cf.reps:
             assert cf.j(s3.identity, gi) == gi
             assert cf.h(s3.identity, gi) == s3.identity
 
@@ -308,7 +354,7 @@ class TestCosetFactorization:
 
     def test_whole_group_factorization(self, s3):
         cf = coset_factorize(s3, whole_group(s3))
-        assert len(cf.transversal) == 1
+        assert len(cf.reps) == 1
         for g in s3.elements():
             assert cf.h(g, s3.identity) == g
 
@@ -326,7 +372,7 @@ class TestCosetFactorization:
         G = make()
         H = subgroup_closure(G, gens)
         cf = coset_factorize(G, H)
-        reps = cf.transversal.reps
+        reps = cf.reps
         for g in G.elements():
             for t in G.elements():
                 gt = G.mul(g, t)
@@ -350,7 +396,7 @@ class TestCosetFactorization:
 
     def test_j_row_is_permutation(self, s3, s3_swap_subgroup):
         cf = coset_factorize(s3, s3_swap_subgroup)
-        t = len(cf.transversal)
+        t = len(cf.reps)
         for g in s3.elements():
             assert sorted(cf.j_table[g]) == list(range(t))
 
@@ -399,7 +445,7 @@ def test_factorization_laws_random_subgroups(data):
     cf = coset_factorize(G, H)
     g = data.draw(st.integers(0, G.order - 1))
     t = data.draw(st.integers(0, G.order - 1))
-    for gi in cf.transversal.reps:
+    for gi in cf.reps:
         assert G.mul(g, gi) == G.mul(cf.j(g, gi), cf.h(g, gi))
         assert cf.h(g, gi) in H
         assert cf.j(G.mul(g, t), gi) == cf.j(g, cf.j(t, gi))
@@ -411,6 +457,6 @@ def test_transversal_first_rep_is_identity(data):
     G = data.draw(_group_pool())
     gens = data.draw(st.sets(st.integers(0, G.order - 1), max_size=2))
     H = subgroup_closure(G, gens)
-    T = left_transversal(G, H)
-    assert T.reps[0] == G.identity
-    assert len(T.reps) * H.order == G.order
+    reps = coset_factorize(G, H).reps
+    assert reps[0] == G.identity
+    assert len(reps) * H.order == G.order

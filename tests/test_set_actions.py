@@ -339,6 +339,10 @@ SET_CANDIDATE_FAULTS = [
     )), "candidate envelope is not a global set action"),
     ("embedding is 5", lambda spa, sg: (spa, SetGlobalization(spa, sg.envelope, 5, (), {})),
      "embedding is not a mapping"),
+    ("mapping with envelope 5", lambda spa, sg: (spa, {"envelope": 5, "embedding": sg.embedding}),
+     "candidate envelope is not a global set action"),
+    ("mapping with embedding 5", lambda spa, sg: (spa, {"envelope": sg.envelope, "embedding": 5}),
+     "candidate embedding is not a mapping"),
 ]
 
 
@@ -509,6 +513,44 @@ class TestEquivalence:
 
         fwd = equivalent(padded("x"), padded("y"))
         assert fwd == {0: 0, 1: 1}
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [f[1:] for f in SET_CANDIDATE_FAULTS],
+        ids=[f[0] for f in SET_CANDIDATE_FAULTS],
+    )
+    @pytest.mark.parametrize("first", [False, True], ids=["second", "first"])
+    def test_malformed_candidate_raises(self, mutate, message, first):
+        spa, sg = fixed_point_candidate()
+        with pytest.raises(MalformedInput) as info:
+            pair = (sg, mutate(spa, sg)[1])
+            envelopes_equivalent(*(pair[::-1] if first else pair))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("image", [7, [1]], ids=["leaves", "unhashable"])
+    def test_embedding_off_the_envelope_raises(self, image):
+        spa, sg = fixed_point_candidate()
+        _, bad = _set_embedding({"a": 0, "b": image})(spa, sg)
+        for pair in ((sg, bad), (bad, sg)):
+            with pytest.raises(MalformedInput, match="^embedding leaves the envelope$"):
+                envelopes_equivalent(*pair)
+
+
+    def test_envelope_that_is_no_global_action_is_refused(self):
+        # so that size and repr never meet one
+        spa, sg = fixed_point_candidate()
+        with pytest.raises(MalformedInput, match="^candidate envelope is not a global set action$"):
+            SetGlobalization(spa, 5, sg.embedding, sg.orbit_witness, sg.pair_class)
+
+    def test_envelopes_over_different_groups_raise(self):
+        a, b = (globalize_set(SetPartialAction(cyclic_group(n), (0, 1))) for n in (2, 3))
+        with pytest.raises(GroupMismatch, match="^envelopes are over different groups$"):
+            envelopes_equivalent(a, b)
+
+    def test_envelopes_of_different_carriers_raise(self, z2):
+        a, b = (globalize_set(SetPartialAction(z2, (x,))) for x in ("p", "q"))
+        with pytest.raises(MalformedInput, match="^envelopes embed different carriers$"):
+            envelopes_equivalent(a, b)
 
 
 def _swapped_copies(spa):

@@ -57,7 +57,6 @@ def _instances() -> dict[str, list]:
         for H in all_subgroups(G):
             found["Subgroup"].append(H)
             cf = coset_factorize(G, H)
-            found["LeftTransversal"].append(cf.transversal)
             found["CosetFactorization"].append(cf)
             claimed = [((g, gi), j, h) for g, gi, j, h in cf.rows()[:3]]
             claimed.append(((claimed[0][0]), claimed[0][2], G.inv(claimed[0][2])))
