@@ -286,6 +286,8 @@ class GlobalizationResult:
         embedding: WreathMap,
         checks: VerificationReport,
     ):
+        if not isinstance(envelope, BlockAlgebra):
+            raise MalformedInput("candidate envelope is not a block algebra")
         self.source = source
         self.envelope = envelope
         self.provenance = provenance
@@ -340,10 +342,10 @@ def verify_enveloping(pa: AlgebraPartialAction, candidate) -> VerificationReport
     ``twists``).
 
     That beta is a global action is checked as beta_g∘beta_t = beta_gt for
-    every g and for t in ``G.generators``, which is exact given beta_e = id:
-    every t is t's with s a generator and t' shorter, and by induction on
-    the length of t, since wreath composition is associative,
-    beta_g∘beta_t = (beta_g∘beta_t')∘beta_s = beta_gt'∘beta_s = beta_gt.
+    every g and for t in ``G.generators``, exact given beta_e = id as
+    :func:`groups._law_failures` proves.  The loop is not that function's:
+    several classes need one twist table per position, and perfbench's
+    globalize-s5 workload counts this loop's ``wreath_compose`` calls.
 
     Raises:
         MalformedInput: the candidate lacks a field or has one of the wrong

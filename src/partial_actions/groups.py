@@ -152,6 +152,31 @@ def _right_generators(table: Sequence[Sequence[int]], identity: int) -> tuple[in
     return tuple(sorted(gens))
 
 
+def _law_failures(table, gens, maps, images, twists=None, mul=None):
+    """Each (g, s), s in ``gens``, where beta_g∘beta_s != beta_gs, s-major.
+
+    ``table`` is G's product; ``maps[g]`` (tuple or dict) sends a point to
+    its beta_g image, ``images[g]`` is the tuple of those images in one
+    order of the points, and ``twists[g][p]``, if given, is beta_g's twist
+    at position p = 0..n-1, composed by ``mul`` as in ``wreath_compose``.
+
+    Given beta_e = id, s in a set S generating G by left-bracketed products
+    suffices: each t != e is t's with s in S and t' shorter, and by
+    induction on the length of t, as composition and G's product associate,
+    beta_g∘beta_t = beta_g∘beta_t'∘beta_s = beta_gt'∘beta_s = beta_(gt')s = beta_gt.
+    """
+    for s in gens:
+        images_s = images[s]
+        for g, row in enumerate(table):
+            gs, m = row[s], maps[g]
+            if tuple([m[y] for y in images_s]) != images[gs]:
+                yield g, s
+            elif twists is not None:
+                tw_g = twists[g]
+                if tuple([mul[tw_g[q]][f] for q, f in zip(images_s, twists[s])]) != twists[gs]:
+                    yield g, s
+
+
 def _check_latin(table: Sequence[Sequence[int]]) -> None:
     n = len(table)
     full = frozenset(range(n))
@@ -174,14 +199,11 @@ def _find_identity(table: Sequence[Sequence[int]]) -> int:
 
 
 def _compute_inverses(table: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
-    n = len(table)
-    inverses = []
-    for a in range(n):
-        candidates = [b for b in range(n) if table[a][b] == identity and table[b][a] == identity]
-        if len(candidates) != 1:
-            raise NotAGroup(f"element {a} has {len(candidates)} two-sided inverses")
-        inverses.append(candidates[0])
-    return tuple(inverses)
+    inverses = tuple(row.index(identity) for row in table)  # a Latin row holds e once
+    for a, b in enumerate(inverses):
+        if table[b][a] != identity:
+            raise NotAGroup(f"element {a} has 0 two-sided inverses")
+    return inverses
 
 
 def make_group(
@@ -195,13 +217,14 @@ def make_group(
     (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961): it
     checks (a*b)*c = a*(b*c) for every a, c and every b in a set S that
     generates the table by left-bracketed products, O(n^2 |S|) instead of
-    O(n^3).  This is exact in any table with a two-sided identity e, so it
-    stays sound on a non-associative input: the set B of b that associate
-    with every a and c contains e, and is closed under the product, since
-    for b1, b2 in B, (a*(b1*b2))*c = ((a*b1)*b2)*c = (a*b1)*(b2*c)
-    = a*(b1*(b2*c)) = a*((b1*b2)*c).  B contains S, hence every
-    left-bracketed product of S, which is the whole table.  Tables larger
-    than ``MAX_TABLE_ORDER`` are rejected.
+    O(n^3), by :func:`_law_failures` on the rows (row a sends c to a*c),
+    naming the least failing b, a, then c.  Unlike the proof there, this is
+    exact in any table with a two-sided identity e, associative or not: the
+    set B of b that associate with every a and c contains e, and is closed
+    under the product, since for b1, b2 in B, (a*(b1*b2))*c = ((a*b1)*b2)*c
+    = (a*b1)*(b2*c) = a*(b1*(b2*c)) = a*((b1*b2)*c).  B contains S, hence
+    every left-bracketed product of S, which is the whole table.  Tables
+    larger than ``MAX_TABLE_ORDER`` are rejected.
 
     Raises:
         NotAGroup: some group axiom fails.
@@ -223,15 +246,11 @@ def make_group(
     _check_latin(rows)
     identity = _find_identity(rows)
     inverses = _compute_inverses(rows, identity)
-    for b in _right_generators(rows, identity):
-        for a in range(n):
-            ab = rows[a][b]
-            for c in range(n):
-                if rows[ab][c] != rows[a][rows[b][c]]:
-                    raise NotAGroup(
-                        f"associativity fails at ({a},{b},{c}): "
-                        f"({a}*{b})*{c} != {a}*({b}*{c})"
-                    )
+    failure = next(_law_failures(rows, _right_generators(rows, identity), rows, rows), None)
+    if failure is not None:
+        a, b = failure
+        c = next(c for c in range(n) if rows[rows[a][b]][c] != rows[a][rows[b][c]])
+        raise NotAGroup(f"associativity fails at ({a},{b},{c}): ({a}*{b})*{c} != {a}*({b}*{c})")
     if names is None:
         name_tuple = tuple(str(i) for i in range(n))
     else:
@@ -473,19 +492,13 @@ def coset_factorize(G: FiniteGroup, H: Subgroup) -> CosetFactorization:
 
     Verified before returning: h lies in H, the defining equality
     g*g_i = j*h, that g_i -> j(g,g_i) permutes the transversal for each g,
-    the identity rows j(e,g_i)=g_i and h(e,g_i)=e, and the cocycle
-    identities j(gt,g_i)=j(g,j(t,g_i)) and h(gt,g_i)=h(g,j(t,g_i))*h(t,g_i)
-    for all g, t.
-
-    The cocycle identities are checked for t in ``G.generators`` only, which
-    is exact.  Every t is a product t's with s a generator and t' shorter
-    (or t = e, where the identity rows give both identities).  By induction
-    on the length of t, with the identities for (gt', s), (g, t') and
-    (t', s):
-    j(gt,g_i) = j(gt', j(s,g_i)) = j(g, j(t', j(s,g_i))) = j(g, j(t,g_i)), and
-    h(gt,g_i) = h(gt', j(s,g_i))*h(s,g_i)
-    = h(g, j(t', j(s,g_i)))*h(t', j(s,g_i))*h(s,g_i) = h(g, j(t,g_i))*h(t,g_i),
-    the last step by associativity in G.
+    and the cocycle identities j(gt,g_i)=j(g,j(t,g_i)) and
+    h(gt,g_i)=h(g,j(t,g_i))*h(t,g_i) for all g, t: the law of a global
+    action beta_g, sending i to j(g,g_i) with twist h(g,g_i), checked by
+    :func:`_law_failures` for t in ``G.generators``, naming the least
+    failing t, then g, j before h.  beta_e = id holds by construction: e is
+    a two-sided identity and ``_cosets`` puts each g_i in coset i, so
+    j(e,g_i) = g_i, and h(e,g_i) = g_i^-1*g_i = e.
 
     Raises:
         NotASubgroup: H is a subgroup of another group.
@@ -511,18 +524,11 @@ def coset_factorize(G: FiniteGroup, H: Subgroup) -> CosetFactorization:
             raise InternalInconsistency(f"g_i -> j({G.name(g)},g_i) is not a permutation")
         j_rows.append(j_row)
         h_rows.append(h_row)
-    e = G.identity
-    if j_rows[e] != tuple(positions) or set(h_rows[e]) != {e}:
-        raise InternalInconsistency("identity rows of j/h are wrong")
-    for s in G.generators:
-        j_s, h_s = j_rows[s], h_rows[s]
-        for g in G.elements():
-            j_g, h_g = j_rows[g], h_rows[g]
-            gs = mul[g][s]
-            if j_rows[gs] != tuple([j_g[mid] for mid in j_s]):
-                raise InternalInconsistency("cocycle identity for j fails")
-            if h_rows[gs] != tuple([mul[h_g[mid]][h] for mid, h in zip(j_s, h_s)]):
-                raise InternalInconsistency("cocycle identity for h fails")
+    failure = next(_law_failures(mul, G.generators, j_rows, j_rows, h_rows, mul), None)
+    if failure is not None:
+        g, s = failure
+        which = "j" if tuple(map(j_rows[g].__getitem__, j_rows[s])) != j_rows[mul[g][s]] else "h"
+        raise InternalInconsistency(f"cocycle identity for {which} fails")
     return CosetFactorization(H, tuple(reps), tuple(j_rows), tuple(h_rows))
 
 

@@ -20,13 +20,12 @@ from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 
 from .errors import (
     GroupMismatch,
-    InternalInconsistency,
     MalformedInput,
     NotASubgroup,
     SizeLimit,
     TwistTransportConflict,
 )
-from .groups import FiniteGroup, Subgroup, _cosets, all_subgroups, coset_factorize
+from .groups import FiniteGroup, Subgroup, _cosets, _law_failures, all_subgroups, coset_factorize
 from .reporting import VerificationReport
 
 Point = Hashable
@@ -183,19 +182,16 @@ class GlobalSetAction(SetPartialAction):
 
     The constructor checks, in this order, that every map is a bijection of
     the carrier, that the identity acts trivially and that the action law
-    alpha_g(alpha_t(x)) = alpha_gt(x) holds, and raises MalformedInput at
-    the first failure.  The law is checked for every g and x and for t in
-    ``group.generators``, which is exact: every t is t's with s a generator
-    and t' shorter (or t = e, covered by the identity check), and by
-    induction on the length of t, since composition of maps is associative,
-    alpha_g∘alpha_t = (alpha_g∘alpha_t')∘alpha_s = alpha_gt'∘alpha_s = alpha_gt.
+    alpha_g(alpha_t(x)) = alpha_gt(x) holds for t in ``group.generators``
+    (:func:`groups._law_failures`, exact given the identity), and raises
+    MalformedInput at the first failure, the least failing g, then t.
 
     Each check is a whole-structure or whole-list operation: one pass over
     the maps (:func:`_whole_maps`; the checks of :class:`SetPartialAction`
-    run only when it rejects), then one list comparison per pair (g, t), g
-    the outer loop, with each map read once as its images in carrier order.
-    That is O(|G|·|S|·n) for n points and |S| <= log2 |G| generators, with
-    the per-point loop run only to name the first failing x.
+    run only when it rejects), then one tuple comparison per pair (g, t),
+    with each map read once as its images in carrier order.  That is
+    O(|G|·|S|·n) for n points and |S| <= log2 |G| generators, with the
+    per-point loop run only to name the first failing x.
     ``tests/oracle_checks.py`` keeps the per-entry checks as the oracle.
     """
 
@@ -212,20 +208,16 @@ class GlobalSetAction(SetPartialAction):
             self.group, (self.carrier, self.maps) = group, whole
             self._pos = {x: i for i, x in enumerate(self.carrier)}
         self.domains = dict.fromkeys(group.elements(), frozenset(self.carrier))
-        carrier = self.carrier
-        images = [list(self.maps[g].values()) for g in group.elements()]  # in carrier order
-        if images[group.identity] != list(carrier):
+        carrier, maps = self.carrier, self.maps
+        images = [tuple(maps[g].values()) for g in group.elements()]  # in carrier order
+        if images[group.identity] != carrier:
             raise MalformedInput("identity element does not act as the identity map")
-        for g in group.elements():
-            m_g, row = self.maps[g], group.table[g]
-            for t in group.generators:
-                if list(map(m_g.__getitem__, images[t])) != images[row[t]]:
-                    x = _first(
-                        x for x, y, z in zip(carrier, images[t], images[row[t]]) if m_g[y] != z
-                    )
-                    raise MalformedInput(
-                        f"action law fails: {group.name(g)}*{group.name(t)} at {x!r}"
-                    )
+        failure = min(_law_failures(group.table, group.generators, maps, images), default=None)
+        if failure is not None:
+            g, t = failure
+            m_g, gt = maps[g], group.mul(g, t)
+            x = _first(x for x, y, z in zip(carrier, images[t], images[gt]) if m_g[y] != z)
+            raise MalformedInput(f"action law fails: {group.name(g)}*{group.name(t)} at {x!r}")
 
 
 def _whole_maps(group, carrier, maps) -> Optional[tuple[tuple, dict]]:
@@ -409,9 +401,8 @@ def global_part(spa: SetPartialAction) -> tuple[Subgroup, GlobalSetAction]:
     which is a genuine global action of H.
 
     Raises:
-        InternalInconsistency: if H fails the subgroup check or the
-            restriction fails the action law, which cannot happen for a valid
-            partial action.
+        MalformedInput: the input is not a partial action: H fails the
+            subgroup check, or the restriction fails the action law.
     """
     G = spa.group
     X = frozenset(spa.carrier)
@@ -419,12 +410,12 @@ def global_part(spa: SetPartialAction) -> tuple[Subgroup, GlobalSetAction]:
     try:
         H = Subgroup(G, members)
     except NotASubgroup as exc:
-        raise InternalInconsistency(f"full-domain set is not a subgroup: {exc}") from exc
+        raise MalformedInput(f"full-domain set is not a subgroup: {exc}") from exc
     sub_maps = {k: dict(spa.maps[member]) for k, member in enumerate(H.members)}
     try:
         action = GlobalSetAction(H.as_group(), spa.carrier, sub_maps)
     except MalformedInput as exc:
-        raise InternalInconsistency(f"restriction to H is not an action: {exc}") from exc
+        raise MalformedInput(f"restriction to H is not an action: {exc}") from exc
     return H, action
 
 

@@ -26,9 +26,16 @@ group at size 4 and on ``group_s3_relabelled.json`` at size 3;
 with the trivial subgroup and with ``--subgroup (123)``; two ``--output`` runs in JSON,
 ``enumerate --envelopes`` on the enumerate-z6x4 group at size 4 and
 ``globalize`` on the globalize-s5 input, whose written files are compared
-too; and four bad-input runs, which exit 2: ``verify`` on a missing file,
+too; four bad-input runs, which exit 2: ``verify`` on a missing file,
 and ``verify``, ``globalize`` and ``enumerate --group`` on a file that is
-not JSON.
+not JSON; and two bad-table runs, which exit 2 naming the failing triple
+of associativity: ``factorize --group`` on ``group_s4_nonassociative.json``
+and ``verify`` on ``workbench_s4_nonassociative.json``, which inlines the
+same table.  That table is an order-24 Latin square with identity 0 and
+two-sided inverses, one intercalate switch away from ``symmetric_group(4)``,
+whose first failure with the middle factor b in its generating set
+(16, 17) is (2, 17, 10) scanning a first and (3, 16, 1) scanning b first,
+so the runs compare which one the check names.
 """
 
 from __future__ import annotations
@@ -136,6 +143,17 @@ def error_runs(workdir: Path) -> list[tuple[str, list[str]]]:
     ]
 
 
+def bad_table_runs() -> list[tuple[str, list[str]]]:
+    """The runs on a non-associative table, as a group file and inlined in
+    a workbench."""
+    return [
+        ("factorize --group group_s4_nonassociative.json",
+         ["factorize", "--group", str(DATA / "group_s4_nonassociative.json")]),
+        ("verify workbench_s4_nonassociative.json",
+         ["verify", str(DATA / "workbench_s4_nonassociative.json")]),
+    ]
+
+
 def run_cli(root: Path, args: list[str], cwd: Path) -> tuple[bytes, bytes, int]:
     """stdout, stderr and exit code of the CLI of the checkout at root."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
@@ -178,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         work = Path(workdir)
         runs = golden_runs() + golden_runs(("parser_corners.json",)) + seed_runs(work, args.seed)
-        runs += factorize_runs(work) + error_runs(work)
+        runs += factorize_runs(work) + error_runs(work) + bad_table_runs()
         differ = compare(args.base.resolve(), args.change.resolve(), runs)
     print(f"{len(runs)} runs, {len(differ)} differ")
     for name in differ:

@@ -4,7 +4,14 @@ The package checks associativity, the set and wreath action laws and the
 cocycle identities of a coset factorization with the middle or right factor
 restricted to a generating set.  These are the exhaustive scans they replace:
 every triple, or every pair (g, t).  Each returns the first failure it finds,
-or None.
+or None.  ``action_law_failures`` returns every failing pair of the law
+that ``groups._law_failures`` checks, point by point over all t.
+
+``lights_test_failure`` and ``generator_cocycle_failure`` are the loops of
+``make_group`` and ``coset_factorize`` over a generating set, as they were
+before both called ``groups._law_failures``: the middle factor, or t, is
+the outer loop, and the j identity is checked before the h identity.  The
+package must name the failure these loops find first.
 
 The set-layer axiom verifier and envelope equivalence search below are the
 separate set versions that the package now runs through the code it shares
@@ -35,6 +42,7 @@ from unittest import mock
 from partial_actions import set_actions
 from partial_actions.block_algebras import wreath_compose
 from partial_actions.errors import ClassMismatch, DocumentError, GroupMismatch, MalformedInput
+from partial_actions.groups import _right_generators
 from partial_actions.reporting import VerificationReport
 
 
@@ -148,6 +156,35 @@ def associativity_failure(table):
     return None
 
 
+def lights_test_failure(table, identity):
+    """First (a, b, c) with (a*b)*c != a*(b*c), b over the generating set
+    that ``make_group`` uses, then a, then c."""
+    n = len(table)
+    for b in _right_generators(table, identity):
+        for a in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def action_law_failures(table, maps, images, twists=None, mul=None):
+    """Every (g, t), over all pairs, where beta_g∘beta_t != beta_gt at some
+    point p of the order of ``images``, in the data layout of
+    ``groups._law_failures``; with twists, p is also the position."""
+    failures = set()
+    for g in range(len(table)):
+        for t in range(len(table)):
+            gt = table[g][t]
+            for p, y in enumerate(images[t]):
+                if maps[g][y] != images[gt][p] or (
+                    twists is not None and mul[twists[g][y]][twists[t][p]] != twists[gt][p]
+                ):
+                    failures.add((g, t))
+    return failures
+
+
 def set_action_law_failure(group, carrier, maps):
     """First (g, t, x) with alpha_g(alpha_t(x)) != alpha_gt(x), over all pairs;
     (e, e, x) when the identity moves x."""
@@ -218,6 +255,21 @@ def cocycle_failure(G, j_table, h_table):
                     return (g, t, i)
                 if h_table[gt][i] != G.mul(h_table[g][mid], h_table[t][i]):
                     return (g, t, i)
+    return None
+
+
+def generator_cocycle_failure(G, j_table, h_table):
+    """First (g, t, identity) where the j or the h cocycle identity fails,
+    t over ``G.generators``, then g, the j identity before h; identity is
+    "j" or "h"."""
+    for t in G.generators:
+        j_t, h_t = j_table[t], h_table[t]
+        for g in G.elements():
+            gt = G.mul(g, t)
+            if list(j_table[gt]) != [j_table[g][mid] for mid in j_t]:
+                return (g, t, "j")
+            if list(h_table[gt]) != [G.mul(h_table[g][mid], h) for mid, h in zip(j_t, h_t)]:
+                return (g, t, "h")
     return None
 
 

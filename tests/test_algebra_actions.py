@@ -12,6 +12,7 @@ from oracle_enumeration import brute_force_algebra_partial_actions, relabelled
 from partial_actions import algebra_actions, set_actions
 from partial_actions.algebra_actions import (
     AlgebraPartialAction,
+    GlobalizationResult,
     classify_indecomposable,
     enumerate_algebra_partial_actions,
     envelope_block_count,
@@ -277,6 +278,11 @@ class TestExtendByZeroAlgebra:
         with pytest.raises(NotAHomomorphism):
             extend_by_zero_algebra(block, s3_swap_subgroup, {0: 0})
 
+    def test_two_block_algebra_is_refused(self, quiver_setup):
+        block, H, hom = quiver_setup
+        with pytest.raises(MalformedInput, match="^extension by zero here takes a single block$"):
+            extend_by_zero_algebra(BlockAlgebra((block, block)), H, hom)
+
     def test_domains(self, quiver_setup, s3):
         block, H, hom = quiver_setup
         pa = extend_by_zero_algebra(block, H, hom)
@@ -295,6 +301,15 @@ class TestGlobalizeExtensionByZero:
         beta = res.action[s3.element_by_name("(13)")]
         assert beta.position_map == {0: 1, 1: 0, 2: 2}
         assert beta.twists == {0: 0, 1: 0, 2: 1}
+
+    def test_repr(self, quiver_setup):
+        res = globalize_extension_by_zero(*quiver_setup)
+        assert repr(res) == "GlobalizationResult(blocks=3, ok=True)"
+
+    def test_envelope_that_is_no_block_algebra_is_refused(self, quiver_setup):
+        r = globalize_extension_by_zero(*quiver_setup)
+        with pytest.raises(MalformedInput, match="^candidate envelope is not a block algebra$"):
+            GlobalizationResult(r.source, 5, r.provenance, r.action, r.embedding, r.checks)
 
     def test_whole_group_gives_single_block(self, z3):
         block = Block("L", cyclic_group(3))
@@ -539,6 +554,19 @@ class TestVerifyEnveloping:
         )
         assert check_item(report, "ideal").witness == "embedding leaves the envelope"
         assert not any(item.passed for item in report.items)
+
+    def test_changed_twist_fails_equivariance_only(self, quiver_setup, s3):
+        # alpha_(12) loses its twist, so beta_(12) twists where alpha does
+        # not; an embedding twist changed instead cannot fail, since the
+        # block's automorphism group Z2 is abelian
+        res = globalize_extension_by_zero(*quiver_setup)
+        pa, swap = res.source, s3.element_by_name("(12)")
+        w = pa.maps[swap]
+        maps = {**pa.maps, swap: WreathMap(w.source, w.target, w.position_map, {0: 0})}
+        untwisted = AlgebraPartialAction(s3, pa.algebra, pa.domains, maps)
+        report = verify_enveloping(untwisted, res)
+        assert [item.passed for item in report.items] == [True, True, True, False]
+        assert check_item(report, "equivariance").witness == "g=(12), block 0"
 
     def test_wrong_restriction_fails_intersection(self, z2):
         # envelope of the empty-domain action used as a candidate for the
@@ -1029,6 +1057,18 @@ class TestEquivalenceSearch:
         iso = globalizations_equivalent(original, relabeled)
         assert iso is not None
         assert not iso.is_identity()
+
+    def test_untwisted_envelope_of_equal_size_is_not_equivalent(self, quiver_setup):
+        # the coset action without its twists is a global action on three
+        # blocks, but at block 0 beta_(12) twists in one and not the other
+        res = globalize_extension_by_zero(*quiver_setup)
+        action = {
+            g: WreathMap(w.source, w.target, w.position_map, dict.fromkeys(w.twists, 0))
+            for g, w in res.action.items()
+        }
+        candidate = {"source": res.source, "envelope": res.envelope, "action": action,
+                     "embedding": res.embedding}
+        assert globalizations_equivalent(res, candidate) is None
 
     def test_invalid_search_result_raises(self, quiver_setup, monkeypatch):
         # a twist outside Aut(block) is a bug in the search, not a verdict

@@ -727,3 +727,10 @@ def test_text_output_file_holds_the_printed_report(set_action_file, tmp_path, ca
     assert main(["verify", set_action_file, "--output", str(out_path)]) == 0
     assert capsys.readouterr().out == ""
     assert out_path.read_bytes() == printed.encode("utf-8")
+
+
+@pytest.mark.parametrize("command", ["verify", "globalize"])
+def test_a_document_with_no_actions_exits_two(command, tmp_path, capsys):
+    path = write(tmp_path, "empty.json", {"version": "1", "actions": {}})
+    assert main([command, path]) == 2
+    assert capsys.readouterr().err == "input error: document contains no actions (at $.actions)\n"

@@ -1,9 +1,17 @@
 """The byte-identity check of ``compare_outputs.py``: a checkout matches
 itself on the golden documents, a CLI that prints something else differs
 on every run, one that writes another ``--output`` file differs, and the
-bad-input runs are rejected as input errors."""
+bad-input and bad-table runs are rejected as input errors."""
 
-from compare_outputs import OUTPUT, ROOT, compare, error_runs, golden_runs, run_cli
+from compare_outputs import (
+    OUTPUT,
+    ROOT,
+    bad_table_runs,
+    compare,
+    error_runs,
+    golden_runs,
+    run_cli,
+)
 
 
 def test_a_checkout_matches_itself_on_the_golden_documents():
@@ -44,3 +52,15 @@ def test_the_bad_input_runs_exit_two_at_the_root(tmp_path):
         out, err, code = run_cli(ROOT, args, tmp_path)
         assert (out, code) == (b"", 2), name
         assert err.startswith(b"input error: ") and err.endswith(b"(at $)\n"), name
+
+
+def test_the_bad_table_runs_name_the_generator_major_triple(tmp_path):
+    # (2, 17, 10) fails too, and is first when a, not b, is the outer loop
+    runs = bad_table_runs()
+    assert len(runs) == 2
+    for (name, args), where in zip(runs, ("$", "$.actions.on_a_loop.group")):
+        out, err, code = run_cli(ROOT, args, tmp_path)
+        assert (out, code) == (b"", 2), name
+        assert err.decode() == (
+            f"input error: associativity fails at (3,16,1): (3*16)*1 != 3*(16*1) (at {where})\n"
+        ), name

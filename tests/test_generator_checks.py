@@ -1,10 +1,14 @@
 """The homomorphism checks that run over a generating set agree with the
 exhaustive oracles in ``oracle_checks``: same inputs accepted, same rejected.
+``make_group`` and ``coset_factorize`` also name the failure that the
+generator loops kept there find first, and ``groups._law_failures`` yields
+exactly the failing pairs of the law checked for every t.
 
 Inputs are valid tables and actions, and perturbations of them: intercalate
 switches of group tables (a 2x2 subsquare a b / b a swapped to b a / a b,
 which keeps the table a Latin square), two images swapped in one map of a
-global set or wreath action, or one twist of a wreath action changed.
+global set or wreath action, or one twist of a wreath action or of a
+twisted coset action changed.
 
 The same perturbed actions, restricted to a drawn subset, check that the
 verifiers' orbit-data certificate gives the reports of the axiom scan.
@@ -14,20 +18,25 @@ import functools
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from conftest import trivial_subgroup
-from hypothesis import given, settings, strategies as st
+from conftest import trivial_subgroup, whole_group
+from hypothesis import assume, given, settings, strategies as st
 from oracle_checks import (
+    action_law_failures,
     associativity_failure,
     cocycle_failure,
     factor_tables,
+    generator_cocycle_failure,
+    lights_test_failure,
     scanned_report,
     set_action_law_failure,
     transversal_reps,
     wreath_action_law_failure,
 )
 
+from partial_actions import groups
 from partial_actions.algebra_actions import (
     AlgebraPartialAction,
     enumerate_algebra_partial_actions,
@@ -40,6 +49,7 @@ from partial_actions.documents import load_workbench
 from partial_actions.errors import InternalInconsistency, MalformedInput, NotAGroup
 from partial_actions.groups import (
     FiniteGroup,
+    _law_failures,
     coset_factorize,
     cyclic_group,
     make_group,
@@ -194,14 +204,115 @@ def test_lights_test_matches_exhaustive_associativity(table):
         assert expected_ok
 
 
+@settings(max_examples=200, deadline=None)
+@given(table=perturbed_tables())
+def test_lights_test_names_the_oracles_first_triple(table):
+    # intercalate switches keep the Latin square and the identity 0
+    assume(two_sided_inverses(table) is not None)
+    failure = lights_test_failure(table, 0)
+    if failure is None:
+        make_group(table)
+    else:
+        a, b, c = failure
+        message = f"associativity fails at ({a},{b},{c}): ({a}*{b})*{c} != {a}*({b}*{c})"
+        with pytest.raises(NotAGroup, match=f"^{re.escape(message)}$"):
+            make_group(table)
+
+
+def loop_of(table):
+    """The table as a FiniteGroup built directly, so that no associativity
+    scan runs, or None without two-sided inverses."""
+    inverses = two_sided_inverses(table)
+    if inverses is None:
+        return None
+    return FiniteGroup(tuple(map(tuple, table)), 0, tuple(map(str, range(len(table)))), inverses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=perturbed_tables(), data=st.data())
+def test_coset_factorize_names_the_oracles_first_cocycle_failure(table, data):
+    G = loop_of(table)
+    assume(G is not None and associativity_failure(table) is not None)
+    H = subgroup_closure(G, data.draw(st.sets(st.integers(0, G.order - 1), max_size=2)))
+    try:  # the tables coset_factorize builds, with its law check left out
+        with mock.patch.object(groups, "_law_failures", lambda *args: iter(())):
+            cf = coset_factorize(G, H)
+    except InternalInconsistency as exc:  # a row check fails first
+        with pytest.raises(InternalInconsistency, match=f"^{re.escape(str(exc))}$"):
+            coset_factorize(G, H)
+        return
+    failure = generator_cocycle_failure(G, cf.j_table, cf.h_table)
+    if failure is None:
+        assert coset_factorize(G, H) == cf
+    else:
+        message = f"cocycle identity for {failure[2]} fails"
+        with pytest.raises(InternalInconsistency, match=f"^{message}$"):
+            coset_factorize(G, H)
+
+
+@functools.cache
+def law_data():
+    """(G, carrier, maps, images, twists, mul) of global actions in the data
+    layout of ``groups._law_failures``: the regular action on positions,
+    coset actions on positions with and without the twists h, H = G (index
+    1) and the trivial subgroup included, dicts on points, an empty and a
+    one-point carrier, and the trivial group."""
+    out = []
+    for G in (cyclic_group(1), cyclic_group(5)) + base_groups()[:4]:
+        n = G.order
+        out.append((G, tuple(range(n)), G.table, G.table, None, None))
+        out.append((G, (), ((),) * n, ((),) * n, None, None))
+        out.append((G, (0,), ((0,),) * n, ((0,),) * n, None, None))
+        for H in (whole_group(G), trivial_subgroup(G), subgroup_closure(G, G.generators[-1:])):
+            cf = coset_factorize(G, H)
+            positions = tuple(range(len(cf.reps)))
+            out.append((G, positions, cf.j_table, cf.j_table, None, None))
+            out.append((G, positions, cf.j_table, cf.j_table, cf.h_table, G.table))
+    for G, carrier, maps in global_set_actions():
+        images = tuple(tuple(maps[g][x] for x in carrier) for g in G.elements())
+        out.append((G, carrier, tuple(maps[g] for g in G.elements()), images, None, None))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_law_failures_match_the_law_for_every_t(data):
+    """On a global action with two images swapped or one twist changed in
+    one map half of the time, ``_law_failures`` yields exactly the failing
+    pairs of the exhaustive law with t a generator, t-major; given
+    beta_e = id, it finds one exactly when the law fails for some t."""
+    G, carrier, maps, images, twists, mul = data.draw(st.sampled_from(law_data()))
+    maps, images = list(maps), list(images)
+    twists = twists and [list(row) for row in twists]
+    if data.draw(st.booleans()):
+        g = data.draw(st.sampled_from(list(G.elements())))
+        if twists and carrier and len(mul) > 1 and data.draw(st.booleans()):
+            p = data.draw(st.sampled_from(carrier))
+            others = [f for f in range(len(mul)) if f != twists[g][p]]
+            twists[g][p] = data.draw(st.sampled_from(others))
+        elif len(carrier) > 1:
+            pair = st.lists(st.sampled_from(carrier), min_size=2, max_size=2, unique=True)
+            x, y = data.draw(pair)
+            m = dict(zip(carrier, images[g]))
+            m[x], m[y] = m[y], m[x]
+            images[g] = tuple(m[z] for z in carrier)
+            maps[g] = images[g] if isinstance(maps[g], tuple) else m
+    twists = twists and [tuple(row) for row in twists]
+    found = list(_law_failures(G.table, G.generators, maps, images, twists, mul))
+    everywhere = action_law_failures(G.table, maps, images, twists, mul)
+    assert set(found) == {(g, t) for g, t in everywhere if t in G.generators}
+    assert found == sorted(found, key=lambda gs: (G.generators.index(gs[1]), gs[0]))
+    e = G.identity
+    if images[e] == carrier and (twists is None or set(twists[e]) <= {e}):
+        assert bool(found) == bool(everywhere)
+
+
 @settings(max_examples=80, deadline=None)
 @given(table=perturbed_tables(), data=st.data())
 def test_cocycle_identities_match_oracle(table, data):
-    inverses = two_sided_inverses(table)
-    if inverses is None:
+    G = loop_of(table)  # a perturbed table may be a non-associative loop
+    if G is None:
         return
-    # built directly: a perturbed table may be a non-associative loop
-    G = FiniteGroup(tuple(map(tuple, table)), 0, tuple(map(str, range(len(table)))), inverses)
     if associativity_failure(table) is None:
         gens = data.draw(st.sets(st.integers(0, G.order - 1), max_size=2))
         H = subgroup_closure(G, gens)

@@ -50,6 +50,8 @@ GROUP_FAULTS = [
     ("too few names", lambda: make_group([[0, 1], [1, 0]], ["a"]), NotAGroup,
      "1 names for 2 elements"),
     ("cyclic order 0", lambda: cyclic_group(0), NotAGroup, "order must be positive"),
+    ("cyclic too few names", lambda: cyclic_group(3, ["a"]), NotAGroup,
+     "1 names for 3 elements"),
     ("symmetric n 0", lambda: symmetric_group(0), NotAGroup, "n must be positive"),
     ("members without e", lambda: Subgroup(S3, (1,)), NotASubgroup,
      "does not contain the identity"),
@@ -269,6 +271,24 @@ class TestTransversal:
             assert {coset[h] for h in H.members} == {0}
 
 
+def every_subgroup(G):
+    """Every subgroup of G, as the closures of pairs of elements: the
+    subgroups of S3, S4 and the cyclic groups are generated by two."""
+    closures = {}
+    for pair in itertools.combinations_with_replacement(G.elements(), 2):
+        H = subgroup_closure(G, pair)
+        closures.setdefault(H.members, H)
+    return list(closures.values())
+
+
+def test_every_subgroup_finds_them_all():
+    for G in (symmetric_group(3), cyclic_group(6), relabelled(cyclic_group(4))):
+        assert sorted(H.members for H in every_subgroup(G)) == sorted(
+            H.members for H in all_subgroups(G)
+        )
+    assert len(every_subgroup(symmetric_group(4))) == 30  # the subgroups of S4
+
+
 def _loop(table):
     """A Latin square with identity 0 and two-sided inverses, built directly
     so that no associativity scan runs."""
@@ -325,6 +345,24 @@ class TestFactorizationSelfChecks:
         with pytest.raises(InternalInconsistency, match="^cocycle identity for h fails$"):
             coset_factorize(G, Subgroup(G, (0, 3, 5)))
 
+    def test_the_least_failing_t_is_named(self):
+        # with generators (1, 5) the h identity fails at (g, t) = (2, 1) and
+        # the j identity at (1, 5), first with g as the outer loop: t is the
+        # outer loop, so h is named
+        G = _loop([
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            [1, 2, 3, 0, 5, 6, 7, 4],
+            [2, 3, 0, 1, 6, 7, 4, 5],
+            [3, 0, 7, 2, 1, 4, 5, 6],
+            [4, 7, 6, 5, 0, 1, 2, 3],
+            [5, 6, 1, 4, 7, 2, 3, 0],
+            [6, 5, 4, 7, 2, 3, 0, 1],
+            [7, 4, 5, 6, 3, 0, 1, 2],
+        ])
+        assert G.generators == (1, 5)
+        with pytest.raises(InternalInconsistency, match="^cocycle identity for h fails$"):
+            coset_factorize(G, Subgroup(G, (0, 6)))
+
 
 class TestCosetFactorization:
     def test_reference_table_row(self, s3, s3_swap_subgroup):
@@ -334,11 +372,17 @@ class TestCosetFactorization:
         assert s3.name(cf.j(g, gi)) == "(13)"
         assert s3.name(cf.h(g, gi)) == "(12)"
 
-    def test_identity_rows(self, s3, s3_swap_subgroup):
-        cf = coset_factorize(s3, s3_swap_subgroup)
-        for gi in cf.reps:
-            assert cf.j(s3.identity, gi) == gi
-            assert cf.h(s3.identity, gi) == s3.identity
+    def test_identity_rows(self):
+        # coset_factorize does not check these rows: they hold by construction
+        for G in (
+            symmetric_group(3), symmetric_group(4), cyclic_group(6), relabelled(symmetric_group(3)),
+            relabelled(cyclic_group(4)), relabelled(cyclic_group(6)),
+        ):
+            for H in every_subgroup(G):
+                cf = coset_factorize(G, H)
+                for gi in cf.reps:
+                    assert cf.j(G.identity, gi) == gi
+                    assert cf.h(G.identity, gi) == G.identity
 
     def test_row_absent_from_reference_table(self, s3, s3_swap_subgroup):
         cf = coset_factorize(s3, s3_swap_subgroup)

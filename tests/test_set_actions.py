@@ -227,6 +227,26 @@ class TestGlobalPart:
         H, _ = global_part(spa)
         assert H.members == (0, 2)
 
+    @pytest.mark.parametrize(
+        "carrier,domains,maps,message",
+        [
+            ((0,), {1: [0]}, {1: {0: 0}},
+             "full-domain set is not a subgroup: not closed under inverse at 1"),
+            ((0, 1, 2), {1: [0, 1, 2], 2: [0, 1, 2]},
+             {1: {0: 1, 1: 0, 2: 2}, 2: {0: 1, 1: 0, 2: 2}},
+             "restriction to H is not an action: action law fails: 1*1 at 0"),
+        ],
+        ids=["full domains of no subgroup", "full domains of no action"],
+    )
+    def test_input_that_is_no_partial_action_raises(self, z3, carrier, domains, maps, message):
+        spa = SetPartialAction(z3, carrier, domains, maps)
+        try:  # verify_partial_action rejects the candidate, by a FAIL or by raising
+            assert not verify_partial_action(spa).ok
+        except MalformedInput:
+            pass
+        with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+            global_part(spa)
+
 
 class TestGlobalize:
     def test_global_input_gives_bijective_embedding(self, s3):
@@ -423,6 +443,12 @@ class TestOrbitEngine:
         with pytest.raises(MalformedInput, match="not defined on its stated source"):
             globalize_set(spa)
 
+    def test_map_off_its_source_at_the_orbit_base_raises(self, z2):
+        # 0 lies in D_1, the source of alpha_1, which is defined at 1 only
+        spa = SetPartialAction(z2, (0, 1), {1: [0, 1]}, {1: {1: 0}})
+        with pytest.raises(MalformedInput, match="^map of 1 is not defined on its stated source$"):
+            globalize_set(spa)
+
     def test_unclosed_stabilizer_raises(self, z4):
         # 1 and 3 fix the point, 2 = 1*1 does not act on it
         spa = SetPartialAction(z4, ("p",), {1: ["p"], 3: ["p"]}, {1: {"p": "p"}, 3: {"p": "p"}})
@@ -541,6 +567,21 @@ class TestEquivalence:
         spa, sg = fixed_point_candidate()
         with pytest.raises(MalformedInput, match="^candidate envelope is not a global set action$"):
             SetGlobalization(spa, 5, sg.embedding, sg.orbit_witness, sg.pair_class)
+
+    def test_exhausted_search_finds_no_equivalence(self, z2):
+        # one embedded fixed point; of the two other points, Z2 swaps them in
+        # a and fixes them in b, so no bijection of them is equivariant
+        spa = SetPartialAction(z2, ("p",))
+        a, b = (
+            SetGlobalization(spa, GlobalSetAction(z2, (0, 1, 2), {1: m}), {"p": 0}, (), {})
+            for m in ({0: 0, 1: 2, 2: 1}, {0: 0, 1: 1, 2: 2})
+        )
+        assert envelopes_equivalent(a, b) is None
+        assert envelopes_equivalent(a, a) == {0: 0, 1: 1, 2: 2}
+
+    def test_repr(self, z2):
+        sg = globalize_set(SetPartialAction(z2, ("p", "q"), {1: ["p"]}, {1: {"p": "p"}}))
+        assert repr(sg) == "SetGlobalization(size=3, embedded=2)"
 
     def test_envelopes_over_different_groups_raise(self):
         a, b = (globalize_set(SetPartialAction(cyclic_group(n), (0, 1))) for n in (2, 3))
