@@ -114,9 +114,6 @@ class BlockIdeal(Frozen):
                     raise MalformedInput(f"position {p!r} outside the algebra")
         object.__setattr__(self, "support", frozenset(support))
 
-    def __contains__(self, position: int) -> bool:
-        return position in self.support
-
 
 class WreathMap(Frozen):
     """A blockwise isomorphism: a class-preserving position bijection plus a

@@ -40,6 +40,7 @@ from .groups import (
 )
 from .set_actions import (
     SetPartialAction,
+    _envelope_sizes,
     enumerate_partial_actions,
     globalize_set,
     verify_partial_action,
@@ -295,21 +296,22 @@ def _render_action_line(spa: SetPartialAction) -> str:
 def cmd_enumerate(args) -> int:
     G = _group_from_spec(args.group)
     actions = enumerate_partial_actions(G, args.size)
+    sizes = _envelope_sizes(actions) if args.envelopes else None
     if args.format == "json":
         # one group document for all actions: encoded at most twice, then
         # reused; the output is streamed
         group_doc = group_to_doc(G)
         payload: dict = {"count": len(actions)}
         payload["actions"] = [set_action_to_doc(a, group_doc) for a in actions]
-        if args.envelopes:
-            payload["envelope_sizes"] = [globalize_set(a).size for a in actions]
+        if sizes is not None:
+            payload["envelope_sizes"] = sizes
         _emit_json(payload, args.output)
     else:
         lines = [f"{len(actions)} partial actions of {args.group} on {args.size} points"]
         for i, a in enumerate(actions):
             line = f"#{i}: {_render_action_line(a)}"
-            if args.envelopes:
-                line += f"  -> envelope size {globalize_set(a).size}"
+            if sizes is not None:
+                line += f"  -> envelope size {sizes[i]}"
             lines.append(line)
         _emit("\n".join(lines), args.output)
     return EXIT_OK

@@ -100,8 +100,6 @@ def parse_group(doc, path: str = "group") -> FiniteGroup:
         return symmetric_group(n) if kind == "symmetric" else cyclic_group(n)
     except PartialActionError as exc:
         raise DocumentError(str(exc), path) from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DocumentError(f"bad group document: {exc}", path) from exc
 
 
 def _resolve_element(G: FiniteGroup, ref, path: str) -> int:
@@ -370,10 +368,9 @@ def parse_algebra_action(
             raise DocumentError(str(exc), f"{path}.maps.{key}") from exc
         if g in domains:  # S_g, already built as the target of alpha_g
             ideals[g] = target
-    try:
-        return AlgebraPartialAction(G, algebra, {**domains, **ideals}, maps)
-    except PartialActionError as exc:
-        raise DocumentError(str(exc), path) from exc
+    # the constructor's checks (known elements, ideals of this algebra, wreath
+    # maps) hold for what was parsed above, so it raises nothing to locate
+    return AlgebraPartialAction(G, algebra, {**domains, **ideals}, maps)
 
 
 AnyAction = Union[SetPartialAction, AlgebraPartialAction]

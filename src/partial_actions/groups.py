@@ -185,8 +185,8 @@ def _check_latin(table: Sequence[Sequence[int]]) -> None:
             raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
         if frozenset(row) != full:
             raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if frozenset(table[i][j] for i in range(n)) != full:
+    for j, column in enumerate(zip(*table)):
+        if frozenset(column) != full:
             raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
 
 

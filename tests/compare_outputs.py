@@ -18,7 +18,9 @@ automorphism group whose identity is not element 0, an algebra of two
 classes with different automorphism groups, an inline group and algebra)
 and on the globalize-s5 and verify-mixed inputs; ``example-s3``, text and
 JSON; ``enumerate --envelopes``, text and JSON, on the enumerate-z6x4
-group at size 4 and on ``group_s3_relabelled.json`` at size 3;
+group at size 4, on ``group_s3_relabelled.json`` at size 3 and on S3 at
+size 4, whose non-normal stabilizers give orbit pieces that share a
+stabilizer order but not a placement;
 ``factorize``, text and JSON, with ``--subgroup (12)`` on S3 with
 ``--compare`` and the claimed rows of ``s3_example.CLAIMED_ROWS`` and on
 ``group_s3_relabelled.json``, with ``--subgroup (12),(34)`` on S4 (index
@@ -90,6 +92,7 @@ def seed_runs(workdir: Path, seed: int) -> list[tuple[str, list[str]]]:
     for label, group, size in (
         (f"seed-{seed} z6.json", z6, "4"),
         ("group_s3_relabelled.json", str(DATA / "group_s3_relabelled.json"), "3"),
+        ("S3", "S3", "4"),
     ):
         runs += [
             (f"enumerate {label} --size {size} {fmt}",

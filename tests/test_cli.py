@@ -381,9 +381,21 @@ class TestEnumerateCommand:
         assert "2 partial actions" in capsys.readouterr().out
 
     def test_envelope_sizes(self, capsys):
-        assert main(["enumerate", "--group", "Z2", "--size", "2", "--envelopes"]) == 0
-        out = capsys.readouterr().out
-        assert "envelope size" in out
+        """Each reported size, in text and in JSON, is the size of the
+        action's envelope from globalize_set."""
+        from partial_actions.groups import symmetric_group
+
+        expected = [globalize_set(a).size for a in enumerate_partial_actions(symmetric_group(3), 3)]
+        argv = ["enumerate", "--group", "S3", "--size", "3", "--envelopes"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == len(expected) == 458
+        for i, (line, size) in enumerate(zip(lines, expected)):
+            assert line.startswith(f"#{i}: ") and line.endswith(f"  -> envelope size {size}")
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["envelope_sizes"] == expected
+        assert len(set(expected)) > 1
 
     def test_relabelled_s3_golden_output(self, capsys, monkeypatch):
         """S3 with e at element 5 on three points, in the recorded order and

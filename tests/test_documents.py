@@ -149,6 +149,19 @@ class TestSetActionDocs:
         spa = parse_set_action(doc, {})
         assert spa.maps[1] == {0: 1, 1: 0}
 
+    def test_constructor_fault_is_located(self):
+        """A caller's str subclass point passes the parser, which matches
+        points by equality; the constructor, which also matches their
+        types, refuses the plain "a" and the error gets the action's path."""
+
+        class Label(str):
+            pass
+
+        doc = {**self.doc(), "carrier": [Label("a"), "b"]}
+        with pytest.raises(DocumentError, match=r"^domain of 1 leaves the carrier \(at alpha\)$") as err:
+            parse_set_action(doc, {}, "alpha")
+        assert err.value.path == "alpha"
+
 
 class TestAlgebraDocs:
     def algebra_doc(self):

@@ -46,6 +46,9 @@ GROUP_FAULTS = [
     ("short row", lambda: make_group([[0, 1], [1]]), NotAGroup, "row 1 has length 1, expected 2"),
     ("column no permutation", lambda: make_group([[0, 1], [0, 1]]), NotAGroup,
      r"column 0 is not a permutation of 0..1"),
+    ("first bad column is column 2", lambda: make_group(
+        [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 0, 1]]
+    ), NotAGroup, r"column 2 is not a permutation of 0..3"),
     ("empty table", lambda: make_group([]), NotAGroup, "empty table"),
     ("too few names", lambda: make_group([[0, 1], [1, 0]], ["a"]), NotAGroup,
      "1 names for 2 elements"),

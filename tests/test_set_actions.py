@@ -47,6 +47,7 @@ from partial_actions.set_actions import (
 )
 
 PINNED_Z6X4 = Path(__file__).parent.parent / "perfbench" / "enumerate_z6x4.json"
+DATA = Path(__file__).parent / "data"
 
 ENUM_GROUPS = {
     **{f"Z{k}": (lambda k=k: cyclic_group(k)) for k in range(1, 7)},
@@ -795,6 +796,104 @@ class TestEnumerate:
                 "envelope_size_histogram"
             ]
             assert pinned["count"] == count
+
+
+class TestEnvelopeSizes:
+    """set_actions._envelope_sizes, one globalize_set per distinct orbit
+    piece, against globalize_set on each whole action."""
+
+    @staticmethod
+    def oracle(actions):
+        return [globalize_set(a).size for a in actions]
+
+    @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "K4", "Z5", "S3", "Z6"])
+    def test_every_group_of_order_at_most_six(self, name):
+        G = ENUM_GROUPS[name]()
+        for n in range(5):
+            actions = enumerate_partial_actions(G, n)
+            assert set_actions._envelope_sizes(actions) == self.oracle(actions)
+
+    @pytest.mark.parametrize("name,carrier", [
+        ("S3", ("a", "b", "c")),
+        ("Z6", ("a", "b", "c")),
+        ("relabelled", 3),
+        ("relabelled", 4),
+    ])
+    def test_labelled_carriers_and_identity_off_zero(self, name, carrier):
+        if name == "relabelled":  # e is element 5 of this S3
+            G = parse_group(json.loads((DATA / "group_s3_relabelled.json").read_text()))
+            assert G.identity != 0
+        else:
+            G = ENUM_GROUPS[name]()
+        actions = enumerate_partial_actions(G, carrier)
+        assert set_actions._envelope_sizes(actions) == self.oracle(actions)
+
+    def test_groups_of_one_order_keep_their_own_pieces(self, monkeypatch):
+        """Z4 and K4 actions in one list: every piece is globalized over the
+        group of its action, and each group's pieces separately."""
+        z4, k4 = ENUM_GROUPS["Z4"](), ENUM_GROUPS["K4"]()
+        actions = [a for pair in zip(enumerate_partial_actions(z4, 3), enumerate_partial_actions(k4, 3))
+                   for a in pair]
+        seen = []
+        real = set_actions.globalize_set
+        monkeypatch.setattr(set_actions, "globalize_set", lambda spa: seen.append(spa) or real(spa))
+        assert set_actions._envelope_sizes(actions) == self.oracle(actions)
+        assert {spa.group for spa in seen} == {z4, k4}
+        assert len(seen) == len({(spa.group, spa.canonical_key()) for spa in seen})
+
+    def test_pieces_are_globalized_once(self, monkeypatch):
+        """On Z6 with 4 points, 1,628 actions have 94 distinct orbit pieces."""
+        calls = []
+        real = set_actions.globalize_set
+        monkeypatch.setattr(set_actions, "globalize_set", lambda spa: calls.append(spa) or real(spa))
+        actions = enumerate_partial_actions(ENUM_GROUPS["Z6"](), 4)
+        assert len(set_actions._envelope_sizes(actions)) == 1628
+        assert len(calls) == 94
+        assert all(spa.carrier == tuple(range(len(spa.carrier))) for spa in calls)
+
+    def test_data_that_is_no_partial_action_raises(self):
+        """Where globalize_set rejects an action, so does _envelope_sizes;
+        otherwise both give one size."""
+        pool = [copy for G in (cyclic_group(3), symmetric_group(3)) for n in (2, 3)
+                for spa in enumerate_partial_actions(G, n) for copy in _damaged_copies(spa)]
+        rejected = 0
+        for spa in pool:
+            try:
+                expected = globalize_set(spa).size
+            except MalformedInput:
+                with pytest.raises(MalformedInput):
+                    set_actions._envelope_sizes([spa])
+                rejected += 1
+            else:
+                assert set_actions._envelope_sizes([spa]) == [expected]
+        assert 0 < rejected < len(pool)
+
+    def test_orbits_that_meet_raise(self, z2):
+        """alpha_1 sends both a and c to b: the orbit {a, b} is a partial
+        action by itself, and the orbit of c meets it."""
+        spa = SetPartialAction(z2, ("a", "b", "c"), {1: ["a", "b"]}, {1: {"a": "b", "b": "a", "c": "b"}})
+        with pytest.raises(MalformedInput):
+            globalize_set(spa)
+        with pytest.raises(MalformedInput, match="^the orbit of 'c' meets an earlier orbit$"):
+            set_actions._envelope_sizes([spa])
+
+
+def _damaged_copies(spa):
+    """spa's :func:`_swapped_copies`, and per g != e with a nonempty map one
+    copy without its first map pair and one with D_g shrunk by its first
+    point, each with the other data kept."""
+    out = _swapped_copies(spa)
+    G = spa.group
+    for g in G.elements():
+        m = spa.maps[g]
+        if g == G.identity or not m:
+            continue
+        first = next(iter(m))
+        maps = {h: {x: y for x, y in n.items() if (h, x) != (g, first)} for h, n in spa.maps.items()}
+        out.append(SetPartialAction(G, spa.carrier, spa.domains, maps))
+        domains = {**spa.domains, g: spa.domains[g] - {m[first]}}
+        out.append(SetPartialAction(G, spa.carrier, domains, spa.maps))
+    return out
 
 
 def _global_action_pool():
