@@ -14,14 +14,12 @@ from .block_algebras import (
     wreath_apply,
     wreath_compose,
     wreath_identity,
-    wreath_inverse,
 )
 from .algebra_actions import (
     AlgebraPartialAction,
     GlobalizationResult,
     classify_indecomposable,
     enumerate_algebra_partial_actions,
-    envelope_block_count,
     extend_by_zero_algebra,
     globalizations_equivalent,
     globalize_block_power,

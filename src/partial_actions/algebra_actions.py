@@ -247,7 +247,10 @@ def extend_by_zero_algebra(
         algebra = BlockAlgebra((block,))
     G = subgroup.parent
     aut = blk.aut_group
-    hom = dict(hom)
+    try:
+        hom = dict(hom)
+    except (TypeError, ValueError):  # "x" or [1] is no mapping
+        raise NotAHomomorphism("hom is not a mapping") from None
     if set(hom) != set(subgroup.members):
         raise NotAHomomorphism("hom must be defined exactly on the subgroup members")
     if hom[G.identity] != aut.identity:
@@ -411,14 +414,6 @@ def globalize_extension_by_zero(
     anchors = [(hom, r, identity) for r in reps]
     witnesses = tuple((r, 0) for r in reps)
     return _assemble(pa, witnesses, pair_class, anchors, tuple(G.name(r) for r in reps))
-
-
-def envelope_block_count(pa: AlgebraPartialAction) -> int:
-    """Number of blocks of the envelope of a single-block action: the index
-    of the subgroup where the action is global.  Equals 1 exactly when the
-    action is global."""
-    H, _ = classify_indecomposable(pa)
-    return pa.group.order // H.order
 
 
 def split_partial_action(pa: AlgebraPartialAction) -> list[AlgebraPartialAction]:

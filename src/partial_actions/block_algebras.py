@@ -40,8 +40,8 @@ class Block(Frozen):
         object.__setattr__(self, "aut_group", aut_group)
 
 
-def k_line_block(label: str = "K") -> Block:
-    return Block(label, trivial_group())
+def k_line_block() -> Block:
+    return Block("K", trivial_group())
 
 
 class BlockAlgebra(Frozen):
@@ -211,23 +211,14 @@ def wreath_identity(ideal: BlockIdeal) -> WreathMap:
     )
 
 
-def wreath_inverse(w: WreathMap) -> WreathMap:
-    pm = {q: p for p, q in w.position_map.items()}
-    tw = {
-        q: w.source.algebra.blocks[p].aut_group.inv(w.twists[p])
-        for p, q in w.position_map.items()
-    }
-    return WreathMap(w.target, w.source, pm, tw)
-
-
 Token = tuple[int, str]
 FormalSum = dict[int, Token]
 
 
-def symbolic_basis(ideal: BlockIdeal, prefix: str = "x") -> FormalSum:
+def symbolic_basis(ideal: BlockIdeal) -> FormalSum:
     """One untwisted symbol per supported position (x0, x1, ...)."""
     return {
-        p: (ideal.algebra.blocks[p].aut_group.identity, f"{prefix}{p}")
+        p: (ideal.algebra.blocks[p].aut_group.identity, f"x{p}")
         for p in sorted(ideal.support)
     }
 

@@ -8,10 +8,6 @@ class PartialActionError(Exception):
 class NotAGroup(PartialActionError):
     """A multiplication table fails one of the group axioms."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 class NotASubgroup(PartialActionError):
     """A member set is not a subgroup of its parent group."""

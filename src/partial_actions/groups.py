@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence, Union
 from ._values import Frozen, Value
 from .errors import (
     InternalInconsistency,
+    MalformedInput,
     NotAGroup,
     NotASubgroup,
     SizeLimit,
@@ -100,13 +101,6 @@ class FiniteGroup(Frozen):
         order: every element is a left-bracketed product ((s1*s2)*...)*sk of
         S (the identity is the empty product).  See :func:`_right_generators`."""
         return _right_generators(self.table, self.identity)
-
-    def element_order(self, a: int) -> int:
-        x, n = a, 1
-        while x != self.identity:
-            x = self.mul(x, a)
-            n += 1
-        return n
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, names={list(self.names)})"
@@ -230,12 +224,15 @@ def make_group(
         NotAGroup: some group axiom fails.
         SizeLimit: the table is larger than ``MAX_TABLE_ORDER``.
     """
-    n = len(table)
+    try:
+        rows = tuple(map(tuple, table))
+    except TypeError:  # True or [1] is no table
+        raise NotAGroup("table is not a sequence of rows") from None
+    n = len(rows)
     if n == 0:
         raise NotAGroup("empty table")
     if n > MAX_TABLE_ORDER:
         raise SizeLimit(f"order {n} exceeds the cap of {MAX_TABLE_ORDER}")
-    rows = tuple(map(tuple, table))
     entries = list(itertools.chain.from_iterable(rows))
     if not (set(map(type, entries)) == {int} and 0 <= min(entries) and max(entries) < n):
         for x in entries:  # True and 0.0 equal 1 and 0, but are not entries
@@ -251,17 +248,18 @@ def make_group(
         a, b = failure
         c = next(c for c in range(n) if rows[rows[a][b]][c] != rows[a][rows[b][c]])
         raise NotAGroup(f"associativity fails at ({a},{b},{c}): ({a}*{b})*{c} != {a}*({b}*{c})")
-    if names is None:
-        name_tuple = tuple(str(i) for i in range(n))
-    else:
-        if len(names) != n:
-            raise NotAGroup(f"{len(names)} names for {n} elements")
-        name_tuple = tuple(names)
+    try:
+        name_tuple = tuple(map(str, range(n)) if names is None else names)
+    except TypeError:  # 5 is no list of names
+        raise NotAGroup("names are not a sequence of strings") from None
+    if len(name_tuple) != n:
+        raise NotAGroup(f"{len(name_tuple)} names for {n} elements")
     return FiniteGroup(rows, identity, name_tuple, inverses)
 
 
-def cyclic_group(n: int, names: Optional[Sequence[str]] = None) -> FiniteGroup:
-    """The cyclic group Z_n with elements 0..n-1 under addition mod n.
+def cyclic_group(n: int) -> FiniteGroup:
+    """The cyclic group Z_n with elements 0..n-1, named "0".."n-1", under
+    addition mod n.
 
     Raises:
         SizeLimit: n exceeds ``MAX_CYCLIC_ORDER`` (checked before the n^2
@@ -274,11 +272,9 @@ def cyclic_group(n: int, names: Optional[Sequence[str]] = None) -> FiniteGroup:
     if n > MAX_CYCLIC_ORDER:
         raise SizeLimit(f"cyclic group cap is n <= {MAX_CYCLIC_ORDER}")
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    name_tuple = tuple(names) if names is not None else tuple(str(i) for i in range(n))
-    if len(name_tuple) != n:
-        raise NotAGroup(f"{len(name_tuple)} names for {n} elements")
+    names = tuple(str(i) for i in range(n))
     inverses = tuple((-a) % n for a in range(n))
-    return FiniteGroup(table, 0, name_tuple, inverses, doc_kind=("cyclic", n))
+    return FiniteGroup(table, 0, names, inverses, doc_kind=("cyclic", n))
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:
@@ -345,6 +341,10 @@ class Subgroup(Frozen):
     def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
         object.__setattr__(self, "parent", parent)
         G = parent
+        try:
+            members = tuple(members)
+        except TypeError:  # True is no member set
+            raise NotASubgroup("members are not a collection of element indices") from None
         for a in members:
             if type(a) is not int or not 0 <= a < G.order:
                 raise NotASubgroup(f"member {a!r} is not an element index 0..{G.order - 1}")
@@ -385,9 +385,12 @@ class Subgroup(Frozen):
 
 def subgroup_closure(G: FiniteGroup, generators: Iterable[ElementRef]) -> Subgroup:
     """Smallest subgroup of G containing the given generators."""
-    gens = [G.resolve(g) for g in generators]
+    try:
+        refs = list(generators)
+    except TypeError:  # 1.5 is no collection of generators
+        raise MalformedInput("generators are not a collection of elements") from None
+    frontier = [G.resolve(g) for g in refs]
     members = {G.identity}
-    frontier = list(gens)
     while frontier:
         x = frontier.pop()
         if x in members:
@@ -572,9 +575,6 @@ class DiscrepancyReport(Value):
     @property
     def mismatch_count(self) -> int:
         return len(self.checked) - self.match_count
-
-    def mismatches(self) -> list[RowCheck]:
-        return [row for row in self.checked if not row.matches]
 
     def render_text(self) -> str:
         G = self.factorization.group

@@ -147,10 +147,6 @@ class SetPartialAction:
         vars(action).update(group=group, carrier=carrier, _pos=pos, domains=domains, maps=maps)
         return action
 
-    def is_global(self) -> bool:
-        full = frozenset(self.carrier)
-        return all(self.domains[g] == full for g in self.group.elements())
-
     def canonical_key(self):
         """Deterministic sort key; two actions are equal iff keys are equal
         (given the same group and carrier)."""
@@ -180,35 +176,29 @@ class SetPartialAction:
 class GlobalSetAction(SetPartialAction):
     """An ordinary group action: every domain is the full carrier.
 
-    The constructor checks, in this order, that every map is a bijection of
-    the carrier, that the identity acts trivially and that the action law
+    The constructor runs the checks of :class:`SetPartialAction`, then
+    checks, in this order, that every map is a bijection of the carrier,
+    that the identity acts trivially and that the action law
     alpha_g(alpha_t(x)) = alpha_gt(x) holds for t in ``group.generators``
-    (:func:`groups._law_failures`, exact given the identity), and raises
-    MalformedInput at the first failure, the least failing g, then t.
+    (:func:`groups._law_failures`, exact given the identity).  It raises
+    MalformedInput at the first failure: the least failing g, then t, then
+    the first x in carrier order.
 
-    Each check is a whole-structure or whole-list operation: one pass over
-    the maps (:func:`_whole_maps`; the checks of :class:`SetPartialAction`
-    run only when it rejects), then one tuple comparison per pair (g, t),
-    with each map read once as its images in carrier order.  That is
-    O(|G|·|S|·n) for n points and |S| <= log2 |G| generators, with the
-    per-point loop run only to name the first failing x.
-    ``tests/oracle_checks.py`` keeps the per-entry checks as the oracle.
+    The law is one tuple comparison per pair (g, t), with each map read once
+    as its images in carrier order: O(|G|·|S|·n) for n points and
+    |S| <= log2 |G| generators.  ``tests/oracle_checks.py`` keeps the
+    per-entry checks as the oracle.
     """
 
     def __init__(self, group, carrier, maps):
-        whole = _whole_maps(group, carrier, maps)
-        if whole is None:  # the per-entry checks raise at the first fault, or accept
-            super().__init__(group, carrier, maps=maps)
-            full = frozenset(self.carrier)
-            for g in group.elements():
-                m = self.maps[g]
-                if m.keys() != full or set(m.values()) != full:
-                    raise MalformedInput(f"map of {group.name(g)} is not a bijection of the carrier")
-        else:
-            self.group, (self.carrier, self.maps) = group, whole
-            self._pos = {x: i for i, x in enumerate(self.carrier)}
-        self.domains = dict.fromkeys(group.elements(), frozenset(self.carrier))
+        super().__init__(group, carrier, maps=maps)
         carrier, maps = self.carrier, self.maps
+        full = frozenset(carrier)
+        for g in group.elements():
+            m = maps[g]
+            if m.keys() != full or set(m.values()) != full:
+                raise MalformedInput(f"map of {group.name(g)} is not a bijection of the carrier")
+        self.domains = dict.fromkeys(group.elements(), full)
         images = [tuple(maps[g].values()) for g in group.elements()]  # in carrier order
         if images[group.identity] != carrier:
             raise MalformedInput("identity element does not act as the identity map")
@@ -218,29 +208,6 @@ class GlobalSetAction(SetPartialAction):
             m_g, gt = maps[g], group.mul(g, t)
             x = _first(x for x, y, z in zip(carrier, images[t], images[gt]) if m_g[y] != z)
             raise MalformedInput(f"action law fails: {group.name(g)}*{group.name(t)} at {x!r}")
-
-
-def _whole_maps(group, carrier, maps) -> Optional[tuple[tuple, dict]]:
-    """(carrier, maps keyed in carrier order) when one pass accepts the
-    data: ``maps`` and each map are exact dicts, keyed by the elements and by
-    the distinct points, each map onto the carrier, and every point is of one
-    type (True and 1.0 equal 1, but are not the point 1).  Else None."""
-    if type(maps) is not dict or maps.keys() != set(group.elements()) or set(map(type, maps)) - {int}:
-        return None
-    ms = [maps[g] for g in group.elements()]
-    try:
-        carrier = tuple(carrier)
-        full = frozenset(carrier)
-        whole = len(full) == len(carrier) and all(
-            type(m) is dict and m.keys() == full and set(m.values()) == full for m in ms
-        )
-    except TypeError:  # no sequence, or an unhashable point or image
-        return None
-    if not whole or len(set(map(type, itertools.chain(carrier, *ms, *map(dict.values, ms))))) > 1:
-        return None
-    return carrier, {
-        g: dict(m) if tuple(m) == carrier else {x: m[x] for x in carrier} for g, m in enumerate(ms)
-    }
 
 
 def _first(items):

@@ -30,6 +30,17 @@ def ideals_isomorphic(a, b) -> bool:
     return classes(a) == classes(b)
 
 
+def wreath_inverse(w: WreathMap) -> WreathMap:
+    """The inverse wreath map: position q goes back to p under the inverse
+    of the twist at p."""
+    pm = {q: p for p, q in w.position_map.items()}
+    tw = {
+        q: w.source.algebra.blocks[p].aut_group.inv(w.twists[p])
+        for p, q in w.position_map.items()
+    }
+    return WreathMap(w.target, w.source, pm, tw)
+
+
 def make_ideal_iso(a, b, theta) -> WreathMap:
     """The coefficient-transport isomorphism along a support bijection theta:
     the payload at position p moves untwisted to theta(p)."""

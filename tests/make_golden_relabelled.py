@@ -45,7 +45,7 @@ def relabelled_named(G):
 
 def workbench() -> Workbench:
     S3r = relabelled_named(symmetric_group(3))
-    Z4r = relabelled_named(cyclic_group(4, ["e", "a", "a2", "a3"]))
+    Z4r = relabelled_named(make_group(cyclic_group(4).table, ["e", "a", "a2", "a3"]))
     wb = Workbench()
     wb.groups.update({"S3r": S3r, "Z4r": Z4r, "Z2": cyclic_group(2), "Z3": cyclic_group(3)})
     blocks = {

@@ -2,11 +2,12 @@ import itertools
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import oracle_checks
 import oracle_globalization
 import pytest
-from conftest import check_item, whole_group
+from conftest import check_item, whole_group, wreath_inverse
 from oracle_enumeration import brute_force_algebra_partial_actions, relabelled
 
 from partial_actions import algebra_actions, set_actions
@@ -15,7 +16,6 @@ from partial_actions.algebra_actions import (
     GlobalizationResult,
     classify_indecomposable,
     enumerate_algebra_partial_actions,
-    envelope_block_count,
     extend_by_zero_algebra,
     globalizations_equivalent,
     globalize_block_power,
@@ -51,7 +51,7 @@ from partial_actions.groups import (
     symmetric_group,
 )
 from partial_actions.cli import main
-from partial_actions.documents import algebra_action_to_doc
+from partial_actions.documents import algebra_action_to_doc, parse_group
 from partial_actions.set_actions import (
     SetPartialAction,
     enumerate_partial_actions,
@@ -589,23 +589,47 @@ class TestEnvelopeBlockCount:
     def test_global_action(self, z4):
         block = Block("L", cyclic_group(2))
         pa = extend_by_zero_algebra(block, whole_group(z4), {0: 0, 1: 1, 2: 0, 3: 1})
-        assert envelope_block_count(pa) == 1
+        assert globalize_block_power(pa).block_count == 1
 
     def test_quiver_example(self, quiver_setup):
         block, H, hom = quiver_setup
-        assert envelope_block_count(extend_by_zero_algebra(block, H, hom)) == 3
+        assert globalize_block_power(extend_by_zero_algebra(block, H, hom)).block_count == 3
 
     def test_trivial_subgroup_z4(self, z4):
         block = Block("L", cyclic_group(2))
         H = subgroup_closure(z4, [])
-        assert envelope_block_count(extend_by_zero_algebra(block, H, {0: 0})) == 4
+        assert globalize_block_power(extend_by_zero_algebra(block, H, {0: 0})).block_count == 4
 
-    def test_one_iff_global_over_all_single_block_actions(self, s3):
-        block = Block("L", cyclic_group(2))
-        for pa in enumerate_algebra_partial_actions(s3, 1, block):
-            count = envelope_block_count(pa)
-            is_global = pa.support(0) and all(pa.support(g) for g in s3.elements())
-            assert (count == 1) == bool(is_global)
+
+KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+S3_RELABELLED = Path(__file__).parent / "data" / "group_s3_relabelled.json"
+
+
+class TestIndecomposableCase:
+    """The paper's first result, over every single-block action: each is the
+    extension by zero of a global action of the subgroup H where it is
+    global, and its envelope has [G:H] blocks, one exactly when the action
+    is global."""
+
+    @pytest.mark.parametrize("G", [
+        *(cyclic_group(n) for n in range(2, 7)),
+        make_group(KLEIN),
+        symmetric_group(3),
+        parse_group(json.loads(S3_RELABELLED.read_text())),
+    ], ids=["Z2", "Z3", "Z4", "Z5", "Z6", "K4", "S3", "S3 relabelled"])
+    @pytest.mark.parametrize("aut", [1, 2, 3], ids=["Aut 1", "Aut Z2", "Aut Z3"])
+    def test_every_action_is_an_extension_by_zero(self, G, aut):
+        block = Block("B", cyclic_group(aut))
+        actions = enumerate_algebra_partial_actions(G, 1, block)
+        assert actions
+        for pa in actions:
+            H, hom = classify_indecomposable(pa)
+            assert extend_by_zero_algebra(block, H, hom) == pa
+            result = globalize_extension_by_zero(block, H, hom)
+            assert result.block_count == G.order // H.order
+            is_global = all(pa.support(g) for g in G.elements())
+            assert (result.block_count == 1) == is_global
+            assert globalizations_equivalent(result, globalize_block_power(pa)) is not None
 
 
 class TestSplitProduct:
@@ -686,7 +710,7 @@ class TestRestrictLift:
         swap = WreathMap(full, full, {0: 1, 1: 0}, {0: 1, 1: 1})
         pa = AlgebraPartialAction(z2, algebra, {0: full, 1: full}, {1: swap})
         gamma = restrict_to_idempotents(pa)
-        assert gamma.is_global()
+        assert all(gamma.domains[g] == {0, 1} for g in z2.elements())
         assert gamma.maps[1] == {0: 1, 1: 0}
 
     def test_quiver_restriction_is_single_point(self, quiver_setup, s3):
@@ -1023,7 +1047,7 @@ class TestCertificate:
 class TestEquivalenceSearch:
     def test_conjugated_envelope_is_equivalent(self, quiver_setup, s3):
         from partial_actions.algebra_actions import GlobalizationResult
-        from partial_actions.block_algebras import wreath_compose, wreath_inverse
+        from partial_actions.block_algebras import wreath_compose
 
         block, H, hom = quiver_setup
         original = globalize_extension_by_zero(block, H, hom)

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from conftest import ideals_isomorphic, make_ideal_iso
+from conftest import ideals_isomorphic, make_ideal_iso, wreath_inverse
 
 from partial_actions.block_algebras import (
     Block,
@@ -13,7 +13,6 @@ from partial_actions.block_algebras import (
     wreath_apply,
     wreath_compose,
     wreath_identity,
-    wreath_inverse,
     WreathMap,
 )
 from partial_actions.errors import (

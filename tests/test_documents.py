@@ -19,6 +19,7 @@ from partial_actions.algebra_actions import AlgebraPartialAction
 from partial_actions.cli import main
 from partial_actions.documents import (
     DocumentError,
+    Workbench,
     _write_json,
     _resolve_element,
     algebra_action_to_doc,
@@ -34,10 +35,19 @@ from partial_actions.documents import (
     workbench_to_doc,
 )
 from partial_actions.errors import UnknownElement
-from partial_actions.groups import cyclic_group, symmetric_group
+from partial_actions.groups import cyclic_group, make_group, subgroup_closure, symmetric_group
 from partial_actions.set_actions import SetPartialAction, enumerate_partial_actions, globalize_set
 
 DATA = Path(__file__).parent / "data"
+
+# a group from each constructor, and one read from a file
+BUILT_GROUPS = {
+    "cyclic_group": cyclic_group(4),
+    "symmetric_group": symmetric_group(3),
+    "make_group with names": make_group(cyclic_group(4).table, ["e", "a", "a2", "a3"]),
+    "Subgroup.as_group": subgroup_closure(symmetric_group(4), ["(12)", "(34)"]).as_group(),
+    "group_s3_relabelled.json": parse_group(json.loads((DATA / "group_s3_relabelled.json").read_text())),
+}
 
 
 class TestGroupDocs:
@@ -54,6 +64,18 @@ class TestGroupDocs:
         again = parse_group(group_to_doc(G))
         assert again == G
         assert group_to_doc(again) == group_to_doc(G)
+
+    @pytest.mark.parametrize("G", BUILT_GROUPS.values(), ids=BUILT_GROUPS.keys())
+    def test_built_group_round_trip(self, G):
+        assert parse_group(group_to_doc(G)) == G
+
+    def test_built_groups_round_trip_through_a_workbench(self):
+        wb = Workbench(groups=dict(BUILT_GROUPS))
+        for name, G in BUILT_GROUPS.items():
+            wb.actions[name] = enumerate_partial_actions(G, 2)[-1]
+        again = parse_workbench(json.loads(json.dumps(workbench_to_doc(wb))))
+        assert again.groups == wb.groups
+        assert again.actions == wb.actions
 
     def test_unknown_kind(self):
         with pytest.raises(DocumentError):

@@ -9,7 +9,11 @@ Python exception."""
 import pytest
 from conftest import whole_group
 
-from partial_actions.algebra_actions import AlgebraPartialAction, extend_by_zero_algebra
+from partial_actions.algebra_actions import (
+    AlgebraPartialAction,
+    extend_by_zero_algebra,
+    globalize_extension_by_zero,
+)
 from partial_actions.block_algebras import (
     Block,
     block_power,
@@ -17,8 +21,8 @@ from partial_actions.block_algebras import (
     wreath_apply,
     wreath_identity,
 )
-from partial_actions.errors import MalformedInput, NotAGroup, NotAHomomorphism
-from partial_actions.groups import cyclic_group, make_group, symmetric_group
+from partial_actions.errors import MalformedInput, NotAGroup, NotAHomomorphism, NotASubgroup
+from partial_actions.groups import Subgroup, cyclic_group, make_group, subgroup_closure, symmetric_group
 from partial_actions.set_actions import (
     GlobalSetAction,
     SetPartialAction,
@@ -48,7 +52,6 @@ CASES = [
     ("string entry", lambda: make_group([[0, "1"], [1, 0]]), NotAGroup, "table entry '1'"),
     ("bool names", lambda: make_group(SWAP, [True, None]), NotAGroup, "element name True"),
     ("int name", lambda: make_group(SWAP, [1, "1"]), NotAGroup, "element name 1 "),
-    ("cyclic int names", lambda: cyclic_group(2, [0, 1]), NotAGroup, "element name 0 "),
     ("bool position", lambda: block_power(k_line_block(), 2).ideal({True}), MalformedInput,
      "position True"),
     ("float position", lambda: block_power(k_line_block(), 2).ideal({0, 1.0}), MalformedInput,
@@ -139,6 +142,17 @@ CASES = [
     ("float twist on Z2",
      lambda: extend_by_zero_algebra(Block("Q", Z2), whole_group(Z2), {0: 0, 1: 1.0}),
      NotAHomomorphism, "1.0 is not an automorphism index"),
+    ("bool members", lambda: Subgroup(Z2, True), NotASubgroup,
+     "members are not a collection of element indices"),
+    ("float generators", lambda: subgroup_closure(Z2, 1.5), MalformedInput,
+     "generators are not a collection of elements"),
+    ("bool table", lambda: make_group(True), NotAGroup, "table is not a sequence of rows"),
+    ("int row", lambda: make_group([1]), NotAGroup, "table is not a sequence of rows"),
+    ("int names", lambda: make_group(SWAP, 5), NotAGroup, "names are not a sequence of strings"),
+    ("string hom", lambda: extend_by_zero_algebra(Q_Z2, whole_group(Z2), "x"),
+     NotAHomomorphism, "hom is not a mapping"),
+    ("list hom", lambda: globalize_extension_by_zero(Q_Z2, whole_group(Z2), [1]),
+     NotAHomomorphism, "hom is not a mapping"),
 ]
 
 
@@ -159,6 +173,9 @@ def test_non_int_values_are_rejected(build, error, message):
     not be read back; a map that is no mapping, or a support that is no
     iterable, leaked TypeError or ValueError, as did a number or a string
     given as the carrier, the domains or the maps, and an algebra map that
-    is no wreath map built and failed later in the verifier."""
+    is no wreath map built and failed later in the verifier.  A bool given
+    as subgroup members, a float as generators, a bool or a list of ints as
+    a table, an int as names, and a string or a list as a hom leaked
+    TypeError or ValueError."""
     with pytest.raises(error, match=message):
         build()
