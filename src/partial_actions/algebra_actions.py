@@ -445,8 +445,13 @@ def product_partial_action(components: Sequence[AlgebraPartialAction]) -> Algebr
     """Blockwise concatenation of actions of one group.
 
     Raises:
+        MalformedInput: no components, or ``components`` is no sequence.
         GroupMismatch: the components are over different groups.
     """
+    try:
+        components = tuple(components)
+    except TypeError:  # 5 is no sequence of actions
+        raise MalformedInput("components are not a sequence of actions") from None
     if not components:
         raise MalformedInput("need at least one component")
     G = components[0].group

@@ -51,7 +51,10 @@ class BlockAlgebra(Frozen):
     _fields = ("blocks",)
 
     def __init__(self, blocks: tuple[Block, ...]):
-        object.__setattr__(self, "blocks", tuple(blocks))
+        try:
+            object.__setattr__(self, "blocks", tuple(blocks))
+        except TypeError:  # 5 or True is no sequence of blocks
+            raise MalformedInput("blocks are not a sequence of blocks") from None
         if not self.blocks:
             raise MalformedInput("an algebra needs at least one block")
         by_class: dict[str, FiniteGroup] = {}

@@ -293,19 +293,26 @@ def _render_action_line(spa: SetPartialAction) -> str:
     return "; ".join(parts) if parts else "all domains empty off the identity"
 
 
+def _enumerate_doc(G: FiniteGroup, actions: list, sizes: Optional[list]) -> dict:
+    """The JSON report of ``enumerate``.  Its actions share one group
+    document, one carrier list, one list per distinct domain and one dict
+    per distinct map, each encoded at most twice, then reused; the output
+    is streamed."""
+    group_doc = group_to_doc(G)
+    memo: dict = {}
+    payload: dict = {"count": len(actions)}
+    payload["actions"] = [set_action_to_doc(a, group_doc, _memo=memo) for a in actions]
+    if sizes is not None:
+        payload["envelope_sizes"] = sizes
+    return payload
+
+
 def cmd_enumerate(args) -> int:
     G = _group_from_spec(args.group)
     actions = enumerate_partial_actions(G, args.size)
     sizes = _envelope_sizes(actions) if args.envelopes else None
     if args.format == "json":
-        # one group document for all actions: encoded at most twice, then
-        # reused; the output is streamed
-        group_doc = group_to_doc(G)
-        payload: dict = {"count": len(actions)}
-        payload["actions"] = [set_action_to_doc(a, group_doc) for a in actions]
-        if sizes is not None:
-            payload["envelope_sizes"] = sizes
-        _emit_json(payload, args.output)
+        _emit_json(_enumerate_doc(G, actions, sizes), args.output)
     else:
         lines = [f"{len(actions)} partial actions of {args.group} on {args.size} points"]
         for i, a in enumerate(actions):

@@ -159,29 +159,59 @@ def _carrier_lookup(carrier: tuple, path: str) -> dict[str, object]:
 
 
 def set_action_to_doc(
-    spa: SetPartialAction, group_ref: Union[str, dict, None] = None
+    spa: SetPartialAction, group_ref: Union[str, dict, None] = None, *, _memo: Optional[dict] = None
 ) -> dict:
     """The action as a document.  ``group_ref`` is what its ``group`` field
     holds: a group's name in the workbench, a group document, or ``None``
     for a fresh ``group_to_doc(spa.group)``.  A group document is used as
     given, not copied, so that many actions of one group can share one
     (``_write_json`` encodes a shared document at most twice, then reuses
-    its text; the output is streamed)."""
+    its text; the output is streamed).
+
+    ``_memo``, a dict passed to every call for the actions of one group on
+    one carrier, lets their documents share the rest too: one carrier list
+    (under the key ``"carrier"``), one list per domain (keyed by the domain
+    frozenset) and one dict per map (keyed by the tuple of its items, which
+    are in carrier order).  Its keys compare points by ``==``, so it must
+    hold one carrier, whose points the constructor keeps apart (no ``1``
+    beside ``True``).  Without it every container is fresh."""
     G = spa.group
     e = G.identity
-    doc: dict = {
+    carrier = spa.carrier
+    domains: dict = {}
+    maps: dict = {}
+    if _memo is None:
+        carrier_doc = list(carrier)
+    else:
+        carrier_doc = _memo.get("carrier")
+        if carrier_doc is None:
+            carrier_doc = _memo["carrier"] = list(carrier)
+    for g in G.elements():
+        D = spa.domains[g]
+        if g != e and not D:
+            continue
+        name = G.name(g)
+        m = spa.maps[g]
+        if _memo is None:
+            domains[name] = [x for x in carrier if x in D]
+            maps[name] = {str(k): v for k, v in m.items()}
+            continue
+        dom = _memo.get(D)
+        if dom is None:
+            dom = _memo[D] = [x for x in carrier if x in D]
+        domains[name] = dom
+        items = tuple(m.items())
+        m_doc = _memo.get(items)
+        if m_doc is None:
+            m_doc = _memo[items] = {str(k): v for k, v in items}
+        maps[name] = m_doc
+    return {
         "kind": "set",
         "group": group_ref if group_ref is not None else group_to_doc(G),
-        "carrier": list(spa.carrier),
-        "domains": {},
-        "maps": {},
+        "carrier": carrier_doc,
+        "domains": domains,
+        "maps": maps,
     }
-    for g in G.elements():
-        if g != e and not spa.domains[g]:
-            continue
-        doc["domains"][G.name(g)] = [x for x in spa.carrier if x in spa.domains[g]]
-        doc["maps"][G.name(g)] = {str(k): v for k, v in spa.maps[g].items()}
-    return doc
 
 
 def _action_group(doc: Mapping, groups: Mapping[str, FiniteGroup], path: str) -> FiniteGroup:

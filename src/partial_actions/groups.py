@@ -633,13 +633,18 @@ def cross_validate_table(
     with their derived values.
 
     Raises:
+        MalformedInput: ``claimed_rows`` is not a collection of such rows.
         UnknownElement: a row references an element outside G, or a g_i that
             is not a transversal representative.
     """
     G = cf.group
+    try:
+        rows = [(g, g_i, j, h) for (g, g_i), j, h in claimed_rows]
+    except (TypeError, ValueError):  # 5, "x" or [5] is no list of rows
+        raise MalformedInput("claimed rows are not ((g, g_i), j, h) triples") from None
     checked: list[RowCheck] = []
     claimed_pairs = set()
-    for (g_ref, gi_ref), j_ref, h_ref in claimed_rows:
+    for g_ref, gi_ref, j_ref, h_ref in rows:
         g, g_i = G.resolve(g_ref), G.resolve(gi_ref)
         j, h = cf.j(g, g_i), cf.h(g, g_i)  # UnknownElement for a g_i that is no representative
         checked.append(RowCheck(g, g_i, G.resolve(j_ref), G.resolve(h_ref), j, h))

@@ -20,7 +20,9 @@ and on the globalize-s5 and verify-mixed inputs; ``example-s3``, text and
 JSON; ``enumerate --envelopes``, text and JSON, on the enumerate-z6x4
 group at size 4, on ``group_s3_relabelled.json`` at size 3 and on S3 at
 size 4, whose non-normal stabilizers give orbit pieces that share a
-stabilizer order but not a placement;
+stabilizer order but not a placement; ``enumerate`` without
+``--envelopes``, text and JSON, on the enumerate-z6x4 group at size 4,
+and in JSON on Z2 at size 0, an empty carrier whose every domain is ``[]``;
 ``factorize``, text and JSON, with ``--subgroup (12)`` on S3 with
 ``--compare`` and the claimed rows of ``s3_example.CLAIMED_ROWS`` and on
 ``group_s3_relabelled.json``, with ``--subgroup (12),(34)`` on S4 (index
@@ -99,6 +101,13 @@ def seed_runs(workdir: Path, seed: int) -> list[tuple[str, list[str]]]:
              ["enumerate", "--group", group, "--size", size, "--envelopes", "--format", fmt])
             for fmt in FORMATS
         ]
+    runs += [
+        (f"enumerate seed-{seed} z6.json --size 4 {fmt} without --envelopes",
+         ["enumerate", "--group", z6, "--size", "4", "--format", fmt])
+        for fmt in FORMATS
+    ]
+    runs.append(("enumerate Z2 --size 0 json", ["enumerate", "--group", "Z2", "--size", "0",
+                                                "--format", "json"]))
     runs += [
         (f"enumerate seed-{seed} z6.json --size 4 json --output",
          ["enumerate", "--group", z6, "--size", "4", "--envelopes", "--format", "json",

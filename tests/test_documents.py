@@ -185,6 +185,76 @@ class TestSetActionDocs:
         assert err.value.path == "alpha"
 
 
+K4 = make_group([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+ENUMERATED_GROUPS = {
+    **{f"Z{n}": cyclic_group(n) for n in range(1, 7)},
+    "K4": K4,
+    "S3": symmetric_group(3),
+    "group_s3_relabelled.json": BUILT_GROUPS["group_s3_relabelled.json"],
+}
+
+
+def _docs(actions, memo) -> list:
+    """The documents of ``actions`` on one shared group document, through
+    one memo (``None`` for none), as ``enumerate --format json`` makes them."""
+    group_doc = group_to_doc(actions[0].group)
+    return [set_action_to_doc(a, group_doc, _memo=memo) for a in actions]
+
+
+def _assert_memo_changes_no_text(actions):
+    """Compared one document at a time first, so that a failure names the
+    first action that differs without diffing megabytes of text."""
+    fresh, shared = _docs(actions, None), _docs(actions, {})
+    expected = [json.dumps(d, indent=2) for d in fresh]
+    assert [json.dumps(d, indent=2) for d in shared] == expected
+    assert _json_text(shared) == json.dumps(fresh, indent=2)
+
+
+class TestSharedActionDocs:
+    """With a memo, the documents of one group's actions on one carrier
+    share their carrier, equal domains and equal maps; their text is that
+    of fresh documents, ``json.dumps`` with or without the memo."""
+
+    @pytest.mark.parametrize("size", range(5))
+    @pytest.mark.parametrize("name", ENUMERATED_GROUPS)
+    def test_enumerated_actions(self, name, size):
+        _assert_memo_changes_no_text(enumerate_partial_actions(ENUMERATED_GROUPS[name], size))
+
+    def test_string_carriers(self):
+        Z2, Z3 = cyclic_group(2), cyclic_group(3)
+        carrier = ["c", "a", "b"]
+        actions = [
+            SetPartialAction(Z2, carrier),
+            SetPartialAction(Z2, carrier, {1: ["a", "b"]}, {1: {"b": "a", "a": "b"}}),
+            SetPartialAction(Z2, carrier, {1: ["c"]}, {1: {"c": "c"}}),
+            SetPartialAction(Z2, carrier, {0: ["a"], 1: ["a", "c"]}, {0: {"a": "a"}}),
+        ]
+        _assert_memo_changes_no_text(actions)
+        _assert_memo_changes_no_text(enumerate_partial_actions(Z3, ["x", "é", "a\nb"]))
+
+    def test_equal_maps_with_different_domains(self):
+        """Equal maps share one dict and equal domains one list; neither
+        memo key stands in for the other."""
+        Z2 = cyclic_group(2)
+        one = SetPartialAction(Z2, [0, 1], {1: [0]}, {1: {0: 1}})
+        other = SetPartialAction(Z2, [0, 1], {1: [0, 1]}, {1: {0: 1}})
+        assert one.maps == other.maps and one.domains != other.domains
+        _assert_memo_changes_no_text([one, other])
+        first, second = _docs([one, other], {})
+        assert first["maps"]["1"] is second["maps"]["1"]
+        assert first["domains"]["1"] == [0] and second["domains"]["1"] == [0, 1]
+
+    def test_enumerate_report_shares_each_distinct_part(self):
+        """On the enumerate-z6x4 report: one carrier list, one list per
+        distinct domain and one dict per distinct map."""
+        docs = _z6x4_payload()["actions"]
+        assert len(docs) == 1628
+        assert len({id(d["carrier"]) for d in docs}) == 1
+        for section, distinct in (("domains", 15), ("maps", 202)):
+            values = [v for d in docs for v in d[section].values()]
+            assert len({id(v) for v in values}) == len({json.dumps(v) for v in values}) == distinct
+
+
 class TestAlgebraDocs:
     def algebra_doc(self):
         return {
@@ -558,15 +628,11 @@ def _json_text(obj) -> str:
 @lru_cache(maxsize=None)
 def _z6x4_payload() -> dict:
     """What ``enumerate --group Z6 --size 4 --envelopes --format json``
-    writes: 1,628 action documents that share one group document."""
+    writes, built by the CLI's own call: 1,628 action documents that share
+    one group document, one carrier list and their equal domains and maps."""
     G = cyclic_group(6)
     actions = enumerate_partial_actions(G, 4)
-    group_doc = group_to_doc(G)
-    return {
-        "count": len(actions),
-        "actions": [set_action_to_doc(a, group_doc) for a in actions],
-        "envelope_sizes": [globalize_set(a).size for a in actions],
-    }
+    return cli._enumerate_doc(G, actions, [globalize_set(a).size for a in actions])
 
 
 class _CountingRaw(io.RawIOBase):

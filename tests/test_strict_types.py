@@ -13,16 +13,26 @@ from partial_actions.algebra_actions import (
     AlgebraPartialAction,
     extend_by_zero_algebra,
     globalize_extension_by_zero,
+    product_partial_action,
 )
 from partial_actions.block_algebras import (
     Block,
+    BlockAlgebra,
     block_power,
     k_line_block,
     wreath_apply,
     wreath_identity,
 )
 from partial_actions.errors import MalformedInput, NotAGroup, NotAHomomorphism, NotASubgroup
-from partial_actions.groups import Subgroup, cyclic_group, make_group, subgroup_closure, symmetric_group
+from partial_actions.groups import (
+    Subgroup,
+    coset_factorize,
+    cross_validate_table,
+    cyclic_group,
+    make_group,
+    subgroup_closure,
+    symmetric_group,
+)
 from partial_actions.set_actions import (
     GlobalSetAction,
     SetPartialAction,
@@ -35,6 +45,8 @@ SWAP = [[0, 1], [1, 0]]
 Z2_SWAP = GlobalSetAction(Z2, [0, 1], {1: {0: 1, 1: 0}})
 Q_Z2 = block_power(Block("Q", Z2), 1)
 K2 = block_power(k_line_block(), 2)
+S3 = symmetric_group(3)
+CF_S3 = coset_factorize(S3, subgroup_closure(S3, ["(12)"]))
 
 
 def apply_identity(payload):
@@ -153,6 +165,17 @@ CASES = [
      NotAHomomorphism, "hom is not a mapping"),
     ("list hom", lambda: globalize_extension_by_zero(Q_Z2, whole_group(Z2), [1]),
      NotAHomomorphism, "hom is not a mapping"),
+    ("int blocks", lambda: BlockAlgebra(5), MalformedInput, "blocks are not a sequence of blocks"),
+    ("bool blocks", lambda: BlockAlgebra(True), MalformedInput,
+     "blocks are not a sequence of blocks"),
+    ("int claimed rows", lambda: cross_validate_table(CF_S3, 5), MalformedInput,
+     r"claimed rows are not \(\(g, g_i\), j, h\) triples"),
+    ("string claimed rows", lambda: cross_validate_table(CF_S3, "x"), MalformedInput,
+     r"claimed rows are not \(\(g, g_i\), j, h\) triples"),
+    ("int claimed row", lambda: cross_validate_table(CF_S3, [5]), MalformedInput,
+     r"claimed rows are not \(\(g, g_i\), j, h\) triples"),
+    ("int components", lambda: product_partial_action(5), MalformedInput,
+     "components are not a sequence of actions"),
 ]
 
 
@@ -176,6 +199,7 @@ def test_non_int_values_are_rejected(build, error, message):
     is no wreath map built and failed later in the verifier.  A bool given
     as subgroup members, a float as generators, a bool or a list of ints as
     a table, an int as names, and a string or a list as a hom leaked
-    TypeError or ValueError."""
+    TypeError or ValueError, as did a number as blocks or as components,
+    and a number, a string or a list of numbers as claimed rows."""
     with pytest.raises(error, match=message):
         build()
