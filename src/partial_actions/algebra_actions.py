@@ -4,15 +4,17 @@ Domains are ideals generated by central idempotents (so every action here
 satisfies the globalizability criterion by construction) and the maps are
 wreath maps: class-preserving position bijections with automorphism twists.
 
-Every envelope comes from one assembly: a copy of a block per class of
-(g, position) pairs, class c anchored at b_c, with b_c H the class, and the
-twist T_c of a payload placed there; beta_g twists c by
+Every envelope comes from one assembly over a move table: a copy of a
+block per class of (g, position) pairs, beta_g moving class c to class
+moves[g][c], class c anchored at b_c, with b_c H the class, and the twist
+T_c of a payload placed there; beta_g twists c by
 T_c' phi(b_c'^-1 g b_c) T_c^-1, the action induced from phi.
 ``globalize_block_power`` handles every block algebra, mixed classes
-included, anchored by the orbit data of its idempotent restriction (each
-orbit's stabilizer H, phi: H -> Aut(B), and the twist tau_y along the path
-k_y to each block y).  ``globalize_extension_by_zero`` is the one-orbit
-case: its classes are the cosets of H, from ``coset_factorize``.
+included, with the move table and anchors read off the orbit data of its
+idempotent restriction (each orbit's stabilizer H, phi: H -> Aut(B), and
+the twist tau_y along the path k_y to each block y).
+``globalize_extension_by_zero`` is the one-orbit case: its move table is
+the j table of ``coset_factorize``.
 """
 
 from __future__ import annotations
@@ -401,19 +403,20 @@ def globalize_extension_by_zero(
     """Envelope of the extension by zero of a global subgroup action on one
     block: one copy of the block per transversal representative, with beta_g
     moving the g_i component to the j(g,g_i) component under the twist
-    hom(h(g,g_i)): the one-orbit case of :func:`_assemble`, with (g, 0) in
-    the class j(g, e) of the verified j table and block i anchored at
-    (hom, g_i, identity), whose twist hom(g_j^-1 g g_i) is hom(h(g, g_i)).
-    Blocks follow the transversal, e first."""
+    hom(h(g,g_i)): the one-orbit case of :func:`_assemble`.  Its move table
+    is the verified j table of :func:`coset_factorize`, as beta_g sends
+    block i to block j(g, g_i); the block is embedded at block 0, the coset
+    H, and block i is anchored at (hom, g_i, identity), whose twist
+    hom(g_j^-1 g g_i) is hom(h(g, g_i)).  Blocks follow the transversal, e
+    first."""
     pa = extend_by_zero_algebra(block, subgroup, hom)
     G = subgroup.parent
     cf = coset_factorize(G, subgroup)
     reps = cf.reps
-    pair_class = {(g, 0): cf.j_table[g][0] for g in G.elements()}
     identity = pa.algebra.blocks[0].aut_group.identity
     anchors = [(hom, r, identity) for r in reps]
     witnesses = tuple((r, 0) for r in reps)
-    return _assemble(pa, witnesses, pair_class, anchors, tuple(G.name(r) for r in reps))
+    return _assemble(pa, witnesses, cf.j_table, {0: 0}, anchors, tuple(G.name(r) for r in reps))
 
 
 def split_partial_action(pa: AlgebraPartialAction) -> list[AlgebraPartialAction]:
@@ -445,7 +448,8 @@ def product_partial_action(components: Sequence[AlgebraPartialAction]) -> Algebr
     """Blockwise concatenation of actions of one group.
 
     Raises:
-        MalformedInput: no components, or ``components`` is no sequence.
+        MalformedInput: no components, or ``components`` is no sequence of
+            algebra partial actions.
         GroupMismatch: the components are over different groups.
     """
     try:
@@ -454,6 +458,9 @@ def product_partial_action(components: Sequence[AlgebraPartialAction]) -> Algebr
         raise MalformedInput("components are not a sequence of actions") from None
     if not components:
         raise MalformedInput("need at least one component")
+    for i, c in enumerate(components):
+        if not isinstance(c, AlgebraPartialAction):
+            raise MalformedInput(f"component {i} is not an algebra partial action")
     G = components[0].group
     for c in components[1:]:
         if c.group != G:
@@ -525,29 +532,31 @@ def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
     G = pa.group
     positions = pa.algebra.positions()
     orbits, paths = _orbit_data(G, positions, *_position_data(pa))
-    witnesses, pair_class = _envelope_classes(G, positions, orbits, paths)
+    witnesses, moves, embedding = _envelope_classes(G, positions, orbits, paths)
     seeds = list(witnesses)
-    for x in positions:
-        seeds[pair_class[(G.identity, x)]] = (G.identity, x)
+    for x, c in embedding.items():
+        seeds[c] = (G.identity, x)
     anchors = []
     for t, x in seeds:
         o, k_x, tau_x = paths[x]
         anchors.append((orbits[o].phi, G.table[t][k_x], tau_x))
     provenance = tuple((G.name(t), x) for (t, x) in witnesses)
-    return _assemble(pa, witnesses, pair_class, anchors, provenance)
+    return _assemble(pa, witnesses, moves, embedding, anchors, provenance)
 
 
 def _assemble(
     pa: AlgebraPartialAction,
     witnesses: tuple,
-    pair_class: dict,
+    moves: Sequence[Sequence[int]],
+    embedding: dict[int, int],
     anchors: list,
     provenance: tuple,
 ) -> GlobalizationResult:
     """Envelope of pa whose block c copies the block at witnesses[c] = (t, x),
-    with beta_g sending c to c', the class of (gt, x), under the twist
-    T_c' phi(b_c'^-1 g b_c) T_c^-1, where anchors[c] = (phi, b_c, T_c), and
-    x embedded at the class of (e, x) untwisted.  These twists compose, as
+    with beta_g sending c to c' = moves[g][c], the class of (gt, x), under
+    the twist T_c' phi(b_c'^-1 g b_c) T_c^-1, where anchors[c] =
+    (phi, b_c, T_c), and position x embedded at block embedding[x], the
+    class of (e, x), untwisted.  These twists compose, as
     phi is a homomorphism on H, so beta is an action.  At the embedded block
     of x, anchored at (k_x, tau_x), beta_g twists by
     tau_y phi(k_y^-1 g k_x) tau_x^-1, y = alpha_g(x), which
@@ -561,27 +570,23 @@ def _assemble(
     # per block c: what beta_g reads where c is the source, and where c is
     # the target: the row of b_c^-1 and T_c
     sources, targets = [], []
-    for c, ((t, x), (phi, b, T)) in enumerate(zip(witnesses, anchors)):
+    for c, (phi, b, T) in enumerate(anchors):
         aut = envelope.blocks[c].aut_group
-        sources.append((t, x, b, phi, aut.table, aut.inv(T)))
+        sources.append((b, phi, aut.table, aut.inv(T)))
         targets.append((table[G.inv(b)], T))
     action = {}
     for g in G.elements():
         row = table[g]
-        pm = {}
         tw = {}
-        for c, (t, x, b, phi, mul, back) in enumerate(sources):
-            pm[c] = d = pair_class[(row[t], x)]
+        for c, (d, (b, phi, mul, back)) in enumerate(zip(moves[g], sources)):
             b_inv, T = targets[d]
             tw[c] = mul[mul[T][phi[b_inv[row[b]]]]][back]
-        action[g] = WreathMap(full, full, pm, tw)
-    e = G.identity
-    embed_pm = {x: pair_class[(e, x)] for x in pa.algebra.positions()}
+        action[g] = WreathMap(full, full, dict(enumerate(moves[g])), tw)
     embedding = WreathMap(
         pa.algebra.full_ideal(),
-        envelope.ideal(embed_pm.values()),
-        embed_pm,
-        {x: pa.algebra.blocks[x].aut_group.identity for x in embed_pm},
+        envelope.ideal(embedding.values()),
+        embedding,
+        {x: pa.algebra.blocks[x].aut_group.identity for x in embedding},
     )
     candidate = {"envelope": envelope, "action": action, "embedding": embedding}
     checks = verify_enveloping(pa, candidate)

@@ -58,7 +58,9 @@ class BlockAlgebra(Frozen):
         if not self.blocks:
             raise MalformedInput("an algebra needs at least one block")
         by_class: dict[str, FiniteGroup] = {}
-        for b in self.blocks:
+        for i, b in enumerate(self.blocks):
+            if not isinstance(b, Block):  # "x" or 5 is no block
+                raise MalformedInput(f"block {i} is not a block")
             prior = by_class.setdefault(b.iso_class, b.aut_group)
             if prior != b.aut_group:
                 raise MalformedInput(

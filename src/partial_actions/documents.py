@@ -168,42 +168,36 @@ def set_action_to_doc(
     (``_write_json`` encodes a shared document at most twice, then reuses
     its text; the output is streamed).
 
-    ``_memo``, a dict passed to every call for the actions of one group on
-    one carrier, lets their documents share the rest too: one carrier list
-    (under the key ``"carrier"``), one list per domain (keyed by the domain
-    frozenset) and one dict per map (keyed by the tuple of its items, which
-    are in carrier order).  Its keys compare points by ``==``, so it must
-    hold one carrier, whose points the constructor keeps apart (no ``1``
-    beside ``True``).  Without it every container is fresh."""
+    Equal domains and equal maps share one container within a document:
+    one list per domain (keyed by the domain frozenset) and one dict per
+    map (keyed by the tuple of its items, which are in carrier order), kept
+    in ``_memo``.  A dict passed as ``_memo`` to every call for the actions
+    of one group on one carrier shares them across documents too, and the
+    carrier list (under the key ``"carrier"``).  Its keys compare points by
+    ``==``, so it must hold one carrier, whose points the constructor keeps
+    apart (no ``1`` beside ``True``)."""
     G = spa.group
     e = G.identity
     carrier = spa.carrier
+    memo = {} if _memo is None else _memo
     domains: dict = {}
     maps: dict = {}
-    if _memo is None:
-        carrier_doc = list(carrier)
-    else:
-        carrier_doc = _memo.get("carrier")
-        if carrier_doc is None:
-            carrier_doc = _memo["carrier"] = list(carrier)
+    carrier_doc = memo.get("carrier")
+    if carrier_doc is None:
+        carrier_doc = memo["carrier"] = list(carrier)
     for g in G.elements():
         D = spa.domains[g]
         if g != e and not D:
             continue
         name = G.name(g)
-        m = spa.maps[g]
-        if _memo is None:
-            domains[name] = [x for x in carrier if x in D]
-            maps[name] = {str(k): v for k, v in m.items()}
-            continue
-        dom = _memo.get(D)
+        dom = memo.get(D)
         if dom is None:
-            dom = _memo[D] = [x for x in carrier if x in D]
+            dom = memo[D] = [x for x in carrier if x in D]
         domains[name] = dom
-        items = tuple(m.items())
-        m_doc = _memo.get(items)
+        items = tuple(spa.maps[g].items())
+        m_doc = memo.get(items)
         if m_doc is None:
-            m_doc = _memo[items] = {str(k): v for k, v in items}
+            m_doc = memo[items] = {str(k): v for k, v in items}
         maps[name] = m_doc
     return {
         "kind": "set",

@@ -521,7 +521,7 @@ class SetGlobalization:
     The envelope carrier is 0..m-1, one point per equivalence class of
     (g, x) pairs; ``orbit_witness[c]`` is a pair (g, x) with point c equal to
     beta_g(embedding[x]) — the lexicographically least pair of the class.
-    ``pair_class[(g, x)]`` resolves every pair to its class.
+    The class of any pair (g, x) is ``envelope.maps[g][embedding[x]]``.
     """
 
     def __init__(
@@ -530,16 +530,11 @@ class SetGlobalization:
         envelope: GlobalSetAction,
         embedding: dict[Point, int],
         orbit_witness: tuple[tuple[int, Point], ...],
-        pair_class: dict[tuple[int, Point], int],
     ):
         self.source = source
         self.envelope = _global_envelope(envelope)
         self.orbit_witness = orbit_witness
-        for name, value in (("embedding", embedding), ("pair_class", pair_class)):
-            try:
-                setattr(self, name, dict(value))
-            except (TypeError, ValueError):  # 5 or "ab" is no mapping
-                raise MalformedInput(f"{name} is not a mapping") from None
+        self.embedding = _as_dict(embedding, "embedding")
 
     @property
     def size(self) -> int:
@@ -556,8 +551,9 @@ def globalize_set(spa: SetPartialAction) -> SetGlobalization:
     Pairs (g, x) and (t, y) are identified when x ∈ D_{g^-1 t} and
     alpha_{t^-1 g}(x) = y; the envelope action is t·[g, x] = [tg, x] and the
     embedding sends x to [e, x].  The class of (g, y) is the coset g k_y H
-    of its orbit, so there is one stabilizer and one coset space per orbit,
-    and classes are numbered by their lexicographically least (g, x) pair.
+    of its orbit, so the envelope is the disjoint union over the orbits of
+    G/H, and its action is the move table of :func:`_envelope_classes`;
+    classes are numbered by their lexicographically least (g, x) pair.
     The restriction of the envelope to the embedded carrier reproduces the
     input exactly, and the envelope has at most |G|·|X| points.
 
@@ -566,15 +562,10 @@ def globalize_set(spa: SetPartialAction) -> SetGlobalization:
     """
     G = spa.group
     X = spa.carrier
-    witnesses, pair_class = _envelope_classes(G, X, *_orbit_data(G, X, spa.domains, spa.maps))
-    maps = {}
-    for t in G.elements():
-        row = G.table[t]
-        maps[t] = {c: pair_class[(row[g], x)] for c, (g, x) in enumerate(witnesses)}
-    envelope = GlobalSetAction(G, tuple(range(len(witnesses))), maps)
-    e = G.identity
-    embedding = {x: pair_class[(e, x)] for x in X}
-    return SetGlobalization(spa, envelope, embedding, witnesses, pair_class)
+    witnesses, moves, embedding = _envelope_classes(G, X, *_orbit_data(G, X, spa.domains, spa.maps))
+    points = tuple(range(len(witnesses)))
+    envelope = GlobalSetAction(G, points, {g: dict(zip(points, moves[g])) for g in G.elements()})
+    return SetGlobalization(spa, envelope, embedding, witnesses)
 
 
 def _envelope_sizes(actions: Iterable[SetPartialAction]) -> list[int]:
@@ -635,26 +626,32 @@ def _envelope_sizes(actions: Iterable[SetPartialAction]) -> list[int]:
     return sizes
 
 
-def _envelope_classes(G, order, orbits, paths) -> tuple[tuple, dict]:
-    """The classes of G x positions under the identification of
-    :func:`globalize_set`, from the orbit data of :func:`_orbit_data`:
-    (witnesses, pair_class), ``witnesses[c]`` the lexicographically least
-    pair (g, x) of class c and ``pair_class[(g, x)]`` the class of each
-    pair.  The class of (g, y) is the coset g k_y H of its orbit."""
-    class_of: dict[tuple[int, int], int] = {}  # (orbit, coset) -> class
-    pair_class = {}
-    witnesses = []
+def _envelope_classes(G, order, orbits, paths) -> tuple[tuple, list, dict]:
+    """The envelope of the orbit data of :func:`_orbit_data` as a move table.
+
+    The envelope is the disjoint union over the orbits of G/H, with beta_g
+    multiplying cosets on the left: the class of a pair (g, x) of G x
+    positions is the coset g k_x H of x's orbit.  Returns (witnesses, moves,
+    embedding): ``witnesses[c]`` is the lexicographically least pair (t, x)
+    of class c, which names it; ``moves[g][c]`` is the class of (g t, x),
+    the coset of g t k_x; and ``embedding[x]`` is the class of (e, x)."""
+    table = G.table
+    class_at = [[None] * (G.order // len(o.stabilizer)) for o in orbits]  # coset -> class
+    witnesses, reps = [], []  # reps[c] = (o, t k_x), witnesses[c] = (t, x) with x in orbit o
     for g in G.elements():
-        row = G.table[g]
-        for x in order:
+        row = table[g]
+        for x in order:  # scan order is (g, position): the first pair met is lex least
             o, k, _ = paths[x]
-            key = (o, orbits[o].coset[row[k]])
-            c = class_of.get(key)
-            if c is None:
-                c = class_of[key] = len(witnesses)
-                witnesses.append((g, x))  # scan order is (g, position): lex least
-            pair_class[(g, x)] = c
-    return tuple(witnesses), pair_class
+            i = orbits[o].coset[row[k]]
+            if class_at[o][i] is None:
+                class_at[o][i] = len(witnesses)
+                witnesses.append((g, x))
+                reps.append((o, row[k]))
+    # class_of[o][b]: the class of the coset b H of orbit o
+    class_of = [[classes[i] for i in orbit.coset] for orbit, classes in zip(orbits, class_at)]
+    moves = [[class_of[o][row[b]] for o, b in reps] for row in table]
+    embedding = {x: class_of[paths[x][0]][paths[x][1]] for x in order}
+    return tuple(witnesses), moves, embedding
 
 
 def _envelope_witnesses(G, domains, maps, beta, points, embedding,

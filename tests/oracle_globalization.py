@@ -84,13 +84,20 @@ def globalize_set(spa) -> SetGlobalization:
     }
     envelope = GlobalSetAction(G, tuple(range(len(roots))), maps)
     embedding = {x: pair_class[(G.identity, x)] for x in X}
-    return SetGlobalization(spa, envelope, embedding, tuple(witnesses), pair_class)
+    return SetGlobalization(spa, envelope, embedding, tuple(witnesses))
+
+
+def pair_classes(sg) -> dict:
+    """The class of every (g, x) pair of a set globalization, read off its
+    move table as beta_g of the embedded x."""
+    maps, embedding = sg.envelope.maps, sg.embedding
+    return {(g, x): maps[g][c] for g in maps for x, c in embedding.items()}
 
 
 def same_globalization(a, b) -> bool:
     """Equal witnesses, pair classes, envelope maps and embedding."""
-    return (a.orbit_witness, a.pair_class, a.envelope.maps, a.embedding) == (
-        b.orbit_witness, b.pair_class, b.envelope.maps, b.embedding
+    return (a.orbit_witness, pair_classes(a), a.envelope.maps, a.embedding) == (
+        b.orbit_witness, pair_classes(b), b.envelope.maps, b.embedding
     )
 
 
@@ -107,7 +114,7 @@ def transport_twists(pa, sg) -> dict[tuple[int, int], int]:
     e = G.identity
     seeds: dict[int, tuple[int, int]] = {}
     for x in range(pa.algebra.n_blocks):
-        seeds.setdefault(sg.pair_class[(e, x)], (e, x))
+        seeds.setdefault(sg.embedding[x], (e, x))
     transport: dict[tuple[int, int], int] = {}
     for c, witness in enumerate(sg.orbit_witness):
         seed = seeds.get(c, witness)

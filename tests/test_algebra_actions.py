@@ -632,6 +632,39 @@ class TestIndecomposableCase:
             assert globalizations_equivalent(result, globalize_block_power(pa)) is not None
 
 
+ENUMERATED_GROUPS = {
+    **{f"Z{n}": cyclic_group(n) for n in range(1, 7)},
+    "K4": make_group(KLEIN),
+    "S3": symmetric_group(3),
+    "S3 relabelled": parse_group(json.loads(S3_RELABELLED.read_text())),
+}
+
+
+class TestOneMoveTable:
+    """The set envelope and the block-power envelope are read off one move
+    table: on scalar-line blocks, ``globalize_block_power`` of the lift has
+    the position maps, provenance pairs and embedding of ``globalize_set``."""
+
+    @pytest.mark.parametrize("size", range(4))
+    @pytest.mark.parametrize("name", ENUMERATED_GROUPS)
+    def test_lift_has_the_set_envelope(self, name, size):
+        G = ENUMERATED_GROUPS[name]
+        actions = enumerate_partial_actions(G, size)
+        assert actions
+        for a in actions:
+            sg = globalize_set(a)
+            if not size:  # no algebra has zero blocks
+                assert sg.size == 0 and sg.embedding == {}
+                with pytest.raises(MalformedInput, match="^need at least one copy$"):
+                    lift_set_action(a)
+                continue
+            res = globalize_block_power(lift_set_action(a))
+            for g in G.elements():
+                assert res.action[g].position_map == sg.envelope.maps[g]
+            assert res.provenance == tuple((G.name(t), x) for t, x in sg.orbit_witness)
+            assert res.embedding.position_map == sg.embedding
+
+
 class TestSplitProduct:
     def _two_component_action(self, z2):
         left = Block("L", cyclic_group(2))

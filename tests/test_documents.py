@@ -36,7 +36,12 @@ from partial_actions.documents import (
 )
 from partial_actions.errors import UnknownElement
 from partial_actions.groups import cyclic_group, make_group, subgroup_closure, symmetric_group
-from partial_actions.set_actions import SetPartialAction, enumerate_partial_actions, globalize_set
+from partial_actions.set_actions import (
+    GlobalSetAction,
+    SetPartialAction,
+    enumerate_partial_actions,
+    globalize_set,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -243,6 +248,17 @@ class TestSharedActionDocs:
         first, second = _docs([one, other], {})
         assert first["maps"]["1"] is second["maps"]["1"]
         assert first["domains"]["1"] == [0] and second["domains"]["1"] == [0, 1]
+
+    def test_one_document_shares_its_equal_parts(self):
+        """Without a memo, equal domains and equal maps share one container
+        within the one document."""
+        swap, fix = {0: 1, 1: 0}, {0: 0, 1: 1}  # Z4 acting through Z2
+        spa = GlobalSetAction(cyclic_group(4), [0, 1], {1: swap, 2: fix, 3: swap})
+        doc = set_action_to_doc(spa)
+        assert len({id(d) for d in doc["domains"].values()}) == 1
+        assert doc["maps"]["0"] is doc["maps"]["2"] and doc["maps"]["1"] is doc["maps"]["3"]
+        assert doc["maps"]["0"] is not doc["maps"]["1"]
+        assert set_action_to_doc(spa)["carrier"] is not doc["carrier"]
 
     def test_enumerate_report_shares_each_distinct_part(self):
         """On the enumerate-z6x4 report: one carrier list, one list per

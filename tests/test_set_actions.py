@@ -27,6 +27,7 @@ from partial_actions.errors import (
     SizeLimit,
 )
 from partial_actions.groups import (
+    coset_factorize,
     cyclic_group,
     make_group,
     subgroup_closure,
@@ -309,8 +310,7 @@ class TestGlobalize:
         sg = globalize_set(spa)
         fixed = {g: {c: c for c in sg.envelope.carrier} for g in z2.elements()}
         bad = SetGlobalization(
-            spa, GlobalSetAction(z2, sg.envelope.carrier, fixed), sg.embedding,
-            sg.orbit_witness, sg.pair_class,
+            spa, GlobalSetAction(z2, sg.envelope.carrier, fixed), sg.embedding, sg.orbit_witness
         )
         item = verify_set_globalization(spa, bad).items[-1]
         assert not item.passed and item.witness == "g=1, x='p0'"
@@ -324,15 +324,13 @@ def fixed_point_candidate():
 
 
 def _set_embedding(embedding):
-    return lambda spa, sg: (spa, SetGlobalization(
-        spa, sg.envelope, embedding, sg.orbit_witness, sg.pair_class
-    ))
+    return lambda spa, sg: (spa, SetGlobalization(spa, sg.envelope, embedding, sg.orbit_witness))
 
 
 def _fixed_extra_point(spa, sg):
     maps = {g: {**m, 3: 3} for g, m in sg.envelope.maps.items()}
     envelope = GlobalSetAction(spa.group, (0, 1, 2, 3), maps)
-    return spa, SetGlobalization(spa, envelope, sg.embedding, sg.orbit_witness, sg.pair_class)
+    return spa, SetGlobalization(spa, envelope, sg.embedding, sg.orbit_witness)
 
 
 def _empty_domains(spa, sg):
@@ -356,9 +354,9 @@ SET_ENVELOPE_FAULTS = [
 SET_CANDIDATE_FAULTS = [
     ("no candidate", lambda spa, sg: (spa, object()), "candidate has no envelope"),
     ("envelope is 5", lambda spa, sg: (spa, SetGlobalization(
-        spa, 5, sg.embedding, sg.orbit_witness, sg.pair_class
+        spa, 5, sg.embedding, sg.orbit_witness
     )), "candidate envelope is not a global set action"),
-    ("embedding is 5", lambda spa, sg: (spa, SetGlobalization(spa, sg.envelope, 5, (), {})),
+    ("embedding is 5", lambda spa, sg: (spa, SetGlobalization(spa, sg.envelope, 5, ())),
      "embedding is not a mapping"),
     ("mapping with envelope 5", lambda spa, sg: (spa, {"envelope": 5, "embedding": sg.embedding}),
      "candidate envelope is not a global set action"),
@@ -535,7 +533,6 @@ class TestEquivalence:
                 envelope,
                 embedding={"p": 0},
                 orbit_witness=((0, "p"), (0, extra_label)),
-                pair_class={(0, "p"): 0, (1, "p"): 0},
             )
 
         fwd = equivalent(padded("x"), padded("y"))
@@ -567,14 +564,14 @@ class TestEquivalence:
         # so that size and repr never meet one
         spa, sg = fixed_point_candidate()
         with pytest.raises(MalformedInput, match="^candidate envelope is not a global set action$"):
-            SetGlobalization(spa, 5, sg.embedding, sg.orbit_witness, sg.pair_class)
+            SetGlobalization(spa, 5, sg.embedding, sg.orbit_witness)
 
     def test_exhausted_search_finds_no_equivalence(self, z2):
         # one embedded fixed point; of the two other points, Z2 swaps them in
         # a and fixes them in b, so no bijection of them is equivariant
         spa = SetPartialAction(z2, ("p",))
         a, b = (
-            SetGlobalization(spa, GlobalSetAction(z2, (0, 1, 2), {1: m}), {"p": 0}, (), {})
+            SetGlobalization(spa, GlobalSetAction(z2, (0, 1, 2), {1: m}), {"p": 0}, ())
             for m in ({0: 0, 1: 2, 2: 1}, {0: 0, 1: 1, 2: 2})
         )
         assert envelopes_equivalent(a, b) is None
@@ -936,6 +933,59 @@ def test_global_part_of_restriction_is_subgroup(data):
     H, restricted = global_part(spa)
     assert spa.group.identity in H.members
     assert verify_partial_action(restricted).ok
+
+
+ABADIE_GROUPS = [
+    *(cyclic_group(k) for k in (1, 2, 3, 4, 5, 6, 8, 12)),
+    ENUM_GROUPS["K4"](),
+    symmetric_group(3),
+    symmetric_group(4),
+    parse_group(json.loads((DATA / "group_s3_relabelled.json").read_text())),
+    relabelled(symmetric_group(4)),
+]
+
+
+@st.composite
+def _coset_union(draw):
+    """A global action β = ⊔ G/H_i on points 0..m-1, G of order <= 24 and
+    each H_i generated by at most two drawn elements, with the points of
+    each orbit and its index [G:H_i]."""
+    G = draw(st.sampled_from(ABADIE_GROUPS))
+    maps = {g: {} for g in G.elements()}
+    orbits = []
+    for _ in range(draw(st.integers(1, 3))):
+        gens = draw(st.lists(st.sampled_from(list(G.elements())), max_size=2))
+        moved = coset_factorize(G, subgroup_closure(G, gens)).j_table
+        offset = sum(len(points) for points in orbits)
+        for g, row in enumerate(moved):
+            maps[g].update((offset + i, offset + j) for i, j in enumerate(row))
+        orbits.append(range(offset, offset + len(moved[0])))
+    return GlobalSetAction(G, range(orbits[-1].stop), maps), orbits
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_envelope_of_a_restriction_is_the_saturation(data):
+    """Abadie: the envelope of β restricted to X is β restricted to G·X, up
+    to an equivalence that fixes X, so it has [G:H_i] points per orbit that
+    X meets."""
+    beta, orbits = data.draw(_coset_union())
+    subset = data.draw(st.sets(st.sampled_from(beta.carrier)))
+    G = beta.group
+    sg = globalize_set(restrict_global(beta, subset))
+    met = [points for points in orbits if not subset.isdisjoint(points)]
+    assert sg.size == sum(map(len, met))
+    saturation = [p for points in met for p in points]
+    saturated = SetGlobalization(
+        sg.source,
+        GlobalSetAction(G, saturation, {g: {p: beta.maps[g][p] for p in saturation}
+                                        for g in G.elements()}),
+        {x: x for x in subset},
+        (),
+    )
+    fwd = envelopes_equivalent(sg, saturated)
+    assert fwd is not None
+    assert all(fwd[sg.embedding[x]] == x for x in subset)
 
 
 GOLDEN = Path(__file__).parent / "data"

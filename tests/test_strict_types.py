@@ -13,6 +13,7 @@ from partial_actions.algebra_actions import (
     AlgebraPartialAction,
     extend_by_zero_algebra,
     globalize_extension_by_zero,
+    lift_set_action,
     product_partial_action,
 )
 from partial_actions.block_algebras import (
@@ -176,6 +177,16 @@ CASES = [
      r"claimed rows are not \(\(g, g_i\), j, h\) triples"),
     ("int components", lambda: product_partial_action(5), MalformedInput,
      "components are not a sequence of actions"),
+    ("string block", lambda: BlockAlgebra(["x"]), MalformedInput, "block 0 is not a block"),
+    ("int block", lambda: BlockAlgebra([k_line_block(), 5]), MalformedInput,
+     "block 1 is not a block"),
+    ("int block power", lambda: block_power(5, 2), MalformedInput, "block 0 is not a block"),
+    ("int lifted block", lambda: lift_set_action(Z2_SWAP, 5), MalformedInput,
+     "block 0 is not a block"),
+    ("int component", lambda: product_partial_action([5]), MalformedInput,
+     "component 0 is not an algebra partial action"),
+    ("set action component", lambda: product_partial_action([lift_set_action(Z2_SWAP), Z2_SWAP]),
+     MalformedInput, "component 1 is not an algebra partial action"),
 ]
 
 
@@ -200,6 +211,8 @@ def test_non_int_values_are_rejected(build, error, message):
     as subgroup members, a float as generators, a bool or a list of ints as
     a table, an int as names, and a string or a list as a hom leaked
     TypeError or ValueError, as did a number as blocks or as components,
-    and a number, a string or a list of numbers as claimed rows."""
+    and a number, a string or a list of numbers as claimed rows.  A block
+    that is no Block, in an algebra, a block power or a lift, and a
+    component that is no algebra action leaked AttributeError."""
     with pytest.raises(error, match=message):
         build()
