@@ -224,7 +224,7 @@ def classify_indecomposable(pa: AlgebraPartialAction) -> tuple[Subgroup, dict[in
 
 
 def extend_by_zero_algebra(
-    block: Union[Block, BlockAlgebra],
+    block: Block,
     subgroup: Subgroup,
     hom: Mapping[int, int],
 ) -> AlgebraPartialAction:
@@ -235,20 +235,17 @@ def extend_by_zero_algebra(
     algebra on H and zero elsewhere.
 
     Raises:
+        MalformedInput: block is no Block, or subgroup is no Subgroup.
         NotAHomomorphism: hom is not a homomorphism H -> Aut(block), is not
             total on H, does not fix the identity, or has a value that is
             not an exact int automorphism index.
     """
-    if isinstance(block, BlockAlgebra):
-        if block.n_blocks != 1:
-            raise MalformedInput("extension by zero here takes a single block")
-        algebra = block
-        blk = block.blocks[0]
-    else:
-        blk = block
-        algebra = BlockAlgebra((block,))
+    if not isinstance(block, Block):
+        raise MalformedInput("extension by zero takes a single Block")
+    if not isinstance(subgroup, Subgroup):
+        raise MalformedInput("extension by zero takes a Subgroup")
     G = subgroup.parent
-    aut = blk.aut_group
+    aut = block.aut_group
     try:
         hom = dict(hom)
     except (TypeError, ValueError):  # "x" or [1] is no mapping
@@ -268,7 +265,7 @@ def extend_by_zero_algebra(
                 )
     elements = G.elements()
     return _from_position_data(
-        G, algebra, [(0,) if g in hom else () for g in elements],
+        G, BlockAlgebra((block,)), [(0,) if g in hom else () for g in elements],
         [{0: 0} if g in hom else {} for g in elements],
         [{0: hom[g]} if g in hom else {} for g in elements],
     )
@@ -396,7 +393,7 @@ def verify_enveloping(pa: AlgebraPartialAction, candidate) -> VerificationReport
 
 
 def globalize_extension_by_zero(
-    block: Union[Block, BlockAlgebra],
+    block: Block,
     subgroup: Subgroup,
     hom: Mapping[int, int],
 ) -> GlobalizationResult:
@@ -489,19 +486,20 @@ def restrict_to_idempotents(pa: AlgebraPartialAction) -> SetPartialAction:
     return SetPartialAction(pa.group, positions, dict(enumerate(supports)), dict(enumerate(maps)))
 
 
-def lift_set_action(
-    spa: SetPartialAction,
-    block: Optional[Block] = None,
-) -> AlgebraPartialAction:
+def lift_set_action(spa: SetPartialAction) -> AlgebraPartialAction:
     """The unique twist-free algebra action inducing a given set action:
     one scalar-line block per carrier point (point i of the carrier becomes
     position i), identity twists everywhere.
 
     ``restrict_to_idempotents`` inverts this lift; on carriers that are
     already 0..n-1 the round trip is the identity in both directions.
+
+    Raises:
+        MalformedInput: spa is no SetPartialAction.
     """
-    if block is None:
-        block = k_line_block()
+    if not isinstance(spa, SetPartialAction):
+        raise MalformedInput("the lift takes a set partial action")
+    block = k_line_block()
     G = spa.group
     pos = {x: i for i, x in enumerate(spa.carrier)}
     maps = [{pos[x]: pos[y] for x, y in spa.maps[g].items()} for g in G.elements()]

@@ -36,7 +36,8 @@ class FiniteGroup(Frozen):
     Instances are immutable.  Construct through :func:`make_group`,
     :func:`cyclic_group` or :func:`symmetric_group` rather than directly.
     Element names are distinct strings; the group owns the one name index.
-    Equality and hash leave out ``inverses`` and ``doc_kind``.
+    ``inverses[a]`` is read off the table, as the column of the identity in
+    row a.  Equality and hash leave out ``inverses`` and ``doc_kind``.
     """
 
     _fields = ("table", "identity", "names")  # compared; the repr is its own
@@ -46,13 +47,12 @@ class FiniteGroup(Frozen):
         table: tuple[tuple[int, ...], ...],
         identity: int,
         names: tuple[str, ...],
-        inverses: tuple[int, ...],
         doc_kind: Optional[tuple[str, int]] = None,
     ):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "inverses", inverses)
+        object.__setattr__(self, "inverses", tuple(row.index(identity) for row in table))
         object.__setattr__(self, "doc_kind", doc_kind)
         index: dict[str, int] = {}
         for i, name in enumerate(names):
@@ -192,12 +192,10 @@ def _find_identity(table: Sequence[Sequence[int]]) -> int:
     raise NotAGroup("no two-sided identity element")
 
 
-def _compute_inverses(table: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
-    inverses = tuple(row.index(identity) for row in table)  # a Latin row holds e once
-    for a, b in enumerate(inverses):
-        if table[b][a] != identity:
+def _check_inverses(table: Sequence[Sequence[int]], identity: int) -> None:
+    for a, row in enumerate(table):
+        if table[row.index(identity)][a] != identity:  # a Latin row holds e once
             raise NotAGroup(f"element {a} has 0 two-sided inverses")
-    return inverses
 
 
 def make_group(
@@ -242,7 +240,7 @@ def make_group(
                 raise NotAGroup(f"table entry {x} out of range 0..{n - 1}")
     _check_latin(rows)
     identity = _find_identity(rows)
-    inverses = _compute_inverses(rows, identity)
+    _check_inverses(rows, identity)
     failure = next(_law_failures(rows, _right_generators(rows, identity), rows, rows), None)
     if failure is not None:
         a, b = failure
@@ -254,7 +252,7 @@ def make_group(
         raise NotAGroup("names are not a sequence of strings") from None
     if len(name_tuple) != n:
         raise NotAGroup(f"{len(name_tuple)} names for {n} elements")
-    return FiniteGroup(rows, identity, name_tuple, inverses)
+    return FiniteGroup(rows, identity, name_tuple)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -273,8 +271,7 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise SizeLimit(f"cyclic group cap is n <= {MAX_CYCLIC_ORDER}")
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     names = tuple(str(i) for i in range(n))
-    inverses = tuple((-a) % n for a in range(n))
-    return FiniteGroup(table, 0, names, inverses, doc_kind=("cyclic", n))
+    return FiniteGroup(table, 0, names, doc_kind=("cyclic", n))
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:
@@ -324,13 +321,7 @@ def symmetric_group(n: int) -> FiniteGroup:
         for a in ordered
     )
     identity = index[tuple(range(n))]
-    inverses = []
-    for perm in ordered:
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        inverses.append(index[tuple(inv)])
-    return FiniteGroup(table, identity, names, tuple(inverses), doc_kind=("symmetric", n))
+    return FiniteGroup(table, identity, names, doc_kind=("symmetric", n))
 
 
 class Subgroup(Frozen):
@@ -379,8 +370,7 @@ class Subgroup(Frozen):
             tuple(pos[self.parent.mul(a, b)] for b in self.members) for a in self.members
         )
         names = tuple(self.parent.name(m) for m in self.members)
-        inverses = tuple(pos[self.parent.inv(m)] for m in self.members)
-        return FiniteGroup(table, pos[self.parent.identity], names, inverses)
+        return FiniteGroup(table, pos[self.parent.identity], names)
 
 
 def subgroup_closure(G: FiniteGroup, generators: Iterable[ElementRef]) -> Subgroup:

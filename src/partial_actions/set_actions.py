@@ -570,58 +570,26 @@ def globalize_set(spa: SetPartialAction) -> SetGlobalization:
 
 def _envelope_sizes(actions: Iterable[SetPartialAction]) -> list[int]:
     """``globalize_set(a).size`` for each action, from one
-    :func:`globalize_set` per distinct orbit piece.
+    :func:`globalize_set` per distinct (group, stabilizer).
 
     The envelope is the disjoint union over the orbits of G/H (see
-    :func:`_orbit_data`), so its size is the sum over the orbits of the
-    envelope sizes of the action restricted to each orbit.  The orbit of x
-    is the set of images alpha_g(x), one step from x.  Each orbit is
-    relabelled 0..k-1 in carrier order and built by the
-    :class:`SetPartialAction` constructor; a piece that recurs, over an
-    equal group, is globalized once.  A piece is the column of each of its
-    points, whether x lies in D_g and alpha_g(x) for every g, and the
-    columns hold every domain point and map pair of the action; so the
-    action is a partial action exactly when its orbits are disjoint and
-    every piece is one.
-
-    Raises:
-        MalformedInput: an action is not a partial action: two orbits
-            meet, or a piece fails its constructor or :func:`globalize_set`.
+    :func:`_orbit_data`), and G/H is the envelope of the orbit's
+    restriction to its base point: G on the point 0, defined exactly on H.
+    An action that is no partial action raises MalformedInput from the
+    certificate that :func:`globalize_set` runs, with its message.
     """
-    undefined = object()  # alpha_g(x) where x is outside D_{g^-1}
-    # an image off the orbit is relabelled -1, which the piece's constructor refuses
-    undefined_all, off_orbit = itertools.repeat(undefined), itertools.repeat(-1)
-    memos: dict[FiniteGroup, dict] = {}  # group -> piece -> envelope size
+    memos: dict[FiniteGroup, dict] = {}  # group -> stabilizer -> envelope size
     sizes = []
     for a in actions:
-        G, carrier, domains, maps = a.group, a.carrier, a.domains, a.maps
+        G = a.group
         memo = memos.setdefault(G, {})
-        # the column of each point x, in carrier order: x in D_g, and alpha_g(x), per g
-        inside = list(zip(*[tuple(map(domains[g].__contains__, carrier)) for g in G.elements()]))
-        images = list(zip(*[tuple(map(maps[g].get, carrier, undefined_all)) for g in G.elements()]))
-        seen: set = set()
         size = 0
-        for i, x0 in enumerate(carrier):
-            if x0 in seen:
-                continue
-            orbit = {x0, *images[i]} - {undefined}
-            if not seen.isdisjoint(orbit):
-                raise MalformedInput(f"the orbit of {x0!r} meets an earlier orbit")
-            seen |= orbit
-            columns = [j for j, x in enumerate(carrier) if x in orbit]
-            at = {carrier[j]: p for p, j in enumerate(columns)}
-            at[undefined] = None
-            piece = tuple((inside[j], tuple(map(at.get, images[j], off_orbit))) for j in columns)
-            if piece not in memo:
-                points = range(len(piece))
-                spa = SetPartialAction(
-                    G, points,
-                    {g: [p for p in points if piece[p][0][g]] for g in G.elements()},
-                    {g: {p: piece[p][1][g] for p in points if piece[p][1][g] is not None}
-                     for g in G.elements()},
-                )
-                memo[piece] = globalize_set(spa).size
-            size += memo[piece]
+        for orbit in _orbit_data(G, a.carrier, a.domains, a.maps)[0]:
+            H = orbit.stabilizer
+            if H not in memo:
+                point = SetPartialAction(G, (0,), dict.fromkeys(H, (0,)), dict.fromkeys(H, {0: 0}))
+                memo[H] = globalize_set(point).size
+            size += memo[H]
         sizes.append(size)
     return sizes
 

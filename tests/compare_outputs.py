@@ -18,9 +18,11 @@ automorphism group whose identity is not element 0, an algebra of two
 classes with different automorphism groups, an inline group and algebra)
 and on the globalize-s5 and verify-mixed inputs; ``example-s3``, text and
 JSON; ``enumerate --envelopes``, text and JSON, on the enumerate-z6x4
-group at size 4, on ``group_s3_relabelled.json`` at size 3 and on S3 at
+group at size 4, on ``group_s3_relabelled.json`` at size 3, on S3 at
 size 4, whose non-normal stabilizers give orbit pieces that share a
-stabilizer order but not a placement; ``enumerate`` without
+stabilizer order but not a placement, and on K4 at size 4, written as a
+Cayley table to the work directory, whose three subgroups of order 2
+are distinct stabilizers of one order; ``enumerate`` without
 ``--envelopes``, text and JSON, on the enumerate-z6x4 group at size 4,
 and in JSON on Z2 at size 0, an empty carrier whose every domain is ``[]``;
 ``factorize``, text and JSON, with ``--subgroup (12)`` on S3 with
@@ -56,6 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 FORMATS = ("text", "json")
 OUTPUT = "report.json"  # the file of an --output run, in its working directory
+K4_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
 
 def golden_runs(
@@ -73,7 +76,8 @@ def golden_runs(
 
 def seed_runs(workdir: Path, seed: int) -> list[tuple[str, list[str]]]:
     """The runs on perfbench's seed inputs, which are written to workdir,
-    and on the built-in example and the relabelled S3 table."""
+    and on the built-in example, the relabelled S3 table and a K4 table,
+    which is written to workdir too."""
     sys.path.insert(0, str(ROOT))
     from perfbench import workloads
 
@@ -91,10 +95,13 @@ def seed_runs(workdir: Path, seed: int) -> list[tuple[str, list[str]]]:
             for fmt in FORMATS
         ]
     runs += [(f"example-s3 {fmt}", ["example-s3", "--format", fmt]) for fmt in FORMATS]
+    k4 = workdir / "k4.json"
+    k4.write_text(json.dumps({"kind": "cayley", "table": K4_TABLE}), encoding="utf-8")
     for label, group, size in (
         (f"seed-{seed} z6.json", z6, "4"),
         ("group_s3_relabelled.json", str(DATA / "group_s3_relabelled.json"), "3"),
         ("S3", "S3", "4"),
+        ("k4.json", str(k4), "4"),
     ):
         runs += [
             (f"enumerate {label} --size {size} {fmt}",

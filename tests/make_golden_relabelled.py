@@ -24,13 +24,15 @@ import json
 import sys
 
 from partial_actions.algebra_actions import (
+    _from_position_data,
     _homomorphisms,
+    _position_data,
     enumerate_algebra_partial_actions,
     extend_by_zero_algebra,
     lift_set_action,
     product_partial_action,
 )
-from partial_actions.block_algebras import Block, BlockAlgebra, k_line_block
+from partial_actions.block_algebras import Block, BlockAlgebra, block_power, k_line_block
 from partial_actions.documents import Workbench, _write_json, parse_workbench, workbench_to_doc
 from partial_actions.groups import all_subgroups, cyclic_group, make_group, symmetric_group
 from partial_actions.set_actions import enumerate_partial_actions
@@ -41,6 +43,16 @@ def relabelled_named(G):
     last = G.order - 1
     table = [[last - G.table[last - a][last - b] for b in G.elements()] for a in G.elements()]
     return make_group(table, [G.name(last - a) for a in G.elements()])
+
+
+def lifted_onto(spa, block):
+    """``lift_set_action(spa)`` with each scalar line replaced by block: the
+    same supports and position maps, and identity twists."""
+    supports, maps, _, _ = _position_data(lift_set_action(spa))
+    twists = [dict.fromkeys(m, block.aut_group.identity) for m in maps]
+    return _from_position_data(
+        spa.group, block_power(block, len(spa.carrier)), supports, maps, twists
+    )
 
 
 def workbench() -> Workbench:
@@ -67,9 +79,9 @@ def workbench() -> Workbench:
         for i, H in enumerate(all_subgroups(G)):
             for k in ("Q", "R", "P"):
                 phi = _homomorphisms(G, H.members, blocks[k].aut_group)[-1]
-                wb.actions[f"ext_{gname}_H{i}_{k}"] = extend_by_zero_algebra(singles[k], H, phi)
+                add(f"ext_{gname}_H{i}_{k}", extend_by_zero_algebra(blocks[k], H, phi), k + "1")
         trivial = all_subgroups(G)[0]
-        wb.actions[f"ext_{gname}_zero_K"] = extend_by_zero_algebra(singles["K"], trivial, {G.identity: 0})
+        add(f"ext_{gname}_zero_K", extend_by_zero_algebra(blocks["K"], trivial, {G.identity: 0}), "K1")
     for gname, G, step in (("S3r", S3r, 61), ("Z4r", Z4r, 23)):
         actions = enumerate_partial_actions(G, ("a", "b", "c"))
         for j in range(0, len(actions), step):
@@ -78,7 +90,7 @@ def workbench() -> Workbench:
         actions = enumerate_partial_actions(G, 3)
         for j in range(5, len(actions), step):
             for k in ("K", "Q"):
-                add(f"lift_{gname}_{j}_{k}", lift_set_action(actions[j], blocks[k]), f"{k}3")
+                add(f"lift_{gname}_{j}_{k}", lifted_onto(actions[j], blocks[k]), f"{k}3")
     for gname, G, k, step in (("S3r", S3r, "Q", 29), ("Z4r", Z4r, "R", 9), ("S3r", S3r, "P", 211)):
         actions = enumerate_algebra_partial_actions(G, 2, blocks[k])
         for j in range(3, len(actions), step):

@@ -35,10 +35,10 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
     identity: int
     names: tuple[str, ...]
-    inverses: tuple[int, ...] = field(compare=False)
     doc_kind: Optional[tuple[str, int]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "inverses", tuple(row.index(self.identity) for row in self.table))
         index: dict[str, int] = {}
         for i, name in enumerate(self.names):
             if not isinstance(name, str):

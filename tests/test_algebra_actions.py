@@ -280,7 +280,7 @@ class TestExtendByZeroAlgebra:
 
     def test_two_block_algebra_is_refused(self, quiver_setup):
         block, H, hom = quiver_setup
-        with pytest.raises(MalformedInput, match="^extension by zero here takes a single block$"):
+        with pytest.raises(MalformedInput, match="^extension by zero takes a single Block$"):
             extend_by_zero_algebra(BlockAlgebra((block, block)), H, hom)
 
     def test_domains(self, quiver_setup, s3):

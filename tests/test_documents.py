@@ -373,6 +373,21 @@ class TestWorkbench:
         with pytest.raises(DocumentError, match="unknown group"):
             parse_workbench(doc)
 
+    @pytest.mark.parametrize("carrier", [[1, "1"], ["a", 1, "1"]])
+    def test_colliding_carrier_points_exit_two(self, carrier, tmp_path, capsys):
+        """1 and "1" are distinct points with one JSON key form, so a
+        domain or map key could not tell them apart."""
+        doc = self.doc()
+        doc["actions"]["alpha"] = {"kind": "set", "group": "G", "carrier": carrier}
+        message = "carrier points collide at '1' (at $.actions.alpha.carrier)"
+        with pytest.raises(DocumentError) as err:
+            parse_workbench(doc)
+        assert (str(err.value), err.value.path) == (message, "$.actions.alpha.carrier")
+        file = tmp_path / "collide.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(file)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
     def test_bad_version(self):
         doc = self.doc()
         doc["version"] = "99"

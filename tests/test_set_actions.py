@@ -796,8 +796,9 @@ class TestEnumerate:
 
 
 class TestEnvelopeSizes:
-    """set_actions._envelope_sizes, one globalize_set per distinct orbit
-    piece, against globalize_set on each whole action."""
+    """set_actions._envelope_sizes, one globalize_set per distinct (group,
+    stabilizer) on the base point of an orbit, against globalize_set on
+    each whole action."""
 
     @staticmethod
     def oracle(actions):
@@ -839,26 +840,28 @@ class TestEnvelopeSizes:
         assert len(seen) == len({(spa.group, spa.canonical_key()) for spa in seen})
 
     def test_pieces_are_globalized_once(self, monkeypatch):
-        """On Z6 with 4 points, 1,628 actions have 94 distinct orbit pieces."""
+        """On Z6 with 4 points, the orbits of 1,628 actions have 4 distinct
+        stabilizers, one per subgroup of Z6; each is globalized once, on
+        the single point 0."""
         calls = []
         real = set_actions.globalize_set
         monkeypatch.setattr(set_actions, "globalize_set", lambda spa: calls.append(spa) or real(spa))
         actions = enumerate_partial_actions(ENUM_GROUPS["Z6"](), 4)
         assert len(set_actions._envelope_sizes(actions)) == 1628
-        assert len(calls) == 94
-        assert all(spa.carrier == tuple(range(len(spa.carrier))) for spa in calls)
+        assert len(calls) == 4
+        assert all(spa.carrier == (0,) for spa in calls)
 
     def test_data_that_is_no_partial_action_raises(self):
-        """Where globalize_set rejects an action, so does _envelope_sizes;
-        otherwise both give one size."""
+        """Where globalize_set rejects an action, so does _envelope_sizes,
+        with the same message; otherwise both give one size."""
         pool = [copy for G in (cyclic_group(3), symmetric_group(3)) for n in (2, 3)
                 for spa in enumerate_partial_actions(G, n) for copy in _damaged_copies(spa)]
         rejected = 0
         for spa in pool:
             try:
                 expected = globalize_set(spa).size
-            except MalformedInput:
-                with pytest.raises(MalformedInput):
+            except MalformedInput as exc:
+                with pytest.raises(MalformedInput, match=f"^{re.escape(str(exc))}$"):
                     set_actions._envelope_sizes([spa])
                 rejected += 1
             else:
@@ -867,11 +870,13 @@ class TestEnvelopeSizes:
 
     def test_orbits_that_meet_raise(self, z2):
         """alpha_1 sends both a and c to b: the orbit {a, b} is a partial
-        action by itself, and the orbit of c meets it."""
+        action by itself, and the orbit of c meets it.  The orbit
+        certificate refuses alpha_1 as globalize_set does: it is defined on
+        c, outside D_1."""
         spa = SetPartialAction(z2, ("a", "b", "c"), {1: ["a", "b"]}, {1: {"a": "b", "b": "a", "c": "b"}})
         with pytest.raises(MalformedInput):
             globalize_set(spa)
-        with pytest.raises(MalformedInput, match="^the orbit of 'c' meets an earlier orbit$"):
+        with pytest.raises(MalformedInput, match="^map of 1 is not defined on its stated source$"):
             set_actions._envelope_sizes([spa])
 
 

@@ -162,9 +162,9 @@ CASES = [
     ("bool table", lambda: make_group(True), NotAGroup, "table is not a sequence of rows"),
     ("int row", lambda: make_group([1]), NotAGroup, "table is not a sequence of rows"),
     ("int names", lambda: make_group(SWAP, 5), NotAGroup, "names are not a sequence of strings"),
-    ("string hom", lambda: extend_by_zero_algebra(Q_Z2, whole_group(Z2), "x"),
+    ("string hom", lambda: extend_by_zero_algebra(Block("Q", Z2), whole_group(Z2), "x"),
      NotAHomomorphism, "hom is not a mapping"),
-    ("list hom", lambda: globalize_extension_by_zero(Q_Z2, whole_group(Z2), [1]),
+    ("list hom", lambda: globalize_extension_by_zero(Block("Q", Z2), whole_group(Z2), [1]),
      NotAHomomorphism, "hom is not a mapping"),
     ("int blocks", lambda: BlockAlgebra(5), MalformedInput, "blocks are not a sequence of blocks"),
     ("bool blocks", lambda: BlockAlgebra(True), MalformedInput,
@@ -181,8 +181,14 @@ CASES = [
     ("int block", lambda: BlockAlgebra([k_line_block(), 5]), MalformedInput,
      "block 1 is not a block"),
     ("int block power", lambda: block_power(5, 2), MalformedInput, "block 0 is not a block"),
-    ("int lifted block", lambda: lift_set_action(Z2_SWAP, 5), MalformedInput,
-     "block 0 is not a block"),
+    ("string lifted action", lambda: lift_set_action("x"), MalformedInput,
+     "the lift takes a set partial action"),
+    ("int lifted action", lambda: lift_set_action(5), MalformedInput,
+     "the lift takes a set partial action"),
+    ("algebra extended by zero", lambda: extend_by_zero_algebra(Q_Z2, whole_group(Z2), {0: 0}),
+     MalformedInput, "extension by zero takes a single Block"),
+    ("int subgroup", lambda: extend_by_zero_algebra(Block("Q", Z2), 5, {}), MalformedInput,
+     "extension by zero takes a Subgroup"),
     ("int component", lambda: product_partial_action([5]), MalformedInput,
      "component 0 is not an algebra partial action"),
     ("set action component", lambda: product_partial_action([lift_set_action(Z2_SWAP), Z2_SWAP]),
@@ -212,7 +218,8 @@ def test_non_int_values_are_rejected(build, error, message):
     a table, an int as names, and a string or a list as a hom leaked
     TypeError or ValueError, as did a number as blocks or as components,
     and a number, a string or a list of numbers as claimed rows.  A block
-    that is no Block, in an algebra, a block power or a lift, and a
-    component that is no algebra action leaked AttributeError."""
+    that is no Block, in an algebra or a block power, a lift of no set
+    action, an int subgroup extended by zero, and a component that is no
+    algebra action leaked AttributeError."""
     with pytest.raises(error, match=message):
         build()

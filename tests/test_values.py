@@ -170,8 +170,8 @@ MIXED = BlockAlgebra((Block("L", Z2), k_line_block(), Block("L", Z2)))
 
 # (class name, constructor arguments): normalized or rejected alike
 CONSTRUCTIONS = [
-    ("FiniteGroup", (((0, 1), (1, 0)), 0, ("a", "a"), (0, 1))),
-    ("FiniteGroup", (((0, 1), (1, 0)), 0, ("a", 1), (0, 1))),
+    ("FiniteGroup", (((0, 1), (1, 0)), 0, ("a", "a"))),
+    ("FiniteGroup", (((0, 1), (1, 0)), 0, ("a", 1))),
     ("Subgroup", (S3, [3, 0, 3])),
     ("Subgroup", (S3, (0, 3, 0))),
     ("Subgroup", (S3, (0, 4))),
