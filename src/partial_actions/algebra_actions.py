@@ -177,8 +177,11 @@ def verify_algebra_partial_action(pa: AlgebraPartialAction) -> VerificationRepor
     the witnesses.
 
     Raises:
-        MalformedInput: a map's source or target is not the stated ideal.
+        MalformedInput: pa is no AlgebraPartialAction, or a map's source or
+            target is not the stated ideal.
     """
+    if not isinstance(pa, AlgebraPartialAction):
+        raise MalformedInput("verify_algebra_partial_action takes an algebra partial action")
     G = pa.group
     for g in G.elements():
         w = pa.maps[g]

@@ -16,6 +16,7 @@ alongside them.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -225,6 +226,19 @@ def _axiom_witnesses(G, order, domains, maps, twists=None, auts=None) -> tuple:
     group order and positions in ``order`` or in the map's own order, so
     each witness is the first failure in that order.
 
+    Both callers have checked that each ``maps[g]`` is a bijection from
+    D_{g^-1} onto D_g, and the intersection identity rests on it: then
+    alpha_g(D_{g^-1} ∩ D_h) and D_g ∩ D_gh are subsets of D_g, and a point
+    alpha_g(p) of D_g lies in the first exactly when p lies in D_h, and in
+    the second exactly when alpha_g(p) lies in D_gh.  So the identity holds
+    for every h exactly when, for every p in D_{g^-1}, the membership row
+    (p in D_h for each h) equals the row of alpha_g(p) read at gh.  That is
+    one tuple comparison per (g, p), after a gather in C: O(|G|^2·n) steps
+    in C, where the set form built |G|^2 Python sets.  The witness is the
+    least such g and the least h at which a row differs, which is the
+    first (g, h) at which the sets differ.  Axioms (ii) and (iii) are one
+    Python step per (g, h, p) with alpha_h(p) in D_{g^-1}, O(|G|^2·n).
+
     Returns (identity, (ii), (iii), intersection, inverse): ("omits", p) or
     ("moves", p); (g, h, p) twice; (g, h); (g,).  None marks a pass.
     """
@@ -251,10 +265,18 @@ def _axiom_witnesses(G, order, domains, maps, twists=None, auts=None) -> tuple:
                     or twists and auts[p].mul(twists[g][y], twists[h][p]) != twists[gh][p]
                 ):
                     composition = (g, h, p)
-    intersection = _first(
-        (g, h) for g in G.elements() for h in G.elements()
-        if {maps[g][p] for p in domains[inv[g]] & domains[h]} != domains[g] & domains[G.mul(g, h)]
-    )
+    columns = [tuple(map(domains[h].__contains__, order)) for h in G.elements()]
+    member = dict(zip(order, zip(*columns)))  # member[p][h] is p in D_h
+    rows = member.__getitem__
+    intersection = None
+    for g in G.elements():
+        m_g, row = maps[g], G.table[g]
+        gather = tuple if g == e else itemgetter(*row)  # of one index, itemgetter gives no tuple
+        if list(map(rows, m_g)) != list(map(gather, map(rows, m_g.values()))):
+            intersection = (g, min(
+                h for p, y in m_g.items() for h in G.elements() if member[p][h] != member[y][row[h]]
+            ))
+            break
     inverse = _first(
         (g,) for g in G.elements() for p, y in maps[g].items()
         if maps[inv[g]][y] != p or twists and twists[inv[g]][y] != auts[p].inv(twists[g][p])
@@ -308,11 +330,18 @@ def verify_partial_action(candidate: SetPartialAction) -> VerificationReport:
     passes, being the restriction of its envelope (proved at
     :func:`_orbit_data`).  The derived identities follow from the axioms,
     so on a pass every item passes.  Only when the certificate fails does
-    the O(|G|^2·n) axiom scan run, and it alone names the witnesses.
+    the axiom scan, :func:`_axiom_witnesses`, run, and it alone names the
+    witnesses: O(|G|^2·n) Python steps for axioms (ii) and (iii), and the
+    intersection identity as one row comparison per (g, p), which is exact
+    because each map has been checked to be a bijection from D_{g^-1} onto
+    D_g first.
 
     Raises:
-        MalformedInput: a map is not a bijection from D_{g^-1} onto D_g.
+        MalformedInput: candidate is no SetPartialAction, or a map is not a
+            bijection from D_{g^-1} onto D_g.
     """
+    if not isinstance(candidate, SetPartialAction):
+        raise MalformedInput("verify_partial_action takes a set partial action")
     G = candidate.group
     n = G.name
     for g in G.elements():

@@ -15,10 +15,14 @@ The runs: ``globalize`` and ``verify``, text and JSON, on the two golden
 documents, on ``parser_corners.json`` (a carrier of strings and integers,
 ``{"support": [...]}`` domains, twists by index and omitted, an
 automorphism group whose identity is not element 0, an algebra of two
-classes with different automorphism groups, an inline group and algebra)
-and on the globalize-s5 and verify-mixed inputs; ``example-s3``, text and
-JSON; ``enumerate --envelopes``, text and JSON, on the enumerate-z6x4
-group at size 4, on ``group_s3_relabelled.json`` at size 3, on S3 at
+classes with different automorphism groups, an inline group and algebra),
+on the globalize-s5 and verify-mixed inputs, and on ``rejected.json``,
+written to the work directory, whose set actions the orbit certificate
+rejects, so that the axiom scan names every witness (alpha_e swapping two
+points over the trivial group, and two swapped restrictions of the
+regular action of ``group_s3_relabelled.json``, whose identity is not
+element 0); ``example-s3``, text and JSON; ``enumerate --envelopes``,
+text and JSON, on the enumerate-z6x4 group at size 4, on ``group_s3_relabelled.json`` at size 3, on S3 at
 size 4, whose non-normal stabilizers give orbit pieces that share a
 stabilizer order but not a placement, and on K4 at size 4, written as a
 Cayley table to the work directory, whose three subgroups of order 2
@@ -125,6 +129,42 @@ def seed_runs(workdir: Path, seed: int) -> list[tuple[str, list[str]]]:
     return runs
 
 
+def rejected_runs(workdir: Path) -> list[tuple[str, list[str]]]:
+    """``globalize`` and ``verify``, text and JSON, on a document written to
+    workdir whose actions the orbit certificate rejects, so that the axiom
+    scan names the witnesses: alpha_e swapping two points over the trivial
+    group, and two swapped restrictions of the regular action of the
+    relabelled S3 (whose identity is not element 0), one at (23) and one
+    at the identity."""
+    relabelled = json.loads((DATA / "group_s3_relabelled.json").read_text(encoding="utf-8"))
+    domains = {"(132)": [1], "(123)": [0], "(23)": [1, 3], "(12)": [0, 3], "1": [0, 1, 3]}
+    maps = {"(132)": {"0": 1}, "(123)": {"1": 0}, "(23)": {"1": 3, "3": 1},
+            "(12)": {"0": 3, "3": 0}, "1": {"0": 0, "1": 1, "3": 3}}
+    swapped_23 = {**maps, "(23)": {"1": 1, "3": 3}}
+    swapped_e = {**maps, "1": {"0": 1, "1": 0, "3": 3}}
+    doc = {
+        "version": "1",
+        "groups": {"Z1": {"kind": "cyclic", "n": 1}, "S3r": relabelled},
+        "algebras": {},
+        "actions": {
+            "z1_swap": {"kind": "set", "group": "Z1", "carrier": ["a", "b"],
+                        "maps": {"0": {"a": "b", "b": "a"}}},
+            **{
+                name: {"kind": "set", "group": "S3r", "carrier": [0, 1, 3], "domains": domains,
+                       "maps": m}
+                for name, m in (("s3r_swap_23", swapped_23), ("s3r_swap_e", swapped_e))
+            },
+        },
+    }
+    rejected = workdir / "rejected.json"
+    rejected.write_text(json.dumps(doc), encoding="utf-8")
+    return [
+        (f"{command} rejected.json {fmt}", [command, str(rejected), "--format", fmt])
+        for command in ("globalize", "verify")
+        for fmt in FORMATS
+    ]
+
+
 def factorize_runs(workdir: Path) -> list[tuple[str, list[str]]]:
     """The ``factorize`` runs, with the built-in example's claimed rows
     written to workdir."""
@@ -215,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         work = Path(workdir)
         runs = golden_runs() + golden_runs(("parser_corners.json",)) + seed_runs(work, args.seed)
-        runs += factorize_runs(work) + error_runs(work) + bad_table_runs()
+        runs += rejected_runs(work) + factorize_runs(work) + error_runs(work) + bad_table_runs()
         differ = compare(args.base.resolve(), args.change.resolve(), runs)
     print(f"{len(runs)} runs, {len(differ)} differ")
     for name in differ:

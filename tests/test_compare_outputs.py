@@ -1,7 +1,10 @@
 """The byte-identity check of ``compare_outputs.py``: a checkout matches
 itself on the golden documents, a CLI that prints something else differs
-on every run, one that writes another ``--output`` file differs, and the
-bad-input and bad-table runs are rejected as input errors."""
+on every run, one that writes another ``--output`` file differs, the
+bad-input and bad-table runs are rejected as input errors, and the
+rejected-action runs reach the axiom scan."""
+
+import json
 
 from compare_outputs import (
     OUTPUT,
@@ -10,6 +13,7 @@ from compare_outputs import (
     compare,
     error_runs,
     golden_runs,
+    rejected_runs,
     run_cli,
 )
 
@@ -64,3 +68,18 @@ def test_the_bad_table_runs_name_the_generator_major_triple(tmp_path):
         assert err.decode() == (
             f"input error: associativity fails at (3,16,1): (3*16)*1 != 3*(16*1) (at {where})\n"
         ), name
+
+
+def test_the_rejected_runs_name_the_scan_witnesses(tmp_path):
+    runs = rejected_runs(tmp_path)
+    assert len(runs) == 4
+    name, args = runs[-1]
+    assert name == "verify rejected.json json"
+    out, err, code = run_cli(ROOT, args, tmp_path)
+    assert (err, code) == (b"", 1)
+    intersection = {action: report["items"][3]["witness"] for action, report in json.loads(out).items()}
+    assert intersection == {
+        "z1_swap": None,
+        "s3r_swap_23": "g=(23), h=(132): alpha_g(D_g^-1 ∩ D_h) != D_g ∩ D_gh",
+        "s3r_swap_e": "g=1, h=(132): alpha_g(D_g^-1 ∩ D_h) != D_g ∩ D_gh",
+    }

@@ -632,6 +632,96 @@ class TestSharedChecks:
         # every item fails on some swapped copy, so failing flags are compared too
         assert set(failing) == {0, 1, 2, 3, 4}
 
+    @staticmethod
+    def s4_times_z2():
+        """S4 x Z2, order 48, as a Cayley table: (a, b) is element 2a + b."""
+        S4 = symmetric_group(4)
+        return make_group([
+            [2 * S4.mul(x // 2, y // 2) + (x + y) % 2 for y in range(48)] for x in range(48)
+        ])
+
+    @pytest.mark.parametrize("name,sample", [
+        ("Z1", 1), ("Z2", 1), ("S3", 1), ("S3-file", 1), ("S4", 1), ("S4xZ2", 8),
+    ])
+    def test_intersection_witness_agrees_with_oracle(self, name, sample):
+        """The intersection item's witness text, not only its flag, equals
+        the oracle's set form on swapped copies of restrictions of the
+        regular action (every ``sample``-th copy), and the lift's flags
+        agree; Z1's regular action has one point, so its trivial action on
+        two points is added."""
+        G = {
+            **ENUM_GROUPS,
+            "S3-file": lambda: parse_group(
+                json.loads((DATA / "group_s3_relabelled.json").read_text())
+            ),
+            "S4": lambda: symmetric_group(4),
+            "S4xZ2": self.s4_times_z2,
+        }[name]()
+        rng = random.Random(f"intersection:{name}")
+        regular = left_translation(G)
+        sizes = sorted({max(1, G.order // 2), max(1, G.order - 1), G.order})
+        restrictions = [restrict_global(regular, rng.sample(range(G.order), k)) for k in sizes]
+        if G.order == 1:
+            restrictions.append(SetPartialAction(G, ("a", "b")))
+        copies = [copy for spa in restrictions for copy in _swapped_copies(spa)][::sample]
+        failing = 0
+        for spa in restrictions + copies:
+            expected = oracle_checks.verify_partial_action(spa)
+            item = verify_partial_action(spa).items[3]
+            assert (item.passed, item.witness) == (expected.items[3].passed, expected.items[3].witness)
+            lifted = verify_algebra_partial_action(lift_set_action(spa))
+            assert self.flags(lifted) == self.flags(expected) + [True]
+            failing += not item.passed
+        assert (failing > 0) == (G.order > 2)  # whole domains of Z1 and Z2 always pass
+
+    @pytest.mark.parametrize("name", ["Z4", "S3", "S3-relabelled"])
+    def test_intersection_witness_on_random_bijections(self, name):
+        """Random domains with random bijections D_{g^-1} -> D_g (alpha_g^-1
+        for alpha_{g^-1}): the least h is taken over every point of the
+        least failing g, not from its first failing point."""
+        G = ENUM_GROUPS[name]()
+        rng = random.Random(f"random bijections:{name}")
+        X = tuple("abcd")
+        failing = 0
+        for _ in range(300):
+            domains, maps = {}, {}
+            for g in G.elements():
+                if g not in maps:
+                    gi = G.inv(g)
+                    source = rng.sample(X, rng.randint(0, len(X)))
+                    target = source if g == gi else rng.sample(X, len(source))
+                    maps[g] = dict(zip(source, rng.sample(target, len(target))))
+                    maps[gi] = {y: x for x, y in maps[g].items()}
+                    domains[g], domains[gi] = maps[g].values(), source
+            spa = SetPartialAction(G, X, domains, maps)
+            item = verify_partial_action(spa).items[3]
+            expected = oracle_checks.verify_partial_action(spa).items[3]
+            assert (item.passed, item.witness) == (expected.passed, expected.witness)
+            failing += not item.passed
+        assert failing > 100
+
+    def test_order_one_group(self):
+        """On Z1, alpha_e swapping two points fails axioms (i) and (iii) and
+        passes the intersection item, in the set report and on the lift."""
+        spa = SetPartialAction(cyclic_group(1), ("a", "b"), maps={0: {"a": "b", "b": "a"}})
+        report = verify_partial_action(spa)
+        assert [(item.passed, item.witness) for item in report.items] == [
+            (False, "alpha_e moves 'a'"),
+            (True, None),
+            (False, "g=0, h=0, x='a': alpha_g(alpha_h(x)) != alpha_gh(x)"),
+            (True, None),
+            (True, None),
+        ]
+        lifted = verify_algebra_partial_action(lift_set_action(spa))
+        assert [(item.passed, item.witness) for item in lifted.items] == [
+            (False, "alpha_e is not the identity map"),
+            (True, None),
+            (False, "g=0, h=0, block 0"),
+            (True, None),
+            (True, None),
+            (True, None),
+        ]
+
     @pytest.mark.parametrize("name,n", [("Z2", 2), ("Z3", 2), ("S3", 1), ("S3", 2), ("Z4", 1)])
     def test_equivalence_agrees_with_oracle(self, name, n):
         envelopes = [globalize_set(spa) for spa in enumerate_partial_actions(ENUM_GROUPS[name](), n)]

@@ -15,6 +15,7 @@ from partial_actions.algebra_actions import (
     globalize_extension_by_zero,
     lift_set_action,
     product_partial_action,
+    verify_algebra_partial_action,
 )
 from partial_actions.block_algebras import (
     Block,
@@ -39,6 +40,7 @@ from partial_actions.set_actions import (
     SetPartialAction,
     enumerate_partial_actions,
     restrict_global,
+    verify_partial_action,
 )
 
 Z2 = cyclic_group(2)
@@ -48,6 +50,9 @@ Q_Z2 = block_power(Block("Q", Z2), 1)
 K2 = block_power(k_line_block(), 2)
 S3 = symmetric_group(3)
 CF_S3 = coset_factorize(S3, subgroup_closure(S3, ["(12)"]))
+
+
+WRONG_CLASS = [("string", "x"), ("int", 5), ("None", None), ("list", [0])]
 
 
 def apply_identity(payload):
@@ -193,6 +198,17 @@ CASES = [
      "component 0 is not an algebra partial action"),
     ("set action component", lambda: product_partial_action([lift_set_action(Z2_SWAP), Z2_SWAP]),
      MalformedInput, "component 1 is not an algebra partial action"),
+    *[
+        (f"{label} verified as a set action", lambda value=value: verify_partial_action(value),
+         MalformedInput, "verify_partial_action takes a set partial action")
+        for label, value in WRONG_CLASS + [("algebra action", lift_set_action(Z2_SWAP))]
+    ],
+    *[
+        (f"{label} verified as an algebra action",
+         lambda value=value: verify_algebra_partial_action(value), MalformedInput,
+         "verify_algebra_partial_action takes an algebra partial action")
+        for label, value in WRONG_CLASS + [("set action", Z2_SWAP)]
+    ],
 ]
 
 
