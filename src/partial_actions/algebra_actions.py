@@ -498,7 +498,8 @@ def lift_set_action(spa: SetPartialAction) -> AlgebraPartialAction:
     already 0..n-1 the round trip is the identity in both directions.
 
     Raises:
-        MalformedInput: spa is no SetPartialAction.
+        MalformedInput: spa is no SetPartialAction, or its carrier is empty
+            ("need at least one copy": no algebra has zero blocks).
     """
     if not isinstance(spa, SetPartialAction):
         raise MalformedInput("the lift takes a set partial action")

@@ -36,6 +36,10 @@ class Block(Frozen):
     _fields = ("iso_class", "aut_group")
 
     def __init__(self, iso_class: str, aut_group: FiniteGroup):
+        if not isinstance(iso_class, str):
+            raise MalformedInput(f"block class {iso_class!r} is not a string")
+        if not isinstance(aut_group, FiniteGroup):
+            raise MalformedInput("a block's automorphism group must be a FiniteGroup")
         object.__setattr__(self, "iso_class", iso_class)
         object.__setattr__(self, "aut_group", aut_group)
 

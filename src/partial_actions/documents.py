@@ -17,12 +17,12 @@ carrier with the identity map).  Element keys resolve through their group
 group (``FiniteGroup.element_by_name``); this module only says where a bad
 reference is.  Parsing and serialization round-trip.
 
-Reading checks each Cayley table row, carrier, domain list and map as a
-whole: the set of its values' types, then membership of the carrier or of
-the positions.  Only when such a check fails does a loop over the entries
-run, to name the first one at fault; ``tests/oracle_documents.py`` keeps
-that loop alone as the oracle of the action parsers.  The constructors
-that the parser calls keep all their checks.
+The group and set readers check each table row, carrier, domain and map
+as a whole (its values' types, then carrier membership); the algebra
+reader builds each ``BlockIdeal`` and ``WreathMap`` at once and lets them
+decide.  Only when a check or a constructor refuses does a loop over the
+entries run, to name the first one at fault; ``tests/oracle_documents.py``
+keeps that loop alone as the oracle of the action parsers.
 """
 
 from __future__ import annotations
@@ -310,9 +310,6 @@ def parse_algebra_action(
 
     n = algebra.n_blocks
     keyed = {str(p): p for p in range(n)}  # each position by its one key, "0" and never "00"
-    positions = frozenset(keyed.values())
-    aut = algebra.blocks[0].aut_group if algebra._single_class else None
-    names = frozenset(aut.names) if aut is not None else None
 
     def position(x, where: str) -> int:
         if type(x) is not int or not 0 <= x < n:
@@ -327,7 +324,19 @@ def parse_algebra_action(
             return keyed[k]
         return position(k, where)
 
-    domains: dict[int, list[int]] = {}
+    def first_fault(pairs, tw_pairs, map_path: str, tw_path: str) -> None:
+        """Raise at the first key, image or twist of a map that is at fault."""
+        for k, v in pairs.items():
+            aut = algebra.blocks[key_position(k, map_path)].aut_group
+            position(v, map_path)
+            ref = tw_pairs.get(k, _ABSENT)
+            if isinstance(ref, str):
+                _require(ref in aut.names, f"unknown automorphism {ref!r}", tw_path)
+            elif ref is not _ABSENT:
+                _integer(ref, "automorphism index", tw_path)
+                _require(0 <= ref < aut.order, f"bad automorphism index {ref}", tw_path)
+
+    ideals = {}
     for key, support in _section(doc, "domains", path).items():
         g = _resolve_element(G, key, f"{path}.domains")
         if isinstance(support, Mapping):  # ideal form {"support": [...]}
@@ -337,19 +346,21 @@ def parse_algebra_action(
             "domain must be a position list or {\"support\": [...]}",
             f"{path}.domains.{key}",
         )
-        if not _all_in(support, {int}, positions):
+        try:
+            ideals[g] = algebra.ideal(support)  # S_g, reused as the target of alpha_g
+        except PartialActionError:
             for p in support:  # name the first position at fault
                 position(p, f"{path}.domains.{key}")
-        domains[g] = support
+            raise
     twists_doc = _section(doc, "twists", path)
     maps_doc = _section(doc, "maps", path)
     for key in twists_doc:
         _require(key in maps_doc, f"twists for {key!r}, which has no map", f"{path}.twists.{key}")
-    ideals = {}
     maps = {}
     for key, pairs in maps_doc.items():
         g = _resolve_element(G, key, f"{path}.maps")
-        _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
+        map_path = f"{path}.maps.{key}"
+        _require(isinstance(pairs, Mapping), "map must be an object", map_path)
         tw_pairs = _section(twists_doc, key, f"{path}.twists")
         tw_path = f"{path}.twists.{key}"
         if not tw_pairs.keys() <= pairs.keys():
@@ -358,43 +369,25 @@ def parse_algebra_action(
                 f"where the map of {key} is undefined",
                 tw_path,
             )
-        if (
-            aut is not None  # one automorphism group: twists by name go through its name dict
-            and pairs.keys() <= keyed.keys()
-            and _all_in(pairs.values(), {int}, positions)
-            and _all_in(tw_pairs.values(), {str}, names)
-        ):
-            pm = dict(zip(map(keyed.__getitem__, pairs), pairs.values()))
-            refs = map(tw_pairs.get, pairs, repeat(aut.names[aut.identity]))
-            tw = dict(zip(pm, map(aut._by_name.__getitem__, refs)))
-        else:
+        try:
             pm, tw = {}, {}
             for k, v in pairs.items():  # a twist is keyed like its map entry
-                p = key_position(k, f"{path}.maps.{key}")
-                pm[p] = position(v, f"{path}.maps.{key}")
+                p = keyed[k] if isinstance(k, str) else k
+                pm[p] = v
+                aut = algebra.blocks[p].aut_group
                 ref = tw_pairs.get(k, _ABSENT)  # only a missing twist is the identity
-                block_aut = algebra.blocks[p].aut_group
-                if ref is _ABSENT:
-                    tw[p] = block_aut.identity
-                elif isinstance(ref, str):
-                    try:
-                        tw[p] = block_aut.element_by_name(ref)
-                    except UnknownElement:
-                        raise DocumentError(f"unknown automorphism {ref!r}", tw_path) from None
-                else:
-                    tw[p] = _integer(ref, "automorphism index", tw_path)
-                    _require(0 <= ref < block_aut.order, f"bad automorphism index {ref}", tw_path)
-        source = algebra.ideal(pm.keys())
-        target = algebra.ideal(domains.get(g, pm.values()))
-        try:
-            maps[g] = WreathMap(source, target, pm, tw)
-        except PartialActionError as exc:
-            raise DocumentError(str(exc), f"{path}.maps.{key}") from exc
-        if g in domains:  # S_g, already built as the target of alpha_g
-            ideals[g] = target
-    # the constructor's checks (known elements, ideals of this algebra, wreath
-    # maps) hold for what was parsed above, so it raises nothing to locate
-    return AlgebraPartialAction(G, algebra, {**domains, **ideals}, maps)
+                tw[p] = (aut.identity if ref is _ABSENT else ref if type(ref) is int
+                         else aut.element_by_name(ref))
+            target = ideals[g] if g in ideals else algebra.ideal(pm.values())
+            w = WreathMap(algebra.ideal(pm), target, pm, tw)
+        except (KeyError, IndexError, TypeError, PartialActionError) as exc:
+            first_fault(pairs, tw_pairs, map_path, tw_path)
+            raise DocumentError(str(exc), map_path) from exc  # a class or a bijection fault
+        if len(pm) < len(pairs):  # 1 and "1" name one position: the last entry stands
+            first_fault(pairs, tw_pairs, map_path, tw_path)
+        maps[g] = w
+    # known elements, ideals of this algebra, wreath maps: the constructor refuses none
+    return AlgebraPartialAction(G, algebra, ideals, maps)
 
 
 AnyAction = Union[SetPartialAction, AlgebraPartialAction]

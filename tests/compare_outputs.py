@@ -38,7 +38,11 @@ with the trivial subgroup and with ``--subgroup (123)``; two ``--output`` runs i
 ``globalize`` on the globalize-s5 input, whose written files are compared
 too; four bad-input runs, which exit 2: ``verify`` on a missing file,
 and ``verify``, ``globalize`` and ``enumerate --group`` on a file that is
-not JSON; and two bad-table runs, which exit 2 naming the failing triple
+not JSON; four bad-algebra runs, which exit 2 naming the map or twist at
+fault: ``verify`` on documents written to the work directory, each an
+algebra action with one fault, a map key with a leading zero (``"01"``), a
+twist index out of range, an image on a block of another class and an
+image used twice; and two bad-table runs, which exit 2 naming the failing triple
 of associativity: ``factorize --group`` on ``group_s4_nonassociative.json``
 and ``verify`` on ``workbench_s4_nonassociative.json``, which inlines the
 same table.  That table is an order-24 Latin square with identity 0 and
@@ -202,6 +206,30 @@ def error_runs(workdir: Path) -> list[tuple[str, list[str]]]:
     ]
 
 
+def bad_algebra_runs(workdir: Path) -> list[tuple[str, list[str]]]:
+    """``verify`` on four documents written to workdir, each holding one
+    algebra action of Z2 on blocks Q, Q, K with one fault in the map of 1:
+    a key with a leading zero, a twist index out of range, an image on a
+    block of another class (a ``ClassMismatch``) and an image used twice
+    (no bijection)."""
+    z2 = {"kind": "cyclic", "n": 2}
+    base = {"kind": "algebra", "group": z2, "domains": {"1": [0, 1]},
+            "algebra": {"blocks": [{"class": "Q", "aut": z2}] * 2 + [{"class": "K"}]}}
+    faults = {
+        "leading_zero": {"maps": {"1": {"01": 0, "0": 1}}},
+        "twist_range": {"maps": {"1": {"0": 1, "1": 0}}, "twists": {"1": {"0": 2}}},
+        "other_class": {"domains": {"1": [0, 2]}, "maps": {"1": {"0": 2, "2": 0}}},
+        "image_twice": {"maps": {"1": {"0": 1, "1": 1}}},
+    }
+    runs = []
+    for name, fault in faults.items():
+        doc = workdir / f"{name}.json"
+        doc.write_text(json.dumps({"version": "1", "actions": {name: {**base, **fault}}}),
+                       encoding="utf-8")
+        runs.append((f"verify {doc.name}", ["verify", str(doc)]))
+    return runs
+
+
 def bad_table_runs() -> list[tuple[str, list[str]]]:
     """The runs on a non-associative table, as a group file and inlined in
     a workbench."""
@@ -255,7 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         work = Path(workdir)
         runs = golden_runs() + golden_runs(("parser_corners.json",)) + seed_runs(work, args.seed)
-        runs += rejected_runs(work) + factorize_runs(work) + error_runs(work) + bad_table_runs()
+        runs += rejected_runs(work) + factorize_runs(work) + error_runs(work)
+        runs += bad_algebra_runs(work) + bad_table_runs()
         differ = compare(args.base.resolve(), args.change.resolve(), runs)
     print(f"{len(runs)} runs, {len(differ)} differ")
     for name in differ:

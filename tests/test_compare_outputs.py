@@ -1,14 +1,16 @@
 """The byte-identity check of ``compare_outputs.py``: a checkout matches
 itself on the golden documents, a CLI that prints something else differs
 on every run, one that writes another ``--output`` file differs, the
-bad-input and bad-table runs are rejected as input errors, and the
-rejected-action runs reach the axiom scan."""
+bad-input and bad-table runs are rejected as input errors, the
+bad-algebra runs name the map or twist at fault, and the rejected-action
+runs reach the axiom scan."""
 
 import json
 
 from compare_outputs import (
     OUTPUT,
     ROOT,
+    bad_algebra_runs,
     bad_table_runs,
     compare,
     error_runs,
@@ -56,6 +58,25 @@ def test_the_bad_input_runs_exit_two_at_the_root(tmp_path):
         out, err, code = run_cli(ROOT, args, tmp_path)
         assert (out, code) == (b"", 2), name
         assert err.startswith(b"input error: ") and err.endswith(b"(at $)\n"), name
+
+
+def test_the_bad_algebra_runs_name_the_map_or_twist(tmp_path):
+    runs = bad_algebra_runs(tmp_path)
+    assert [name for name, _ in runs] == [
+        "verify leading_zero.json", "verify twist_range.json", "verify other_class.json",
+        "verify image_twice.json",
+    ]
+    expected = [
+        "block position '01' has a leading zero (at $.actions.leading_zero.maps.1)",
+        "bad automorphism index 2 (at $.actions.twist_range.twists.1)",
+        "position 0 (Q) cannot map onto position 2 (K) (at $.actions.other_class.maps.1)",
+        "position map is not a bijection onto the target support"
+        " (at $.actions.image_twice.maps.1)",
+    ]
+    for (name, args), message in zip(runs, expected):
+        out, err, code = run_cli(ROOT, args, tmp_path)
+        assert (out, code) == (b"", 2), name
+        assert err.decode() == f"input error: {message}\n", name
 
 
 def test_the_bad_table_runs_name_the_generator_major_triple(tmp_path):

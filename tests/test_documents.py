@@ -951,7 +951,11 @@ _ABSENT = object()  # a twist drawn to be taken out
 def _mutate_algebra(data, action: dict, context) -> None:
     G, algebra = context
     n = algebra.n_blocks
-    what = data.draw(st.sampled_from(["position", "key", "twist", "stray", "form"]))
+    kinds = ["position", "key", "twist", "stray", "form", "int key", "image"]
+    maps = action.get("maps", {})
+    if any(type(k) is not str for m in maps.values() if isinstance(m, dict) for k in m):
+        kinds = ["position", "stray", "form", "int key", "image"]  # "key" and "twist" need str keys
+    what = data.draw(st.sampled_from(kinds))
     if what == "position":  # a domain position or a map value
         found = _entry(data, action, data.draw(st.sampled_from(["domains", "maps"])))
         if found:
@@ -993,6 +997,39 @@ def _mutate_algebra(data, action: dict, context) -> None:
             d = domains[key]
             wrapped = isinstance(d, dict) and "support" in d
             domains[key] = d["support"] if wrapped else {"support": d}
+    elif what == "int key":  # the key as a Python int or bool, for or beside its string
+        found = _entry(data, action, "maps")
+        if found:
+            pairs, k = found
+            digits = isinstance(k, str) and k.isascii() and k.isdigit()
+            new = data.draw(st.sampled_from([int(k) if digits else 0, True, False, -1, n]))
+            beside = data.draw(st.booleans())  # "1" and 1 name one position
+            if beside:
+                pairs[new] = pairs[k]
+            elif new not in pairs:
+                _replace_key(pairs, k, new)
+            twists = action.get("twists", {}).get(
+                next(g for g, m in maps.items() if m is pairs), {})
+            if isinstance(twists, dict) and k in twists and data.draw(st.booleans()):
+                if beside:
+                    twists[new] = twists[k]
+                elif new not in twists:
+                    _replace_key(twists, k, new)
+    elif what == "image":  # onto an image already used, or swapped onto another class
+        found = _entry(data, action, "maps")
+        if found and len(found[0]) > 1:
+            pairs, k = found
+            others = [j for j in pairs if j != k]
+
+            def iso_class(q):
+                return algebra.blocks[q].iso_class if type(q) is int and 0 <= q < n else None
+
+            foreign = [j for j in others if iso_class(pairs[j]) != iso_class(pairs[k])]
+            j = data.draw(st.sampled_from(foreign or others))
+            if data.draw(st.booleans()):  # no bijection
+                pairs[k] = pairs[j]
+            else:  # a class mismatch when the two images differ in class
+                pairs[k], pairs[j] = pairs[j], pairs[k]
 
 
 class TestParserOracle:

@@ -186,6 +186,13 @@ CASES = [
     ("int block", lambda: BlockAlgebra([k_line_block(), 5]), MalformedInput,
      "block 1 is not a block"),
     ("int block power", lambda: block_power(5, 2), MalformedInput, "block 0 is not a block"),
+    ("int automorphism group", lambda: Block("Q", 5), MalformedInput,
+     "automorphism group must be a FiniteGroup"),
+    ("string automorphism group", lambda: Block("Q", "x"), MalformedInput,
+     "automorphism group must be a FiniteGroup"),
+    ("int block class", lambda: Block(5, Z2), MalformedInput, "block class 5 is not a string"),
+    ("no block class", lambda: Block(None, Z2), MalformedInput,
+     "block class None is not a string"),
     ("string lifted action", lambda: lift_set_action("x"), MalformedInput,
      "the lift takes a set partial action"),
     ("int lifted action", lambda: lift_set_action(5), MalformedInput,
@@ -236,6 +243,9 @@ def test_non_int_values_are_rejected(build, error, message):
     and a number, a string or a list of numbers as claimed rows.  A block
     that is no Block, in an algebra or a block power, a lift of no set
     action, an int subgroup extended by zero, and a component that is no
-    algebra action leaked AttributeError."""
+    algebra action leaked AttributeError.  A Block of an int or a string
+    automorphism group built, and its algebra leaked AttributeError; one of
+    an int or a None class built an algebra whose class label is no
+    string."""
     with pytest.raises(error, match=message):
         build()
