@@ -40,7 +40,7 @@ from .groups import (
 )
 from .set_actions import (
     SetPartialAction,
-    _envelope_sizes,
+    _stabilizer_sizes,
     enumerate_partial_actions,
     globalize_set,
     verify_partial_action,
@@ -309,8 +309,9 @@ def _enumerate_doc(G: FiniteGroup, actions: list, sizes: Optional[list]) -> dict
 
 def cmd_enumerate(args) -> int:
     G = _group_from_spec(args.group)
-    actions = enumerate_partial_actions(G, args.size)
-    sizes = _envelope_sizes(actions) if args.envelopes else None
+    stabilizers = [] if args.envelopes else None
+    actions = enumerate_partial_actions(G, args.size, _stabilizers=stabilizers)
+    sizes = None if stabilizers is None else _stabilizer_sizes(G, stabilizers)
     if args.format == "json":
         _emit_json(_enumerate_doc(G, actions, sizes), args.output)
     else:

@@ -325,9 +325,13 @@ def parse_algebra_action(
         return position(k, where)
 
     def first_fault(pairs, tw_pairs, map_path: str, tw_path: str) -> None:
-        """Raise at the first key, image or twist of a map that is at fault."""
+        """Raise at the first key, image or twist at fault, then at a repeated position."""
+        named, twice = {}, None  # position -> the first key naming it; the first repeat
         for k, v in pairs.items():
-            aut = algebra.blocks[key_position(k, map_path)].aut_group
+            p = key_position(k, map_path)
+            if named.setdefault(p, k) != k and twice is None:
+                twice = f"map keys {named[p]!r} and {k!r} name block position {p}"
+            aut = algebra.blocks[p].aut_group
             position(v, map_path)
             ref = tw_pairs.get(k, _ABSENT)
             if isinstance(ref, str):
@@ -335,6 +339,7 @@ def parse_algebra_action(
             elif ref is not _ABSENT:
                 _integer(ref, "automorphism index", tw_path)
                 _require(0 <= ref < aut.order, f"bad automorphism index {ref}", tw_path)
+        _require(twice is None, twice, map_path)
 
     ideals = {}
     for key, support in _section(doc, "domains", path).items():
@@ -383,7 +388,7 @@ def parse_algebra_action(
         except (KeyError, IndexError, TypeError, PartialActionError) as exc:
             first_fault(pairs, tw_pairs, map_path, tw_path)
             raise DocumentError(str(exc), map_path) from exc  # a class or a bijection fault
-        if len(pm) < len(pairs):  # 1 and "1" name one position: the last entry stands
+        if len(pm) < len(pairs):  # 1 and "1" name one position
             first_fault(pairs, tw_pairs, map_path, tw_path)
         maps[g] = w
     # known elements, ideals of this algebra, wreath maps: the constructor refuses none

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from ._values import Frozen, Value
@@ -316,10 +317,9 @@ def symmetric_group(n: int) -> FiniteGroup:
     ordered = [t[2] for t in labeled]
     names = tuple(t[1] for t in labeled)
     index = {perm: i for i, perm in enumerate(ordered)}
-    table = tuple(
-        tuple(index[tuple(map(a.__getitem__, b))] for b in ordered)  # a∘b: x -> a[b[x]]
-        for a in ordered
-    )
+    # a∘b: x -> a[b[x]] is itemgetter(*b)(a); on one point that returns a scalar, and S1 is {e}
+    getters = [itemgetter(*b) for b in ordered] if n > 1 else [lambda a: a]
+    table = tuple(tuple(map(index.__getitem__, [get(a) for get in getters])) for a in ordered)
     identity = index[tuple(range(n))]
     return FiniteGroup(table, identity, names, doc_kind=("symmetric", n))
 

@@ -597,30 +597,19 @@ def globalize_set(spa: SetPartialAction) -> SetGlobalization:
     return SetGlobalization(spa, envelope, embedding, witnesses)
 
 
-def _envelope_sizes(actions: Iterable[SetPartialAction]) -> list[int]:
-    """``globalize_set(a).size`` for each action, from one
-    :func:`globalize_set` per distinct (group, stabilizer).
-
-    The envelope is the disjoint union over the orbits of G/H (see
-    :func:`_orbit_data`), and G/H is the envelope of the orbit's
-    restriction to its base point: G on the point 0, defined exactly on H.
-    An action that is no partial action raises MalformedInput from the
-    certificate that :func:`globalize_set` runs, with its message.
+def _stabilizer_sizes(G: FiniteGroup, stabilizers: Sequence[tuple]) -> list[int]:
+    """The envelope size of each action from its orbit stabilizers, as
+    :func:`enumerate_partial_actions` hands them over: the sum of [G:H]
+    over its orbits, the envelope being the disjoint union of the G/H (see
+    :func:`_orbit_data`).  G/H is the envelope of G on the point 0, defined
+    exactly on H, so [G:H] is the size of one :func:`globalize_set` per
+    distinct H.
     """
-    memos: dict[FiniteGroup, dict] = {}  # group -> stabilizer -> envelope size
-    sizes = []
-    for a in actions:
-        G = a.group
-        memo = memos.setdefault(G, {})
-        size = 0
-        for orbit in _orbit_data(G, a.carrier, a.domains, a.maps)[0]:
-            H = orbit.stabilizer
-            if H not in memo:
-                point = SetPartialAction(G, (0,), dict.fromkeys(H, (0,)), dict.fromkeys(H, {0: 0}))
-                memo[H] = globalize_set(point).size
-            size += memo[H]
-        sizes.append(size)
-    return sizes
+    index = {}  # stabilizer -> [G:H]
+    for H in dict.fromkeys(itertools.chain.from_iterable(stabilizers)):
+        point = SetPartialAction(G, (0,), dict.fromkeys(H, (0,)), dict.fromkeys(H, {0: 0}))
+        index[H] = globalize_set(point).size
+    return [sum(map(index.__getitem__, orbits)) for orbits in stabilizers]
 
 
 def _envelope_classes(G, order, orbits, paths) -> tuple[tuple, list, dict]:
@@ -896,24 +885,26 @@ def _set_partitions(points: tuple) -> Iterator[list[tuple]]:
 
 
 def _transitive_pieces(G: FiniteGroup, k: int) -> list[tuple]:
-    """Every partial action of G on points 0..k-1 with a single orbit, as one
-    tuple of (x, alpha_g(x)) pairs per element: for each subgroup H, the
-    restriction of G/H to the coset H (point 0) and k - 1 further distinct
-    cosets, in every order."""
+    """Every partial action of G on points 0..k-1 with a single orbit, as
+    (H.members, one tuple of (x, alpha_g(x)) pairs per element): for each
+    subgroup H, the restriction of G/H to the coset H (point 0) and k - 1
+    further distinct cosets, in every order.  H is the stabilizer of 0."""
     pieces = []
     for H in all_subgroups(G):
         moved = coset_factorize(G, H).j_table  # moved[g][c]: the coset g sends c to; 0 is H
         for chosen in itertools.permutations(range(1, len(moved[0])), k - 1):
             point = {c: i for i, c in enumerate((0,) + chosen)}
-            pieces.append(tuple(
+            pieces.append((H.members, tuple(
                 tuple((i, point[m[c]]) for c, i in point.items() if m[c] in point) for m in moved
-            ))
+            )))
     return pieces
 
 
 def enumerate_partial_actions(
     G: FiniteGroup,
     carrier: Union[int, Sequence[Point]],
+    *,
+    _stabilizers: Optional[list] = None,
 ) -> list[SetPartialAction]:
     """The complete, duplicate-free, canonically ordered list of partial
     actions of G on the carrier (an integer n means carrier 0..n-1).
@@ -932,11 +923,19 @@ def enumerate_partial_actions(
     the set of g with alpha_g(x0) = y; so two distinct choices give two
     distinct actions.  The output is sorted by ``canonical_key``.
 
+    A list given as ``_stabilizers`` receives each returned action's orbit
+    stabilizers, one tuple of ``H.members`` per action, in order.  They are
+    exact: the base of an orbit sits at the coset H of its piece, and its
+    stabilizer in G/H is H, as :func:`_orbit_data` would find.
+
     Raises:
-        MalformedInput: an integer carrier size is negative, the carrier is
-            neither an exact int nor a sequence, or it repeats a point.
+        MalformedInput: G is not a FiniteGroup, an integer carrier size is
+            negative, the carrier is neither an exact int nor a sequence,
+            or it repeats a point.
         SizeLimit: beyond |G| <= 6 or carriers larger than 4 points.
     """
+    if not isinstance(G, FiniteGroup):
+        raise MalformedInput("enumeration takes a FiniteGroup")
     if type(carrier) is int:
         if carrier < 0:
             raise MalformedInput(f"carrier size {carrier} is negative")
@@ -954,18 +953,21 @@ def enumerate_partial_actions(
     pieces = {k: _transitive_pieces(G, k) for k in range(1, len(carrier) + 1)}
     shared: dict[frozenset, frozenset] = {}  # one object per distinct domain saves memory
     pos = {x: i for i, x in enumerate(carrier)}
-    actions = []
+    built = []  # (action, its orbit stabilizers)
     for partition in _set_partitions(carrier):
-        placed = [[tuple(tuple((b[i], b[j]) for i, j in pairs) for pairs in piece)
-                   for piece in pieces[len(b)]] for b in partition]  # the pieces on each block
+        placed = [[(H, tuple(tuple((b[i], b[j]) for i, j in pairs) for pairs in piece))
+                   for H, piece in pieces[len(b)]] for b in partition]  # the pieces on each block
         for choice in itertools.product(*placed):
             domains, maps = {}, {}
             for g in G.elements():
-                m = dict(itertools.chain.from_iterable(c[g] for c in choice))
+                m = dict(itertools.chain.from_iterable(c[1][g] for c in choice))
                 D = frozenset(m.values())
                 domains[g] = shared.setdefault(D, D)
                 maps[g] = {x: m[x] for x in carrier if x in m}
             # valid by the argument above, so built without the constructor's checks
-            actions.append(SetPartialAction._unchecked(G, carrier, pos, domains, maps))
-    actions.sort(key=lambda a: a.canonical_key())
-    return actions
+            built.append((SetPartialAction._unchecked(G, carrier, pos, domains, maps),
+                          tuple(H for H, _ in choice)))
+    built.sort(key=lambda pair: pair[0].canonical_key())
+    if _stabilizers is not None:
+        _stabilizers.extend(stabilizers for _, stabilizers in built)
+    return [action for action, _ in built]

@@ -7,9 +7,11 @@ reads a workbench with them in place of the package's.  They raise what
 the package's parsers raise, with the same messages and ``$.`` paths, and
 build equal actions.
 
-One rule was added to both after the replacement: a block-position key is
-the decimal form of the position, so ``"01"`` or ``"00"`` is rejected where
-it used to be read as 1 or 0.
+Two rules were added to both after the replacement: a block-position key
+is the decimal form of the position, so ``"01"`` or ``"00"`` is rejected
+where it used to be read as 1 or 0; and two keys of one map that name one
+position, such as ``"1"`` and ``1`` in a Python mapping, are rejected once
+every entry has passed its own checks, where the last entry used to stand.
 """
 
 from __future__ import annotations
@@ -135,9 +137,10 @@ def parse_algebra_action(
                 f"where the map of {key} is undefined",
                 tw_path,
             )
-        pm, tw = {}, {}
+        pm, tw, named = {}, {}, {}
         for k, v in pairs.items():  # a twist is keyed like its map entry
             p = key_position(k, f"{path}.maps.{key}")
+            named.setdefault(p, k)  # the first key naming p
             pm[p] = position(v, f"{path}.maps.{key}")
             ref = tw_pairs.get(k, _ABSENT)  # only a missing twist is the identity
             aut = algebra.blocks[p].aut_group
@@ -151,6 +154,10 @@ def parse_algebra_action(
             else:
                 tw[p] = _integer(ref, "automorphism index", tw_path)
                 _require(0 <= ref < aut.order, f"bad automorphism index {ref}", tw_path)
+        for k in pairs:
+            p = key_position(k, f"{path}.maps.{key}")
+            _require(named[p] == k, f"map keys {named[p]!r} and {k!r} name block position {p}",
+                     f"{path}.maps.{key}")
         source = algebra.ideal(pm.keys())
         target = algebra.ideal(domains.get(g, pm.values()))
         try:

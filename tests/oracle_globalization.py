@@ -7,13 +7,17 @@ for every s, and a breadth-first transport of twists along those same
 edges.  Both cost O(|G|^2 n).  They skip malformed data instead of raising,
 so they are compared with the package on valid input only.  The envelope of
 an extension by zero is kept too, assembled directly from the transversal
-and the j and h tables, beside the package's one shared assembly.
+and the j and h tables, beside the package's one shared assembly.  And the
+envelope sizes of a list of actions, from the orbit certificate run on
+each, as ``enumerate --envelopes`` computed them before the enumerator
+handed over each action's stabilizers.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
+from partial_actions import set_actions
 from partial_actions.algebra_actions import (
     GlobalizationResult,
     extend_by_zero_algebra,
@@ -22,7 +26,7 @@ from partial_actions.algebra_actions import (
 from partial_actions.block_algebras import WreathMap, block_power
 from partial_actions.errors import InternalInconsistency, TwistTransportConflict
 from partial_actions.groups import coset_factorize
-from partial_actions.set_actions import GlobalSetAction, SetGlobalization
+from partial_actions.set_actions import GlobalSetAction, SetGlobalization, SetPartialAction
 
 
 class _UnionFind:
@@ -169,3 +173,25 @@ def globalize_extension_by_zero(block, subgroup, hom) -> GlobalizationResult:
         raise InternalInconsistency("constructed envelope failed its own checks")
     provenance = tuple(G.name(r) for r in cf.reps)
     return GlobalizationResult(pa, envelope, provenance, action, embedding, checks)
+
+
+def envelope_sizes(actions: Iterable[SetPartialAction]) -> list[int]:
+    """``globalize_set(a).size`` for each action, from the stabilizers of
+    the orbit certificate ``set_actions._orbit_data`` run on each, and one
+    package ``globalize_set`` per distinct (group, stabilizer) on the point
+    0.  An action that is no partial action raises MalformedInput from the
+    certificate, with its message."""
+    memos: dict = {}  # group -> stabilizer -> envelope size
+    sizes = []
+    for a in actions:
+        G = a.group
+        memo = memos.setdefault(G, {})
+        size = 0
+        for orbit in set_actions._orbit_data(G, a.carrier, a.domains, a.maps)[0]:
+            H = orbit.stabilizer
+            if H not in memo:
+                point = SetPartialAction(G, (0,), dict.fromkeys(H, (0,)), dict.fromkeys(H, {0: 0}))
+                memo[H] = set_actions.globalize_set(point).size
+            size += memo[H]
+        sizes.append(size)
+    return sizes

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -832,6 +833,20 @@ class TestPositionKeys:
         assert capsys.readouterr().err == (
             f"input error: block position {key} has a leading zero (at $.actions.beta.maps.1)\n"
         )
+
+    @pytest.mark.parametrize("pairs,message", [
+        ({"1": 0, 1: 1}, "map keys '1' and 1 name block position 1"),
+        ({1: 0, "1": 0}, "map keys 1 and '1' name block position 1"),
+        ({"0": 2, "1": 0, 0: 3, 1: 1}, "map keys '0' and 0 name block position 0"),
+        ({"1": 0, 1: 1, "9": 0}, "block position 9 out of range"),
+    ])
+    def test_two_keys_of_one_position_are_refused(self, pairs, message):
+        """A Python mapping can name one position twice, as "1" and 1; the
+        last entry used to stand.  Faults of single entries come first."""
+        for parse in (parse_workbench, oracle_documents.parse_workbench):
+            with pytest.raises(DocumentError, match=f"^{re.escape(message)} ") as got:
+                parse(_leading_zero_doc(pairs))
+            assert got.value.path == "$.actions.beta.maps.1"
 
     def test_decimal_keys_are_read(self):
         for key in ("0", "7"):

@@ -1,5 +1,6 @@
 import itertools
 
+import oracle_groups
 import pytest
 from conftest import trivial_subgroup, whole_group
 from hypothesis import given, settings, strategies as st
@@ -153,6 +154,10 @@ class TestSymmetricGroup:
         for a, pa in enumerate(perms):
             row = tuple([index[tuple([pa[y] for y in pb])] for pb in perms])
             assert G.table[a] == row
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_table_matches_the_product_by_product_oracle(self, n):
+        assert symmetric_group(n).table == oracle_groups.symmetric_table(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_group_axioms_via_make_group(self, n):

@@ -886,20 +886,29 @@ class TestEnumerate:
 
 
 class TestEnvelopeSizes:
-    """set_actions._envelope_sizes, one globalize_set per distinct (group,
-    stabilizer) on the base point of an orbit, against globalize_set on
-    each whole action."""
+    """set_actions._stabilizer_sizes on the stabilizers that
+    enumerate_partial_actions hands over, against globalize_set on each
+    whole action and against the certificate form,
+    oracle_globalization.envelope_sizes."""
 
     @staticmethod
-    def oracle(actions):
-        return [globalize_set(a).size for a in actions]
+    def handed_over(G, carrier):
+        stabilizers = []
+        actions = enumerate_partial_actions(G, carrier, _stabilizers=stabilizers)
+        assert len(stabilizers) == len(actions)
+        return actions, stabilizers
 
-    @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "K4", "Z5", "S3", "Z6"])
+    def check(self, G, carrier):
+        actions, stabilizers = self.handed_over(G, carrier)
+        sizes = set_actions._stabilizer_sizes(G, stabilizers)
+        assert sizes == [globalize_set(a).size for a in actions]
+        assert sizes == oracle_globalization.envelope_sizes(actions)
+
+    @pytest.mark.parametrize("name", ["Z1", "Z2", "Z3", "Z4", "K4", "Z5", "S3", "Z6"])
     def test_every_group_of_order_at_most_six(self, name):
         G = ENUM_GROUPS[name]()
         for n in range(5):
-            actions = enumerate_partial_actions(G, n)
-            assert set_actions._envelope_sizes(actions) == self.oracle(actions)
+            self.check(G, n)
 
     @pytest.mark.parametrize("name,carrier", [
         ("S3", ("a", "b", "c")),
@@ -913,37 +922,60 @@ class TestEnvelopeSizes:
             assert G.identity != 0
         else:
             G = ENUM_GROUPS[name]()
-        actions = enumerate_partial_actions(G, carrier)
-        assert set_actions._envelope_sizes(actions) == self.oracle(actions)
+        self.check(G, carrier)
+
+    @pytest.mark.parametrize("name,carrier", [
+        *[(name, n) for name in ENUM_GROUPS for n in range(5)],
+        ("S3", ("a", "b", "c")),
+        ("Z6", ("q", 7, "c", 0)),
+    ])
+    def test_stabilizers_are_the_certificates(self, name, carrier):
+        """For every enumerated action, the handed-over stabilizers are the
+        orbit stabilizers of _orbit_data, as a multiset, and handing them
+        over leaves the returned list as it is."""
+        G = ENUM_GROUPS[name]()
+        actions, stabilizers = self.handed_over(G, carrier)
+        assert actions == enumerate_partial_actions(G, carrier)
+        for a, handed in zip(actions, stabilizers):
+            orbits, _ = set_actions._orbit_data(G, a.carrier, a.domains, a.maps)
+            assert sorted(handed) == sorted(orbit.stabilizer for orbit in orbits)
 
     def test_groups_of_one_order_keep_their_own_pieces(self, monkeypatch):
-        """Z4 and K4 actions in one list: every piece is globalized over the
-        group of its action, and each group's pieces separately."""
+        """Z4 and K4 actions in one list: each group's pieces are globalized
+        over that group, once per stabilizer, and the certificate oracle on
+        the interleaved list gives the interleaved sizes."""
         z4, k4 = ENUM_GROUPS["Z4"](), ENUM_GROUPS["K4"]()
-        actions = [a for pair in zip(enumerate_partial_actions(z4, 3), enumerate_partial_actions(k4, 3))
-                   for a in pair]
         seen = []
         real = set_actions.globalize_set
         monkeypatch.setattr(set_actions, "globalize_set", lambda spa: seen.append(spa) or real(spa))
-        assert set_actions._envelope_sizes(actions) == self.oracle(actions)
+        (z4_actions, z4_stabs), (k4_actions, k4_stabs) = (self.handed_over(G, 3) for G in (z4, k4))
+        z4_sizes = set_actions._stabilizer_sizes(z4, z4_stabs)
+        k4_sizes = set_actions._stabilizer_sizes(k4, k4_stabs)
         assert {spa.group for spa in seen} == {z4, k4}
         assert len(seen) == len({(spa.group, spa.canonical_key()) for spa in seen})
+        actions = [a for pair in zip(z4_actions, k4_actions) for a in pair]
+        sizes = [s for pair in zip(z4_sizes, k4_sizes) for s in pair]
+        assert oracle_globalization.envelope_sizes(actions) == sizes
+        assert sizes == [real(a).size for a in actions]
 
     def test_pieces_are_globalized_once(self, monkeypatch):
         """On Z6 with 4 points, the orbits of 1,628 actions have 4 distinct
         stabilizers, one per subgroup of Z6; each is globalized once, on
-        the single point 0."""
-        calls = []
-        real = set_actions.globalize_set
+        the single point 0, and the certificate runs only inside those 4."""
+        calls, certificates = [], []
+        real, real_orbit_data = set_actions.globalize_set, set_actions._orbit_data
         monkeypatch.setattr(set_actions, "globalize_set", lambda spa: calls.append(spa) or real(spa))
-        actions = enumerate_partial_actions(ENUM_GROUPS["Z6"](), 4)
-        assert len(set_actions._envelope_sizes(actions)) == 1628
-        assert len(calls) == 4
+        monkeypatch.setattr(set_actions, "_orbit_data",
+                            lambda *args: certificates.append(args) or real_orbit_data(*args))
+        G = ENUM_GROUPS["Z6"]()
+        _, stabilizers = self.handed_over(G, 4)
+        assert len(set_actions._stabilizer_sizes(G, stabilizers)) == 1628
+        assert len(calls) == len(certificates) == 4
         assert all(spa.carrier == (0,) for spa in calls)
 
     def test_data_that_is_no_partial_action_raises(self):
-        """Where globalize_set rejects an action, so does _envelope_sizes,
-        with the same message; otherwise both give one size."""
+        """Where globalize_set rejects an action, so does the certificate
+        oracle, with the same message; otherwise both give one size."""
         pool = [copy for G in (cyclic_group(3), symmetric_group(3)) for n in (2, 3)
                 for spa in enumerate_partial_actions(G, n) for copy in _damaged_copies(spa)]
         rejected = 0
@@ -952,10 +984,10 @@ class TestEnvelopeSizes:
                 expected = globalize_set(spa).size
             except MalformedInput as exc:
                 with pytest.raises(MalformedInput, match=f"^{re.escape(str(exc))}$"):
-                    set_actions._envelope_sizes([spa])
+                    oracle_globalization.envelope_sizes([spa])
                 rejected += 1
             else:
-                assert set_actions._envelope_sizes([spa]) == [expected]
+                assert oracle_globalization.envelope_sizes([spa]) == [expected]
         assert 0 < rejected < len(pool)
 
     def test_orbits_that_meet_raise(self, z2):
@@ -967,7 +999,7 @@ class TestEnvelopeSizes:
         with pytest.raises(MalformedInput):
             globalize_set(spa)
         with pytest.raises(MalformedInput, match="^map of 1 is not defined on its stated source$"):
-            set_actions._envelope_sizes([spa])
+            oracle_globalization.envelope_sizes([spa])
 
 
 def _damaged_copies(spa):

@@ -80,6 +80,12 @@ CASES = [
      "carrier contains an unhashable point"),
     ("unhashable enumerated point", lambda: enumerate_partial_actions(Z2, [[0], 1]),
      MalformedInput, "carrier contains an unhashable point"),
+    *[
+        (f"{label} enumerated", lambda value=value: enumerate_partial_actions(value, 2),
+         MalformedInput, "enumeration takes a FiniteGroup")
+        for label, value in [("string group", "x"), ("int group", 5), ("no group", None),
+                             ("list group", [1])]
+    ],
     ("unhashable domain point", lambda: SetPartialAction(Z2, [1, 2], {1: [[1]]}),
      MalformedInput, "domain of 1 leaves the carrier"),
     ("unhashable map image",
@@ -246,6 +252,7 @@ def test_non_int_values_are_rejected(build, error, message):
     algebra action leaked AttributeError.  A Block of an int or a string
     automorphism group built, and its algebra leaked AttributeError; one of
     an int or a None class built an algebra whose class label is no
-    string."""
+    string.  enumerate_partial_actions of a string, an int, None or a list
+    in place of a group leaked AttributeError."""
     with pytest.raises(error, match=message):
         build()
