@@ -17,12 +17,14 @@ carrier with the identity map).  Element keys resolve through their group
 group (``FiniteGroup.element_by_name``); this module only says where a bad
 reference is.  Parsing and serialization round-trip.
 
-The group and set readers check each table row, carrier, domain and map
-as a whole (its values' types, then carrier membership); the algebra
-reader builds each ``BlockIdeal`` and ``WreathMap`` at once and lets them
-decide.  Only when a check or a constructor refuses does a loop over the
-entries run, to name the first one at fault; ``tests/oracle_documents.py``
-keeps that loop alone as the oracle of the action parsers.
+The group reader checks each table row as a whole (the set of its value
+types).  The set reader checks the carrier's point types and string forms
+and that each domain is a list and each map an object, then lets
+``SetPartialAction`` decide; the algebra reader builds each ``BlockIdeal``
+and ``WreathMap`` at once and lets them decide.  Only when a check or a
+constructor refuses does a loop over the entries run, in document order,
+to name the first one at fault; ``tests/oracle_documents.py`` keeps that
+loop alone as the oracle of the action parsers.
 """
 
 from __future__ import annotations
@@ -139,25 +141,6 @@ def parse_algebra(doc, groups: Mapping[str, FiniteGroup], path: str = "algebra")
         raise DocumentError(str(exc), path) from exc
 
 
-def _all_in(values, kinds, allowed) -> bool:
-    """Whether every value has a type in ``kinds`` and lies in ``allowed``:
-    two whole-collection checks, the type check first, so that no value of
-    another type (a list, a bool for 1) is hashed or compared."""
-    return set(map(type, values)) <= kinds and allowed.issuperset(values)
-
-
-def _carrier_lookup(carrier: tuple, path: str) -> dict[str, object]:
-    """Each carrier point by its string form, the form of a JSON key."""
-    lookup = dict(zip(map(str, carrier), carrier))
-    if len(lookup) < len(carrier):  # name the first collision
-        lookup = {}
-        for x in carrier:
-            key = str(x)
-            _require(key not in lookup, f"carrier points collide at {key!r}", path)
-            lookup[key] = x
-    return lookup
-
-
 def set_action_to_doc(
     spa: SetPartialAction, group_ref: Union[str, dict, None] = None, *, _memo: Optional[dict] = None
 ) -> dict:
@@ -229,36 +212,47 @@ def parse_set_action(
     kinds = set(map(type, carrier))
     if not kinds <= {str, int}:  # name the first point of another type
         for i, x in enumerate(carrier):
-            _require(
-                isinstance(x, (str, int)) and not isinstance(x, bool),
-                "carrier points must be strings or integers",
-                f"{path}.carrier[{i}]",
-            )
-    lookup = _carrier_lookup(carrier, f"{path}.carrier")
-    points = frozenset(carrier)
-    domains = {}
-    for key, xs in _section(doc, "domains", path).items():
-        g = _resolve_element(G, key, f"{path}.domains")
-        _require(isinstance(xs, list), "domain must be a list", f"{path}.domains.{key}")
-        if not _all_in(xs, kinds, points):
-            for x in xs:  # a point matches only a carrier point of its own JSON type
-                if type(lookup.get(str(x), _ABSENT)) is not type(x):
-                    raise DocumentError(f"point {x!r} not in the carrier", f"{path}.domains.{key}")
-        domains[g] = xs
-    maps = {}
-    for key, pairs in _section(doc, "maps", path).items():
-        g = _resolve_element(G, key, f"{path}.maps")
-        _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
-        if not (pairs.keys() <= lookup.keys() and _all_in(pairs.values(), kinds, points)):
-            for k, v in pairs.items():  # name the first key or value outside the carrier
-                _require(k in lookup, f"point {k!r} not in the carrier", f"{path}.maps.{key}")
-                if type(lookup.get(str(v), _ABSENT)) is not type(v):  # values keep their JSON type
-                    raise DocumentError(f"point {v!r} not in the carrier", f"{path}.maps.{key}")
-        maps[g] = dict(zip(map(lookup.__getitem__, pairs), pairs.values()))
-    try:
+            ok = isinstance(x, (str, int)) and not isinstance(x, bool)
+            _require(ok, "carrier points must be strings or integers", f"{path}.carrier[{i}]")
+    keys = [*map(str, carrier)]
+    lookup = dict(zip(keys, carrier))  # each point by its string form, a JSON key
+    if len(lookup) < len(carrier):  # name the first collision
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise DocumentError(f"carrier points collide at {key!r}", f"{path}.carrier")
+    domains_doc = _section(doc, "domains", path)
+    maps_doc = _section(doc, "maps", path)
+
+    def build() -> SetPartialAction:
+        domains = {G.resolve(key): xs for key, xs in domains_doc.items()}
+        maps = {G.resolve(key): dict(zip(map(lookup.__getitem__, pairs), pairs.values()))
+                for key, pairs in maps_doc.items()}
         return SetPartialAction(G, carrier, domains, maps)
-    except PartialActionError as exc:
-        raise DocumentError(str(exc), path) from exc
+
+    if all(isinstance(xs, list) for xs in domains_doc.values()) and all(
+            isinstance(pairs, Mapping) for pairs in maps_doc.values()):
+        try:
+            return build()
+        except KeyError:
+            pass  # an unknown element or map key, which the walk names
+        except PartialActionError as exc:
+            refused = exc
+    points = frozenset(carrier)
+    for key, xs in domains_doc.items():  # name the first entry at fault, in document order
+        _resolve_element(G, key, f"{path}.domains")
+        where = f"{path}.domains.{key}"
+        _require(isinstance(xs, list), "domain must be a list", where)
+        for x in xs:  # the constructor's rule: a point of a carrier type, in the carrier
+            _require(type(x) in kinds and x in points, f"point {x!r} not in the carrier", where)
+    for key, pairs in maps_doc.items():
+        _resolve_element(G, key, f"{path}.maps")
+        where = f"{path}.maps.{key}"
+        _require(isinstance(pairs, Mapping), "map must be an object", where)
+        for k, v in pairs.items():
+            _require(isinstance(k, str), f"map key {k!r} is not a string", where)
+            _require(k in lookup, f"point {k!r} not in the carrier", where)
+            _require(type(v) in kinds and v in points, f"point {v!r} not in the carrier", where)
+    # the walk raises when the constructor was skipped or a key unknown, so the constructor refused
+    raise DocumentError(str(refused), path) from refused
 
 
 def _wreath_map_doc(w: WreathMap) -> tuple[dict, dict]:

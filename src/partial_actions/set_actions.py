@@ -100,6 +100,10 @@ class SetPartialAction:
                 raise MalformedInput(f"unknown group element {g!r}")
         for g in group.elements():
             if g in domains:
+                try:  # keep every given point: True and 1.0 vanish from a set holding 1
+                    domains[g] = tuple(domains[g])
+                except TypeError:  # 5 is no domain
+                    raise MalformedInput(f"domain of {group.name(g)} leaves the carrier") from None
                 D = _subset_of(carrier_set, domains[g])
             elif g == e:
                 D = carrier_set
@@ -129,10 +133,10 @@ class SetPartialAction:
                 m = {x: m[x] for x in ordered}
             mps[g] = m
         kinds = set(map(type, self.carrier))  # True and 1.0 equal 1, but are not the point 1
-        points = itertools.chain(*doms.values(), *mps.values(), *map(dict.values, mps.values()))
+        points = itertools.chain(*domains.values(), *mps.values(), *map(dict.values, mps.values()))
         if len(kinds) > 1 or not set(map(type, points)) <= kinds:  # find the first g at fault
             typed = frozenset(zip(map(type, self.carrier), self.carrier))
-            parts = [("domain", g, D) for g, D in doms.items()]
+            parts = [("domain", g, domains.get(g, D)) for g, D in doms.items()]
             parts += [("map", g, [*m, *m.values()]) for g, m in mps.items()]
             for what, g, xs in parts:
                 if not typed.issuperset(zip(map(type, xs), xs)):

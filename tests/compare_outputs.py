@@ -42,8 +42,16 @@ not JSON; four bad-algebra runs, which exit 2 naming the map or twist at
 fault: ``verify`` on documents written to the work directory, each an
 algebra action with one fault, a map key with a leading zero (``"01"``), a
 twist index out of range, an image on a block of another class and an
-image used twice; and two bad-table runs, which exit 2 naming the failing triple
-of associativity: ``factorize --group`` on ``group_s4_nonassociative.json``
+image used twice; six bad-set runs, which exit 2 naming the entry at
+fault: ``verify`` on documents written to the work directory, each a set
+action with one fault, a domain point of the other JSON type (``"1"`` for
+1), a map key outside the carrier, the colliding carrier points 1 and
+``"1"``, a domain given as an object, a bad point in the first domain
+entry beside an unknown element key in a later one, so that the runs
+compare which of the two is named, and ``true`` after the point 1 in a
+domain; and two bad-table runs, which exit 2
+naming the failing triple of associativity: ``factorize --group`` on
+``group_s4_nonassociative.json``
 and ``verify`` on ``workbench_s4_nonassociative.json``, which inlines the
 same table.  That table is an order-24 Latin square with identity 0 and
 two-sided inverses, one intercalate switch away from ``symmetric_group(4)``,
@@ -230,6 +238,33 @@ def bad_algebra_runs(workdir: Path) -> list[tuple[str, list[str]]]:
     return runs
 
 
+def bad_set_runs(workdir: Path) -> list[tuple[str, list[str]]]:
+    """``verify`` on six documents written to workdir, each holding one
+    set action of Z2 on the points 0 and 1 with one fault: a domain point
+    of the other JSON type (``"1"`` for 1), a map key outside the carrier,
+    the colliding carrier points 1 and ``"1"``, a domain given as an object,
+    a bad point in the first domain entry beside an unknown element key in
+    a later one, and ``true`` after the point 1 in a domain, which a set of
+    the domain would drop."""
+    base = {"kind": "set", "group": {"kind": "cyclic", "n": 2}, "carrier": [0, 1],
+            "domains": {"1": [0, 1]}, "maps": {"1": {"0": 1, "1": 0}}}
+    faults = {
+        "other_type": {"domains": {"1": [0, "1"]}},
+        "key_outside": {"maps": {"1": {"0": 1, "2": 0}}},
+        "colliding": {"carrier": [1, "1"]},
+        "domain_object": {"domains": {"1": {"support": [0, 1]}}},
+        "bad_then_unknown": {"domains": {"1": [0, 2], "zz": [0]}},
+        "equal_bool": {"domains": {"1": [0, 1, True]}},
+    }
+    runs = []
+    for name, fault in faults.items():
+        doc = workdir / f"{name}.json"
+        doc.write_text(json.dumps({"version": "1", "actions": {name: {**base, **fault}}}),
+                       encoding="utf-8")
+        runs.append((f"verify {doc.name}", ["verify", str(doc)]))
+    return runs
+
+
 def bad_table_runs() -> list[tuple[str, list[str]]]:
     """The runs on a non-associative table, as a group file and inlined in
     a workbench."""
@@ -284,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         work = Path(workdir)
         runs = golden_runs() + golden_runs(("parser_corners.json",)) + seed_runs(work, args.seed)
         runs += rejected_runs(work) + factorize_runs(work) + error_runs(work)
-        runs += bad_algebra_runs(work) + bad_table_runs()
+        runs += bad_algebra_runs(work) + bad_set_runs(work) + bad_table_runs()
         differ = compare(args.base.resolve(), args.change.resolve(), runs)
     print(f"{len(runs)} runs, {len(differ)} differ")
     for name in differ:

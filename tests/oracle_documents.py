@@ -7,11 +7,13 @@ reads a workbench with them in place of the package's.  They raise what
 the package's parsers raise, with the same messages and ``$.`` paths, and
 build equal actions.
 
-Two rules were added to both after the replacement: a block-position key
-is the decimal form of the position, so ``"01"`` or ``"00"`` is rejected
-where it used to be read as 1 or 0; and two keys of one map that name one
-position, such as ``"1"`` and ``1`` in a Python mapping, are rejected once
-every entry has passed its own checks, where the last entry used to stand.
+Three rules were added to both after the replacement: a block-position
+key is the decimal form of the position, so ``"01"`` or ``"00"`` is
+rejected where it used to be read as 1 or 0; two keys of one map that name
+one position, such as ``"1"`` and ``1`` in a Python mapping, are rejected
+once every entry has passed its own checks, where the last entry used to
+stand; and a set-action map key that is no string, such as ``1`` in a
+Python mapping, is rejected where this oracle used to read it as ``"1"``.
 """
 
 from __future__ import annotations
@@ -74,11 +76,12 @@ def parse_set_action(doc, groups: Mapping, path: str = "action") -> SetPartialAc
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
         m = {}
         for k, v in pairs.items():  # keys are JSON strings; values keep their type
-            _require(str(k) in lookup, f"point {k!r} not in the carrier", f"{path}.maps.{key}")
+            _require(isinstance(k, str), f"map key {k!r} is not a string", f"{path}.maps.{key}")
+            _require(k in lookup, f"point {k!r} not in the carrier", f"{path}.maps.{key}")
             point = lookup.get(str(v), _ABSENT)
             if type(point) is not type(v):
                 raise DocumentError(f"point {v!r} not in the carrier", f"{path}.maps.{key}")
-            m[lookup[str(k)]] = point
+            m[lookup[k]] = point
         maps[g] = m
     try:
         return SetPartialAction(G, carrier, domains, maps)

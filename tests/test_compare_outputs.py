@@ -2,8 +2,9 @@
 itself on the golden documents, a CLI that prints something else differs
 on every run, one that writes another ``--output`` file differs, the
 bad-input and bad-table runs are rejected as input errors, the
-bad-algebra runs name the map or twist at fault, and the rejected-action
-runs reach the axiom scan."""
+bad-algebra runs name the map or twist at fault, the bad-set runs name the
+carrier, domain or map at fault, and the rejected-action runs reach the
+axiom scan."""
 
 import json
 
@@ -11,6 +12,7 @@ from compare_outputs import (
     OUTPUT,
     ROOT,
     bad_algebra_runs,
+    bad_set_runs,
     bad_table_runs,
     compare,
     error_runs,
@@ -72,6 +74,26 @@ def test_the_bad_algebra_runs_name_the_map_or_twist(tmp_path):
         "position 0 (Q) cannot map onto position 2 (K) (at $.actions.other_class.maps.1)",
         "position map is not a bijection onto the target support"
         " (at $.actions.image_twice.maps.1)",
+    ]
+    for (name, args), message in zip(runs, expected):
+        out, err, code = run_cli(ROOT, args, tmp_path)
+        assert (out, code) == (b"", 2), name
+        assert err.decode() == f"input error: {message}\n", name
+
+
+def test_the_bad_set_runs_name_the_entry_at_fault(tmp_path):
+    runs = bad_set_runs(tmp_path)
+    assert [name for name, _ in runs] == [
+        "verify other_type.json", "verify key_outside.json", "verify colliding.json",
+        "verify domain_object.json", "verify bad_then_unknown.json", "verify equal_bool.json",
+    ]
+    expected = [
+        "point '1' not in the carrier (at $.actions.other_type.domains.1)",
+        "point '2' not in the carrier (at $.actions.key_outside.maps.1)",
+        "carrier points collide at '1' (at $.actions.colliding.carrier)",
+        "domain must be a list (at $.actions.domain_object.domains.1)",
+        "point 2 not in the carrier (at $.actions.bad_then_unknown.domains.1)",
+        "point True not in the carrier (at $.actions.equal_bool.domains.1)",
     ]
     for (name, args), message in zip(runs, expected):
         out, err, code = run_cli(ROOT, args, tmp_path)

@@ -35,7 +35,7 @@ from partial_actions.documents import (
     set_action_to_doc,
     workbench_to_doc,
 )
-from partial_actions.errors import UnknownElement
+from partial_actions.errors import SizeLimit, UnknownElement
 from partial_actions.groups import cyclic_group, make_group, subgroup_closure, symmetric_group
 from partial_actions.set_actions import (
     GlobalSetAction,
@@ -117,6 +117,41 @@ class TestGroupDocs:
             parse_group({"kind": "cayley", "table": table}, "$.G")
         assert (str(got.value), got.value.path) == (f"{message} (at {where})", where)
 
+    @pytest.mark.parametrize("inline", [False, True], ids=["groups", "inline"])
+    @pytest.mark.parametrize(
+        "gdoc,build,message",
+        [
+            ({"kind": "symmetric", "n": 7}, lambda: symmetric_group(7),
+             "symmetric group cap is n <= 6"),
+            ({"kind": "cyclic", "n": 721}, lambda: cyclic_group(721),
+             "cyclic group cap is n <= 720"),
+            ({"kind": "cayley", "table": [[(i + j) % 65 for j in range(65)] for i in range(65)]},
+             lambda: make_group([[(i + j) % 65 for j in range(65)] for i in range(65)]),
+             "order 65 exceeds the cap of 64"),
+        ],
+        ids=["symmetric 7", "cyclic 721", "cayley 65"],
+    )
+    def test_capped_group_is_refused_at_its_path(self, gdoc, build, message, inline,
+                                                 tmp_path, capsys):
+        """A group over its constructor's cap is a ``DocumentError`` with
+        the ``SizeLimit`` text at the group's path, and ``verify`` exits 2."""
+        with pytest.raises(SizeLimit) as cap:
+            build()
+        assert str(cap.value) == message
+        if inline:
+            doc = {"actions": {"alpha": {"kind": "set", "group": gdoc, "carrier": []}}}
+            where = "$.actions.alpha.group"
+        else:
+            doc, where = {"groups": {"G": gdoc}}, "$.groups.G"
+        with pytest.raises(DocumentError) as got:
+            parse_workbench(doc)
+        assert (str(got.value), got.value.path) == (f"{message} (at {where})", where)
+        assert isinstance(got.value.__cause__, SizeLimit)
+        file = tmp_path / "capped.json"
+        file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(file)]) == 2
+        assert capsys.readouterr().err == f"input error: {message} (at {where})\n"
+
 
 class TestSetActionDocs:
     def doc(self):
@@ -176,6 +211,30 @@ class TestSetActionDocs:
         }
         spa = parse_set_action(doc, {})
         assert spa.maps[1] == {0: 1, 1: 0}
+
+    @pytest.mark.parametrize("pairs,key", [({1: 0, "0": 1}, 1), ({"0": 1, True: 0}, True)])
+    def test_map_key_that_is_no_string(self, pairs, key):
+        """From Python, a map key that is no string is refused, although
+        ``str(1)`` names a carrier point; the oracle agrees."""
+        doc = {"kind": "set", "group": {"kind": "cyclic", "n": 2}, "carrier": [0, 1],
+               "maps": {"1": pairs}}
+        message = f"map key {key!r} is not a string (at alpha.maps.1)"
+        for parse in (parse_set_action, oracle_documents.parse_set_action):
+            with pytest.raises(DocumentError) as err:
+                parse(doc, {}, "alpha")
+            assert (str(err.value), err.value.path) == (message, "alpha.maps.1")
+
+    @pytest.mark.parametrize("domain,point", [([0, 1, True], True), ([1, 1.0], 1.0)])
+    def test_point_equal_to_an_earlier_point_is_checked(self, domain, point):
+        """True and 1.0 equal the point 1 but are not it; a set of the domain
+        would drop them after 1, so the type check reads every entry."""
+        doc = {"kind": "set", "group": {"kind": "cyclic", "n": 2}, "carrier": [0, 1],
+               "domains": {"1": domain}}
+        message = f"point {point!r} not in the carrier (at alpha.domains.1)"
+        for parse in (parse_set_action, oracle_documents.parse_set_action):
+            with pytest.raises(DocumentError) as err:
+                parse(doc, {}, "alpha")
+            assert (str(err.value), err.value.path) == (message, "alpha.domains.1")
 
     def test_constructor_fault_is_located(self):
         """A caller's str subclass point passes the parser, which matches
@@ -923,19 +982,32 @@ def _replace_key(mapping: dict, old: str, new: str) -> None:
     mapping.update(items)
 
 
+def _rename_element(data, action: dict, G) -> None:
+    """An element key of ``domains`` or ``maps`` renamed to one that names
+    no element of G: an unknown name, an index out of range (as a name and
+    as a Python int), ``"True"`` or ``""``."""
+    section = action.get(data.draw(st.sampled_from(["domains", "maps"])), {})
+    if section:
+        key = data.draw(st.sampled_from(list(section)))
+        new = data.draw(st.sampled_from(["zz", str(G.order), G.order, "True", ""]))
+        _replace_key(section, key, new)
+
+
 def _mutate_set(data, action: dict, context) -> None:
-    what = data.draw(st.sampled_from(["point", "key", "carrier", "mix", "form"]))
+    what = data.draw(st.sampled_from(["point", "key", "carrier", "mix", "form", "element"]))
     carrier = action.get("carrier")
     if what == "point":  # a domain point or a map value
         found = _entry(data, action, data.draw(st.sampled_from(["domains", "maps"])))
         if found:
             container, k = found
             container[k] = data.draw(st.sampled_from(_other_values(container[k])))
-    elif what == "key":
+    elif what == "key":  # a string outside the carrier, or a Python int
         found = _entry(data, action, "maps")
-        if found:
+        if found and isinstance(found[1], str):
             pairs, k = found
-            _replace_key(pairs, k, data.draw(st.sampled_from(["zz", "True", "1.0", "01", k + " "])))
+            number = int(k) if k.isascii() and k.isdigit() else 0
+            choices = ["zz", "True", "1.0", "01", k + " ", number]
+            _replace_key(pairs, k, data.draw(st.sampled_from(choices)))
     elif what == "carrier" and carrier:  # a bad point, or one that collides with another
         i = data.draw(st.integers(0, len(carrier) - 1))
         x = carrier[i]
@@ -956,8 +1028,10 @@ def _mutate_set(data, action: dict, context) -> None:
     elif what == "form":  # the ideal form is no set-action domain
         domains = action.get("domains", {})
         if domains:
-            key = data.draw(st.sampled_from(sorted(domains)))
+            key = data.draw(st.sampled_from(list(domains)))
             domains[key] = {"support": domains[key]}
+    elif what == "element":
+        _rename_element(data, action, context)
 
 
 _ABSENT = object()  # a twist drawn to be taken out
@@ -966,10 +1040,10 @@ _ABSENT = object()  # a twist drawn to be taken out
 def _mutate_algebra(data, action: dict, context) -> None:
     G, algebra = context
     n = algebra.n_blocks
-    kinds = ["position", "key", "twist", "stray", "form", "int key", "image"]
+    kinds = ["position", "key", "twist", "stray", "form", "int key", "image", "element"]
     maps = action.get("maps", {})
     if any(type(k) is not str for m in maps.values() if isinstance(m, dict) for k in m):
-        kinds = ["position", "stray", "form", "int key", "image"]  # "key" and "twist" need str keys
+        kinds = [k for k in kinds if k not in ("key", "twist")]  # these need str keys
     what = data.draw(st.sampled_from(kinds))
     if what == "position":  # a domain position or a map value
         found = _entry(data, action, data.draw(st.sampled_from(["domains", "maps"])))
@@ -1008,7 +1082,7 @@ def _mutate_algebra(data, action: dict, context) -> None:
     elif what == "form":  # a position list to the ideal form and back
         domains = action.get("domains", {})
         if domains:
-            key = data.draw(st.sampled_from(sorted(domains)))
+            key = data.draw(st.sampled_from(list(domains)))
             d = domains[key]
             wrapped = isinstance(d, dict) and "support" in d
             domains[key] = d["support"] if wrapped else {"support": d}
@@ -1045,6 +1119,8 @@ def _mutate_algebra(data, action: dict, context) -> None:
                 pairs[k] = pairs[j]
             else:  # a class mismatch when the two images differ in class
                 pairs[k], pairs[j] = pairs[j], pairs[k]
+    elif what == "element":
+        _rename_element(data, action, G)
 
 
 class TestParserOracle:

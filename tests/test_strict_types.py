@@ -95,6 +95,10 @@ CASES = [
      MalformedInput, "domain of 1 leaves the carrier"),
     ("float domain point", lambda: SetPartialAction(Z2, [1, 2], {1: [1.0]}),
      MalformedInput, "domain of 1 leaves the carrier"),
+    ("bool domain point after its equal", lambda: SetPartialAction(Z2, [0, 1], {1: [0, 1, True]}),
+     MalformedInput, "domain of 1 leaves the carrier"),
+    ("float domain point after its equal", lambda: SetPartialAction(Z2, [1, 2], {1: [1, 1.0]}),
+     MalformedInput, "domain of 1 leaves the carrier"),
     ("bool map key", lambda: SetPartialAction(Z2, [1, 2], {1: [1, 2]}, {1: {True: 2, 2: 1}}),
      MalformedInput, "map of 1 leaves the carrier"),
     ("float map image", lambda: SetPartialAction(Z2, [1, 2], {1: [1, 2]}, {1: {1: 2.0, 2: 1}}),
