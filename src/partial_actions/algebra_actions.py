@@ -353,9 +353,11 @@ def verify_enveloping(pa: AlgebraPartialAction, candidate) -> VerificationReport
     globalize-s5 workload counts this loop's ``wreath_compose`` calls.
 
     Raises:
-        MalformedInput: the candidate lacks a field or has one of the wrong
-            kind, or its action data is not a global action.
+        MalformedInput: pa is no algebra action, the candidate lacks a field
+            or has one of the wrong kind, or its action is not global.
     """
+    if not isinstance(pa, AlgebraPartialAction):
+        raise MalformedInput("verify_enveloping takes an algebra partial action")
     envelope, action, pm, tw = _candidate_parts(candidate)
     G = pa.group
     env_positions = frozenset(envelope.positions())
@@ -529,8 +531,11 @@ def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
     partial action raises rather than being resolved silently:
     ``MalformedInput`` when its positions are at fault, as
     :func:`globalize_set` of its idempotent restriction would, and
-    ``TwistTransportConflict`` when only its twists are.
+    ``TwistTransportConflict`` when only its twists are (``MalformedInput``
+    too when pa is no algebra action).
     """
+    if not isinstance(pa, AlgebraPartialAction):
+        raise MalformedInput("globalize_block_power takes an algebra partial action")
     G = pa.group
     positions = pa.algebra.positions()
     orbits, paths = _orbit_data(G, positions, *_position_data(pa))

@@ -198,6 +198,13 @@ class WreathMap(Frozen):
         object.__setattr__(self, "position_map", pm)
         object.__setattr__(self, "twists", tw)
 
+    @classmethod
+    def _unchecked(cls, source, target, position_map, twists) -> "WreathMap":
+        """Valid pieces, stored as the constructor stores them; no check runs."""
+        w = cls.__new__(cls)
+        vars(w).update(source=source, target=target, position_map=position_map, twists=twists)
+        return w
+
     def is_identity(self) -> bool:
         return (
             self.source == self.target
@@ -259,9 +266,17 @@ def wreath_compose(w2: WreathMap, w1: WreathMap) -> WreathMap:
     """The composite w2 ∘ w1: positions compose, twists multiply along the
     path (the w2 twist is applied after the w1 twist).
 
+    It skips the constructor's checks, which it always passes: w1 and w2
+    are bijections onto w2.source and w2.target that keep each block's class
+    and automorphism group, and each twist is a product in that group's
+    table.  ``tests/oracle_checks.py`` builds it through the constructor.
+
     Raises:
+        MalformedInput: w2 or w1 is no WreathMap.
         CompositionMismatch: the target of w1 is not the source of w2.
     """
+    if not (isinstance(w2, WreathMap) and isinstance(w1, WreathMap)):
+        raise MalformedInput("wreath_compose takes two wreath maps")
     if w1.target != w2.source:
         raise CompositionMismatch("target of the first map differs from source of the second")
     pm1, pm2, tw1, tw2 = w1.position_map, w2.position_map, w1.twists, w2.twists
@@ -273,7 +288,7 @@ def wreath_compose(w2: WreathMap, w1: WreathMap) -> WreathMap:
     else:
         blocks = algebra.blocks
         tw = {p: blocks[p].aut_group.table[tw2[q]][tw1[p]] for p, q in pm1.items()}
-    return WreathMap(w1.source, w2.target, pm, tw)
+    return WreathMap._unchecked(w1.source, w2.target, pm, tw)
 
 
 def decompose_isotypic(algebra: BlockAlgebra) -> list[tuple[str, tuple[int, ...]]]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
+from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Union
@@ -109,6 +110,15 @@ def _resolve_element(G: FiniteGroup, ref, path: str) -> int:
         return G.resolve(ref)
     except UnknownElement:
         raise DocumentError(f"unknown group element {ref!r}", path) from None
+
+
+def _element_key(G: FiniteGroup, key, named: dict, path: str) -> int:
+    """The element ``key`` resolves to, unless an earlier key of its section
+    (``named``, by element) names it too, as the index 1 and the name "1"."""
+    g = _resolve_element(G, key, path)
+    if named.setdefault(g, key) != key:
+        raise DocumentError(f"element keys {named[g]!r} and {key!r} name element {G.name(g)}", path)
+    return g
 
 
 def algebra_to_doc(algebra: BlockAlgebra) -> dict:
@@ -226,6 +236,8 @@ def parse_set_action(
         domains = {G.resolve(key): xs for key, xs in domains_doc.items()}
         maps = {G.resolve(key): dict(zip(map(lookup.__getitem__, pairs), pairs.values()))
                 for key, pairs in maps_doc.items()}
+        if len(domains) < len(domains_doc) or len(maps) < len(maps_doc):
+            raise KeyError  # two keys of one element
         return SetPartialAction(G, carrier, domains, maps)
 
     if all(isinstance(xs, list) for xs in domains_doc.values()) and all(
@@ -233,18 +245,18 @@ def parse_set_action(
         try:
             return build()
         except KeyError:
-            pass  # an unknown element or map key, which the walk names
+            pass  # an unknown or repeated element, or an unknown map key, which the walk names
         except PartialActionError as exc:
             refused = exc
-    points = frozenset(carrier)
+    points, domain_keys, map_keys = frozenset(carrier), {}, {}
     for key, xs in domains_doc.items():  # name the first entry at fault, in document order
-        _resolve_element(G, key, f"{path}.domains")
+        _element_key(G, key, domain_keys, f"{path}.domains")
         where = f"{path}.domains.{key}"
         _require(isinstance(xs, list), "domain must be a list", where)
         for x in xs:  # the constructor's rule: a point of a carrier type, in the carrier
             _require(type(x) in kinds and x in points, f"point {x!r} not in the carrier", where)
     for key, pairs in maps_doc.items():
-        _resolve_element(G, key, f"{path}.maps")
+        _element_key(G, key, map_keys, f"{path}.maps")
         where = f"{path}.maps.{key}"
         _require(isinstance(pairs, Mapping), "map must be an object", where)
         for k, v in pairs.items():
@@ -335,9 +347,9 @@ def parse_algebra_action(
                 _require(0 <= ref < aut.order, f"bad automorphism index {ref}", tw_path)
         _require(twice is None, twice, map_path)
 
-    ideals = {}
+    ideals, named = {}, {}
     for key, support in _section(doc, "domains", path).items():
-        g = _resolve_element(G, key, f"{path}.domains")
+        g = _element_key(G, key, named, f"{path}.domains")
         if isinstance(support, Mapping):  # ideal form {"support": [...]}
             support = support.get("support")
         _require(
@@ -355,9 +367,9 @@ def parse_algebra_action(
     maps_doc = _section(doc, "maps", path)
     for key in twists_doc:
         _require(key in maps_doc, f"twists for {key!r}, which has no map", f"{path}.twists.{key}")
-    maps = {}
+    maps, named = {}, {}
     for key, pairs in maps_doc.items():
-        g = _resolve_element(G, key, f"{path}.maps")
+        g = _element_key(G, key, named, f"{path}.maps")
         map_path = f"{path}.maps.{key}"
         _require(isinstance(pairs, Mapping), "map must be an object", map_path)
         tw_pairs = _section(twists_doc, key, f"{path}.twists")
@@ -470,11 +482,12 @@ def _write_json(obj, write) -> None:
     Exact ``str``, ``int``, ``bool`` and ``None`` values, lists, tuples and
     dicts with ``str`` keys are encoded here; any other value (a float, a dict
     with other keys, a subclass) is handed to ``json.dumps``.  A container
-    that holds a container is written member by member; one that holds
-    none is one piece.  A container object met again is encoded at most
-    twice, then reused: its text is kept from its second meeting on, and
-    ``ensure_ascii`` leaves no raw newline inside a string, so the text moves
-    to another depth by replacing the newline-and-indent it was encoded at.
+    that holds a container is written member by member; one of exact
+    scalars only is one piece, from json's encoder.  A container object met
+    again is encoded at most twice, then reused: its text is kept from its
+    second meeting on, and ``ensure_ascii`` leaves no raw newline inside a
+    string, so the text moves to another depth by replacing the
+    newline-and-indent it was encoded at.
     """
     _write_value(obj, "\n", write, {})
 
@@ -487,7 +500,7 @@ def _write_value(o, nl: str, write, memo: dict) -> None:
     if t in _SCALARS:
         write(_ENCODE[t](o))
         return
-    if not (t is list or t is tuple or (t is dict and all(type(k) is str for k in o))):
+    if not (t is list or t is tuple or (t is dict and set(map(type, o)) <= {str})):
         write(json.dumps(o, indent=2).replace("\n", nl))
         return
     if not o:
@@ -513,25 +526,27 @@ def _write_value(o, nl: str, write, memo: dict) -> None:
         write(text if at == nl else text.replace(at, nl))
 
 
+@lru_cache(maxsize=64)
+def _leaf_encoder(inner: str):
+    """``encode`` of json's compact (C) encoder, items separated at the
+    newline and indent ``inner``: one cached per depth, never a text."""
+    return json.JSONEncoder(check_circular=False, separators=("," + inner, ": ")).encode
+
+
 def _write_members(o, t: type, nl: str, write, memo: dict) -> None:
     """Write the non-empty container ``o`` (of type ``t``) from its opening
     bracket to its closing one."""
     inner = nl + "  "
+    values = o.values() if t is dict else o
+    if set(map(type, values)) <= _SCALARS:  # no container inside: one piece
+        text = _leaf_encoder(inner)(o)
+        write(text[0] + inner + text[1:-1] + nl + text[-1])
+        return
     sep = "," + inner
     if t is dict:
-        values, prefixes, brackets = o.values(), [_encode_str(k) + ": " for k in o], "{}"
+        prefixes, brackets = [_encode_str(k) + ": " for k in o], "{}"
     else:
-        values, prefixes, brackets = o, repeat(""), "[]"
-    kinds = set(map(type, values))
-    if kinds <= _SCALARS:  # no container inside: one piece
-        if len(kinds) == 1:
-            texts = map(_ENCODE[kinds.pop()], values)
-        else:
-            texts = [_ENCODE[type(v)](v) for v in values]
-        if t is dict:
-            texts = map(str.__add__, prefixes, texts)
-        write(brackets[0] + inner + sep.join(texts) + nl + brackets[1])
-        return
+        prefixes, brackets = repeat(""), "[]"
     head = brackets[0] + inner  # text not yet written: the scalars since the last container
     for prefix, v in zip(prefixes, values):
         if type(v) in _SCALARS:

@@ -671,6 +671,7 @@ def _envelope_witnesses(G, domains, maps, beta, points, embedding,
             intersection = (g,)
     unreached = sorted(set(points) - covered)
     unreached = (unreached,) if unreached else None
+    tables = [aut.table for aut in auts] if twists else None
     for g in G.elements():
         b = beta[g]
         for p, y in maps[g].items():
@@ -678,13 +679,15 @@ def _envelope_witnesses(G, domains, maps, beta, points, embedding,
             if q not in b or y not in embedding:
                 return unreached, intersection, (g, p, "undefined")
             if twists:
-                aut = auts[p]
-                pieces = (
+                mul = tables[p]
+                n = len(mul)
+                e_y, t, b_q, e_p = (
                     embedding_twists.get(y), twists[g][p], beta_twists[g][q], embedding_twists.get(p)
                 )
-                if not all(type(f) is int and 0 <= f < aut.order for f in pieces):
+                if not (type(e_y) is type(t) is type(b_q) is type(e_p) is int
+                        and 0 <= e_y < n and 0 <= t < n and 0 <= b_q < n and 0 <= e_p < n):
                     return unreached, intersection, (g, p, "groups")
-                if aut.mul(pieces[0], pieces[1]) != aut.mul(pieces[2], pieces[3]):
+                if mul[e_y][t] != mul[b_q][e_p]:
                     return unreached, intersection, (g, p, "mismatch")
             if embedding[y] != b[q]:
                 return unreached, intersection, (g, p, "mismatch")

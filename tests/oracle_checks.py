@@ -22,6 +22,10 @@ Both verifiers decide valid input from orbit data and scan the axioms only
 for witnesses; ``scanned_report`` runs them with that certificate refused,
 so that the scan decides every item, as it did before the certificate.
 
+``wreath_composite`` is ``wreath_compose`` as it was before it built its
+composite without the constructor's checks: the composite goes through the
+``WreathMap`` constructor.
+
 ``wreath_map_checks`` and ``global_set_action_checks`` are the constructor
 checks of ``WreathMap`` and ``GlobalSetAction`` entry by entry, in the form
 the package replaced with whole-set and whole-list operations.  They raise
@@ -40,8 +44,14 @@ from typing import Optional
 from unittest import mock
 
 from partial_actions import set_actions
-from partial_actions.block_algebras import wreath_compose
-from partial_actions.errors import ClassMismatch, DocumentError, GroupMismatch, MalformedInput
+from partial_actions.block_algebras import WreathMap, wreath_compose
+from partial_actions.errors import (
+    ClassMismatch,
+    CompositionMismatch,
+    DocumentError,
+    GroupMismatch,
+    MalformedInput,
+)
 from partial_actions.groups import _right_generators
 from partial_actions.reporting import VerificationReport
 
@@ -87,6 +97,19 @@ def wreath_map_checks(source, target, position_map, twists) -> None:
     for p, f in tw.items():
         if not (type(f) is int and 0 <= f < source.algebra.blocks[p].aut_group.order):
             raise MalformedInput(f"twist at {p} is not an automorphism index")
+
+
+def wreath_composite(w2, w1) -> WreathMap:
+    """w2 ∘ w1 built through the constructor, which checks it: positions
+    compose, and the twist at p is tw2[q] * tw1[p] in the table of the
+    block at p."""
+    if w1.target != w2.source:
+        raise CompositionMismatch("target of the first map differs from source of the second")
+    blocks = w1.source.algebra.blocks
+    pm = {p: w2.position_map[q] for p, q in w1.position_map.items()}
+    tw = {p: blocks[p].aut_group.mul(w2.twists[q], w1.twists[p])
+          for p, q in w1.position_map.items()}
+    return WreathMap(w1.source, w2.target, pm, tw)
 
 
 def global_set_action_checks(group, carrier, maps) -> None:

@@ -14,6 +14,9 @@ one position, such as ``"1"`` and ``1`` in a Python mapping, are rejected
 once every entry has passed its own checks, where the last entry used to
 stand; and a set-action map key that is no string, such as ``1`` in a
 Python mapping, is rejected where this oracle used to read it as ``"1"``.
+Two element keys of one ``domains`` or ``maps`` object that name one
+element, such as the name ``"1"`` and the index ``1`` in a Python mapping,
+are rejected at the second of them, where the last one used to stand.
 """
 
 from __future__ import annotations
@@ -47,6 +50,16 @@ def _carrier_lookup(carrier: tuple, path: str) -> dict:
     return lookup
 
 
+def _element(G, key, seen: dict, path: str) -> int:
+    """The element ``key`` names, unless an earlier key in ``seen`` (the
+    first key met for each element) names it too."""
+    g = _resolve_element(G, key, path)
+    if g in seen:
+        raise DocumentError(f"element keys {seen[g]!r} and {key!r} name element {G.name(g)}", path)
+    seen[g] = key
+    return g
+
+
 def parse_set_action(doc, groups: Mapping, path: str = "action") -> SetPartialAction:
     _require(isinstance(doc, Mapping), "action document must be an object", path)
     G = _action_group(doc, groups, path)
@@ -59,9 +72,9 @@ def parse_set_action(doc, groups: Mapping, path: str = "action") -> SetPartialAc
             f"{path}.carrier[{i}]",
         )
     lookup = _carrier_lookup(carrier, f"{path}.carrier")
-    domains = {}
+    domains, seen = {}, {}
     for key, points in _section(doc, "domains", path).items():
-        g = _resolve_element(G, key, f"{path}.domains")
+        g = _element(G, key, seen, f"{path}.domains")
         _require(isinstance(points, list), "domain must be a list", f"{path}.domains.{key}")
         resolved = []
         for x in points:  # a point matches only a carrier point of its own JSON type
@@ -70,9 +83,9 @@ def parse_set_action(doc, groups: Mapping, path: str = "action") -> SetPartialAc
                 raise DocumentError(f"point {x!r} not in the carrier", f"{path}.domains.{key}")
             resolved.append(point)
         domains[g] = resolved
-    maps = {}
+    maps, seen = {}, {}
     for key, pairs in _section(doc, "maps", path).items():
-        g = _resolve_element(G, key, f"{path}.maps")
+        g = _element(G, key, seen, f"{path}.maps")
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
         m = {}
         for k, v in pairs.items():  # keys are JSON strings; values keep their type
@@ -114,8 +127,9 @@ def parse_algebra_action(
         return position(int(k) if digits else k, where)
 
     domains: dict[int, list[int]] = {}
+    seen: dict = {}
     for key, positions in _section(doc, "domains", path).items():
-        g = _resolve_element(G, key, f"{path}.domains")
+        g = _element(G, key, seen, f"{path}.domains")
         if isinstance(positions, Mapping):  # ideal form {"support": [...]}
             positions = positions.get("support")
         _require(
@@ -128,9 +142,9 @@ def parse_algebra_action(
     maps_doc = _section(doc, "maps", path)
     for key in twists_doc:
         _require(key in maps_doc, f"twists for {key!r}, which has no map", f"{path}.twists.{key}")
-    maps = {}
+    maps, seen = {}, {}
     for key, pairs in maps_doc.items():
-        g = _resolve_element(G, key, f"{path}.maps")
+        g = _element(G, key, seen, f"{path}.maps")
         _require(isinstance(pairs, Mapping), "map must be an object", f"{path}.maps.{key}")
         tw_pairs = _section(twists_doc, key, f"{path}.twists")
         tw_path = f"{path}.twists.{key}"

@@ -524,6 +524,42 @@ class TestVerifyEnveloping:
             assert not check_item(report, "ideal").passed
             assert check_item(report, "ideal").witness == witness
 
+    @pytest.mark.parametrize(
+        "twists,block",
+        [({0: 2, 1: 0}, 0), ({0: 0, 1: True}, 1), ({0: 0, 1: -1}, 1), ({0: 0}, 1)],
+        ids=["out of range", "bool", "negative", "missing"],
+    )
+    def test_bad_embedding_twist_names_its_block_twice(self, twists, block):
+        """An embedding given as a mapping whose twist at one block is no
+        automorphism index fails the ideal check there, and the equivariance
+        scan meets it first at the identity: the "groups" witness."""
+        pa, candidate = two_class_candidate()
+        report = verify_enveloping(pa, _embedding({0: 0, 1: 1}, twists)(candidate))
+        assert [(item.name, item.passed, item.witness) for item in report.items] == [
+            ("ideal", False, f"twist at block {block} is missing or invalid"),
+            ("covers", True, None),
+            ("intersection", True, None),
+            ("equivariance", False, f"g=0, block {block}: twists live in different groups"),
+        ]
+
+    def test_bad_embedding_twist_met_first_at_a_moved_block(self):
+        """With the identity at index 1, the scan meets beta_s first, and
+        there the bad twist at block 0 is only the twist at the source of
+        the path 0 -> 1: still the "groups" witness, not an IndexError."""
+        G = make_group([[1, 0], [0, 1]], ["s", "e"])
+        pa = lift_set_action(SetPartialAction(G, (0, 1), {0: [0, 1]}, {0: {0: 1, 1: 0}}))
+        res = globalize_block_power(pa)
+        pm = res.embedding.position_map
+        candidate = {"envelope": res.envelope, "action": res.action,
+                     "embedding": {"position_map": pm, "twists": {0: 1, 1: 0}}}
+        report = verify_enveloping(pa, candidate)
+        assert [(item.name, item.passed, item.witness) for item in report.items] == [
+            ("ideal", False, "twist at block 0 is missing or invalid"),
+            ("covers", True, None),
+            ("intersection", True, None),
+            ("equivariance", False, "g=s, block 0: twists live in different groups"),
+        ]
+
     def test_pipeline_output_passes(self, quiver_setup):
         block, H, hom = quiver_setup
         res = globalize_extension_by_zero(block, H, hom)

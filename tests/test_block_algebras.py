@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 from conftest import ideals_isomorphic, make_ideal_iso, wreath_inverse
+from hypothesis import given, settings, strategies as st
+from oracle_checks import wreath_composite
 
 from partial_actions.block_algebras import (
     Block,
@@ -141,7 +143,75 @@ class TestWreathApply:
             wreath_apply(w, {1: "b"})
 
 
+# one class of a nonabelian automorphism group, so that the order of the
+# twists' product counts, one of Z3 and one scalar line
+_BLOCKS = (Block("L", symmetric_group(3)), Block("M", cyclic_group(3)), k_line_block())
+
+
+@st.composite
+def composable_maps(draw):
+    """(w2, w1, kind) with w1.target == w2.source.  Each map moves the
+    blocks of its algebra by a drawn permutation into the next algebra,
+    which is the same object when the permutation keeps every class, else
+    the permuted algebra; the source is a drawn support, the zero ideal
+    included, and the twists are drawn.  ``kind`` names the case."""
+    n = draw(st.integers(1, 5))
+    classes = draw(st.sampled_from(["one class", "mixed classes"]))
+    pool = _BLOCKS[:1] if classes == "one class" else _BLOCKS
+    algebras = [BlockAlgebra(tuple(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))))]
+    perms = []
+    for _ in range(2):
+        perm = draw(st.permutations(range(n)))
+        blocks = [None] * n
+        for p, q in enumerate(perm):
+            blocks[q] = algebras[-1].blocks[p]
+        same = tuple(blocks) == algebras[-1].blocks and draw(st.booleans())
+        algebras.append(algebras[-1] if same else BlockAlgebra(tuple(blocks)))
+        perms.append(perm)
+    support = draw(st.sets(st.integers(0, n - 1)))
+    maps = []
+    for a, b, perm in zip(algebras, algebras[1:], perms):
+        keys = draw(st.permutations(sorted(support)))  # the constructor sorts them
+        twists = {p: draw(st.integers(0, a.blocks[p].aut_group.order - 1)) for p in keys}
+        maps.append(WreathMap(a.ideal(support), b.ideal({perm[p] for p in support}),
+                              {p: perm[p] for p in keys}, twists))
+        support = {perm[p] for p in support}
+    between = "one algebra" if algebras[0] is algebras[2] else "two algebras"
+    kind = (classes, between, "zero ideal" if not maps[0].source.support else "nonzero")
+    return maps[1], maps[0], kind
+
+
 class TestWreathCompose:
+    @settings(max_examples=300, deadline=None)
+    @given(composable_maps())
+    def test_matches_the_constructor_built_composite(self, drawn):
+        """``wreath_compose`` builds its composite unchecked; the oracle
+        builds it through the constructor, which would refuse a broken one.
+        The two agree in value and in the order of their keys."""
+        w2, w1, _ = drawn
+        got, want = wreath_compose(w2, w1), wreath_composite(w2, w1)
+        assert type(got) is WreathMap
+        assert got == want
+        assert list(got.position_map) == list(want.position_map)
+        assert list(got.twists) == list(want.twists)
+        assert got.source is w1.source and got.target is w2.target
+
+    def test_drawn_maps_cover_every_kind(self):
+        """The strategy reaches mixed classes, maps between two algebras
+        and the zero ideal, each with and without the others."""
+        kinds = set()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(composable_maps())
+        def collect(drawn):
+            kinds.add(drawn[2])
+
+        collect()
+        for part in ("one class", "mixed classes", "one algebra", "two algebras",
+                     "zero ideal", "nonzero"):
+            assert any(part in kind for kind in kinds), part
+        assert ("mixed classes", "two algebras", "nonzero") in kinds
+
     def test_compose_with_identity(self, lambda_z2):
         algebra = block_power(lambda_z2, 3)
         full = algebra.full_ideal()

@@ -778,6 +778,43 @@ class TestJsonText:
             expected = json.dumps(obj, indent=2)
             assert "".join(_pieces(obj)) == expected
 
+    # leaf containers: exact scalars only, with strings that hold the item
+    # separator, a newline and non-ASCII text
+    LEAVES = [
+        ["a, b", ", ", "\n", "é日本\U0001f600", "", 0, -7, 10**20, True, False, None],
+        ("one",),
+        {"a, b": ", ", "\n": "x\ny", "é": "日本", "k": 1, "t": True, "n": None},
+        {"only": "\U0001f600"},
+    ]
+
+    @pytest.mark.parametrize("depth", range(7))
+    @pytest.mark.parametrize("leaf", LEAVES, ids=["list", "tuple", "dict", "one-item dict"])
+    def test_leaf_container_at_every_depth(self, leaf, depth):
+        """A leaf nested ``depth`` deep, in dicts and lists by turns, is
+        written as one piece at its indent."""
+        obj = leaf
+        for level in range(depth):
+            obj = [obj, "a, b"] if level % 2 else {"at": obj, "s": "\n"}
+        pieces = _pieces(obj)
+        assert "".join(pieces) == json.dumps(obj, indent=2)
+        assert json.dumps(leaf, indent=2).replace("\n", "\n" + "  " * depth) in pieces
+
+    def test_shared_leaf_met_at_two_depths(self, monkeypatch):
+        """A leaf met three times, at depths 1 and 3, is encoded twice and
+        its text reused at the other depth, as any shared container is."""
+        leaf = {"a, b": "c\nd", "é": "日本", "n": 3}
+        obj = [leaf, {"deep": [leaf]}, leaf]
+        encoded = []
+        leaf_encoder = documents._leaf_encoder
+
+        def counted(inner):
+            encode = leaf_encoder(inner)
+            return lambda o: encoded.append(id(o)) or encode(o)
+
+        monkeypatch.setattr(documents, "_leaf_encoder", counted)
+        assert _json_text(obj) == json.dumps(obj, indent=2)
+        assert encoded.count(id(leaf)) == 2
+
     @pytest.mark.parametrize(
         "obj",
         [object(), [1, {2, 3}], {"a": [b"bytes"]}, {(1, 2): 0}],
@@ -920,6 +957,52 @@ class TestPositionKeys:
             assert got.value.path == "$.actions.beta.maps.1"
 
 
+def _element_key_doc(kind: str, domains: dict, maps: dict) -> dict:
+    """Z2 acting on the carrier [0, 1], or on two blocks with Aut Z2, as
+    action ``a`` of ``kind`` with the given ``domains`` and ``maps``."""
+    action = {"kind": kind, "group": "Z2", "domains": domains, "maps": maps}
+    doc = {"version": "1", "groups": {"Z2": {"kind": "cyclic", "n": 2}}, "actions": {"a": action}}
+    if kind == "set":
+        action["carrier"] = [0, 1]
+    else:
+        doc["algebras"] = {"A": {"blocks": [{"class": "L", "aut": "Z2"}] * 2}}
+        action.update(algebra="A", twists={})
+    return doc
+
+
+class TestElementKeys:
+    SWAP = {"0": 1, "1": 0}
+
+    @pytest.mark.parametrize("kind,domains,maps,message,where", [
+        ("set", {"1": [0, 1], 1: []}, {}, "element keys '1' and 1 name element 1", "domains"),
+        ("set", {1: [], "1": [0, 1]}, {"1": SWAP}, "element keys 1 and '1' name element 1",
+         "domains"),
+        ("set", {"1": [0, 1]}, {"1": SWAP, 1: SWAP}, "element keys '1' and 1 name element 1",
+         "maps"),
+        ("set", {"0": [0, 1], 0: [0, 1]}, {}, "element keys '0' and 0 name element 0", "domains"),
+        ("set", {"1": [0, 7], 1: []}, {}, "point 7 not in the carrier", "domains.1"),
+        ("algebra", {"1": [0, 1], 1: [0, 1]}, {"1": SWAP}, "element keys '1' and 1 name element 1",
+         "domains"),
+        ("algebra", {"1": [0, 1]}, {"1": SWAP, 1: SWAP}, "element keys '1' and 1 name element 1",
+         "maps"),
+    ])
+    def test_two_keys_of_one_element_are_refused(self, kind, domains, maps, message, where):
+        """A Python mapping can name one element twice, as the name "1" and
+        the index 1; the last entry used to stand.  Entries are checked in
+        document order, so a fault of an earlier entry comes first."""
+        for parse in (parse_workbench, oracle_documents.parse_workbench):
+            with pytest.raises(DocumentError, match=f"^{re.escape(message)} ") as got:
+                parse(_element_key_doc(kind, domains, maps))
+            assert got.value.path == f"$.actions.a.{where}"
+
+    @pytest.mark.parametrize("kind", ["set", "algebra"])
+    def test_one_key_per_element_is_read(self, kind):
+        doc = _element_key_doc(kind, {"1": [0, 1]}, {1: self.SWAP})
+        for parse in (parse_workbench, oracle_documents.parse_workbench):
+            m = parse(doc).actions["a"].maps[1]
+            assert (m if kind == "set" else m.position_map) == {0: 1, 1: 0}
+
+
 @lru_cache(maxsize=None)
 def _seed_documents() -> tuple:
     """(document, its parsed groups and algebras) for the golden documents,
@@ -985,11 +1068,16 @@ def _replace_key(mapping: dict, old: str, new: str) -> None:
 def _rename_element(data, action: dict, G) -> None:
     """An element key of ``domains`` or ``maps`` renamed to one that names
     no element of G: an unknown name, an index out of range (as a name and
-    as a Python int), ``"True"`` or ``""``."""
+    as a Python int), ``"True"`` or ``""``; or to the Python int index of
+    the element that a key of the section names, which repeats that
+    element unless the key is the one renamed."""
     section = action.get(data.draw(st.sampled_from(["domains", "maps"])), {})
     if section:
         key = data.draw(st.sampled_from(list(section)))
-        new = data.draw(st.sampled_from(["zz", str(G.order), G.order, "True", ""]))
+        new = data.draw(st.sampled_from(["zz", str(G.order), G.order, "True", "", "twin"]))
+        if new == "twin":
+            other = data.draw(st.sampled_from(list(section)))
+            new = G.names.index(other) if other in G.names else 0
         _replace_key(section, key, new)
 
 

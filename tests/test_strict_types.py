@@ -12,10 +12,12 @@ from conftest import whole_group
 from partial_actions.algebra_actions import (
     AlgebraPartialAction,
     extend_by_zero_algebra,
+    globalize_block_power,
     globalize_extension_by_zero,
     lift_set_action,
     product_partial_action,
     verify_algebra_partial_action,
+    verify_enveloping,
 )
 from partial_actions.block_algebras import (
     Block,
@@ -23,6 +25,7 @@ from partial_actions.block_algebras import (
     block_power,
     k_line_block,
     wreath_apply,
+    wreath_compose,
     wreath_identity,
 )
 from partial_actions.errors import MalformedInput, NotAGroup, NotAHomomorphism, NotASubgroup
@@ -50,6 +53,8 @@ Q_Z2 = block_power(Block("Q", Z2), 1)
 K2 = block_power(k_line_block(), 2)
 S3 = symmetric_group(3)
 CF_S3 = coset_factorize(S3, subgroup_closure(S3, ["(12)"]))
+ID_Q = wreath_identity(Q_Z2.full_ideal())
+SWAP_ENVELOPE = globalize_block_power(lift_set_action(Z2_SWAP))
 
 
 WRONG_CLASS = [("string", "x"), ("int", 5), ("None", None), ("list", [0])]
@@ -226,6 +231,26 @@ CASES = [
          "verify_algebra_partial_action takes an algebra partial action")
         for label, value in WRONG_CLASS + [("set action", Z2_SWAP)]
     ],
+    *[
+        (f"wreath map composed with {label}", lambda value=value: wreath_compose(ID_Q, value),
+         MalformedInput, "wreath_compose takes two wreath maps")
+        for label, value in WRONG_CLASS
+    ],
+    *[
+        (f"{label} composed with a wreath map", lambda value=value: wreath_compose(value, ID_Q),
+         MalformedInput, "wreath_compose takes two wreath maps")
+        for label, value in WRONG_CLASS
+    ],
+    *[
+        (f"{label} enveloped", lambda value=value: verify_enveloping(value, SWAP_ENVELOPE),
+         MalformedInput, "verify_enveloping takes an algebra partial action")
+        for label, value in WRONG_CLASS + [("set action", Z2_SWAP)]
+    ],
+    *[
+        (f"{label} globalized as a block power", lambda value=value: globalize_block_power(value),
+         MalformedInput, "globalize_block_power takes an algebra partial action")
+        for label, value in WRONG_CLASS + [("set action", Z2_SWAP)]
+    ],
 ]
 
 
@@ -257,6 +282,8 @@ def test_non_int_values_are_rejected(build, error, message):
     automorphism group built, and its algebra leaked AttributeError; one of
     an int or a None class built an algebra whose class label is no
     string.  enumerate_partial_actions of a string, an int, None or a list
-    in place of a group leaked AttributeError."""
+    in place of a group leaked AttributeError, as did wreath_compose with
+    either side no wreath map, and verify_enveloping and
+    globalize_block_power of no algebra action, a set action included."""
     with pytest.raises(error, match=message):
         build()
