@@ -10,6 +10,7 @@ materializing a base field.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from ._values import Frozen
@@ -107,6 +108,8 @@ class BlockIdeal(Frozen):
     _fields = ("algebra", "support")
 
     def __init__(self, algebra: BlockAlgebra, support: frozenset):
+        if not isinstance(algebra, BlockAlgebra):
+            raise MalformedInput("BlockIdeal takes a BlockAlgebra")
         object.__setattr__(self, "algebra", algebra)
         if not isinstance(support, frozenset):
             try:
@@ -132,6 +135,8 @@ class WreathMap(Frozen):
     target, keyed in position order; ``twists[p]`` is the automorphism (an
     element index of the block's automorphism group) applied to the payload
     in transit.  Positions and twists are exact ints, never bools or floats.
+    Both are read-only views of the map's own dicts, so no map changes
+    after its checks; they compare equal to, and print as, dicts.
 
     The constructor checks, in this order, raising at the first failure:
     the keys of ``position_map`` are the source support and its values a
@@ -195,15 +200,21 @@ class WreathMap(Frozen):
                     raise MalformedInput(f"twist at {p} is not an automorphism index")
         if list(pm) != sorted(pm):
             pm = {p: pm[p] for p in sorted(pm)}
-        object.__setattr__(self, "position_map", pm)
-        object.__setattr__(self, "twists", tw)
+        object.__setattr__(self, "position_map", MappingProxyType(pm))
+        object.__setattr__(self, "twists", MappingProxyType(tw))
 
     @classmethod
     def _unchecked(cls, source, target, position_map, twists) -> "WreathMap":
-        """Valid pieces, stored as the constructor stores them; no check runs."""
+        """Valid pieces in dicts the map owns, stored as the constructor
+        stores them; no check runs."""
         w = cls.__new__(cls)
-        vars(w).update(source=source, target=target, position_map=position_map, twists=twists)
+        vars(w).update(source=source, target=target, position_map=MappingProxyType(position_map),
+                       twists=MappingProxyType(twists))
         return w
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(source={self.source!r}, target={self.target!r}, "
+                f"position_map={dict(self.position_map)!r}, twists={dict(self.twists)!r})")
 
     def is_identity(self) -> bool:
         return (

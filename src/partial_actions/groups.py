@@ -330,6 +330,8 @@ class Subgroup(Frozen):
     _fields = ("parent", "members")
 
     def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
+        if not isinstance(parent, FiniteGroup):
+            raise MalformedInput("Subgroup takes a FiniteGroup")
         object.__setattr__(self, "parent", parent)
         G = parent
         try:
@@ -494,10 +496,13 @@ def coset_factorize(G: FiniteGroup, H: Subgroup) -> CosetFactorization:
     j(e,g_i) = g_i, and h(e,g_i) = g_i^-1*g_i = e.
 
     Raises:
+        MalformedInput: H is no Subgroup.
         NotASubgroup: H is a subgroup of another group.
         InternalInconsistency: if any of those laws fails (unreachable for a
             group table).
     """
+    if not isinstance(H, Subgroup):
+        raise MalformedInput("coset_factorize takes a Subgroup")
     if H.parent is not G and H.parent != G:
         raise NotASubgroup("subgroup belongs to a different group")
     reps, coset = _cosets(G, H.members)

@@ -81,6 +81,8 @@ class SetPartialAction:
         domains: Optional[Mapping[int, Iterable[Point]]] = None,
         maps: Optional[Mapping[int, Mapping[Point, Point]]] = None,
     ):
+        if not isinstance(group, FiniteGroup):
+            raise MalformedInput(f"{type(self).__name__} takes a FiniteGroup")
         self.group = group
         try:
             self.carrier = tuple(carrier)
@@ -369,6 +371,8 @@ def verify_partial_action(candidate: SetPartialAction) -> VerificationReport:
 
 def restrict_global(global_action: GlobalSetAction, subset: Iterable[Point]) -> SetPartialAction:
     """Restrict a global action to a subset: D_g = subset ∩ beta_g(subset)."""
+    if not isinstance(global_action, GlobalSetAction):
+        raise MalformedInput("restrict_global takes a global set action")
     sub = _subset_of(frozenset(global_action.carrier), subset)
     if sub is None:
         raise MalformedInput("subset leaves the carrier")
@@ -385,8 +389,14 @@ def extend_by_zero(action_of_h: SetPartialAction, subgroup: Subgroup) -> SetPart
     that group corresponds to ``subgroup.members[k]``.
 
     Raises:
+        MalformedInput: the action is no set partial action, or the
+            subgroup no Subgroup.
         NotASubgroup: the action's group does not match the subgroup.
     """
+    if not isinstance(action_of_h, SetPartialAction):
+        raise MalformedInput("extend_by_zero takes a set partial action")
+    if not isinstance(subgroup, Subgroup):
+        raise MalformedInput("extend_by_zero takes a Subgroup")
     H = subgroup
     G = H.parent
     if action_of_h.group != H.as_group():
@@ -401,9 +411,12 @@ def global_part(spa: SetPartialAction) -> tuple[Subgroup, GlobalSetAction]:
     which is a genuine global action of H.
 
     Raises:
-        MalformedInput: the input is not a partial action: H fails the
-            subgroup check, or the restriction fails the action law.
+        MalformedInput: the input is no set partial action, or not a
+            partial action: H fails the subgroup check, or the restriction
+            fails the action law.
     """
+    if not isinstance(spa, SetPartialAction):
+        raise MalformedInput("global_part takes a set partial action")
     G = spa.group
     X = frozenset(spa.carrier)
     members = tuple(g for g in G.elements() if spa.domains[g] == X)
@@ -591,8 +604,11 @@ def globalize_set(spa: SetPartialAction) -> SetGlobalization:
     input exactly, and the envelope has at most |G|·|X| points.
 
     Raises:
-        MalformedInput: the input is not a partial action.
+        MalformedInput: the input is no set partial action, or not a
+            partial action.
     """
+    if not isinstance(spa, SetPartialAction):
+        raise MalformedInput("globalize_set takes a set partial action")
     G = spa.group
     X = spa.carrier
     witnesses, moves, embedding = _envelope_classes(G, X, *_orbit_data(G, X, spa.domains, spa.maps))
@@ -930,6 +946,12 @@ def enumerate_partial_actions(
     the set of g with alpha_g(x0) = y; so two distinct choices give two
     distinct actions.  The output is sorted by ``canonical_key``.
 
+    D_g, alpha_g and g's part of that key depend only on the chosen
+    pieces' pairs at g, so each is built once per distinct tuple of them
+    (396 for Z6 on 4 points, against 9,768 (action, g) slots); each action
+    gets its own copy of each map, and its key is its parts in element
+    order.  ``tests/oracle_enumeration.py`` keeps the per-action build.
+
     A list given as ``_stabilizers`` receives each returned action's orbit
     stabilizers, one tuple of ``H.members`` per action, in order.  They are
     exact: the base of an orbit sits at the coset H of its piece, and its
@@ -960,21 +982,33 @@ def enumerate_partial_actions(
     pieces = {k: _transitive_pieces(G, k) for k in range(1, len(carrier) + 1)}
     shared: dict[frozenset, frozenset] = {}  # one object per distinct domain saves memory
     pos = {x: i for i, x in enumerate(carrier)}
-    built = []  # (action, its orbit stabilizers)
+    at = pos.__getitem__
+    parts = {}  # the chosen pieces' pairs at g -> (D_g, alpha_g, g's part of the key)
+
+    def part(rows):
+        m = dict(itertools.chain.from_iterable(rows))
+        D = frozenset(m.values())
+        m = {x: m[x] for x in carrier if x in m}
+        parts[rows] = found = (shared.setdefault(D, D), m, (  # as canonical_key
+            tuple(sorted(map(at, D))), tuple(zip(map(at, m), map(at, m.values())))))
+        return found
+
+    elements = G.elements()
+    built = []  # (canonical key, action, its orbit stabilizers)
     for partition in _set_partitions(carrier):
         placed = [[(H, tuple(tuple((b[i], b[j]) for i, j in pairs) for pairs in piece))
                    for H, piece in pieces[len(b)]] for b in partition]  # the pieces on each block
         for choice in itertools.product(*placed):
-            domains, maps = {}, {}
-            for g in G.elements():
-                m = dict(itertools.chain.from_iterable(c[1][g] for c in choice))
-                D = frozenset(m.values())
-                domains[g] = shared.setdefault(D, D)
-                maps[g] = {x: m[x] for x in carrier if x in m}
+            # the pieces' pairs g by g; an empty carrier has no pieces
+            at_g = zip(*[c[1] for c in choice]) if choice else [()] * G.order
+            got = [parts.get(rows) or part(rows) for rows in at_g]
+            domains = dict(zip(elements, map(itemgetter(0), got)))
+            maps = {g: p[1].copy() for g, p in zip(elements, got)}
             # valid by the argument above, so built without the constructor's checks
-            built.append((SetPartialAction._unchecked(G, carrier, pos, domains, maps),
+            built.append((tuple(map(itemgetter(2), got)),
+                          SetPartialAction._unchecked(G, carrier, pos, domains, maps),
                           tuple(H for H, _ in choice)))
-    built.sort(key=lambda pair: pair[0].canonical_key())
+    built.sort(key=itemgetter(0))
     if _stabilizers is not None:
-        _stabilizers.extend(stabilizers for _, stabilizers in built)
-    return [action for action, _ in built]
+        _stabilizers.extend(stabilizers for _, _, stabilizers in built)
+    return [action for _, action, _ in built]

@@ -22,8 +22,9 @@ rejects, so that the axiom scan names every witness (alpha_e swapping two
 points over the trivial group, and two swapped restrictions of the
 regular action of ``group_s3_relabelled.json``, whose identity is not
 element 0); ``example-s3``, text and JSON; ``enumerate --envelopes``,
-text and JSON, on the enumerate-z6x4 group at size 4, on ``group_s3_relabelled.json`` at size 3, on S3 at
-size 4, whose non-normal stabilizers give orbit pieces that share a
+text and JSON, on the enumerate-z6x4 group at size 4, on
+``group_s3_relabelled.json`` at sizes 3 and 4 (size 4 is the largest
+enumeration whose identity is not element 0), on S3 at size 4, whose non-normal stabilizers give orbit pieces that share a
 stabilizer order but not a placement, and on K4 at size 4, written as a
 Cayley table to the work directory, whose three subgroups of order 2
 are distinct stabilizers of one order; ``enumerate`` without
@@ -116,6 +117,7 @@ def seed_runs(workdir: Path, seed: int) -> list[tuple[str, list[str]]]:
     for label, group, size in (
         (f"seed-{seed} z6.json", z6, "4"),
         ("group_s3_relabelled.json", str(DATA / "group_s3_relabelled.json"), "3"),
+        ("group_s3_relabelled.json", str(DATA / "group_s3_relabelled.json"), "4"),
         ("S3", "S3", "4"),
         ("k4.json", str(k4), "4"),
     ):
@@ -309,6 +311,13 @@ def compare(base: Path, change: Path, runs: list[tuple[str, list[str]]]) -> list
         ]
 
 
+def all_runs(workdir: Path, seed: int) -> list[tuple[str, list[str]]]:
+    """Every run, with its input files written to workdir."""
+    runs = golden_runs() + golden_runs(("parser_corners.json",)) + seed_runs(workdir, seed)
+    runs += rejected_runs(workdir) + factorize_runs(workdir) + error_runs(workdir)
+    return runs + bad_algebra_runs(workdir) + bad_set_runs(workdir) + bad_table_runs()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="root of the checkout compared against")
@@ -316,10 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="seed of the perfbench inputs")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
-        work = Path(workdir)
-        runs = golden_runs() + golden_runs(("parser_corners.json",)) + seed_runs(work, args.seed)
-        runs += rejected_runs(work) + factorize_runs(work) + error_runs(work)
-        runs += bad_algebra_runs(work) + bad_set_runs(work) + bad_table_runs()
+        runs = all_runs(Path(workdir), args.seed)
         differ = compare(args.base.resolve(), args.change.resolve(), runs)
     print(f"{len(runs)} runs, {len(differ)} differ")
     for name in differ:

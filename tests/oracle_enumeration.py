@@ -1,15 +1,21 @@
-"""Brute-force enumerators kept as test oracles.
+"""Enumerators kept as test oracles.
 
-These build the full product of the per-slot options and filter it with the
-whole-candidate axiom check, with no pruning.  They are slow (Z6 on 4 points
-takes about 10 s, S3 on 4 points more than a minute) and exist only to pin
-the enumerators' output, order included.
+The brute-force ones build the full product of the per-slot options and
+filter it with the whole-candidate axiom check, with no pruning.  They are
+slow (Z6 on 4 points takes about 10 s, S3 on 4 points more than a minute)
+and exist only to pin the enumerators' output, order included.
+
+:func:`build_then_sort_partial_actions` is the orbit-data enumerator as it
+was before it built each element's parts once per distinct piece row: it
+builds every domain and map of every action from the chained piece rows,
+then sorts by ``canonical_key()``.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from partial_actions import set_actions
 from partial_actions.algebra_actions import AlgebraPartialAction
 from partial_actions.block_algebras import WreathMap, block_power
 from partial_actions.groups import make_group
@@ -20,6 +26,34 @@ def relabelled(G):
     """G with element a renamed |G|-1-a, so that e is not element 0."""
     last = G.order - 1
     return make_group([[last - G.table[last - a][last - b] for b in G.elements()] for a in G.elements()])
+
+
+def build_then_sort_partial_actions(G, carrier, *, _stabilizers=None) -> list[SetPartialAction]:
+    """Every partial action of G on the carrier (an int n means 0..n-1)
+    from orbit data, each domain and map built per action, sorted by
+    ``canonical_key()``; ``_stabilizers`` receives each action's orbit
+    stabilizers, as ``enumerate_partial_actions`` hands them over."""
+    carrier = tuple(range(carrier)) if isinstance(carrier, int) else tuple(carrier)
+    pieces = {k: set_actions._transitive_pieces(G, k) for k in range(1, len(carrier) + 1)}
+    shared = {}
+    pos = {x: i for i, x in enumerate(carrier)}
+    built = []  # (action, its orbit stabilizers)
+    for partition in set_actions._set_partitions(carrier):
+        placed = [[(H, tuple(tuple((b[i], b[j]) for i, j in pairs) for pairs in piece))
+                   for H, piece in pieces[len(b)]] for b in partition]
+        for choice in itertools.product(*placed):
+            domains, maps = {}, {}
+            for g in G.elements():
+                m = dict(itertools.chain.from_iterable(c[1][g] for c in choice))
+                D = frozenset(m.values())
+                domains[g] = shared.setdefault(D, D)
+                maps[g] = {x: m[x] for x in carrier if x in m}
+            built.append((SetPartialAction._unchecked(G, carrier, pos, domains, maps),
+                          tuple(H for H, _ in choice)))
+    built.sort(key=lambda pair: pair[0].canonical_key())
+    if _stabilizers is not None:
+        _stabilizers.extend(stabilizers for _, stabilizers in built)
+    return [action for action, _ in built]
 
 
 def _involution_options(points: tuple[int, ...]) -> list[tuple[frozenset, dict]]:

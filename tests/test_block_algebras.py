@@ -213,6 +213,24 @@ class TestWreathCompose:
             assert any(part in kind for kind in kinds), part
         assert ("mixed classes", "two algebras", "nonzero") in kinds
 
+    def test_fields_are_read_only(self, lambda_z2):
+        """A map's position map and twists refuse writes, on a constructed
+        map and on a composite, so a map cannot change after its checks;
+        they still equal and print as dicts, and every pair of maps the
+        constructor accepts composes to the constructor-built composite."""
+        full = block_power(lambda_z2, 2).full_ideal()
+        maps = [WreathMap(full, full, dict(pm), {0: t0, 1: t1})
+                for pm in ({0: 0, 1: 1}, {0: 1, 1: 0}) for t0 in (0, 1) for t1 in (0, 1)]
+        swap = maps[5]
+        for w in (swap, wreath_compose(swap, wreath_identity(full))):
+            for field in (w.position_map, w.twists):
+                with pytest.raises(TypeError):
+                    field[0] = 0
+            assert w.position_map == {0: 1, 1: 0} and w.twists == {0: 0, 1: 1}
+            assert repr(w).endswith("position_map={0: 1, 1: 0}, twists={0: 0, 1: 1})")
+        for w1, w2 in itertools.product(maps, maps):
+            assert wreath_compose(w2, w1) == wreath_composite(w2, w1)
+
     def test_compose_with_identity(self, lambda_z2):
         algebra = block_power(lambda_z2, 3)
         full = algebra.full_ideal()

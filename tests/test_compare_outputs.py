@@ -11,6 +11,7 @@ import json
 from compare_outputs import (
     OUTPUT,
     ROOT,
+    all_runs,
     bad_algebra_runs,
     bad_set_runs,
     bad_table_runs,
@@ -20,6 +21,15 @@ from compare_outputs import (
     rejected_runs,
     run_cli,
 )
+
+
+def test_every_run_has_its_own_name(tmp_path):
+    """67 runs, the relabelled S3 (identity off element 0) enumerated at
+    size 4, in text and JSON, among them."""
+    names = [name for name, _ in all_runs(tmp_path, 7)]
+    assert len(names) == len(set(names)) == 67
+    for fmt in ("text", "json"):
+        assert f"enumerate group_s3_relabelled.json --size 4 {fmt}" in names
 
 
 def test_a_checkout_matches_itself_on_the_golden_documents():

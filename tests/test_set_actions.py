@@ -10,7 +10,11 @@ import oracle_globalization
 import pytest
 from conftest import check_item, whole_group
 from hypothesis import given, settings, strategies as st
-from oracle_enumeration import brute_force_partial_actions, relabelled
+from oracle_enumeration import (
+    brute_force_partial_actions,
+    build_then_sort_partial_actions,
+    relabelled,
+)
 
 from partial_actions import set_actions
 from partial_actions.algebra_actions import (
@@ -869,6 +873,45 @@ class TestEnumerate:
     def test_labelled_carrier_matches_oracle(self, s3):
         carrier = ("q", 7)
         assert enumerate_partial_actions(s3, carrier) == brute_force_partial_actions(s3, carrier)
+
+    @pytest.mark.parametrize(
+        "name,carrier",
+        [(name, n) for name in [*ENUM_GROUPS, "relabelled"] for n in range(5)]
+        + [(name, carrier) for name in ("S3", "Z6", "relabelled")
+           for carrier in (("z", "y", "x"), ("d", 7, "b", "a"))],
+        ids=str,
+    )
+    def test_matches_build_then_sort_oracle(self, name, carrier):
+        """Same actions in the same order, with the same map key order and
+        the same handed-over stabilizers, as the enumerator that builds
+        every domain and map per action and sorts by canonical_key()."""
+        if name == "relabelled":  # e is element 5 of this S3
+            G = parse_group(json.loads((DATA / "group_s3_relabelled.json").read_text()))
+            assert G.identity != 0
+        else:
+            G = ENUM_GROUPS[name]()
+        stabilizers, expected_stabilizers = [], []
+        actions = enumerate_partial_actions(G, carrier, _stabilizers=stabilizers)
+        expected = build_then_sort_partial_actions(G, carrier, _stabilizers=expected_stabilizers)
+        assert actions == expected
+        assert stabilizers == expected_stabilizers
+        for a, b in zip(actions, expected):
+            assert list(a.domains) == list(b.domains) == list(G.elements())
+            assert all(list(a.maps[g]) == list(b.maps[g]) for g in G.elements())
+
+    def test_actions_own_their_maps(self):
+        """No two returned actions share a map, so writing into one action's
+        maps changes no other action and no later enumeration."""
+        G = ENUM_GROUPS["Z6"]()
+        actions = enumerate_partial_actions(G, 3)
+        mark = object()
+        for i, a in enumerate(actions):
+            for m in a.maps.values():
+                m[mark] = i
+        assert all(m.pop(mark) == i for i, a in enumerate(actions) for m in a.maps.values())
+        actions[0].maps[G.identity].clear()
+        assert actions[1:] == build_then_sort_partial_actions(G, 3)[1:]
+        assert enumerate_partial_actions(G, 3) == build_then_sort_partial_actions(G, 3)
 
     @pytest.mark.parametrize("name,count", [("Z5", 280), ("K4", 1759), ("S3", 5004), ("Z6", 1628)])
     def test_cap_counts(self, name, count):

@@ -22,6 +22,7 @@ from partial_actions.algebra_actions import (
 from partial_actions.block_algebras import (
     Block,
     BlockAlgebra,
+    BlockIdeal,
     block_power,
     k_line_block,
     wreath_apply,
@@ -42,6 +43,9 @@ from partial_actions.set_actions import (
     GlobalSetAction,
     SetPartialAction,
     enumerate_partial_actions,
+    extend_by_zero,
+    global_part,
+    globalize_set,
     restrict_global,
     verify_partial_action,
 )
@@ -251,6 +255,26 @@ CASES = [
          MalformedInput, "globalize_block_power takes an algebra partial action")
         for label, value in WRONG_CLASS + [("set action", Z2_SWAP)]
     ],
+    ("int globalized as a set action", lambda: globalize_set(5), MalformedInput,
+     "globalize_set takes a set partial action"),
+    ("int group of a set action", lambda: SetPartialAction(5, [0]), MalformedInput,
+     "SetPartialAction takes a FiniteGroup"),
+    ("int group of a global action", lambda: GlobalSetAction(5, [0], {}), MalformedInput,
+     "GlobalSetAction takes a FiniteGroup"),
+    ("int restricted", lambda: restrict_global(5, [0]), MalformedInput,
+     "restrict_global takes a global set action"),
+    ("int global part", lambda: global_part(5), MalformedInput,
+     "global_part takes a set partial action"),
+    ("int subgroup of a set extension", lambda: extend_by_zero(Z2_SWAP, 5), MalformedInput,
+     "extend_by_zero takes a Subgroup"),
+    ("int extended by zero", lambda: extend_by_zero(5, whole_group(Z2)), MalformedInput,
+     "extend_by_zero takes a set partial action"),
+    ("int coset subgroup", lambda: coset_factorize(S3, 5), MalformedInput,
+     "coset_factorize takes a Subgroup"),
+    ("int subgroup parent", lambda: Subgroup(5, (0,)), MalformedInput,
+     "Subgroup takes a FiniteGroup"),
+    ("int ideal algebra", lambda: BlockIdeal(5, {0}), MalformedInput,
+     "BlockIdeal takes a BlockAlgebra"),
 ]
 
 
@@ -284,6 +308,10 @@ def test_non_int_values_are_rejected(build, error, message):
     string.  enumerate_partial_actions of a string, an int, None or a list
     in place of a group leaked AttributeError, as did wreath_compose with
     either side no wreath map, and verify_enveloping and
-    globalize_block_power of no algebra action, a set action included."""
+    globalize_block_power of no algebra action, a set action included.  An
+    int leaked AttributeError as the action of globalize_set, global_part,
+    restrict_global and extend_by_zero, as the subgroup of extend_by_zero
+    and coset_factorize, as the group of SetPartialAction, GlobalSetAction
+    and Subgroup, and as the algebra of BlockIdeal."""
     with pytest.raises(error, match=message):
         build()
