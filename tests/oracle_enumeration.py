@@ -5,10 +5,10 @@ filter it with the whole-candidate axiom check, with no pruning.  They are
 slow (Z6 on 4 points takes about 10 s, S3 on 4 points more than a minute)
 and exist only to pin the enumerators' output, order included.
 
-:func:`build_then_sort_partial_actions` is the orbit-data enumerator as it
-was before it built each element's parts once per distinct piece row: it
-builds every domain and map of every action from the chained piece rows,
-then sorts by ``canonical_key()``.
+:func:`build_then_sort_partial_actions` is the direct form of the package's
+orbit-data enumerator: it builds every domain and map of every action from
+the chained piece rows, then sorts by ``canonical_key()``, where the
+package builds each element's parts once per distinct tuple of rows.
 """
 
 from __future__ import annotations
