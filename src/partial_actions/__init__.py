@@ -1,5 +1,6 @@
 """Partial actions of finite groups on finite sets and block algebras, with
-verified enveloping actions (globalizations) for every construction."""
+verified enveloping actions (globalizations) for every construction.
+Functions and input constructors refuse a wrong-class argument with MalformedInput."""
 
 from .block_algebras import (
     Block,

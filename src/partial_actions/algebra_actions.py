@@ -39,13 +39,14 @@ from .errors import (
     MalformedInput,
     NotAHomomorphism,
     PartialActionError,
+    _as_dict,
+    _expect,
 )
 from .groups import FiniteGroup, Subgroup, coset_factorize
 from .reporting import VerificationReport
 from .set_actions import (
     SetPartialAction,
     _add_items,
-    _as_dict,
     _axiom_items,
     _certified_witnesses,
     _envelope_classes,
@@ -75,8 +76,8 @@ class AlgebraPartialAction:
         domains: Optional[Mapping[int, Union[BlockIdeal, Iterable[int]]]] = None,
         maps: Optional[Mapping[int, WreathMap]] = None,
     ):
-        self.group = group
-        self.algebra = algebra
+        self.group = _expect(group, FiniteGroup, "AlgebraPartialAction takes a FiniteGroup")
+        self.algebra = _expect(algebra, BlockAlgebra, "AlgebraPartialAction takes a BlockAlgebra")
         e = group.identity
         doms: dict[int, BlockIdeal] = {}
         domains = _as_dict(domains, "domains")
@@ -180,8 +181,8 @@ def verify_algebra_partial_action(pa: AlgebraPartialAction) -> VerificationRepor
         MalformedInput: pa is no AlgebraPartialAction, or a map's source or
             target is not the stated ideal.
     """
-    if not isinstance(pa, AlgebraPartialAction):
-        raise MalformedInput("verify_algebra_partial_action takes an algebra partial action")
+    _expect(pa, AlgebraPartialAction,
+            "verify_algebra_partial_action takes an algebra partial action")
     G = pa.group
     for g in G.elements():
         w = pa.maps[g]
@@ -220,6 +221,7 @@ def classify_indecomposable(pa: AlgebraPartialAction) -> tuple[Subgroup, dict[in
         MalformedInput: several blocks, or a support that is not a subgroup.
         TwistTransportConflict: twists that are not a homomorphism on H.
     """
+    _expect(pa, AlgebraPartialAction, "classify_indecomposable takes an algebra partial action")
     if pa.algebra.n_blocks != 1:
         raise MalformedInput("classification applies to single-block algebras")
     (orbit,), _ = _orbit_data(pa.group, (0,), *_position_data(pa))
@@ -243,11 +245,8 @@ def extend_by_zero_algebra(
             total on H, does not fix the identity, or has a value that is
             not an exact int automorphism index.
     """
-    if not isinstance(block, Block):
-        raise MalformedInput("extension by zero takes a single Block")
-    if not isinstance(subgroup, Subgroup):
-        raise MalformedInput("extension by zero takes a Subgroup")
-    G = subgroup.parent
+    _expect(block, Block, "extension by zero takes a single Block")
+    G = _expect(subgroup, Subgroup, "extension by zero takes a Subgroup").parent
     aut = block.aut_group
     try:
         hom = dict(hom)
@@ -291,10 +290,8 @@ class GlobalizationResult:
         embedding: WreathMap,
         checks: VerificationReport,
     ):
-        if not isinstance(envelope, BlockAlgebra):
-            raise MalformedInput("candidate envelope is not a block algebra")
         self.source = source
-        self.envelope = envelope
+        self.envelope = _expect(envelope, BlockAlgebra, "candidate envelope is not a block algebra")
         self.provenance = provenance
         self.action = action
         self.embedding = embedding
@@ -316,20 +313,17 @@ def _candidate_parts(candidate) -> tuple[BlockAlgebra, dict, dict, dict]:
     envelope, action, embedding = (
         _field(candidate, name, "candidate") for name in ("envelope", "action", "embedding")
     )
-    if not isinstance(envelope, BlockAlgebra):
-        raise MalformedInput("candidate envelope is not a block algebra")
+    _expect(envelope, BlockAlgebra, "candidate envelope is not a block algebra")
     action = _as_dict(action, "candidate action")
     for g, w in action.items():
         if not isinstance(w, WreathMap):
             raise MalformedInput(f"candidate action of {g!r} is not a wreath map")
-    if not isinstance(embedding, (WreathMap, Mapping)):
-        raise MalformedInput("candidate embedding is neither a wreath map nor a mapping")
+    _expect(embedding, (WreathMap, Mapping),
+            "candidate embedding is neither a wreath map nor a mapping")
     pm = _field(embedding, "position_map", "candidate embedding")
     tw = embedding.twists if isinstance(embedding, WreathMap) else embedding.get("twists", {})
-    for name, part in (("position_map", pm), ("twists", tw)):
-        if not isinstance(part, Mapping):
-            raise MalformedInput(f"embedding {name} is not a mapping")
-    return envelope, action, dict(pm), dict(tw)
+    return (envelope, action, dict(_expect(pm, Mapping, "embedding position_map is not a mapping")),
+            dict(_expect(tw, Mapping, "embedding twists is not a mapping")))
 
 
 def verify_enveloping(pa: AlgebraPartialAction, candidate) -> VerificationReport:
@@ -356,8 +350,7 @@ def verify_enveloping(pa: AlgebraPartialAction, candidate) -> VerificationReport
         MalformedInput: pa is no algebra action, the candidate lacks a field
             or has one of the wrong kind, or its action is not global.
     """
-    if not isinstance(pa, AlgebraPartialAction):
-        raise MalformedInput("verify_enveloping takes an algebra partial action")
+    _expect(pa, AlgebraPartialAction, "verify_enveloping takes an algebra partial action")
     envelope, action, pm, tw = _candidate_parts(candidate)
     G = pa.group
     env_positions = frozenset(envelope.positions())
@@ -428,6 +421,7 @@ def split_partial_action(pa: AlgebraPartialAction) -> list[AlgebraPartialAction]
     preserve classes, so each component is invariant and the restriction is
     well defined.  ``product_partial_action`` reassembles the input.
     """
+    _expect(pa, AlgebraPartialAction, "split_partial_action takes an algebra partial action")
     components = decompose_isotypic(pa.algebra)
     for _, positions in components:
         if positions != tuple(range(positions[0], positions[0] + len(positions))):
@@ -486,6 +480,7 @@ def restrict_to_idempotents(pa: AlgebraPartialAction) -> SetPartialAction:
     """The induced partial action on the primitive central idempotents: the
     carrier is the block positions, domains are the supports, and the maps
     are the position parts of the wreath maps."""
+    _expect(pa, AlgebraPartialAction, "restrict_to_idempotents takes an algebra partial action")
     supports, maps, _, _ = _position_data(pa)
     positions = pa.algebra.positions()
     return SetPartialAction(pa.group, positions, dict(enumerate(supports)), dict(enumerate(maps)))
@@ -503,8 +498,7 @@ def lift_set_action(spa: SetPartialAction) -> AlgebraPartialAction:
         MalformedInput: spa is no SetPartialAction, or its carrier is empty
             ("need at least one copy": no algebra has zero blocks).
     """
-    if not isinstance(spa, SetPartialAction):
-        raise MalformedInput("the lift takes a set partial action")
+    _expect(spa, SetPartialAction, "the lift takes a set partial action")
     block = k_line_block()
     G = spa.group
     pos = {x: i for i, x in enumerate(spa.carrier)}
@@ -534,8 +528,7 @@ def globalize_block_power(pa: AlgebraPartialAction) -> GlobalizationResult:
     ``TwistTransportConflict`` when only its twists are (``MalformedInput``
     too when pa is no algebra action).
     """
-    if not isinstance(pa, AlgebraPartialAction):
-        raise MalformedInput("globalize_block_power takes an algebra partial action")
+    _expect(pa, AlgebraPartialAction, "globalize_block_power takes an algebra partial action")
     G = pa.group
     positions = pa.algebra.positions()
     orbits, paths = _orbit_data(G, positions, *_position_data(pa))
@@ -607,9 +600,8 @@ def _result_parts(result) -> tuple[AlgebraPartialAction, BlockAlgebra, dict, dic
     MalformedInput unless :func:`verify_enveloping` finds a global action
     and an embedding onto an ideal."""
     parts = _candidate_parts(result)
-    source = _field(result, "source", "candidate")
-    if not isinstance(source, AlgebraPartialAction):
-        raise MalformedInput("candidate source is not an algebra partial action")
+    source = _expect(_field(result, "source", "candidate"), AlgebraPartialAction,
+                     "candidate source is not an algebra partial action")
     ideal = verify_enveloping(source, result).items[0]
     if not ideal.passed:
         raise MalformedInput(f"candidate embedding lands on no ideal: {ideal.witness}")

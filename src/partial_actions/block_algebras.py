@@ -19,6 +19,8 @@ from .errors import (
     CompositionMismatch,
     MalformedInput,
     SupportViolation,
+    _as_dict,
+    _expect,
 )
 from .groups import FiniteGroup, make_group
 
@@ -37,10 +39,8 @@ class Block(Frozen):
     _fields = ("iso_class", "aut_group")
 
     def __init__(self, iso_class: str, aut_group: FiniteGroup):
-        if not isinstance(iso_class, str):
-            raise MalformedInput(f"block class {iso_class!r} is not a string")
-        if not isinstance(aut_group, FiniteGroup):
-            raise MalformedInput("a block's automorphism group must be a FiniteGroup")
+        _expect(iso_class, str, f"block class {iso_class!r} is not a string")
+        _expect(aut_group, FiniteGroup, "a block's automorphism group must be a FiniteGroup")
         object.__setattr__(self, "iso_class", iso_class)
         object.__setattr__(self, "aut_group", aut_group)
 
@@ -108,8 +108,7 @@ class BlockIdeal(Frozen):
     _fields = ("algebra", "support")
 
     def __init__(self, algebra: BlockAlgebra, support: frozenset):
-        if not isinstance(algebra, BlockAlgebra):
-            raise MalformedInput("BlockIdeal takes a BlockAlgebra")
+        _expect(algebra, BlockAlgebra, "BlockIdeal takes a BlockAlgebra")
         object.__setattr__(self, "algebra", algebra)
         if not isinstance(support, frozenset):
             try:
@@ -139,6 +138,7 @@ class WreathMap(Frozen):
     after its checks; they compare equal to, and print as, dicts.
 
     The constructor checks, in this order, raising at the first failure:
+    source and target are ideals, the two maps mappings (MalformedInput);
     the keys of ``position_map`` are the source support and its values a
     bijection onto the target support (MalformedInput); each block p lands
     on a block of its class with the same automorphism group (ClassMismatch,
@@ -164,10 +164,12 @@ class WreathMap(Frozen):
         position_map: Mapping[int, int],
         twists: Mapping[int, int],
     ):
+        _expect(source, BlockIdeal, "WreathMap takes a source BlockIdeal")
+        _expect(target, BlockIdeal, "WreathMap takes a target BlockIdeal")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        pm = dict(position_map)
-        tw = dict(twists)
+        pm = _as_dict(position_map, "position map")
+        tw = _as_dict(twists, "twists")
         if pm.keys() != source.support or not set(map(type, pm)) <= {int}:
             raise MalformedInput("position map keys must be exactly the source support")
         images = set(pm.values())
@@ -230,6 +232,7 @@ class WreathMap(Frozen):
 
 
 def wreath_identity(ideal: BlockIdeal) -> WreathMap:
+    _expect(ideal, BlockIdeal, "wreath_identity takes a BlockIdeal")
     return WreathMap(
         ideal,
         ideal,
@@ -244,6 +247,7 @@ FormalSum = dict[int, Token]
 
 def symbolic_basis(ideal: BlockIdeal) -> FormalSum:
     """One untwisted symbol per supported position (x0, x1, ...)."""
+    _expect(ideal, BlockIdeal, "symbolic_basis takes a BlockIdeal")
     return {
         p: (ideal.algebra.blocks[p].aut_group.identity, f"x{p}")
         for p in sorted(ideal.support)
@@ -259,6 +263,8 @@ def wreath_apply(w: WreathMap, element: Mapping[int, Union[str, Token]]) -> Form
         SupportViolation: the element mentions positions outside the source.
         MalformedInput: a payload is no symbol or (twist index, symbol) pair.
     """
+    _expect(w, WreathMap, "wreath_apply takes a WreathMap")
+    element = _as_dict(element, "element")
     extra = set(element) - w.source.support
     if extra:
         raise SupportViolation(f"element supported outside the source at {sorted(extra)}")
@@ -286,8 +292,8 @@ def wreath_compose(w2: WreathMap, w1: WreathMap) -> WreathMap:
         MalformedInput: w2 or w1 is no WreathMap.
         CompositionMismatch: the target of w1 is not the source of w2.
     """
-    if not (isinstance(w2, WreathMap) and isinstance(w1, WreathMap)):
-        raise MalformedInput("wreath_compose takes two wreath maps")
+    _expect(w2, WreathMap, "wreath_compose takes two wreath maps")
+    _expect(w1, WreathMap, "wreath_compose takes two wreath maps")
     if w1.target != w2.source:
         raise CompositionMismatch("target of the first map differs from source of the second")
     pm1, pm2, tw1, tw2 = w1.position_map, w2.position_map, w1.twists, w2.twists
@@ -305,6 +311,7 @@ def wreath_compose(w2: WreathMap, w1: WreathMap) -> WreathMap:
 def decompose_isotypic(algebra: BlockAlgebra) -> list[tuple[str, tuple[int, ...]]]:
     """Partition of block positions by class label, ordered by first
     occurrence."""
+    _expect(algebra, BlockAlgebra, "decompose_isotypic takes a BlockAlgebra")
     seen: dict[str, list[int]] = {}
     order: list[str] = []
     for p, block in enumerate(algebra.blocks):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the wrong-class guards."""
 
 
 class PartialActionError(Exception):
@@ -28,6 +28,21 @@ class UnknownElement(PartialActionError):
 class MalformedInput(PartialActionError):
     """Structurally broken input: a map that is not a bijection onto its
     stated codomain, mismatched sources/targets, or similar."""
+
+
+def _expect(value, cls, message: str):
+    """value itself, unless it is no instance of cls: then MalformedInput(message)."""
+    if not isinstance(value, cls):
+        raise MalformedInput(message)
+    return value
+
+
+def _as_dict(value, what: str) -> dict:
+    """A copy of the mapping value, {} for None; 5 or "ab" is no mapping."""
+    try:
+        return {} if value is None else dict(value)
+    except (TypeError, ValueError):
+        raise MalformedInput(f"{what} is not a mapping") from None
 
 
 class InternalInconsistency(PartialActionError):

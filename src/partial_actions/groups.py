@@ -22,6 +22,7 @@ from .errors import (
     NotASubgroup,
     SizeLimit,
     UnknownElement,
+    _expect,
 )
 
 MAX_TABLE_ORDER = 64  # largest explicit Cayley table; validating a group table costs O(n^2 log n)
@@ -50,6 +51,9 @@ class FiniteGroup(Frozen):
         names: tuple[str, ...],
         doc_kind: Optional[tuple[str, int]] = None,
     ):
+        _expect(names, tuple, "FiniteGroup takes a tuple of names")
+        if not (isinstance(table, tuple) and identity in range(len(table))):
+            raise MalformedInput("FiniteGroup takes a tuple of rows and an identity index")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "names", names)
@@ -330,8 +334,7 @@ class Subgroup(Frozen):
     _fields = ("parent", "members")
 
     def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
-        if not isinstance(parent, FiniteGroup):
-            raise MalformedInput("Subgroup takes a FiniteGroup")
+        _expect(parent, FiniteGroup, "Subgroup takes a FiniteGroup")
         object.__setattr__(self, "parent", parent)
         G = parent
         try:
@@ -377,6 +380,7 @@ class Subgroup(Frozen):
 
 def subgroup_closure(G: FiniteGroup, generators: Iterable[ElementRef]) -> Subgroup:
     """Smallest subgroup of G containing the given generators."""
+    _expect(G, FiniteGroup, "subgroup_closure takes a FiniteGroup")
     try:
         refs = list(generators)
     except TypeError:  # 1.5 is no collection of generators
@@ -401,6 +405,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     Three generators suffice for any subgroup of a group of order <= 12,
     which is all this sweep is used for; larger groups are rejected.
     """
+    _expect(G, FiniteGroup, "all_subgroups takes a FiniteGroup")
     if G.order > 12:
         raise SizeLimit("subgroup sweep is capped at order 12")
     seen: dict[tuple[int, ...], Subgroup] = {}
@@ -501,8 +506,7 @@ def coset_factorize(G: FiniteGroup, H: Subgroup) -> CosetFactorization:
         InternalInconsistency: if any of those laws fails (unreachable for a
             group table).
     """
-    if not isinstance(H, Subgroup):
-        raise MalformedInput("coset_factorize takes a Subgroup")
+    _expect(H, Subgroup, "coset_factorize takes a Subgroup")
     if H.parent is not G and H.parent != G:
         raise NotASubgroup("subgroup belongs to a different group")
     reps, coset = _cosets(G, H.members)
@@ -632,7 +636,7 @@ def cross_validate_table(
         UnknownElement: a row references an element outside G, or a g_i that
             is not a transversal representative.
     """
-    G = cf.group
+    G = _expect(cf, CosetFactorization, "cross_validate_table takes a CosetFactorization").group
     try:
         rows = [(g, g_i, j, h) for (g, g_i), j, h in claimed_rows]
     except (TypeError, ValueError):  # 5, "x" or [5] is no list of rows

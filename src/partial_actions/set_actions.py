@@ -25,6 +25,8 @@ from .errors import (
     NotASubgroup,
     SizeLimit,
     TwistTransportConflict,
+    _as_dict,
+    _expect,
 )
 from .groups import FiniteGroup, Subgroup, _cosets, _law_failures, all_subgroups, coset_factorize
 from .reporting import VerificationReport
@@ -42,14 +44,6 @@ def _subset_of(carrier_set: frozenset, points: Iterable) -> Optional[frozenset]:
     except TypeError:
         return None
     return points if points <= carrier_set else None
-
-
-def _as_dict(value, what: str) -> dict:
-    """A copy of the mapping value, {} for None; 5 or "ab" is no mapping."""
-    try:
-        return {} if value is None else dict(value)
-    except (TypeError, ValueError):
-        raise MalformedInput(f"{what} is not a mapping") from None
 
 
 def _check_points(carrier: tuple) -> None:
@@ -81,8 +75,7 @@ class SetPartialAction:
         domains: Optional[Mapping[int, Iterable[Point]]] = None,
         maps: Optional[Mapping[int, Mapping[Point, Point]]] = None,
     ):
-        if not isinstance(group, FiniteGroup):
-            raise MalformedInput(f"{type(self).__name__} takes a FiniteGroup")
+        _expect(group, FiniteGroup, f"{type(self).__name__} takes a FiniteGroup")
         self.group = group
         try:
             self.carrier = tuple(carrier)
@@ -346,8 +339,7 @@ def verify_partial_action(candidate: SetPartialAction) -> VerificationReport:
         MalformedInput: candidate is no SetPartialAction, or a map is not a
             bijection from D_{g^-1} onto D_g.
     """
-    if not isinstance(candidate, SetPartialAction):
-        raise MalformedInput("verify_partial_action takes a set partial action")
+    _expect(candidate, SetPartialAction, "verify_partial_action takes a set partial action")
     G = candidate.group
     n = G.name
     for g in G.elements():
@@ -371,8 +363,7 @@ def verify_partial_action(candidate: SetPartialAction) -> VerificationReport:
 
 def restrict_global(global_action: GlobalSetAction, subset: Iterable[Point]) -> SetPartialAction:
     """Restrict a global action to a subset: D_g = subset ∩ beta_g(subset)."""
-    if not isinstance(global_action, GlobalSetAction):
-        raise MalformedInput("restrict_global takes a global set action")
+    _expect(global_action, GlobalSetAction, "restrict_global takes a global set action")
     sub = _subset_of(frozenset(global_action.carrier), subset)
     if sub is None:
         raise MalformedInput("subset leaves the carrier")
@@ -393,11 +384,8 @@ def extend_by_zero(action_of_h: SetPartialAction, subgroup: Subgroup) -> SetPart
             subgroup no Subgroup.
         NotASubgroup: the action's group does not match the subgroup.
     """
-    if not isinstance(action_of_h, SetPartialAction):
-        raise MalformedInput("extend_by_zero takes a set partial action")
-    if not isinstance(subgroup, Subgroup):
-        raise MalformedInput("extend_by_zero takes a Subgroup")
-    H = subgroup
+    _expect(action_of_h, SetPartialAction, "extend_by_zero takes a set partial action")
+    H = _expect(subgroup, Subgroup, "extend_by_zero takes a Subgroup")
     G = H.parent
     if action_of_h.group != H.as_group():
         raise NotASubgroup("the action is not over the given subgroup")
@@ -415,9 +403,7 @@ def global_part(spa: SetPartialAction) -> tuple[Subgroup, GlobalSetAction]:
             partial action: H fails the subgroup check, or the restriction
             fails the action law.
     """
-    if not isinstance(spa, SetPartialAction):
-        raise MalformedInput("global_part takes a set partial action")
-    G = spa.group
+    G = _expect(spa, SetPartialAction, "global_part takes a set partial action").group
     X = frozenset(spa.carrier)
     members = tuple(g for g in G.elements() if spa.domains[g] == X)
     try:
@@ -578,7 +564,8 @@ class SetGlobalization:
         orbit_witness: tuple[tuple[int, Point], ...],
     ):
         self.source = source
-        self.envelope = _global_envelope(envelope)
+        self.envelope = _expect(
+            envelope, GlobalSetAction, "candidate envelope is not a global set action")
         self.orbit_witness = orbit_witness
         self.embedding = _as_dict(embedding, "embedding")
 
@@ -607,9 +594,7 @@ def globalize_set(spa: SetPartialAction) -> SetGlobalization:
         MalformedInput: the input is no set partial action, or not a
             partial action.
     """
-    if not isinstance(spa, SetPartialAction):
-        raise MalformedInput("globalize_set takes a set partial action")
-    G = spa.group
+    G = _expect(spa, SetPartialAction, "globalize_set takes a set partial action").group
     X = spa.carrier
     witnesses, moves, embedding = _envelope_classes(G, X, *_orbit_data(G, X, spa.domains, spa.maps))
     points = tuple(range(len(witnesses)))
@@ -752,21 +737,13 @@ def _field(source, name: str, what: str):
         raise MalformedInput(f"{what} has no {name}") from None
 
 
-def _global_envelope(envelope) -> GlobalSetAction:
-    if not isinstance(envelope, GlobalSetAction):
-        raise MalformedInput("candidate envelope is not a global set action")
-    return envelope
-
-
 def _set_candidate(sg) -> tuple[GlobalSetAction, Mapping]:
     """The envelope and the embedding of a set globalization candidate, read
     as mapping keys or attributes.  MalformedInput names the first field
     that is missing or of the wrong kind."""
     envelope, embedding = (_field(sg, name, "candidate") for name in ("envelope", "embedding"))
-    envelope = _global_envelope(envelope)
-    if not isinstance(embedding, Mapping):
-        raise MalformedInput("candidate embedding is not a mapping")
-    return envelope, embedding
+    return (_expect(envelope, GlobalSetAction, "candidate envelope is not a global set action"),
+            _expect(embedding, Mapping, "candidate embedding is not a mapping"))
 
 
 def verify_set_globalization(spa: SetPartialAction, sg: SetGlobalization) -> VerificationReport:
@@ -781,7 +758,7 @@ def verify_set_globalization(spa: SetPartialAction, sg: SetGlobalization) -> Ver
             lacks an ``envelope`` GlobalSetAction or an ``embedding`` mapping.
         GroupMismatch: the envelope is over another group than spa.
     """
-    G = spa.group
+    G = _expect(spa, SetPartialAction, "verify_set_globalization takes a set partial action").group
     envelope, embedding = _set_candidate(sg)
     if envelope.group != G:
         raise GroupMismatch("the envelope is over a different group than the action")
@@ -907,17 +884,17 @@ def _set_partitions(points: tuple) -> Iterator[list[tuple]]:
         yield [(first,)] + partition
 
 
-def _transitive_pieces(G: FiniteGroup, k: int) -> list[tuple]:
+def _transitive_pieces(cosets: list[tuple], k: int) -> list[tuple]:
     """Every partial action of G on points 0..k-1 with a single orbit, as
     (H.members, one tuple of (x, alpha_g(x)) pairs per element): for each
     subgroup H, the restriction of G/H to the coset H (point 0) and k - 1
-    further distinct cosets, in every order.  H is the stabilizer of 0."""
+    further distinct cosets, in every order.  H is the stabilizer of 0;
+    ``cosets`` holds (H.members, its j table) per H of ``all_subgroups``."""
     pieces = []
-    for H in all_subgroups(G):
-        moved = coset_factorize(G, H).j_table  # moved[g][c]: the coset g sends c to; 0 is H
+    for members, moved in cosets:  # moved[g][c]: the coset g sends c to; 0 is H
         for chosen in itertools.permutations(range(1, len(moved[0])), k - 1):
             point = {c: i for i, c in enumerate((0,) + chosen)}
-            pieces.append((H.members, tuple(
+            pieces.append((members, tuple(
                 tuple((i, point[m[c]]) for c, i in point.items() if m[c] in point) for m in moved
             )))
     return pieces
@@ -963,8 +940,7 @@ def enumerate_partial_actions(
             or it repeats a point.
         SizeLimit: beyond |G| <= 6 or carriers larger than 4 points.
     """
-    if not isinstance(G, FiniteGroup):
-        raise MalformedInput("enumeration takes a FiniteGroup")
+    _expect(G, FiniteGroup, "enumeration takes a FiniteGroup")
     if type(carrier) is int:
         if carrier < 0:
             raise MalformedInput(f"carrier size {carrier} is negative")
@@ -979,7 +955,8 @@ def enumerate_partial_actions(
         raise SizeLimit(f"enumeration caps the group order at {ENUM_MAX_GROUP}")
     if len(carrier) > ENUM_MAX_CARRIER:
         raise SizeLimit(f"enumeration caps the carrier size at {ENUM_MAX_CARRIER}")
-    pieces = {k: _transitive_pieces(G, k) for k in range(1, len(carrier) + 1)}
+    cosets = [(H.members, coset_factorize(G, H).j_table) for H in all_subgroups(G)]
+    pieces = {k: _transitive_pieces(cosets, k) for k in range(1, len(carrier) + 1)}
     shared: dict[frozenset, frozenset] = {}  # one object per distinct domain saves memory
     pos = {x: i for i, x in enumerate(carrier)}
     at = pos.__getitem__

@@ -18,7 +18,7 @@ import itertools
 from partial_actions import set_actions
 from partial_actions.algebra_actions import AlgebraPartialAction
 from partial_actions.block_algebras import WreathMap, block_power
-from partial_actions.groups import make_group
+from partial_actions.groups import all_subgroups, coset_factorize, make_group
 from partial_actions.set_actions import SetPartialAction
 
 
@@ -34,7 +34,8 @@ def build_then_sort_partial_actions(G, carrier, *, _stabilizers=None) -> list[Se
     ``canonical_key()``; ``_stabilizers`` receives each action's orbit
     stabilizers, as ``enumerate_partial_actions`` hands them over."""
     carrier = tuple(range(carrier)) if isinstance(carrier, int) else tuple(carrier)
-    pieces = {k: set_actions._transitive_pieces(G, k) for k in range(1, len(carrier) + 1)}
+    cosets = [(H.members, coset_factorize(G, H).j_table) for H in all_subgroups(G)]
+    pieces = {k: set_actions._transitive_pieces(cosets, k) for k in range(1, len(carrier) + 1)}
     shared = {}
     pos = {x: i for i, x in enumerate(carrier)}
     built = []  # (action, its orbit stabilizers)
